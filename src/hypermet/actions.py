@@ -175,8 +175,11 @@ def act(g: GroupElement, A: ClosedSet) -> ClosedSet:
             return ClosedSet.cloud(space, pts, factor * rep.resolution)
         return ClosedSet.points(space, pts)
     if name == "IntervalUnion":
-        # infinite endpoints ride along: a*inf + b keeps the right sign
-        out = [tuple(sorted((g.apply(lo), g.apply(hi)))) for lo, hi in rep.intervals]
+        # apply takes points of the line only; an infinite end goes to the
+        # infinity on the side the slope sends it to
+        def end(x):
+            return g.apply(x) if math.isfinite(x) else math.copysign(math.inf, g.matrix[0][0] * x)
+        out = [tuple(sorted((end(lo), end(hi)))) for lo, hi in rep.intervals]
         return ClosedSet.intervals(space, out)
     if name == "SegmentUnion":
         return ClosedSet.segments(space, [(g.apply(p), g.apply(q))

@@ -83,15 +83,6 @@ def dist_point_ray(x, a, u) -> float:
     return math.dist(x, add(a, scale(u, t)))
 
 
-def farthest_on_segment_dist(p, q, target_dist) -> float:
-    """sup of a convex distance function over the segment [p, q].
-
-    target_dist(x) must be convex (distance to a convex set), so the
-    supremum sits at an endpoint.
-    """
-    return max(target_dist(p), target_dist(q))
-
-
 # ---------------------------------------------------------------------------
 # shape-to-shape minimum distances (gaps)
 

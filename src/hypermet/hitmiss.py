@@ -32,8 +32,8 @@ def _check_balls(space: AmbientSpace, balls):
     out = []
     for c, r in balls:
         r = float(r)
-        if r <= 0:
-            raise ValueError("open balls need positive radius")
+        if not 0.0 < r < math.inf:
+            raise ValueError("open balls need a finite positive radius")
         out.append((space.canon_point(c), r))
     if not out:
         raise ValueError("an open set needs at least one ball")
@@ -66,10 +66,6 @@ class OpenSetRep:
         if self.balls is not None:
             return "union(" + ", ".join(f"ball({c}, {r})" for c, r in self.balls) + ")"
         return f"complement({self.complement_of.rep})"
-
-
-def _point_dist(space: AmbientSpace, p, q) -> float:
-    return space.distance(p, q)
 
 
 def hits(A: ClosedSet, U: OpenSetRep) -> bool:
@@ -120,15 +116,8 @@ def subset_of(A: ClosedSet, U: OpenSetRep) -> bool:
         )
     if space.is_one_dimensional:
         ivs = sorted((c - r, c + r) for c, r in U.balls)
-        return all(
-            _closed_in_open_union(*_as_iv(comp), ivs) for comp in A.components()
-        )
+        return all(_closed_in_open_union(lo, hi, ivs) for lo, hi in A.normal_form.intervals)
     return all(_comp_covered(comp, U.balls) for comp in A.components())
-
-
-def _as_iv(comp):
-    kind, data = comp
-    return (data, data) if kind == "point" else data
 
 
 def _closed_in_open_union(lo: float, hi: float, open_ivs) -> bool:

@@ -40,6 +40,7 @@ from .sets import (
     SampledCloud,
     SegmentUnion,
     _box_corners,
+    _coord,
     dist_to_set,
     is_bounded,
 )
@@ -172,40 +173,28 @@ def _widen(cv: CertifiedValue, slack: float) -> CertifiedValue:
                           cv.method + "+cloud", cv.witness)
 
 
-# ---------------------------------------------------------------------------
-# 1-D normal form helpers
+def _first_max(cands, d, method, default_wit) -> CertifiedValue:
+    """The first candidate of largest positive value, as the candidate
+    scan has always broken ties; (0, default_wit) when none is positive."""
+    if len(cands):
+        i = int(np.argmax(d))
+        if d[i] > 0.0:
+            return CertifiedValue.point(float(d[i]), method, cands[i])
+    return CertifiedValue.point(0.0, method, default_wit)
 
 
-def _merged_flat(S: ClosedSet):
-    """The set as sorted disjoint closed intervals (points degenerate,
-    rays half-infinite).  1-D only."""
-    ivs = []
-    for kind, data in S.components():
-        ivs.append((data, data) if kind == "point" else tuple(data))
-    ivs.sort()
-    merged = [list(ivs[0])]
-    for a, b in ivs[1:]:
-        if a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    return [(a, b) for a, b in merged]
-
-
-def _gap_midpoints(ivs):
-    out = []
-    for (_, h1), (l2, _) in zip(ivs, ivs[1:]):
-        out.append(0.5 * (h1 + l2))
-    return out
-
-
-def _dist_1d(x: float, ivs) -> float:
-    best = math.inf
-    for lo, hi in ivs:
-        best = min(best, max(lo - x, x - hi, 0.0))
-        if best == 0.0:
-            break
-    return best
+def _breakpoints(cands: set, *forms) -> set:
+    """Add the finite endpoints and gap midpoints of each normal form to
+    cands.  The insertion order fixes the set's iteration order, and so
+    which of two tied candidates a scan reports."""
+    for nf in forms:
+        for lo, hi in nf.intervals:
+            if math.isfinite(lo):
+                cands.add(lo)
+            if math.isfinite(hi):
+                cands.add(hi)
+        cands.update(nf.midpoints)
+    return cands
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +237,11 @@ def _excess_finite(space, A, B) -> CertifiedValue:
 
 
 def _excess_point_source(A, B) -> CertifiedValue:
+    pts = A.rep.points
+    if A.space.is_one_dimensional:
+        d = B.normal_form.dists(np.asarray(pts, dtype=float).ravel())
+        i = int(np.argmax(d))
+        return CertifiedValue.point(float(d[i]), "finite-max", pts[i])
     best, wit = -1.0, None
     for p in A.rep.points:
         d = dist_to_set(p, B)
@@ -257,25 +251,20 @@ def _excess_point_source(A, B) -> CertifiedValue:
 
 
 def _excess_1d(A, B) -> CertifiedValue:
-    ia, ib = _merged_flat(A), _merged_flat(B)
-    if ia[-1][1] == math.inf and ib[-1][1] != math.inf:
+    na, nb = A.normal_form, B.normal_form
+    if na.hi[-1] == math.inf and nb.hi[-1] != math.inf:
         return CertifiedValue.infinite("exact-1d", ("escape", +1.0))
-    if ia[0][0] == -math.inf and ib[0][0] != -math.inf:
+    if na.lo[0] == -math.inf and nb.lo[0] != -math.inf:
         return CertifiedValue.infinite("exact-1d", ("escape", -1.0))
-    mids = _gap_midpoints(ib)
+    mids = nb.midpoints
     cands = []
-    for lo, hi in ia:
+    for lo, hi in na.intervals:
         if math.isfinite(lo):
             cands.append(lo)
         if math.isfinite(hi):
             cands.append(hi)
-        cands.extend(m for m in mids if lo <= m <= hi)
-    best, wit = 0.0, None
-    for c in cands:
-        d = _dist_1d(c, ib)
-        if d > best:
-            best, wit = d, c
-    return CertifiedValue.point(best, "exact-1d", wit)
+        cands.extend(mids[bisect_left(mids, lo):bisect_right(mids, hi)])
+    return _first_max(cands, nb.dists(cands), "exact-1d", None)
 
 
 def _excess_ray(A, B) -> CertifiedValue:
@@ -423,24 +412,11 @@ def _sup_gap_1d(space, A, B, radius) -> CertifiedValue:
     # window sits at an endpoint, a gap midpoint, or a window edge (the
     # kinks introduced by |.| are zeros, hence never maxima), and the
     # sup over the open window equals the max over its closure.
-    ia, ib = _merged_flat(A), _merged_flat(B)
-    x0 = float(space.canon_point(space.base_point))
+    na, nb = A.normal_form, B.normal_form
+    x0 = _coord(space.canon_point(space.base_point))
     lo_w, hi_w = _window_1d(space, x0, radius)
-    cands = {lo_w, hi_w}
-    for ivs in (ia, ib):
-        for lo, hi in ivs:
-            if math.isfinite(lo):
-                cands.add(lo)
-            if math.isfinite(hi):
-                cands.add(hi)
-        cands.update(_gap_midpoints(ivs))
-    best, wit = 0.0, lo_w
-    for c in cands:
-        if lo_w <= c <= hi_w:
-            d = abs(_dist_1d(c, ia) - _dist_1d(c, ib))
-            if d > best:
-                best, wit = d, c
-    return CertifiedValue.point(best, "exact-1d", wit)
+    cands = [c for c in _breakpoints({lo_w, hi_w}, na, nb) if lo_w <= c <= hi_w]
+    return _first_max(cands, np.abs(na.dists(cands) - nb.dists(cands)), "exact-1d", lo_w)
 
 
 def _batch_dist(X: np.ndarray, S: ClosedSet) -> np.ndarray:
@@ -471,16 +447,28 @@ def _batch_dist(X: np.ndarray, S: ClosedSet) -> np.ndarray:
     return best
 
 
+def _grid_k(n: int, node_cap: int) -> int:
+    """The largest even k whose grid of (k+1)^n nodes fits in node_cap
+    (even keeps the center on the grid)."""
+    if 3 ** n > node_cap:
+        raise Indeterminate(
+            f"node_cap={node_cap} is below the 3^{n} nodes of the coarsest grid in R^{n}")
+    k = 2 * max(1, int((node_cap ** (1.0 / n) - 1.0) / 2.0))
+    while (k + 3) ** n <= node_cap:
+        k += 2
+    while (k + 1) ** n > node_cap:
+        k -= 2
+    return k
+
+
 def _sup_gap_grid(space, A, B, radius, tol, node_cap) -> CertifiedValue:
     n = space.dim
     center = np.asarray(space.canon_point(space.base_point))
     # covering radius h = spacing * sqrt(n)/2 inflates the upper bound
     # by 2h; aim for 2h <= tol/2 within the node budget
     want = max(tol / 4.0, 1e-9) / math.sqrt(n)
-    per_axis = max(2, int(node_cap ** (1.0 / n)) - 1)
-    k = min(max(2, math.ceil(2.0 * radius / want)), per_axis)
-    if k % 2:
-        k += 1  # keep the center on the grid
+    k = max(2, math.ceil(2.0 * radius / want))
+    k = min(k + k % 2, _grid_k(n, node_cap))
     axes = [np.linspace(c - radius, c + radius, k + 1) for c in center]
     mesh = np.meshgrid(*axes, indexing="ij")
     X = np.stack([m.ravel() for m in mesh], axis=1)
@@ -535,30 +523,33 @@ def aw_distance(A: ClosedSet, B: ClosedSet, *,
 
 def _aw_exact(space, A, B) -> CertifiedValue:
     g, j_sat, g_inf = _window_gap_family(space, A, B)
-    if g(j_sat) == 0.0:
+    g_sat = g(j_sat)
+    if g_sat == 0.0:
         # windows saturated while still agreeing everywhere
         v = 0.0 if g_inf == 0.0 else min(g_inf, 1.0 / (j_sat + 1))
         return CertifiedValue.point(v, "exact-1d")
-    # first window with a positive gap (g is nondecreasing)
-    lo_j, hi_j = 1, j_sat
+    # g is nondecreasing and 1/j decreasing, so the terms min(1/j, g(j))
+    # equal g(j) up to the first window J with g(J) >= 1/J and are below
+    # 1/J after it: the supremum is max(g(J-1), 1/J).  Where g is flat,
+    # rounding at the window edges can make the float g(j) dip by a few
+    # ulps of the radius, so g(J-1) can sit that far below an earlier g(j).
+    hi_j = j_sat
+    if g_sat < 1.0 / j_sat:
+        if g_inf is not None:
+            # no crossing before saturation: the last window and the limit decide
+            return CertifiedValue.point(max(g_sat, min(1.0 / (j_sat + 1), g_inf)),
+                                        "exact-1d")
+        while g(hi_j) < 1.0 / hi_j:
+            hi_j *= 2  # one side escapes: the gap grows like the window
+    lo_j = 1
     while lo_j < hi_j:
         mid = (lo_j + hi_j) // 2
-        if g(mid) > 0.0:
+        if g(mid) >= 1.0 / mid:
             hi_j = mid
         else:
             lo_j = mid + 1
-    best = 0.0
-    for j in itertools.count(lo_j):
-        gj = g(j)
-        best = max(best, min(1.0 / j, gj))
-        if gj >= 1.0 / j:
-            # every later term is < 1/j <= best
-            return CertifiedValue.point(best, "exact-1d")
-        if j >= j_sat:
-            if g_inf is None:
-                continue  # gap still growing toward an unbounded mismatch
-            best = max(best, min(1.0 / (j + 1), g_inf))
-            return CertifiedValue.point(best, "exact-1d")
+    v = 1.0 if lo_j == 1 else max(g(lo_j - 1), 1.0 / lo_j)
+    return CertifiedValue.point(v, "exact-1d")
 
 
 def _window_gap_family(space, A, B):
@@ -583,23 +574,18 @@ def _window_gap_family(space, A, B):
         j_sat = int(math.floor(radii[-1])) + 1
         return g, j_sat, prefix[-1]
 
-    ia, ib = _merged_flat(A), _merged_flat(B)
-    x0 = float(space.canon_point(space.base_point))
-    cands = set()
-    for ivs in (ia, ib):
-        for lo, hi in ivs:
-            if math.isfinite(lo):
-                cands.add(lo)
-            if math.isfinite(hi):
-                cands.add(hi)
-        cands.update(_gap_midpoints(ivs))
+    na, nb = A.normal_form, B.normal_form
+    x0 = _coord(space.canon_point(space.base_point))
+    cands = np.array(list(_breakpoints(set(), na, nb)))
 
     def delta(x):
-        return abs(_dist_1d(x, ia) - _dist_1d(x, ib))
+        return abs(na.dist(x) - nb.dist(x))
 
-    pairs = sorted((abs(c - x0), delta(c)) for c in cands)
-    radii = [r for r, _ in pairs]
-    prefix = list(itertools.accumulate((v for _, v in pairs), max)) or [0.0]
+    r = np.abs(cands - x0)
+    d = np.abs(na.dists(cands) - nb.dists(cands))
+    order = np.argsort(r)  # within a tie in r only the group's max is read
+    radii = r[order].tolist()
+    prefix = np.maximum.accumulate(d[order]).tolist() or [0.0]
     interior_max = prefix[-1]
 
     if space.kind == OPEN_INTERVAL:
@@ -608,13 +594,13 @@ def _window_gap_family(space, A, B):
         g_inf = max(interior_max, delta(a_amb), delta(b_amb))
     else:
         max_rad = radii[-1] if radii else 0.0
-        up_a, up_b = ia[-1][1] == math.inf, ib[-1][1] == math.inf
-        dn_a, dn_b = ia[0][0] == -math.inf, ib[0][0] == -math.inf
+        up_a, up_b = na.hi[-1] == math.inf, nb.hi[-1] == math.inf
+        dn_a, dn_b = na.lo[0] == -math.inf, nb.lo[0] == -math.inf
         if up_a != up_b or dn_a != dn_b:
             g_inf = None  # one side escapes: the gap grows like the window
         else:
-            right = 0.0 if up_a else abs(ia[-1][1] - ib[-1][1])
-            left = 0.0 if dn_a else abs(ia[0][0] - ib[0][0])
+            right = 0.0 if up_a else abs(na.hi[-1] - nb.hi[-1])
+            left = 0.0 if dn_a else abs(na.lo[0] - nb.lo[0])
             g_inf = max(interior_max, left, right)
 
     def g(j):

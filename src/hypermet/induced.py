@@ -22,8 +22,8 @@ from . import geom
 from .errors import UnsupportedPair
 from .hypermetrics import (CertifiedValue, aw_distance, hausdorff,
                            hausdorff_lower, hausdorff_upper)
-from .sets import (ClosedSet, bounding_radius, dist_to_set, is_bounded,
-                   representative_points)
+from .sets import (ClosedSet, _far_from_point, bounding_radius, dist_to_set,
+                   is_bounded, representative_points)
 from .spaces import (EUCLIDEAN, FINITE, LINE, OPEN_INTERVAL, AmbientSpace)
 
 _HALF_PI = math.pi / 2.0
@@ -31,31 +31,6 @@ _HALF_PI = math.pi / 2.0
 
 # ---------------------------------------------------------------------------
 # distance ranges (shared by image rules and preimage analysis)
-
-
-def _far_from_point(x, comp) -> float:
-    """sup of d(x, y) over a primitive shape (inf when unbounded)."""
-    kind, data = comp
-    if kind == "point":
-        if isinstance(data, tuple):
-            return math.dist(x, data)
-        return abs(x - data)
-    if kind == "interval":
-        lo, hi = data
-        if math.isinf(lo) or math.isinf(hi):
-            return math.inf
-        return max(abs(x - lo), abs(x - hi))
-    if kind == "ball":
-        c, r = data
-        return math.dist(x, c) + r
-    if kind == "box":
-        lo, hi = data
-        far = tuple(h if abs(h - a) >= abs(l - a) else l for l, h, a in zip(lo, hi, x))
-        return math.dist(x, far)
-    if kind == "segment":
-        p, q = data
-        return max(math.dist(x, p), math.dist(x, q))
-    return math.inf  # ray
 
 
 def dist_range(anchor, A: ClosedSet) -> tuple[float, float]:
@@ -563,18 +538,6 @@ class PreimageReport:
     note: str = ""
 
 
-def _bounded_hull(B: ClosedSet) -> tuple[float, float]:
-    lo = math.inf
-    hi = -math.inf
-    for comp in B.components():
-        kind, data = comp
-        if kind == "point":
-            lo, hi = min(lo, data), max(hi, data)
-        else:
-            lo, hi = min(lo, data[0]), max(hi, data[1])
-    return lo, hi
-
-
 def check_preimage_boundedness(f, B: ClosedSet, radii=(10.0, 100.0, 1000.0)) -> PreimageReport:
     """Is the preimage of the bounded target B a bounded set?
 
@@ -601,7 +564,7 @@ def check_preimage_boundedness(f, B: ClosedSet, radii=(10.0, 100.0, 1000.0)) -> 
                                       note="constant value outside the target: empty preimage")
             return PreimageReport("not-applicable",
                                   note="constant map: the target meets the image in one point")
-        lo, hi = _bounded_hull(B)
+        lo, hi = B.normal_form.lo[0], B.normal_form.hi[-1]
         r = max(abs((lo - f.b) / f.a - base), abs((hi - f.b) / f.a - base))
         return PreimageReport("bounded-within", radius=r)
 
@@ -676,7 +639,7 @@ def check_preimage_boundedness(f, B: ClosedSet, radii=(10.0, 100.0, 1000.0)) -> 
                 "escape-evidence",
                 witnesses=tuple(k + sgn * r for r in radii),
                 note="a flat tail sits at a value inside the target")
-        lo, hi = _bounded_hull(B)
+        lo, hi = B.normal_form.lo[0], B.normal_form.hi[-1]
         cands = [abs(f.knots[0] - base), abs(f.knots[-1] - base)]
         if f.right_slope != 0.0:
             k, v = f.knots[-1], f.values[-1]

@@ -16,7 +16,11 @@ declared slack.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from . import geom
 from .errors import UnsupportedPair
@@ -73,8 +77,8 @@ Rep = FinitePoints | IntervalUnion | BoxUnion | BallUnion | SegmentUnion | Ray |
 def _merge_intervals(ivs):
     ivs = sorted((float(a), float(b)) for a, b in ivs)
     for a, b in ivs:
-        if b < a:
-            raise ValueError(f"interval [{a}, {b}] is empty")
+        if not (a <= b and a < math.inf and b > -math.inf):
+            raise ValueError(f"interval [{a}, {b}] contains no real number")
     merged = [list(ivs[0])]
     for a, b in ivs[1:]:
         if a <= merged[-1][1]:
@@ -82,6 +86,55 @@ def _merge_intervals(ivs):
         else:
             merged.append([a, b])
     return tuple((a, b) for a, b in merged)
+
+
+def _coord(p) -> float:
+    """The coordinate of a point of a 1-D ambient (E^1 points are 1-tuples)."""
+    return p[0] if isinstance(p, tuple) else p
+
+
+class NormalForm1D:
+    """A 1-D set as sorted, disjoint closed intervals.
+
+    Points are degenerate intervals and a ray is a half-infinite one.
+    The endpoints are kept as two Python lists; their numpy copies are
+    made on the first batch query, so a set queried once pays for little
+    more than the lists.  For disjoint sorted intervals the nearest one to x is one of
+    the two around it, so each distance below is the same float a scan
+    over all components gives.
+    """
+
+    def __init__(self, lo: list[float], hi: list[float]):
+        self.lo, self.hi = lo, hi
+
+    @property
+    def intervals(self):
+        return zip(self.lo, self.hi)
+
+    @property
+    def midpoints(self) -> list[float]:
+        """Midpoints of the gaps between consecutive intervals."""
+        lo, hi = self._arrays
+        return (0.5 * (hi[:-1] + lo[1:])).tolist()
+
+    @cached_property
+    def _arrays(self):
+        return np.array(self.lo), np.array(self.hi)
+
+    def dist(self, x: float) -> float:
+        lo, hi = self.lo, self.hi
+        i = bisect_right(lo, x)
+        return min(max(lo[k] - x, x - hi[k], 0.0) for k in (i - 1, i) if 0 <= k < len(lo))
+
+    def dists(self, xs) -> np.ndarray:
+        """dist over a batch of finite coordinates."""
+        lo, hi = self._arrays
+        xs = np.asarray(xs, dtype=float)
+        i = np.searchsorted(lo, xs, side="right")
+        left, right = np.maximum(i - 1, 0), np.minimum(i, len(lo) - 1)
+        return np.minimum(
+            np.maximum(np.maximum(lo[left] - xs, xs - hi[left]), 0.0),
+            np.maximum(np.maximum(lo[right] - xs, xs - hi[right]), 0.0))
 
 
 @dataclass(frozen=True)
@@ -118,8 +171,8 @@ class ClosedSet:
         canon = []
         for c, r in balls:
             r = float(r)
-            if r < 0:
-                raise ValueError("negative radius")
+            if not 0.0 <= r < math.inf:
+                raise ValueError(f"radius {r!r} is not a finite nonnegative number")
             canon.append((space.canon_point(c), r))
         if not canon:
             raise ValueError("a closed set must be nonempty")
@@ -156,8 +209,8 @@ class ClosedSet:
         anchor = space.canon_point(anchor)
         if space.kind == LINE:
             d = float(direction[0]) if isinstance(direction, (tuple, list)) else float(direction)
-            if d == 0.0:
-                raise ValueError("zero direction")
+            if not (d > 0.0 or d < 0.0):
+                raise ValueError("direction must be a nonzero number")
             direction = 1.0 if d > 0 else -1.0
         else:
             direction = geom.unit(space.canon_point(direction))
@@ -166,8 +219,8 @@ class ClosedSet:
     @staticmethod
     def cloud(space: AmbientSpace, pts, resolution: float) -> "ClosedSet":
         resolution = float(resolution)
-        if resolution < 0:
-            raise ValueError("resolution must be nonnegative")
+        if not 0.0 <= resolution < math.inf:
+            raise ValueError("resolution must be finite and nonnegative")
         canon = sorted({space.canon_point(p) for p in pts})
         if not canon:
             raise ValueError("a closed set must be nonempty")
@@ -210,10 +263,25 @@ class ClosedSet:
             return [("segment", s) for s in rep.segments]
         if isinstance(rep, Ray):
             if one_d:
-                a = float(rep.anchor)
-                return [("interval", (a, math.inf) if rep.direction > 0 else (-math.inf, a))]
+                a = _coord(rep.anchor)
+                return [("interval", (a, math.inf) if _coord(rep.direction) > 0
+                         else (-math.inf, a))]
             return [("ray", (rep.anchor, rep.direction))]
         raise UnsupportedPair(f"unknown representation {type(rep).__name__}")
+
+    @cached_property
+    def normal_form(self) -> NormalForm1D:
+        """The set's sorted disjoint intervals (1-D ambients only),
+        built on first use and kept with the set."""
+        if not self.space.is_one_dimensional:
+            raise UnsupportedPair("the interval normal form needs a 1-D ambient")
+        rep = self.rep
+        if isinstance(rep, (FinitePoints, SampledCloud)):
+            xs = [_coord(p) for p in rep.points]  # sorted and distinct already
+            return NormalForm1D(xs, xs)
+        ivs = rep.intervals if isinstance(rep, IntervalUnion) else _merge_intervals(
+            (data, data) if kind == "point" else data for kind, data in self.components())
+        return NormalForm1D([a for a, _ in ivs], [b for _, b in ivs])
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +298,8 @@ def dist_to_set(x, A: ClosedSet, ) -> float:
     x = space.canon_point(x)
     if space.kind == FINITE:
         return min(space.matrix[x][p] for p in _finite_indices(A))
+    if space.is_one_dimensional:
+        return A.normal_form.dist(_coord(x))
     best = math.inf
     for comp in A.components():
         best = min(best, geom.gap(("point", x), comp))
@@ -264,29 +334,34 @@ def bounding_radius(A: ClosedSet) -> float:
     if space.kind == FINITE:
         return max(space.matrix[space.base_point][p] for p in _finite_indices(A))
     x0 = space.canon_point(space.base_point)
-    out = 0.0
-    for kind, data in A.components():
-        if kind == "point":
-            d = abs(x0 - data) if isinstance(data, float) else math.dist(x0, data)
-        elif kind == "interval":
-            lo, hi = data
-            if math.isinf(lo) or math.isinf(hi):
-                return math.inf
-            d = max(abs(x0 - lo), abs(x0 - hi))
-        elif kind == "ball":
-            c, r = data
-            d = math.dist(x0, c) + r
-        elif kind == "box":
-            lo, hi = data
-            d = math.dist(x0, tuple(h if abs(h - c) >= abs(l - c) else l
-                                    for l, h, c in zip(lo, hi, x0)))
-        elif kind == "segment":
-            p, q = data
-            d = max(math.dist(x0, p), math.dist(x0, q))
-        else:  # ray
+    if space.is_one_dimensional:
+        x0 = _coord(x0)
+    return max(_far_from_point(x0, comp) for comp in A.components())
+
+
+def _far_from_point(x, comp) -> float:
+    """sup of d(x, y) over a primitive shape (inf when unbounded)."""
+    kind, data = comp
+    if kind == "point":
+        if isinstance(data, tuple):
+            return math.dist(x, data)
+        return abs(x - data)
+    if kind == "interval":
+        lo, hi = data
+        if math.isinf(lo) or math.isinf(hi):
             return math.inf
-        out = max(out, d)
-    return out
+        return max(abs(x - lo), abs(x - hi))
+    if kind == "ball":
+        c, r = data
+        return math.dist(x, c) + r
+    if kind == "box":
+        lo, hi = data
+        far = tuple(h if abs(h - a) >= abs(l - a) else l for l, h, a in zip(lo, hi, x))
+        return math.dist(x, far)
+    if kind == "segment":
+        p, q = data
+        return max(math.dist(x, p), math.dist(x, q))
+    return math.inf  # ray
 
 
 def truncate(A: ClosedSet, L: float):
@@ -322,9 +397,9 @@ def truncate(A: ClosedSet, L: float):
         new = FinitePoints(kept) if isinstance(rep, FinitePoints) else SampledCloud(kept, rep.resolution)
         return ClosedSet(space, new)
 
-    if isinstance(rep, IntervalUnion):
-        lo_w, hi_w = x0 - L, x0 + L
-        clipped = [(max(a, lo_w), min(b, hi_w)) for a, b in rep.intervals]
+    if isinstance(rep, IntervalUnion) or (space.is_one_dimensional and isinstance(rep, Ray)):
+        lo_w, hi_w = _coord(x0) - L, _coord(x0) + L
+        clipped = [(max(a, lo_w), min(b, hi_w)) for a, b in A.normal_form.intervals]
         clipped = [(a, b) for a, b in clipped if a <= b]
         if not clipped:
             return None
@@ -349,9 +424,7 @@ def truncate(A: ClosedSet, L: float):
     if isinstance(rep, BoxUnion):
         kept = []
         for lo, hi in rep.boxes:
-            far = math.dist(x0, tuple(h if abs(h - c) >= abs(l - c) else l
-                                      for l, h, c in zip(lo, hi, x0)))
-            if far <= L:
+            if _far_from_point(x0, ("box", (lo, hi))) <= L:
                 kept.append((lo, hi))
             elif geom.dist_point_box(x0, lo, hi) > L:
                 continue
@@ -377,16 +450,6 @@ def truncate(A: ClosedSet, L: float):
         return ClosedSet(space, SegmentUnion(tuple(kept)))
 
     if isinstance(rep, Ray):
-        if space.is_one_dimensional:
-            a = float(rep.anchor)
-            lo_w, hi_w = x0 - L, x0 + L
-            if rep.direction > 0:
-                lo, hi = max(a, lo_w), hi_w
-            else:
-                lo, hi = lo_w, min(a, hi_w)
-            if lo > hi:
-                return None
-            return ClosedSet(space, IntervalUnion(((lo, hi),)))
         piece = _clip_param_to_ball(rep.anchor, rep.direction, math.inf, x0, L)
         if piece is None:
             return None
@@ -431,19 +494,11 @@ def union_sets(A: ClosedSet, B: ClosedSet) -> ClosedSet:
     ra, rb = A.rep, B.rep
     if isinstance(ra, (FinitePoints,)) and isinstance(rb, (FinitePoints,)):
         return ClosedSet.points(space, ra.points + rb.points)
-    if space.is_one_dimensional and space.kind != FINITE:
-        ivs = []
-        for S in (A, B):
-            for kind, data in S.components():
-                if kind == "point":
-                    ivs.append((data, data))
-                elif kind == "interval":
-                    if math.isinf(data[0]) or math.isinf(data[1]):
-                        raise UnsupportedPair("1-D unions with rays are not representable")
-                    ivs.append(data)
-                else:
-                    raise UnsupportedPair("cannot union this 1-D representation")
-        return ClosedSet.intervals(space, ivs)
+    if space.is_one_dimensional:
+        na, nb = A.normal_form, B.normal_form
+        if any(math.isinf(nf.lo[0]) or math.isinf(nf.hi[-1]) for nf in (na, nb)):
+            raise UnsupportedPair("1-D unions with rays are not representable")
+        return ClosedSet.intervals(space, [*na.intervals, *nb.intervals])
     if isinstance(ra, BallUnion) and isinstance(rb, BallUnion):
         return ClosedSet.balls(space, ra.balls + rb.balls)
     if isinstance(ra, BoxUnion) and isinstance(rb, BoxUnion):
@@ -470,15 +525,13 @@ def is_subset(A: ClosedSet, B: ClosedSet, tol: float = 1e-9) -> bool:
     if isinstance(A.rep, FinitePoints):
         return all(dist_to_set(p, B) <= tol for p in A.rep.points)
 
-    if A.space.is_one_dimensional and A.space.kind != FINITE:
-        b_ivs = []
-        for kind, data in B.components():
-            b_ivs.append((data, data) if kind == "point" else data)
-        b_ivs.sort()
-        for kind, data in A.components():
-            a_lo, a_hi = (data, data) if kind == "point" else data
-            # disjoint closed targets: a connected piece must fit in one of them
-            if not any(lo - tol <= a_lo and a_hi <= hi + tol for lo, hi in b_ivs):
+    if A.space.is_one_dimensional:
+        nb = B.normal_form
+        for a_lo, a_hi in A.normal_form.intervals:
+            # disjoint closed targets: a connected piece must fit in one of
+            # them, and the last one starting by a_lo reaches furthest
+            i = bisect_right(nb.lo, a_lo, key=lambda lo: lo - tol) - 1
+            if i < 0 or not a_hi <= nb.hi[i] + tol:
                 return False
         return True
 

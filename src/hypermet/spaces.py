@@ -43,7 +43,8 @@ def validate_finite_metric(matrix: Sequence[Sequence[float]], tol: float = 1e-9)
 
     Returns None when every axiom holds, otherwise a MetricViolation
     naming the first offending entry or triple (row-major scan order).
-    Non-square input is a usage error and raises ValueError.
+    Non-square input and non-finite entries are usage errors and raise
+    ValueError.
     """
     n = len(matrix)
     if n == 0:
@@ -51,6 +52,8 @@ def validate_finite_metric(matrix: Sequence[Sequence[float]], tol: float = 1e-9)
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix is not square")
+        if not all(map(math.isfinite, row)):
+            raise ValueError("matrix entries must be finite numbers")
     for i in range(n):
         if abs(matrix[i][i]) > tol:
             return MetricViolation("diagonal", (i,), f"d({i},{i}) = {matrix[i][i]!r} != 0")
@@ -91,15 +94,22 @@ class AmbientSpace:
 
     @staticmethod
     def line(x0: float = 0.0) -> "AmbientSpace":
-        return AmbientSpace(LINE, 1, float(x0))
+        x0 = float(x0)
+        if not math.isfinite(x0):
+            raise ValueError("base point must be finite")
+        return AmbientSpace(LINE, 1, x0)
 
     @staticmethod
     def euclidean(n: int, x0: Sequence[float] | None = None) -> "AmbientSpace":
         if n < 1:
             raise ValueError("dimension must be >= 1")
-        base = tuple(0.0 for _ in range(n)) if x0 is None else tuple(float(c) for c in x0)
+        if x0 is None:
+            return AmbientSpace(EUCLIDEAN, n, (0.0,) * n)
+        base = tuple(map(float, x0))
         if len(base) != n:
             raise ValueError("base point has wrong dimension")
+        if not all(map(math.isfinite, base)):
+            raise ValueError("base point must be finite")
         return AmbientSpace(EUCLIDEAN, n, base)
 
     @staticmethod
@@ -107,6 +117,8 @@ class AmbientSpace:
         a, b = float(a), float(b)
         if not a < b:
             raise ValueError("need a < b")
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError("interval subspaces need finite ends")
         base = 0.5 * (a + b) if x0 is None else float(x0)
         if not a < base < b:
             raise ValueError("base point must lie strictly inside the interval")
@@ -158,6 +170,8 @@ class AmbientSpace:
                     raise ValueError(f"{p!r} is not a point on the line")
                 p = p[0]
             q = float(p)
+            if not math.isfinite(q):
+                raise ValueError(f"{q!r} is not a finite coordinate")
             if self.kind == OPEN_INTERVAL:
                 a, b = self.bounds
                 if not a < q < b:
@@ -167,10 +181,12 @@ class AmbientSpace:
         if isinstance(p, (int, float)):
             if self.dim != 1:
                 raise ValueError(f"scalar point in {self.dim}-dimensional space")
-            return (float(p),)
-        q = tuple(float(c) for c in p)
+            p = (p,)
+        q = tuple(map(float, p))
         if len(q) != self.dim:
             raise ValueError(f"point {p!r} has dimension {len(q)}, expected {self.dim}")
+        if not all(map(math.isfinite, q)):
+            raise ValueError(f"point {p!r} has a non-finite coordinate")
         return q
 
     def contains(self, p) -> bool:
@@ -193,7 +209,3 @@ class AmbientSpace:
         if self != other:
             raise AmbientMismatch(f"{what} live in different ambient spaces")
 
-
-def distance(space: AmbientSpace, p, q) -> float:
-    """Distance between two points of the given ambient space."""
-    return space.distance(p, q)

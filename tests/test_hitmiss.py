@@ -262,3 +262,9 @@ def test_vietoris_scale_separates_stuck_family():
                     horizon=200)
     assert not rep.passed
     assert any(e.witness == 1 and not e.passed for e in rep.entries)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
+def test_open_balls_need_a_finite_positive_radius(bad):
+    with pytest.raises(ValueError):
+        OpenSetRep.ball_union(E2, [((0.0, 0.0), bad)])

@@ -1,0 +1,330 @@
+"""The 1-D interval normal form against brute-force references.
+
+The references below are the per-component scans and the one-window-
+at-a-time walk that the normal form replaced.  Every answer must match
+them exactly: the same value, method and witness, ties included.
+"""
+
+import itertools
+import math
+from bisect import bisect_right
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import hypermet.hypermetrics as hm
+from hypermet import AmbientSpace, ClosedSet
+from hypermet.errors import Indeterminate
+from hypermet.hypermetrics import aw_distance, excess, sup_gap_on_ball
+from hypermet.sets import dist_to_set
+
+LINE = AmbientSpace.line()
+E1 = AmbientSpace.euclidean(1)
+OPEN = AmbientSpace.open_interval(-2.0e4, 2.0e4, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# brute-force references
+
+
+def _x(p):
+    return p[0] if isinstance(p, tuple) else p
+
+
+def ref_dist_components(x, S):
+    best = math.inf
+    for kind, data in S.components():
+        best = min(best, abs(x - data) if kind == "point"
+                   else max(data[0] - x, x - data[1], 0.0))
+    return best
+
+
+def ref_dist(x, ivs):
+    best = math.inf
+    for lo, hi in ivs:
+        best = min(best, max(lo - x, x - hi, 0.0))
+    return best
+
+
+def ref_merged(S):
+    ivs = sorted((d, d) if k == "point" else d for k, d in S.components())
+    merged = [list(ivs[0])]
+    for a, b in ivs[1:]:
+        if a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    return [(a, b) for a, b in merged]
+
+
+def ref_mids(ivs):
+    return [0.5 * (h1 + l2) for (_, h1), (l2, _) in zip(ivs, ivs[1:])]
+
+
+def ref_excess(A, B):
+    if hasattr(A.rep, "points"):
+        best, wit = -1.0, None
+        for p in A.rep.points:
+            d = ref_dist_components(_x(p), B)
+            if d > best:
+                best, wit = d, p
+        return best, best, "finite-max", wit
+    ia, ib = ref_merged(A), ref_merged(B)
+    if ia[-1][1] == math.inf and ib[-1][1] != math.inf:
+        return math.inf, math.inf, "exact-1d", ("escape", +1.0)
+    if ia[0][0] == -math.inf and ib[0][0] != -math.inf:
+        return math.inf, math.inf, "exact-1d", ("escape", -1.0)
+    mids = ref_mids(ib)
+    cands = []
+    for lo, hi in ia:
+        cands.extend(v for v in (lo, hi) if math.isfinite(v))
+        cands.extend(m for m in mids if lo <= m <= hi)
+    best, wit = 0.0, None
+    for c in cands:
+        d = ref_dist(c, ib)
+        if d > best:
+            best, wit = d, c
+    return best, best, "exact-1d", wit
+
+
+def _ref_window(space, x0, radius):
+    lo, hi = x0 - radius, x0 + radius
+    if space.bounds is not None:
+        lo, hi = max(lo, space.bounds[0]), min(hi, space.bounds[1])
+    return lo, hi
+
+
+def _ref_breakpoints(cands, ia, ib):
+    for ivs in (ia, ib):
+        for lo, hi in ivs:
+            if math.isfinite(lo):
+                cands.add(lo)
+            if math.isfinite(hi):
+                cands.add(hi)
+        cands.update(ref_mids(ivs))
+    return cands
+
+
+def ref_sup_gap(space, A, B, radius):
+    ia, ib = ref_merged(A), ref_merged(B)
+    lo_w, hi_w = _ref_window(space, _x(space.base_point), radius)
+    best, wit = 0.0, lo_w
+    for c in _ref_breakpoints({lo_w, hi_w}, ia, ib):
+        if lo_w <= c <= hi_w:
+            d = abs(ref_dist(c, ia) - ref_dist(c, ib))
+            if d > best:
+                best, wit = d, c
+    return best, best, "exact-1d", wit
+
+
+def ref_aw_walk(space, A, B):
+    """The window walk: every window from the first positive gap on.
+
+    Returns the value and whether the rounded gaps g(j) it visited were
+    nondecreasing, as they are in exact arithmetic."""
+    ia, ib = ref_merged(A), ref_merged(B)
+    x0 = _x(space.base_point)
+
+    def delta(x):
+        return abs(ref_dist(x, ia) - ref_dist(x, ib))
+
+    pairs = sorted((abs(c - x0), delta(c)) for c in _ref_breakpoints(set(), ia, ib))
+    radii = [r for r, _ in pairs]
+    prefix = list(itertools.accumulate((v for _, v in pairs), max)) or [0.0]
+    if space.bounds is not None:
+        a, b = space.bounds
+        max_rad = max(x0 - a, b - x0)
+        g_inf = max(prefix[-1], delta(a), delta(b))
+    else:
+        max_rad = radii[-1] if radii else 0.0
+        up = (ia[-1][1] == math.inf, ib[-1][1] == math.inf)
+        dn = (ia[0][0] == -math.inf, ib[0][0] == -math.inf)
+        if up[0] != up[1] or dn[0] != dn[1]:
+            g_inf = None
+        else:
+            right = 0.0 if up[0] else abs(ia[-1][1] - ib[-1][1])
+            left = 0.0 if dn[0] else abs(ia[0][0] - ib[0][0])
+            g_inf = max(prefix[-1], left, right)
+
+    def g(j):
+        lo_w, hi_w = _ref_window(space, x0, float(j))
+        i = bisect_right(radii, float(j))
+        return max(prefix[i - 1] if i else 0.0, delta(lo_w), delta(hi_w))
+
+    j_sat = int(math.ceil(max_rad)) + 1
+    if g(j_sat) == 0.0:
+        return (0.0 if g_inf == 0.0 else min(g_inf, 1.0 / (j_sat + 1))), True
+    lo_j, hi_j = 1, j_sat  # the first window with a positive gap
+    while lo_j < hi_j:
+        mid = (lo_j + hi_j) // 2
+        if g(mid) > 0.0:
+            hi_j = mid
+        else:
+            lo_j = mid + 1
+    best = prev = 0.0
+    monotone = True
+    for j in itertools.count(lo_j):
+        gj = g(j)
+        monotone = monotone and gj >= prev
+        prev = gj
+        best = max(best, min(1.0 / j, gj))
+        if gj >= 1.0 / j:
+            return best, monotone
+        if j >= j_sat and g_inf is not None:
+            return max(best, min(1.0 / (j + 1), g_inf)), monotone
+
+
+def ref_aw(space, A, B):
+    v, monotone = ref_aw_walk(space, A, B)
+    v = min(v, 1.0)
+    h = max(ref_excess(A, B)[1], ref_excess(B, A)[1])
+    if h < v:
+        v = h
+    return (v, v, "exact-1d", None), monotone
+
+
+# coordinates and window radii in these tests stay below 2^15
+ROUNDING = 4 * math.ulp(2.0 ** 15)
+
+
+def same(cv, ref):
+    """Equal value, method and witness (floats compare equal, so the
+    sign of a zero is not compared)."""
+    lo, hi, method, wit = ref
+    assert (cv.lo, cv.hi.as_float(), cv.method) == (lo, hi, method)
+    assert cv.witness == wit and type(cv.witness) is type(wit)
+
+
+# ---------------------------------------------------------------------------
+# strategies: magnitudes over 1e-3..1e4 of both signs, and a coarse grid
+# whose sets tie on many candidates
+
+
+spread = st.builds(lambda s, e: s * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+                   st.floats(min_value=-3.0, max_value=4.0))
+coarse = st.integers(min_value=-24, max_value=24).map(lambda k: k / 4.0)
+coord = st.one_of(spread, coarse)
+
+
+@st.composite
+def one_d_sets(draw, space):
+    kinds = ["points", "intervals"] + (["ray"] if space.bounds is None else [])
+    kind = draw(st.sampled_from(kinds))
+    wrap = (lambda x: (x,)) if space.kind == "euclidean" else (lambda x: x)
+    if kind == "points":
+        xs = draw(st.lists(coord, min_size=1, max_size=8))
+        return ClosedSet.points(space, [wrap(x) for x in xs])
+    if kind == "intervals":
+        ends = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
+        return ClosedSet.intervals(space, [tuple(sorted(e)) for e in ends])
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    return ClosedSet.ray(space, wrap(draw(coord)), wrap(sign))
+
+
+@st.composite
+def pairs(draw):
+    space = draw(st.sampled_from([LINE, E1, OPEN]))
+    return space, draw(one_d_sets(space)), draw(one_d_sets(space))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs(), coord)
+def test_dist_to_set_matches_component_scan(pair, x):
+    space, A, _ = pair
+    p = (x,) if space.kind == "euclidean" else x
+    assert dist_to_set(p, A) == ref_dist_components(x, A)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs())
+def test_excess_matches_candidate_scan(pair):
+    _, A, B = pair
+    same(excess(A, B), ref_excess(A, B))
+    same(excess(B, A), ref_excess(B, A))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs(), st.sampled_from([0.25, 1.0, 3.0, 7.5, 40.0, 1.0e3, 3.0e4]))
+def test_sup_gap_matches_candidate_scan(pair, radius):
+    space, A, B = pair
+    same(sup_gap_on_ball(A, B, radius), ref_sup_gap(space, A, B, radius))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs())
+@example((LINE, ClosedSet.intervals(LINE, [(-0.5232991146814947, 100.0)]),
+          ClosedSet.ray(LINE, -0.5623413251903491, 1.0)))
+def test_aw_distance_matches_window_walk(pair):
+    space, A, B = pair
+    ref, monotone = ref_aw(space, A, B)
+    cv = aw_distance(A, B)
+    if monotone:
+        same(cv, ref)
+    else:
+        # Where the gap is flat in exact arithmetic, rounding at the window
+        # edges can make the float g(j) dip.  The walk kept the largest of
+        # the rounded values it visited; the search reads g(J-1) only.
+        assert cv.method == "exact-1d" and cv.is_exact
+        assert abs(cv.lo - ref[0]) <= ROUNDING
+
+
+def test_tied_candidates_keep_the_scan_witness():
+    # symmetric sets: both window edges and several breakpoints tie
+    A = ClosedSet.points(LINE, [-3.0, 0.0, 3.0])
+    B = ClosedSet.points(LINE, [-2.0, 2.0])
+    for r in (1.0, 2.5, 5.0):
+        same(sup_gap_on_ball(A, B, r), ref_sup_gap(LINE, A, B, r))
+    same(excess(A, B), ref_excess(A, B))
+    ref, monotone = ref_aw(LINE, A, B)
+    assert monotone
+    same(aw_distance(A, B), ref)
+
+
+@pytest.mark.parametrize("D", [1.0e4, 1.0e12])
+def test_far_pair_matches_window_walk(D):
+    A = ClosedSet.points(LINE, [0.0, D])
+    B = ClosedSet.points(LINE, [0.0, D * (1 + 1e-12)])
+    ref, monotone = ref_aw(LINE, A, B)
+    assert monotone
+    same(aw_distance(A, B), ref)
+    same(sup_gap_on_ball(A, B, D), ref_sup_gap(LINE, A, B, D))
+
+
+@pytest.mark.parametrize("D", [1.0e6, 1.0e12])
+def test_far_pair_window_count_is_logarithmic(monkeypatch, D):
+    # the gap is positive but below 1/j from j = D/2 on; a walk over the
+    # windows would evaluate about D/2 of them
+    calls = []
+    family = hm._window_gap_family
+
+    def counted(space, A, B):
+        g, j_sat, g_inf = family(space, A, B)
+
+        def g_counted(j):
+            calls.append(j)
+            return g(j)
+        return g_counted, j_sat, g_inf
+
+    monkeypatch.setattr(hm, "_window_gap_family", counted)
+    A = ClosedSet.points(LINE, [0.0, D])
+    B = ClosedSet.points(LINE, [0.0, D * (1 + 1e-12)])
+    v = aw_distance(A, B)
+    assert v.is_exact and 0.0 < v.lo < 1.0
+    assert len(calls) <= 2 * math.log2(D) + 8
+
+
+# ---------------------------------------------------------------------------
+# the grid's node budget
+
+
+@pytest.mark.parametrize("cap", [40, 200_000, 1_500_000])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_grid_nodes_stay_within_node_cap(n, cap):
+    if 3 ** n > cap:
+        with pytest.raises(Indeterminate, match=str(cap)):
+            hm._grid_k(n, cap)
+        return
+    k = hm._grid_k(n, cap)
+    assert k >= 2 and k % 2 == 0
+    assert (k + 1) ** n <= cap < (k + 3) ** n

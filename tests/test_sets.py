@@ -24,6 +24,30 @@ def test_points_dedup_and_sort():
         ClosedSet.points(LINE, [])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_constructors_reject_non_finite_input(bad):
+    makers = [
+        lambda: ClosedSet.points(LINE, [0.0, bad]),
+        lambda: ClosedSet.points(E2, [(0.0, bad)]),
+        lambda: ClosedSet.intervals(LINE, [(bad, bad)]),
+        lambda: ClosedSet.balls(E2, [((0.0, 0.0), bad)]),
+        lambda: ClosedSet.balls(E2, [((bad, 0.0), 1.0)]),
+        lambda: ClosedSet.boxes(E2, [((0.0, 0.0), (bad, 1.0))]),
+        lambda: ClosedSet.segments(E2, [((0.0, 0.0), (bad, 1.0))]),
+        lambda: ClosedSet.ray(LINE, bad, 1.0),
+        lambda: ClosedSet.cloud(LINE, [0.0], bad),
+        lambda: ClosedSet.cloud(LINE, [bad], 0.1),
+    ]
+    for make in makers:
+        with pytest.raises(ValueError):
+            make()
+    if math.isnan(bad):
+        with pytest.raises(ValueError):
+            ClosedSet.intervals(LINE, [(0.0, bad)])
+        with pytest.raises(ValueError):
+            ClosedSet.ray(LINE, 0.0, bad)
+
+
 def test_intervals_merge_overlaps():
     A = ClosedSet.intervals(LINE, [(0, 2), (1, 3), (5, 6)])
     assert A.rep.intervals == ((0.0, 3.0), (5.0, 6.0))

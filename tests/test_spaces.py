@@ -88,3 +88,23 @@ def test_distance_symmetry_random():
         assert E.distance(p, q) == E.distance(q, p)
         assert E.distance(p, p) == 0.0
         assert math.isfinite(E.distance(p, q))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_is_rejected(bad):
+    with pytest.raises(ValueError):
+        AmbientSpace.line().canon_point(bad)
+    with pytest.raises(ValueError):
+        AmbientSpace.open_interval(-1.0, 1.0).canon_point(bad)
+    with pytest.raises(ValueError):
+        AmbientSpace.euclidean(2).canon_point((0.0, bad))
+    with pytest.raises(ValueError):
+        AmbientSpace.euclidean(1).canon_point(bad)
+    with pytest.raises(ValueError):
+        AmbientSpace.line(bad)
+    with pytest.raises(ValueError):
+        AmbientSpace.euclidean(2, (bad, 0.0))
+    with pytest.raises(ValueError):
+        validate_finite_metric([[0.0, bad], [bad, 0.0]])
+    with pytest.raises(ValueError):
+        AmbientSpace.finite([[0.0, 1.0], [1.0, bad]])
