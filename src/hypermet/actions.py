@@ -3,31 +3,28 @@
 Elements are stored as exact row tuples, so composing integer or
 signed-permutation elements stays bit-exact; inverses use the transpose
 whenever M M^T is the identity bitwise and fall back to a numerical
-inverse otherwise.  The action pushes every exact representation
-forward exactly when the matrix shape allows it (balls need a
-scaled-orthogonal matrix, boxes a signed-permutation-diagonal one) and
-refuses otherwise.
+inverse otherwise.  The action is the affine push-forward that the
+induced maps use (induced.affine_image): exact when the matrix shape
+allows it (balls need a scaled-orthogonal matrix, boxes a
+signed-permutation-diagonal one), refused otherwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import Indeterminate, UnsupportedPair
-from .hypermetrics import INF, CertifiedValue
-from .induced import metric_by_name
-from .sets import ClosedSet, is_bounded, is_subset
+from .errors import Indeterminate
+from .hypermetrics import CertifiedValue
+from .induced import (_np, _scaled_orthogonal, _sigma_max, affine_image,
+                      metric_by_name)
+from .sets import (ClosedSet, FinitePoints, SampledCloud, _box_corners,
+                   is_bounded, is_subset)
 from .spaces import AmbientSpace
 
 DEFAULT_REF_RADIUS = 10.0
-
-
-def _np(rows):
-    return np.array(rows, dtype=float)
 
 
 def _rows(m) -> tuple:
@@ -113,27 +110,8 @@ class GroupElement:
         g = self._m.T @ self._m
         return bool(np.allclose(g, np.eye(self.dim), rtol=0.0, atol=tol))
 
-    def sigma_max(self) -> float:
-        return float(np.linalg.svd(self._m, compute_uv=False)[0])
-
-    def scaled_orthogonal(self) -> Optional[float]:
-        return _scaled_orth(self._m)
-
-    def signed_perm_diag(self) -> bool:
-        m = self._m
-        return bool((np.count_nonzero(m, axis=0) <= 1).all()
-                    and (np.count_nonzero(m, axis=1) <= 1).all())
-
     def describe(self) -> str:
         return f"{self.kind}(matrix={self.matrix}, offset={self.offset})"
-
-
-def _scaled_orth(m) -> Optional[float]:
-    g = m.T @ m
-    mu2 = float(np.mean(np.diag(g)))
-    if np.allclose(g, mu2 * np.eye(g.shape[0]), rtol=0.0, atol=1e-12 * max(1.0, mu2)):
-        return math.sqrt(mu2)
-    return None
 
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -165,47 +143,7 @@ def inverse(g: GroupElement) -> GroupElement:
 def act(g: GroupElement, A: ClosedSet) -> ClosedSet:
     """The image g(A), exact per representation."""
     g.space.require_same(A.space, "action")
-    space, rep = A.space, A.rep
-    name = type(rep).__name__
-    if name in ("FinitePoints", "SampledCloud"):
-        pts = [g.apply(p) for p in rep.points]
-        if name == "SampledCloud":
-            mu = g.scaled_orthogonal()
-            factor = mu if mu is not None else g.sigma_max()
-            return ClosedSet.cloud(space, pts, factor * rep.resolution)
-        return ClosedSet.points(space, pts)
-    if name == "IntervalUnion":
-        # apply takes points of the line only; an infinite end goes to the
-        # infinity on the side the slope sends it to
-        def end(x):
-            return g.apply(x) if math.isfinite(x) else math.copysign(math.inf, g.matrix[0][0] * x)
-        out = [tuple(sorted((end(lo), end(hi)))) for lo, hi in rep.intervals]
-        return ClosedSet.intervals(space, out)
-    if name == "SegmentUnion":
-        return ClosedSet.segments(space, [(g.apply(p), g.apply(q))
-                                          for p, q in rep.segments])
-    if name == "Ray":
-        if space.dim == 1:
-            d = rep.direction if g.matrix[0][0] > 0 else -rep.direction
-            return ClosedSet.ray(space, g.apply(rep.anchor), d)
-        u = g._m @ _np(rep.direction)
-        return ClosedSet.ray(space, g.apply(rep.anchor), tuple(float(v) for v in u))
-    if name == "BallUnion":
-        mu = g.scaled_orthogonal()
-        if mu is None:
-            raise UnsupportedPair("balls stay balls only under scaled-orthogonal elements")
-        return ClosedSet.balls(space, [(g.apply(c), mu * r) for c, r in rep.balls])
-    if name == "BoxUnion":
-        if not g.signed_perm_diag():
-            raise UnsupportedPair(
-                "boxes stay boxes only under signed-permutation-diagonal elements")
-        out = []
-        for lo, hi in rep.boxes:
-            p, q = g.apply(lo), g.apply(hi)
-            out.append((tuple(min(a, b) for a, b in zip(p, q)),
-                        tuple(max(a, b) for a, b in zip(p, q))))
-        return ClosedSet.boxes(space, out)
-    raise UnsupportedPair(f"action on {name}")
+    return affine_image(g._m, _np(g.offset), A, g.space)
 
 
 def maps_into(g: GroupElement, A: ClosedSet, B: ClosedSet, tol: float = 0.0) -> bool:
@@ -248,12 +186,10 @@ def affine_sup_norm(D, c, A: ClosedSet) -> CertifiedValue:
     D = _np(D)
     c = _np(c if isinstance(c, (tuple, list, np.ndarray)) else (c,))
     rep = A.rep
-    name = type(rep).__name__
-    if name in ("FinitePoints", "SampledCloud"):
+    if isinstance(rep, (FinitePoints, SampledCloud)):
         best = max(_affine_norm_at(D, c, p) for p in rep.points)
-        if name == "SampledCloud":
-            smax = float(np.linalg.svd(D, compute_uv=False)[0])
-            return CertifiedValue.interval(best, best + smax * rep.resolution,
+        if isinstance(rep, SampledCloud):
+            return CertifiedValue.interval(best, best + _sigma_max(D) * rep.resolution,
                                            "finite-max+cloud")
         return CertifiedValue.point(best, "finite-max")
 
@@ -281,24 +217,23 @@ def affine_sup_norm(D, c, A: ClosedSet) -> CertifiedValue:
             lo, hi = max(lo, v), max(hi, v)
         elif kind == "box":
             blo, bhi = data
-            corners = _corners(blo, bhi)
+            corners = _box_corners(blo, bhi)
             v = max(_affine_norm_at(D, c, p) for p in corners)
             lo, hi = max(lo, v), max(hi, v)
         elif kind == "ball":
             center, r = data
             mid = _affine_norm_at(D, c, center)
-            mu = _scaled_orth(D)
+            mu = _scaled_orthogonal(D)
             if mu is not None:
                 v = mid + mu * r
                 lo, hi = max(lo, v), max(hi, v)
             else:
                 exact = False
-                smax = float(np.linalg.svd(D, compute_uv=False)[0])
                 samp = max(
                     _affine_norm_at(D, c, tuple(ci + r * ui for ci, ui in zip(center, u)))
                     for u in _unit_directions(len(center)))
                 lo = max(lo, samp)
-                hi = max(hi, mid + smax * r)
+                hi = max(hi, mid + _sigma_max(D) * r)
         else:  # ray
             anchor, u = data
             if float(np.linalg.norm(D @ _np(u))) == 0.0:
@@ -309,13 +244,6 @@ def affine_sup_norm(D, c, A: ClosedSet) -> CertifiedValue:
     if exact:
         return CertifiedValue.point(lo, "finite-max")
     return CertifiedValue.interval(lo, hi, "sphere-sample")
-
-
-def _corners(lo, hi):
-    out = [()]
-    for l, h in zip(lo, hi):
-        out = [c + (v,) for c in out for v in ((l,) if l == h else (l, h))]
-    return out
 
 
 def group_distance(g: GroupElement, h: GroupElement,

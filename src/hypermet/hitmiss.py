@@ -22,7 +22,8 @@ from typing import Callable, Optional
 
 from .errors import AmbientMismatch, GeneratorFault, UnsupportedPair
 from .hypermetrics import set_gap
-from .sets import ClosedSet, dist_to_set, is_bounded, representative_points
+from .sets import (ClosedSet, _coord, _far_from_point, dist_to_set, is_bounded,
+                   representative_points)
 from .spaces import FINITE, AmbientSpace
 
 Ball = tuple  # (center, radius)
@@ -115,7 +116,7 @@ def subset_of(A: ClosedSet, U: OpenSetRep) -> bool:
             any(space.matrix[c][p] < r for c, r in U.balls) for p in A.rep.points
         )
     if space.is_one_dimensional:
-        ivs = sorted((c - r, c + r) for c, r in U.balls)
+        ivs = sorted((_coord(c) - r, _coord(c) + r) for c, r in U.balls)
         return all(_closed_in_open_union(lo, hi, ivs) for lo, hi in A.normal_form.intervals)
     return all(_comp_covered(comp, U.balls) for comp in A.components())
 
@@ -139,29 +140,11 @@ def _closed_in_open_union(lo: float, hi: float, open_ivs) -> bool:
 
 
 def _comp_covered(comp, balls) -> bool:
-    kind, data = comp
-    if kind == "ray":
-        return False  # unbounded piece, bounded cover
-    if kind == "point":
-        return any(math.dist(data, c) < r for c, r in balls)
-    # bounded connected pieces: certified when a single open ball takes
-    # the whole piece (balls are convex, so vertex checks are exact)
-    for c, r in balls:
-        if kind == "ball":
-            c2, r2 = data
-            if math.dist(c, c2) + r2 < r:
-                return True
-        elif kind == "box":
-            lo, hi = data
-            far = math.dist(c, tuple(
-                h if abs(h - x) >= abs(l - x) else l for l, h, x in zip(lo, hi, c)))
-            if far < r:
-                return True
-        elif kind == "segment":
-            p, q = data
-            if math.dist(c, p) < r and math.dist(c, q) < r:
-                return True
-    if len(balls) == 1:
+    # a piece is certified covered when a single open ball takes its
+    # farthest point (balls are convex; a ray's is at infinity)
+    if any(_far_from_point(c, comp) < r for c, r in balls):
+        return True
+    if comp[0] in ("point", "ray") or len(balls) == 1:
         return False
     raise UnsupportedPair(
         "coverage by several balls is only certified when one ball takes each piece"

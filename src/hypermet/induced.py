@@ -6,14 +6,17 @@ exact representation of the closed image (closure taken where the raw
 image is not closed, e.g. the far end of a ray under a bounded map).
 Representations with no exact finite image raise UnsupportedPair rather
 than silently approximating; sampled clouds go through only when the
-map has a Lipschitz constant to rescale their resolution.
+map has a Lipschitz constant to rescale their resolution.  Affine maps
+and the group elements of the actions module share one push-forward,
+affine_image.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,9 +25,10 @@ from . import geom
 from .errors import UnsupportedPair
 from .hypermetrics import (CertifiedValue, aw_distance, hausdorff,
                            hausdorff_lower, hausdorff_upper)
-from .sets import (ClosedSet, _far_from_point, bounding_radius, dist_to_set,
-                   is_bounded, representative_points)
-from .spaces import (EUCLIDEAN, FINITE, LINE, OPEN_INTERVAL, AmbientSpace)
+from .sets import (BallUnion, BoxUnion, ClosedSet, FinitePoints, IntervalUnion,
+                   Ray, SampledCloud, SegmentUnion, _far_from_point,
+                   dist_to_set, is_bounded, representative_points)
+from .spaces import FINITE, LINE, OPEN_INTERVAL, AmbientSpace
 
 _HALF_PI = math.pi / 2.0
 
@@ -105,23 +109,9 @@ class Affine:
 
     def image(self, A: ClosedSet) -> ClosedSet:
         self.domain.require_same(A.space)
-        space, rep = self.codomain, A.rep
-        name = type(rep).__name__
         if self.a == 0.0:
-            return ClosedSet.points(space, [self.b])
-        if name in ("FinitePoints", "SampledCloud"):
-            pts = [self.apply(p) for p in rep.points]
-            if name == "SampledCloud":
-                return ClosedSet.cloud(space, pts, abs(self.a) * rep.resolution)
-            return ClosedSet.points(space, pts)
-        if name == "IntervalUnion":
-            ivs = [tuple(sorted((self.apply(lo), self.apply(hi))))
-                   for lo, hi in rep.intervals]
-            return ClosedSet.intervals(space, ivs)
-        if name == "Ray":
-            d = rep.direction if self.a > 0 else -rep.direction
-            return ClosedSet.ray(space, self.apply(rep.anchor), d)
-        raise UnsupportedPair(f"affine image of {name}")
+            return ClosedSet.points(self.codomain, [self.b])
+        return affine_image(_np(((self.a,),)), _np((self.b,)), A, self.codomain)
 
     def lipschitz_constant(self):
         return abs(self.a)
@@ -138,6 +128,93 @@ class Affine:
 
 def _np(mat):
     return np.array(mat, dtype=float)
+
+
+def _sigma_max(m) -> float:
+    return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+def _scaled_orthogonal(m) -> Optional[float]:
+    """mu when M^T M = mu^2 I (within 1e-12 relative), else None."""
+    with np.errstate(over="ignore"):
+        g = m.T @ m
+    mu2 = float(np.mean(np.diag(g)))
+    if not sys.float_info.min <= mu2 < math.inf and m.any():
+        # the squares under- or overflow: rescale by a power of two, exactly
+        e = math.frexp(float(np.abs(m).max()))[1]
+        mu = _scaled_orthogonal(np.ldexp(m, -e))
+        return None if mu is None else math.ldexp(mu, e)
+    if np.allclose(g, mu2 * np.eye(g.shape[0]), rtol=0.0, atol=1e-12 * max(1.0, mu2)):
+        return math.sqrt(mu2)
+    return None
+
+
+def affine_image(m, t, A: ClosedSet, codomain: AmbientSpace) -> ClosedSet:
+    """The closed image of A under x -> m x (+ t), exact per representation.
+
+    m is a p x n array and t a length-p array, or None for a linear map.
+    All points of a set go through one stacked product,
+    (m @ X.reshape(N, n, 1))[:, :, 0], which rounds like the per-point
+    m @ x (X @ m.T does not), so every pushed point equals the map's own
+    apply.  Balls need a scaled-orthogonal m, boxes a
+    signed-permutation-diagonal one; on a line codomain (p = 1) segments
+    and boxes become the interval between their pushed ends.
+    """
+    rep = A.rep
+    on_line = codomain.is_one_dimensional
+
+    def push(pts):
+        y = (m @ np.array(pts, dtype=float).reshape(len(pts), -1, 1))[:, :, 0]
+        if t is not None:
+            y = y + t
+        return [v for v, in y.tolist()] if on_line else [tuple(v) for v in y.tolist()]
+
+    if isinstance(rep, (FinitePoints, SampledCloud)):
+        pts = push(rep.points)
+        if isinstance(rep, FinitePoints):
+            return ClosedSet.points(codomain, pts)
+        mu = _scaled_orthogonal(m)
+        return ClosedSet.cloud(codomain, pts,
+                               (_sigma_max(m) if mu is None else mu) * rep.resolution)
+    if isinstance(rep, Ray):
+        (a,) = push([rep.anchor])
+        u = m @ np.atleast_1d(_np(rep.direction))
+        if float(np.linalg.norm(u)) == 0.0:
+            return ClosedSet.points(codomain, [a])
+        return ClosedSet.ray(codomain, a, tuple(u.tolist()))
+    if isinstance(rep, BallUnion):
+        mu = _scaled_orthogonal(m)
+        if mu is None:
+            raise UnsupportedPair("balls stay balls only under scaled-orthogonal maps")
+        centres = push([c for c, _ in rep.balls])
+        return ClosedSet.balls(codomain, [(c, mu * r) for c, (_, r) in zip(centres, rep.balls)])
+
+    # the rest push the two ends of each piece
+    if isinstance(rep, IntervalUnion):
+        ends = [x for iv in rep.intervals for x in iv]
+        if not (on_line or all(map(math.isfinite, ends))):
+            raise UnsupportedPair("no exact image for an unbounded interval")
+        # an infinite end goes to the infinity the slope sends it to; a
+        # zero slope sends the whole line to one point
+        slope = float(m[0, 0])
+        ys = push([x if math.isfinite(x) else 0.0 for x in ends])
+        ys = [y if math.isfinite(x) or slope == 0.0 else math.copysign(math.inf, slope * x)
+              for x, y in zip(ends, ys)]
+    elif isinstance(rep, SegmentUnion):
+        ys = push([p for seg in rep.segments for p in seg])
+    else:  # BoxUnion
+        if not ((np.count_nonzero(m, axis=0) <= 1).all()
+                and (np.count_nonzero(m, axis=1) <= 1).all()):
+            raise UnsupportedPair(
+                "boxes stay boxes only under signed-permutation-diagonal maps")
+        ys = push([p for box in rep.boxes for p in box])
+    pairs = list(zip(ys[::2], ys[1::2]))
+    if on_line:
+        return ClosedSet.intervals(codomain, [tuple(sorted(pq)) for pq in pairs])
+    if isinstance(rep, BoxUnion):
+        return ClosedSet.boxes(codomain, [(tuple(map(min, p, q)), tuple(map(max, p, q)))
+                                          for p, q in pairs])
+    return ClosedSet.segments(codomain, pairs)
 
 
 @dataclass(frozen=True)
@@ -174,70 +251,12 @@ class LinearMatrix:
             return float(y[0])
         return tuple(float(v) for v in y)
 
-    def _scaled_orthogonal(self) -> Optional[float]:
-        # M^T M = mu^2 I  (within 1e-12 relative) => balls map to balls
-        g = self._m.T @ self._m
-        mu2 = float(np.mean(np.diag(g)))
-        if np.allclose(g, mu2 * np.eye(g.shape[0]), rtol=0.0,
-                       atol=1e-12 * max(1.0, mu2)):
-            return math.sqrt(mu2)
-        return None
-
-    def _signed_perm_diag(self) -> bool:
-        m = self._m
-        return (np.count_nonzero(m, axis=0) <= 1).all() and \
-               (np.count_nonzero(m, axis=1) <= 1).all()
-
     def image(self, A: ClosedSet) -> ClosedSet:
         self.domain.require_same(A.space)
-        space, rep = self.codomain, A.rep
-        name = type(rep).__name__
-        if name in ("FinitePoints", "SampledCloud"):
-            pts = [self.apply(p) for p in rep.points]
-            if name == "SampledCloud":
-                return ClosedSet.cloud(space, pts, self.sigma_max() * rep.resolution)
-            return ClosedSet.points(space, pts)
-        if name == "SegmentUnion":
-            return ClosedSet.segments(
-                space, [(self.apply(p), self.apply(q)) for p, q in rep.segments])
-        if name == "Ray":
-            u = self._m @ _np(rep.direction)
-            a = self.apply(rep.anchor)
-            if float(np.linalg.norm(u)) == 0.0:
-                return ClosedSet.points(space, [a])
-            return ClosedSet.ray(space, a, tuple(float(v) for v in u))
-        if name == "BallUnion":
-            mu = self._scaled_orthogonal()
-            if mu is None:
-                raise UnsupportedPair(
-                    "balls stay balls only under scaled-orthogonal matrices")
-            return ClosedSet.balls(
-                space, [(self.apply(c), mu * r) for c, r in rep.balls])
-        if name == "BoxUnion":
-            if not self._signed_perm_diag():
-                raise UnsupportedPair(
-                    "boxes stay boxes only under signed-permutation-diagonal matrices")
-            out = []
-            for lo, hi in rep.boxes:
-                a = self.apply(lo)
-                b = self.apply(hi)
-                out.append((tuple(min(x, y) for x, y in zip(a, b)),
-                            tuple(max(x, y) for x, y in zip(a, b))))
-            return ClosedSet.boxes(space, out)
-        if name == "IntervalUnion":
-            # 1-column matrix: an interval maps to an interval or a segment
-            out = []
-            for lo, hi in rep.intervals:
-                if math.isinf(lo) or math.isinf(hi):
-                    raise UnsupportedPair("no exact image for an unbounded interval")
-                out.append((self.apply(lo), self.apply(hi)))
-            if len(self.matrix) == 1:
-                return ClosedSet.intervals(space, [tuple(sorted(pq)) for pq in out])
-            return ClosedSet.segments(space, out)
-        raise UnsupportedPair(f"linear image of {name}")
+        return affine_image(self._m, None, A, self.codomain)
 
     def sigma_max(self) -> float:
-        return float(np.linalg.svd(self._m, compute_uv=False)[0])
+        return _sigma_max(self._m)
 
     def sigma_min(self) -> float:
         s = np.linalg.svd(self._m, compute_uv=False)
@@ -302,14 +321,13 @@ class SinReciprocal:
     def image(self, A: ClosedSet) -> ClosedSet:
         self.domain.require_same(A.space)
         space, rep = self.codomain, A.rep
-        name = type(rep).__name__
-        if name == "FinitePoints":
+        if isinstance(rep, FinitePoints):
             return ClosedSet.points(space, [self.apply(p) for p in rep.points])
-        if name == "IntervalUnion":
+        if isinstance(rep, IntervalUnion):
             return ClosedSet.intervals(
                 space, [self._interval_image(lo, hi) for lo, hi in rep.intervals])
         raise UnsupportedPair(
-            f"sin-reciprocal image of {name} (no uniform modulus to widen by)")
+            f"sin-reciprocal image of {type(rep).__name__} (no uniform modulus to widen by)")
 
     def lipschitz_constant(self):
         return None  # derivative blows up at 0
@@ -354,10 +372,9 @@ class ArctanOfDistance:
     def image(self, A: ClosedSet) -> ClosedSet:
         self.space.require_same(A.space)
         out_space, rep = self.codomain, A.rep
-        name = type(rep).__name__
-        if name in ("FinitePoints", "SampledCloud") or self.space.kind == FINITE:
+        if isinstance(rep, (FinitePoints, SampledCloud)) or self.space.kind == FINITE:
             pts = [self.apply(p) for p in rep.points]
-            if name == "SampledCloud":
+            if isinstance(rep, SampledCloud):
                 return ClosedSet.cloud(out_space, pts, rep.resolution)
             return ClosedSet.points(out_space, pts)
         ivs = []
@@ -445,20 +462,19 @@ class PiecewiseMonotone1D:
     def image(self, A: ClosedSet) -> ClosedSet:
         self.domain.require_same(A.space)
         space, rep = self.codomain, A.rep
-        name = type(rep).__name__
-        if name in ("FinitePoints", "SampledCloud"):
+        if isinstance(rep, (FinitePoints, SampledCloud)):
             pts = [self.apply(p) for p in rep.points]
-            if name == "SampledCloud":
+            if isinstance(rep, SampledCloud):
                 return ClosedSet.cloud(space, pts,
                                        self.lipschitz_constant() * rep.resolution)
             return ClosedSet.points(space, pts)
-        if name == "IntervalUnion":
+        if isinstance(rep, IntervalUnion):
             return ClosedSet.intervals(
                 space, [self._interval_image(lo, hi) for lo, hi in rep.intervals])
-        if name == "Ray":
+        if isinstance(rep, Ray):
             iv = (rep.anchor, math.inf) if rep.direction > 0 else (-math.inf, rep.anchor)
             return ClosedSet.intervals(space, [self._interval_image(*iv)])
-        raise UnsupportedPair(f"piecewise image of {name}")
+        raise UnsupportedPair(f"piecewise image of {type(rep).__name__}")
 
     def lipschitz_constant(self):
         slopes = [abs(self.left_slope), abs(self.right_slope)]
@@ -677,8 +693,7 @@ def estimate_uniform_modulus(f, A: ClosedSet, eps: float, trials: int = 200) -> 
 
     if isinstance(f, SinReciprocal):
         rep = A.rep
-        name = type(rep).__name__
-        if name == "IntervalUnion":
+        if isinstance(rep, IntervalUnion):
             a = min(lo for lo, _ in rep.intervals)
             pair = _oscillation_pair_in(f, rep.intervals)
             if pair is not None and eps <= 2.0:
@@ -688,9 +703,9 @@ def estimate_uniform_modulus(f, A: ClosedSet, eps: float, trials: int = 200) -> 
             # away from 0 the derivative is bounded by 1/a^2
             return ModulusReport("certified", delta=eps * a * a,
                                  note=f"derivative bound 1/a^2 with a={a}")
-        if name == "FinitePoints":
+        if isinstance(rep, FinitePoints):
             return _finite_modulus(f, rep.points, eps)
-        raise UnsupportedPair(f"no modulus analysis for {name}")
+        raise UnsupportedPair(f"no modulus analysis for {type(rep).__name__}")
 
     delta = f.uniform_modulus(eps)
     if delta is not None:
@@ -698,7 +713,7 @@ def estimate_uniform_modulus(f, A: ClosedSet, eps: float, trials: int = 200) -> 
         return ModulusReport("certified", delta=delta,
                              note=f"Lipschitz constant {L}" if L is not None else "catalog modulus")
 
-    if type(A.rep).__name__ in ("FinitePoints", "SampledCloud"):
+    if isinstance(A.rep, (FinitePoints, SampledCloud)):
         return _finite_modulus(f, A.rep.points, eps)
     return ModulusReport("inconclusive", note=f"no modulus rule for {f.describe()}")
 

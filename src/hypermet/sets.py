@@ -76,6 +76,8 @@ Rep = FinitePoints | IntervalUnion | BoxUnion | BallUnion | SegmentUnion | Ray |
 
 def _merge_intervals(ivs):
     ivs = sorted((float(a), float(b)) for a, b in ivs)
+    if not ivs:
+        raise ValueError("a closed set must be nonempty")
     for a, b in ivs:
         if not (a <= b and a < math.inf and b > -math.inf):
             raise ValueError(f"interval [{a}, {b}] contains no real number")
@@ -160,8 +162,6 @@ class ClosedSet:
             a, b = space.bounds
             if not all(a < lo and hi < b for lo, hi in merged):
                 raise ValueError("intervals must sit strictly inside the open subspace")
-        if not merged:
-            raise ValueError("a closed set must be nonempty")
         return ClosedSet(space, IntervalUnion(merged))
 
     @staticmethod
@@ -389,7 +389,7 @@ def truncate(A: ClosedSet, L: float):
 
     if isinstance(rep, (FinitePoints, SampledCloud)):
         if space.is_one_dimensional:
-            kept = tuple(p for p in rep.points if abs(p - x0) <= L)
+            kept = tuple(p for p in rep.points if abs(_coord(p) - _coord(x0)) <= L)
         else:
             kept = tuple(p for p in rep.points if math.dist(p, x0) <= L)
         if not kept:

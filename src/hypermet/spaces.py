@@ -146,12 +146,6 @@ class AmbientSpace:
         return self.kind in (LINE, EUCLIDEAN, OPEN_INTERVAL)
 
     @property
-    def is_locally_compact(self) -> bool:
-        # every shipped ambient is locally compact; the flag exists so
-        # callers can gate arguments that need it
-        return True
-
-    @property
     def size(self) -> int:
         if self.kind != FINITE:
             raise AmbientMismatch("size is only defined for finite spaces")

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from hypermet.actions import GroupElement, act
 from hypermet.errors import AmbientMismatch, UnsupportedPair
 from hypermet.hypermetrics import aw_distance, hausdorff
 from hypermet.induced import (Affine, ArctanOfDistance, Composed, Identity,
@@ -138,6 +141,121 @@ def test_composed_map():
     A = ClosedSet.intervals(LINE, [(0.0, 1.0)])
     assert induced_image(f, A).rep.intervals == ((6.0, 8.0),)
     assert f.lipschitz_constant() == 2.0
+
+
+# ---------------------------------------------------------------------------
+# the shared affine push-forward
+
+
+@pytest.mark.parametrize("a", [2.5, -0.75])
+def test_one_by_one_forms_give_equal_images(a):
+    forms = [lambda A: induced_image(LinearMatrix(((a,),)), A),
+             lambda A: induced_image(Affine(a, 0.0), A),
+             lambda A: act(GroupElement(((a,),), (0.0,)), A)]
+    sets = [ClosedSet.points(LINE, [-3.0, 0.0, 1.5]),
+            ClosedSet.intervals(LINE, [(-4.0, -1.0), (2.0, 3.0)]),
+            ClosedSet.intervals(LINE, [(-math.inf, -1.0), (2.0, math.inf)]),
+            ClosedSet.intervals(LINE, [(0.5, math.inf)]),
+            ClosedSet.ray(LINE, 1.0, 1.0),
+            ClosedSet.ray(LINE, -2.0, -1.0),
+            ClosedSet.cloud(LINE, [-1.0, 4.0], 0.2)]
+    for A in sets:
+        first, *rest = (form(A) for form in forms)
+        assert all(img == first for img in rest), A
+    assert forms[0](ClosedSet.cloud(LINE, [0.0], 0.2)).slack == abs(a) * 0.2
+
+
+def test_one_by_one_matrix_on_line_rays_and_unbounded_intervals():
+    flip = LinearMatrix(((-2.0,),))
+    img = induced_image(flip, ClosedSet.ray(LINE, 1.0, 1.0))
+    assert img.rep.anchor == -2.0 and img.rep.direction == -1.0
+    (lo, hi), = induced_image(flip, ClosedSet.intervals(LINE, [(3.0, math.inf)])).rep.intervals
+    assert lo == -math.inf and hi == -6.0
+    # a zero slope sends the whole line to one point
+    zero = LinearMatrix(((0.0,),))
+    assert induced_image(zero, ClosedSet.ray(LINE, 1.0, -1.0)).rep.points == (0.0,)
+    (lo, hi), = induced_image(zero, ClosedSet.intervals(LINE, [(-math.inf, 2.0)])).rep.intervals
+    assert lo == hi == 0.0
+
+
+def test_one_column_matrix_sends_line_rays_into_the_plane():
+    col = LinearMatrix(((1.0,), (-2.0,)))
+    img = induced_image(col, ClosedSet.ray(LINE, 1.0, -1.0))
+    assert img.rep.anchor == (1.0, -2.0)
+    assert img.rep.direction == pytest.approx((-1.0 / math.sqrt(5.0), 2.0 / math.sqrt(5.0)))
+    seg = induced_image(col, ClosedSet.intervals(LINE, [(0.0, 1.0)]))
+    assert seg.rep.segments == (((0.0, -0.0), (1.0, -2.0)),)
+    with pytest.raises(UnsupportedPair):
+        induced_image(col, ClosedSet.intervals(LINE, [(0.0, math.inf)]))
+
+
+def test_one_row_matrix_maps_segments_and_boxes_to_intervals():
+    row = LinearMatrix(((1.0, 2.0),))
+    seg = ClosedSet.segments(E2, [((0.0, 0.0), (1.0, -1.0)), ((3.0, 1.0), (4.0, 0.0))])
+    assert induced_image(row, seg).rep.intervals == ((-1.0, 0.0), (4.0, 5.0))
+    box = ClosedSet.boxes(E2, [((0.0, 1.0), (2.0, 3.0))])
+    assert induced_image(LinearMatrix(((0.0, -2.0),)), box).rep.intervals == ((-6.0, -2.0),)
+    with pytest.raises(UnsupportedPair):
+        induced_image(row, box)  # not signed-permutation-diagonal
+
+
+def test_cloud_resolution_scales_by_mu_or_sigma_max():
+    C = ClosedSet.cloud(E2, [(1.0, 0.0)], 0.5)
+    assert induced_image(LinearMatrix(((0.0, -3.0), (3.0, 0.0))), C).slack == 1.5
+    shear = LinearMatrix(((2.0, 1.0), (0.0, 1.0)))
+    assert induced_image(shear, C).slack == shear.sigma_max() * 0.5
+    # squares of these slopes under- or overflow; mu must not
+    for a in (1e-170, 3e-155, 1e160, -1e-300):
+        line_cloud = ClosedSet.cloud(LINE, [1.0], 0.5)
+        assert induced_image(Affine(a, 0.0), line_cloud).slack == abs(a) * 0.5
+    tiny = LinearMatrix(((0.0, -1e-170), (1e-170, 0.0)))
+    (_, r), = induced_image(tiny, ClosedSet.balls(E2, [((1.0, 0.0), 2.0)])).rep.balls
+    assert r == 2e-170
+
+
+# magnitudes over 1e-3..1e4 of both signs: sums of such products round
+# differently in any other order of the arithmetic
+spread = st.builds(lambda s, e: s * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+                   st.floats(min_value=-3.0, max_value=4.0))
+
+
+@st.composite
+def maps_with_points(draw):
+    shape = draw(st.sampled_from(["rotation", "square", "row", "column"]))
+    if shape == "rotation":
+        th = draw(st.floats(min_value=0.0, max_value=2.0 * math.pi))
+        m = ((math.cos(th), -math.sin(th)), (math.sin(th), math.cos(th)))
+    else:
+        k = draw(st.integers(min_value=1, max_value=4))
+        p, n = {"square": (k, k), "row": (1, k), "column": (k, 1)}[shape]
+        m = tuple(tuple(draw(st.lists(spread, min_size=n, max_size=n))) for _ in range(p))
+    p, n = len(m), len(m[0])
+    kinds = ["linear"] + (["group"] if p == n else []) + (["affine"] if p == n == 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    offset = tuple(draw(st.lists(spread, min_size=p, max_size=p)))
+    if kind == "linear":
+        f = LinearMatrix(m)
+        image = lambda A: induced_image(f, A)
+    elif kind == "affine":
+        f = Affine(m[0][0], offset[0])
+        image = lambda A: induced_image(f, A)
+    else:
+        try:
+            f = GroupElement(m, offset)
+        except ValueError:
+            assume(False)
+        image = lambda A: act(f, A)
+    space = LINE if n == 1 else AmbientSpace.euclidean(n)
+    pts = draw(st.lists(st.lists(spread, min_size=n, max_size=n), min_size=1, max_size=12))
+    return f, image, space, [p[0] if n == 1 else tuple(p) for p in pts]
+
+
+@settings(max_examples=300, deadline=None)
+@given(maps_with_points())
+def test_batched_push_equals_per_point_apply(case):
+    f, image, space, pts = case
+    got = image(ClosedSet.points(space, pts)).rep.points
+    assert got == tuple(sorted({f.apply(p) for p in pts}))
 
 
 def test_image_rejects_wrong_space():

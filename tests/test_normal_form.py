@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 import hypermet.hypermetrics as hm
 from hypermet import AmbientSpace, ClosedSet
 from hypermet.errors import Indeterminate
+from hypermet.hitmiss import OpenSetRep, subset_of
 from hypermet.hypermetrics import aw_distance, excess, sup_gap_on_ball
-from hypermet.sets import dist_to_set
+from hypermet.sets import dist_to_set, truncate
 
 LINE = AmbientSpace.line()
 E1 = AmbientSpace.euclidean(1)
@@ -267,6 +268,35 @@ def test_aw_distance_matches_window_walk(pair):
         # the rounded values it visited; the search reads g(J-1) only.
         assert cv.method == "exact-1d" and cv.is_exact
         assert abs(cv.lo - ref[0]) <= ROUNDING
+
+
+def ref_covered(ivs, balls):
+    """Every closed interval inside one component of the union of the
+    open intervals (c - r, c + r)."""
+    comps = []
+    for a, b in sorted((c - r, c + r) for c, r in balls):
+        if comps and a < comps[-1][1]:
+            comps[-1][1] = max(comps[-1][1], b)
+        else:
+            comps.append([a, b])
+    return all(any(a < lo and hi < b for a, b in comps) for lo, hi in ivs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs(), st.sampled_from([0.5, 3.0, 40.0, 1.0e4]),
+       st.lists(st.tuples(coord, st.sampled_from([0.5, 2.0, 1.0e3])),
+                min_size=1, max_size=3))
+def test_truncate_and_cover_match_the_merged_intervals(pair, L, balls):
+    space, A, _ = pair
+    ivs = ref_merged(A)
+    x0 = _x(space.base_point)
+    clipped = [(max(lo, x0 - L), min(hi, x0 + L)) for lo, hi in ivs]
+    clipped = [(lo, hi) for lo, hi in clipped if lo <= hi]
+    T = truncate(A, L)
+    assert (T is None and not clipped) or list(T.normal_form.intervals) == clipped
+    wrap = (lambda x: (x,)) if space.kind == "euclidean" else (lambda x: x)
+    U = OpenSetRep.ball_union(space, [(wrap(c), r) for c, r in balls])
+    assert subset_of(A, U) == ref_covered(ivs, balls)
 
 
 def test_tied_candidates_keep_the_scan_witness():

@@ -53,6 +53,8 @@ def test_intervals_merge_overlaps():
     assert A.rep.intervals == ((0.0, 3.0), (5.0, 6.0))
     with pytest.raises(ValueError):
         ClosedSet.intervals(LINE, [(2, 1)])
+    with pytest.raises(ValueError, match="nonempty"):
+        ClosedSet.intervals(LINE, [])
 
 
 def test_intervals_strict_inside_subspace():

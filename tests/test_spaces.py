@@ -12,7 +12,7 @@ def test_line_basics():
     assert X.canon_point(3) == 3.0
     assert X.canon_point((2.5,)) == 2.5
     assert X.distance(-1.0, 2.0) == 3.0
-    assert X.is_one_dimensional and X.is_locally_compact
+    assert X.is_one_dimensional
 
 
 def test_line_rejects_vectors():
