@@ -15,17 +15,16 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict
 
 import click
 
 from . import scenarios
-from .actions import act, group_distance, maps_into, probe_action_continuity
-from .errors import AmbientMismatch, HypermetError, Indeterminate, UnsupportedPair
+from .actions import act, maps_into, probe_action_continuity
+from .errors import AmbientMismatch, Indeterminate, UnsupportedPair
 from .hitmiss import Constraint, converges, neighborhood
 from .hypermetrics import CertifiedValue, aw_less_than
-from .induced import (aw_continuity_conditions, check_preimage_boundedness,
-                      induced_image, metric_by_name, probe_induced_continuity)
+from .induced import (aw_continuity_conditions, induced_image, metric_by_name,
+                      probe_induced_continuity)
 from .literals import (LiteralError, parse_element, parse_map, parse_open_set,
                        parse_set, parse_space)
 from .sets import ClosedSet

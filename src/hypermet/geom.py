@@ -1,10 +1,10 @@
 """Low-level Euclidean geometry used by the set representations.
 
 Everything here works on plain float tuples.  Components of a closed
-set are normalized to a small vocabulary of primitive shapes:
+set in n-D are normalized to a small vocabulary of primitive shapes
+(1-D sets are read through their interval normal form instead):
 
-    ("point", p)            p a float (1-D) or tuple (n-D)
-    ("interval", (lo, hi))  1-D only; lo may be -inf, hi may be +inf
+    ("point", p)
     ("ball", (c, r))
     ("box", (lo, hi))       axis-aligned, lo/hi corner tuples
     ("segment", (p, q))
@@ -50,10 +50,6 @@ def unit(p):
 
 # ---------------------------------------------------------------------------
 # point-to-shape distances
-
-
-def dist_point_interval(x: float, lo: float, hi: float) -> float:
-    return max(lo - x, x - hi, 0.0)
 
 
 def dist_point_ball(x, c, r) -> float:
@@ -194,16 +190,14 @@ def gap(shape_a, shape_b) -> float:
     ka, da = shape_a
     kb, db = shape_b
     # order the pair so we only handle one triangle of the kind matrix
-    order = {"point": 0, "interval": 1, "ball": 2, "box": 3, "segment": 4, "ray": 5}
+    order = {"point": 0, "ball": 1, "box": 2, "segment": 3, "ray": 4}
     if order[ka] > order[kb]:
         return gap(shape_b, shape_a)
 
     if ka == "point":
         x = da
         if kb == "point":
-            return abs(x - db) if isinstance(x, float) else math.dist(x, db)
-        if kb == "interval":
-            return dist_point_interval(x, *db)
+            return math.dist(x, db)
         if kb == "ball":
             return dist_point_ball(x, *db)
         if kb == "box":
@@ -212,12 +206,6 @@ def gap(shape_a, shape_b) -> float:
             return dist_point_segment(x, *db)
         if kb == "ray":
             return dist_point_ray(x, *db)
-    if ka == "interval":
-        lo1, hi1 = da
-        if kb == "interval":
-            lo2, hi2 = db
-            return max(0.0, lo2 - hi1, lo1 - hi2)
-        raise ValueError("intervals only pair with 1-D shapes")
     if ka == "ball":
         c, r = da
         return max(0.0, gap(("point", c), shape_b) - r)

@@ -238,15 +238,17 @@ def _enlargement(A: ClosedSet, r: float) -> OpenSetRep:
         raise UnsupportedPair("no certified enlargement for a sampled cloud")
     if space.kind == FINITE:
         return OpenSetRep(space, balls=tuple((p, r) for p in A.rep.points))
+    if space.is_one_dimensional:
+        ivs = list(A.normal_form.intervals)
+        if math.isinf(ivs[0][0]) or math.isinf(ivs[-1][1]):
+            raise UnsupportedPair("no finite ball cover for an unbounded interval")
+        # a point is its own centre: lo + hi overflows past half the float range
+        return OpenSetRep.ball_union(
+            space, [(lo if lo == hi else 0.5 * (lo + hi), 0.5 * (hi - lo) + r) for lo, hi in ivs])
     balls = []
     for kind, data in A.components():
         if kind == "point":
             balls.append((data, r))
-        elif kind == "interval":
-            lo, hi = data
-            if math.isinf(lo) or math.isinf(hi):
-                raise UnsupportedPair("no finite ball cover for an unbounded interval")
-            balls.append((0.5 * (lo + hi), 0.5 * (hi - lo) + r))
         elif kind == "ball":
             c, rr = data
             balls.append((c, rr + r))

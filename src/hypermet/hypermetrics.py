@@ -32,19 +32,16 @@ import numpy as np
 from . import geom
 from .errors import Indeterminate, UnsupportedPair
 from .sets import (
-    BallUnion,
-    BoxUnion,
     ClosedSet,
     FinitePoints,
     Ray,
     SampledCloud,
-    SegmentUnion,
     _box_corners,
     _coord,
     dist_to_set,
     is_bounded,
 )
-from .spaces import FINITE, OPEN_INTERVAL, AmbientSpace
+from .spaces import FINITE, OPEN_INTERVAL
 
 DEFAULT_TOL = 1e-3
 NODE_CAP = 1_500_000
@@ -213,9 +210,7 @@ def excess(A: ClosedSet, B: ClosedSet) -> CertifiedValue:
     slack = A.slack + B.slack
     space = A.space
 
-    if space.kind == FINITE:
-        cv = _excess_finite(space, A, B)
-    elif isinstance(A.rep, (FinitePoints, SampledCloud)):
+    if isinstance(A.rep, (FinitePoints, SampledCloud)):
         cv = _excess_point_source(A, B)
     elif space.is_one_dimensional:
         cv = _excess_1d(A, B)
@@ -224,16 +219,6 @@ def excess(A: ClosedSet, B: ClosedSet) -> CertifiedValue:
     else:
         cv = _excess_convex(A, B)
     return _widen(cv, slack)
-
-
-def _excess_finite(space, A, B) -> CertifiedValue:
-    bpts = B.rep.points
-    best, wit = -1.0, None
-    for a in A.rep.points:
-        d = min(space.matrix[a][b] for b in bpts)
-        if d > best:
-            best, wit = d, a
-    return CertifiedValue.point(best, "finite-max", wit)
 
 
 def _excess_point_source(A, B) -> CertifiedValue:
@@ -349,6 +334,14 @@ def set_gap(A: ClosedSet, B: ClosedSet) -> float:
     space = A.space
     if space.kind == FINITE:
         return min(space.matrix[a][b] for a in A.rep.points for b in B.rep.points)
+    if space.is_one_dimensional:
+        # two disjoint pieces are nearest at an end of one of them, and two
+        # that meet have an end of one inside the other; a set with no
+        # finite end is the whole line
+        na, nb = A.normal_form, B.normal_form
+        gaps = [float(nf.dists(ends).min())
+                for nf, ends in ((nb, na.finite_ends), (na, nb.finite_ends)) if len(ends)]
+        return min(gaps, default=0.0)
     best = math.inf
     for ca in A.components():
         for cb in B.components():
@@ -501,23 +494,22 @@ def aw_distance(A: ClosedSet, B: ClosedSet, *,
     A.space.require_same(B.space)
     slack = A.slack + B.slack
     space = A.space
+    try:
+        dh = hausdorff(A, B).hi
+    except UnsupportedPair:
+        dh = INF
     if space.kind == FINITE or space.is_one_dimensional:
         cv = _aw_exact(space, A, B)
     else:
-        cv = _aw_certified(space, A, B, tol, node_cap)
+        cv = _aw_certified(space, A, B, dh, tol, node_cap)
     cv = _widen(cv, slack)
     if not cv.is_infinite and cv.hi > 1.0:
         cv = CertifiedValue(min(cv.lo, 1.0), ext(1.0), cv.method, cv.witness)
     # the windowed distance never exceeds the full two-sided distance, so a
     # finite hausdorff certificate tightens the upper end (kills the odd
     # last-ulp overshoot from sup evaluation at interior candidates)
-    try:
-        dh = hausdorff(A, B)
-    except UnsupportedPair:
-        return cv
-    if not dh.hi.is_inf and dh.hi < cv.hi:
-        cv = CertifiedValue(min(cv.lo, dh.hi.as_float()), dh.hi,
-                            cv.method, cv.witness)
+    if not dh.is_inf and dh < cv.hi:
+        cv = CertifiedValue(min(cv.lo, dh.as_float()), dh, cv.method, cv.witness)
     return cv
 
 
@@ -613,11 +605,8 @@ def _window_gap_family(space, A, B):
     return g, j_sat, g_inf
 
 
-def _aw_certified(space, A, B, tol, node_cap) -> CertifiedValue:
-    try:
-        hb = hausdorff(A, B).hi
-    except UnsupportedPair:
-        hb = INF
+def _aw_certified(space, A, B, hb: ExtReal, tol, node_cap) -> CertifiedValue:
+    """hb: an upper bound on the Hausdorff distance (INF when unknown)."""
     if hb <= tol:
         return CertifiedValue.interval(0.0, min(1.0, hb.as_float()), "h-bound")
     hbf = hb.as_float()

@@ -26,8 +26,8 @@ from .errors import UnsupportedPair
 from .hypermetrics import (CertifiedValue, aw_distance, hausdorff,
                            hausdorff_lower, hausdorff_upper)
 from .sets import (BallUnion, BoxUnion, ClosedSet, FinitePoints, IntervalUnion,
-                   Ray, SampledCloud, SegmentUnion, _far_from_point,
-                   dist_to_set, is_bounded, representative_points)
+                   Ray, SampledCloud, SegmentUnion, _coord, _far_from_point,
+                   _sup_dist, dist_to_set, is_bounded, representative_points)
 from .spaces import FINITE, LINE, OPEN_INTERVAL, AmbientSpace
 
 _HALF_PI = math.pi / 2.0
@@ -39,18 +39,8 @@ _HALF_PI = math.pi / 2.0
 
 def dist_range(anchor, A: ClosedSet) -> tuple[float, float]:
     """(inf, sup) of d(anchor, y) over A; sup may be math.inf."""
-    space = A.space
-    anchor = space.canon_point(anchor)
-    if space.kind == FINITE:
-        row = space.matrix[anchor]
-        ds = [row[p] for p in A.rep.points]
-        return min(ds), max(ds)
-    lo = math.inf
-    hi = 0.0
-    for comp in A.components():
-        lo = min(lo, geom.gap(("point", anchor), comp))
-        hi = max(hi, _far_from_point(anchor, comp))
-    return lo, hi
+    anchor = A.space.canon_point(anchor)
+    return dist_to_set(anchor, A), _sup_dist(anchor, A)
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +68,6 @@ class Identity:
 
     def lipschitz_constant(self):
         return 1.0
-
-    def uniform_modulus(self, eps: float):
-        return float(eps)
-
-    def preserves_boundedness(self):
-        return True
 
     def describe(self):
         return "identity"
@@ -115,12 +99,6 @@ class Affine:
 
     def lipschitz_constant(self):
         return abs(self.a)
-
-    def uniform_modulus(self, eps: float):
-        return float(eps) if self.a == 0.0 else float(eps) / abs(self.a)
-
-    def preserves_boundedness(self):
-        return True
 
     def describe(self):
         return f"affine(a={self.a}, b={self.b})"
@@ -277,13 +255,6 @@ class LinearMatrix:
     def lipschitz_constant(self):
         return self.sigma_max()
 
-    def uniform_modulus(self, eps: float):
-        s = self.sigma_max()
-        return float(eps) if s == 0.0 else float(eps) / s
-
-    def preserves_boundedness(self):
-        return True
-
     def describe(self):
         return f"linear({self.matrix})"
 
@@ -332,12 +303,6 @@ class SinReciprocal:
     def lipschitz_constant(self):
         return None  # derivative blows up at 0
 
-    def uniform_modulus(self, eps: float):
-        return None
-
-    def preserves_boundedness(self):
-        return True
-
     def oscillation_pair(self, k: int):
         """Points of (0,1) a crest and a trough apart, distance O(1/k^2)."""
         return (1.0 / (_HALF_PI + 2.0 * math.pi * k),
@@ -377,23 +342,20 @@ class ArctanOfDistance:
             if isinstance(rep, SampledCloud):
                 return ClosedSet.cloud(out_space, pts, rep.resolution)
             return ClosedSet.points(out_space, pts)
-        ivs = []
-        for comp in A.components():
-            dmin = geom.gap(("point", self.anchor), comp)
-            dmax = _far_from_point(self.anchor, comp)
-            # the closed image: arctan never attains pi/2, the closure does
-            ivs.append((math.atan(dmin),
-                        _HALF_PI if math.isinf(dmax) else math.atan(dmax)))
-        return ClosedSet.intervals(out_space, ivs)
+        if self.space.is_one_dimensional:
+            x = _coord(self.anchor)
+            ranges = [(max(lo - x, x - hi, 0.0), max(x - lo, hi - x))
+                      for lo, hi in A.normal_form.intervals]
+        else:
+            ranges = [(geom.gap(("point", self.anchor), comp), _far_from_point(self.anchor, comp))
+                      for comp in A.components()]
+        # the closed image: arctan never attains pi/2, the closure does
+        return ClosedSet.intervals(out_space, [
+            (math.atan(dmin), _HALF_PI if math.isinf(dmax) else math.atan(dmax))
+            for dmin, dmax in ranges])
 
     def lipschitz_constant(self):
         return 1.0
-
-    def uniform_modulus(self, eps: float):
-        return float(eps)
-
-    def preserves_boundedness(self):
-        return True
 
     def describe(self):
         return f"arctan-distance(anchor={self.anchor})"
@@ -483,13 +445,6 @@ class PiecewiseMonotone1D:
                              zip(self.knots[1:], self.values[1:])))
         return max(slopes)
 
-    def uniform_modulus(self, eps: float):
-        L = self.lipschitz_constant()
-        return float(eps) if L == 0.0 else float(eps) / L
-
-    def preserves_boundedness(self):
-        return True
-
     def describe(self):
         return f"piecewise(knots={self.knots})"
 
@@ -520,13 +475,6 @@ class Composed:
         a = self.outer.lipschitz_constant()
         b = self.inner.lipschitz_constant()
         return None if a is None or b is None else a * b
-
-    def uniform_modulus(self, eps: float):
-        mid = self.outer.uniform_modulus(eps)
-        return None if mid is None else self.inner.uniform_modulus(mid)
-
-    def preserves_boundedness(self):
-        return self.outer.preserves_boundedness() and self.inner.preserves_boundedness()
 
     def describe(self):
         return f"{self.outer.describe()} . {self.inner.describe()}"
@@ -621,9 +569,7 @@ def check_preimage_boundedness(f, B: ClosedSet, radii=(10.0, 100.0, 1000.0)) -> 
                                   note="bounded domain")
         escape_lo = None
         reach_hi = 0.0
-        for comp in B.components():
-            kind, data = comp
-            lo, hi = (data, data) if kind == "point" else data
+        for lo, hi in B.normal_form.intervals:
             if lo >= _HALF_PI:
                 continue  # arctan of a distance never gets this high
             if hi >= _HALF_PI:
@@ -684,7 +630,7 @@ class ModulusReport:
     note: str = ""
 
 
-def estimate_uniform_modulus(f, A: ClosedSet, eps: float, trials: int = 200) -> ModulusReport:
+def estimate_uniform_modulus(f, A: ClosedSet, eps: float) -> ModulusReport:
     """A certified delta for eps on A, or a concrete counterexample pair."""
     f.domain.require_same(A.space, "modulus domain")
     eps = float(eps)
@@ -707,11 +653,10 @@ def estimate_uniform_modulus(f, A: ClosedSet, eps: float, trials: int = 200) -> 
             return _finite_modulus(f, rep.points, eps)
         raise UnsupportedPair(f"no modulus analysis for {type(rep).__name__}")
 
-    delta = f.uniform_modulus(eps)
-    if delta is not None:
-        L = f.lipschitz_constant()
-        return ModulusReport("certified", delta=delta,
-                             note=f"Lipschitz constant {L}" if L is not None else "catalog modulus")
+    L = f.lipschitz_constant()
+    if L is not None:
+        return ModulusReport("certified", delta=eps if L == 0.0 else eps / L,
+                             note=f"Lipschitz constant {L}")
 
     if isinstance(A.rep, (FinitePoints, SampledCloud)):
         return _finite_modulus(f, A.rep.points, eps)

@@ -23,7 +23,6 @@ Every parse failure raises LiteralError with the offending text.
 from __future__ import annotations
 
 import ast
-import math
 
 from .actions import GroupElement
 from .induced import (Affine, ArctanOfDistance, Identity, LinearMatrix,

@@ -11,8 +11,7 @@ seeded and echoed in the report.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 

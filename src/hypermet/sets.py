@@ -119,6 +119,12 @@ class NormalForm1D:
         lo, hi = self._arrays
         return (0.5 * (hi[:-1] + lo[1:])).tolist()
 
+    @property
+    def finite_ends(self) -> np.ndarray:
+        """All finite endpoints (a degenerate interval's twice)."""
+        ends = np.concatenate(self._arrays)
+        return ends[np.isfinite(ends)]
+
     @cached_property
     def _arrays(self):
         return np.array(self.lo), np.array(self.hi)
@@ -260,6 +266,8 @@ class ClosedSet:
                 return [("interval", (lo[0], hi[0])) for lo, hi in rep.boxes]
             return [("box", b) for b in rep.boxes]
         if isinstance(rep, SegmentUnion):
+            if one_d:
+                return [("interval", (min(p[0], q[0]), max(p[0], q[0]))) for p, q in rep.segments]
             return [("segment", s) for s in rep.segments]
         if isinstance(rep, Ray):
             if one_d:
@@ -330,27 +338,25 @@ def bounding_radius(A: ClosedSet) -> float:
     Internal helper for window saturation; the public metric API wraps
     infinities in ExtReal instead of leaking floats.
     """
+    return _sup_dist(A.space.canon_point(A.space.base_point), A)
+
+
+def _sup_dist(x, A: ClosedSet) -> float:
+    """sup of d(x, a) over a in A (inf when A is unbounded), x canonical."""
     space = A.space
     if space.kind == FINITE:
-        return max(space.matrix[space.base_point][p] for p in _finite_indices(A))
-    x0 = space.canon_point(space.base_point)
+        return max(space.matrix[x][p] for p in _finite_indices(A))
     if space.is_one_dimensional:
-        x0 = _coord(x0)
-    return max(_far_from_point(x0, comp) for comp in A.components())
+        nf, x = A.normal_form, _coord(x)
+        return max(x - nf.lo[0], nf.hi[-1] - x)
+    return max(_far_from_point(x, comp) for comp in A.components())
 
 
 def _far_from_point(x, comp) -> float:
-    """sup of d(x, y) over a primitive shape (inf when unbounded)."""
+    """sup of d(x, y) over an n-D primitive shape (inf when unbounded)."""
     kind, data = comp
     if kind == "point":
-        if isinstance(data, tuple):
-            return math.dist(x, data)
-        return abs(x - data)
-    if kind == "interval":
-        lo, hi = data
-        if math.isinf(lo) or math.isinf(hi):
-            return math.inf
-        return max(abs(x - lo), abs(x - hi))
+        return math.dist(x, data)
     if kind == "ball":
         c, r = data
         return math.dist(x, c) + r
@@ -378,24 +384,14 @@ def truncate(A: ClosedSet, L: float):
         raise ValueError("radius must be nonnegative")
     rep = A.rep
 
-    if space.kind == FINITE:
-        kept = tuple(p for p in _finite_indices(A) if space.matrix[space.base_point][p] <= L)
-        if not kept:
-            return None
-        return ClosedSet(space, type(rep)(kept) if isinstance(rep, FinitePoints)
-                         else SampledCloud(kept, rep.resolution))
-
-    x0 = space.canon_point(space.base_point)
-
     if isinstance(rep, (FinitePoints, SampledCloud)):
-        if space.is_one_dimensional:
-            kept = tuple(p for p in rep.points if abs(_coord(p) - _coord(x0)) <= L)
-        else:
-            kept = tuple(p for p in rep.points if math.dist(p, x0) <= L)
+        kept = tuple(p for p in rep.points if space.distance(space.base_point, p) <= L)
         if not kept:
             return None
         new = FinitePoints(kept) if isinstance(rep, FinitePoints) else SampledCloud(kept, rep.resolution)
         return ClosedSet(space, new)
+
+    x0 = space.canon_point(space.base_point)
 
     if isinstance(rep, IntervalUnion) or (space.is_one_dimensional and isinstance(rep, Ray)):
         lo_w, hi_w = _coord(x0) - L, _coord(x0) + L
@@ -618,15 +614,13 @@ def representative_points(A: ClosedSet, m: int):
     if space.kind == FINITE:
         return list(_finite_indices(A))[:m]
     out = set()
+    if space.is_one_dimensional:
+        for lo, hi in A.normal_form.intervals:
+            out.update([v for v in (lo, hi, 0.5 * (lo + hi)) if math.isfinite(v)] or [0.0])
+        return sorted(out)[:m]
     for kind, data in A.components():
         if kind == "point":
             out.add(data)
-        elif kind == "interval":
-            lo, hi = data
-            pick = [v for v in (lo, hi, 0.5 * (lo + hi)) if math.isfinite(v)]
-            if not pick:
-                pick = [0.0]
-            out.update(pick)
         elif kind == "ball":
             c, r = data
             out.add(c)

@@ -13,12 +13,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hypermet.geom as geom
 import hypermet.hypermetrics as hm
 from hypermet import AmbientSpace, ClosedSet
 from hypermet.errors import Indeterminate
-from hypermet.hitmiss import OpenSetRep, subset_of
-from hypermet.hypermetrics import aw_distance, excess, sup_gap_on_ball
-from hypermet.sets import dist_to_set, truncate
+from hypermet.hitmiss import OpenSetRep, canonical_neighborhoods, subset_of
+from hypermet.hypermetrics import aw_distance, excess, hausdorff, set_gap, sup_gap_on_ball
+from hypermet.induced import ArctanOfDistance, dist_range
+from hypermet.sets import bounding_radius, dist_to_set, truncate
 
 LINE = AmbientSpace.line()
 E1 = AmbientSpace.euclidean(1)
@@ -57,6 +59,14 @@ def ref_merged(S):
         else:
             merged.append([a, b])
     return [(a, b) for a, b in merged]
+
+
+def ref_gap(ia, ib):
+    return min(max(0.0, lo2 - hi1, lo1 - hi2) for lo1, hi1 in ia for lo2, hi2 in ib)
+
+
+def ref_far(x, ivs):
+    return max(max(abs(x - lo), abs(x - hi)) for lo, hi in ivs)
 
 
 def ref_mids(ivs):
@@ -224,9 +234,27 @@ def one_d_sets(draw, space):
 
 
 @st.composite
+def e1_solids(draw):
+    """Ball, box and segment unions on E^1; their pieces may overlap."""
+    kind = draw(st.sampled_from(["balls", "boxes", "segments"]))
+    ends = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=4))
+    if kind == "balls":
+        return ClosedSet.balls(E1, [((a,), abs(b)) for a, b in ends])
+    if kind == "boxes":
+        return ClosedSet.boxes(E1, [((min(a, b),), (max(a, b),)) for a, b in ends])
+    return ClosedSet.segments(E1, [((a,), (b,)) for a, b in ends])
+
+
+@st.composite
 def pairs(draw):
     space = draw(st.sampled_from([LINE, E1, OPEN]))
     return space, draw(one_d_sets(space)), draw(one_d_sets(space))
+
+
+@st.composite
+def pairs_with_solids(draw):
+    sets = st.one_of(one_d_sets(E1), e1_solids())
+    return draw(st.one_of(pairs(), st.tuples(st.just(E1), sets, sets)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -268,6 +296,65 @@ def test_aw_distance_matches_window_walk(pair):
         # the rounded values it visited; the search reads g(J-1) only.
         assert cv.method == "exact-1d" and cv.is_exact
         assert abs(cv.lo - ref[0]) <= ROUNDING
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs_with_solids(), coord)
+def test_gap_and_distance_ranges_match_the_merged_intervals(pair, x):
+    space, A, B = pair
+    ia, ib = ref_merged(A), ref_merged(B)
+    assert set_gap(A, B) == set_gap(B, A) == ref_gap(ia, ib)
+    assert bounding_radius(A) == ref_far(_x(space.base_point), ia)
+    p = (x,) if space.kind == "euclidean" else x
+    assert dist_range(p, A) == (ref_dist(x, ia), ref_far(x, ia))
+
+
+def test_e1_sets_answer_like_the_same_intervals_on_the_line():
+    # each call below raised TypeError while E^1 queries went through
+    # float-point shapes
+    on_e1 = [ClosedSet.segments(E1, [((3.0,), (1.0,)), ((5.0,), (6.0,))]),
+             ClosedSet.balls(E1, [((2.0,), 1.0), ((5.5,), 0.5)]),
+             ClosedSet.boxes(E1, [((1.0,), (3.0,)), ((5.0,), (6.0,))])]
+    S = ClosedSet.intervals(LINE, [(1.0, 3.0), (5.0, 6.0)])
+    T, T1 = ClosedSet.points(LINE, [0.0, 4.5]), ClosedSet.points(E1, [(0.0,), (4.5,)])
+    for A in on_e1:
+        assert list(A.normal_form.intervals) == [(1.0, 3.0), (5.0, 6.0)]
+        assert dist_to_set((4.0,), A) == dist_to_set(4.0, S) == 1.0
+        assert repr(hausdorff(A, T1)) == repr(hausdorff(S, T)) == "<2.25 by exact-1d|finite-max>"
+        assert repr(aw_distance(A, T1)) == repr(aw_distance(S, T))
+        assert set_gap(A, T1) == set_gap(S, T) == 0.5
+        assert bounding_radius(A) == bounding_radius(S) == 6.0
+        assert dist_range((2.0,), A) == dist_range(2.0, S) == (0.0, 4.0)
+        assert (ArctanOfDistance(E1, (2.0,)).image(A)
+                == ArctanOfDistance(LINE, 2.0).image(S)
+                == ClosedSet.intervals(LINE, [(0.0, math.atan(1.0)),
+                                              (math.atan(3.0), math.atan(4.0))]))
+    assert dist_range((2.0,), T1) == (2.0, 2.5)
+    ray = ClosedSet.ray(E1, (1.0,), (-1.0,))
+    assert ArctanOfDistance(E1).image(ray) == ClosedSet.intervals(LINE, [(0.0, math.pi / 2)])
+
+
+def test_enlargement_keeps_point_centres_near_the_float_range():
+    A = ClosedSet.points(LINE, [-1.5e308, 1e308])
+    (contain,) = canonical_neighborhoods(A, "upperV", 1.0)
+    assert contain.open_set.balls == ((-1.5e308, 1.0), (1e308, 1.0))
+
+
+def test_one_d_gaps_and_ranges_never_use_the_n_d_shapes(monkeypatch):
+    def refuse(*shapes):
+        raise AssertionError(f"geom.gap{shapes}")
+
+    monkeypatch.setattr(geom, "gap", refuse)
+    for space in (LINE, E1, OPEN):
+        wrap = (lambda x: (x,)) if space.kind == "euclidean" else (lambda x: x)
+        sets = [ClosedSet.points(space, [wrap(-3.0), wrap(0.5), wrap(9.0)]),
+                ClosedSet.intervals(space, [(-8.0, -2.0), (1.0, 4.0)])]
+        if space.bounds is None:
+            sets.append(ClosedSet.ray(space, wrap(2.5), wrap(1.0)))
+        for A, B in itertools.product(sets, repeat=2):
+            set_gap(A, B)
+            dist_range(wrap(7.0), A)
+            bounding_radius(A)
 
 
 def ref_covered(ivs, balls):
