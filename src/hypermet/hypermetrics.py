@@ -149,6 +149,11 @@ class CertifiedValue:
             return 0.0
         return self.hi.as_float() - self.lo
 
+    def to_plain(self) -> dict:
+        """{lo, hi, method} for JSON output; an infinite hi is "inf"."""
+        return {"lo": self.lo, "hi": "inf" if self.hi.is_inf else self.hi.as_float(),
+                "method": self.method}
+
     def __repr__(self):
         if self.is_infinite:
             body = "inf"
@@ -355,6 +360,15 @@ def set_gap(A: ClosedSet, B: ClosedSet) -> float:
 # window suprema of the distance-gap function
 
 
+def _check_budget(tol, node_cap, radius=1.0):
+    """radius and tol finite and > 0; node_cap an int >= 1, not a bool."""
+    for name, v in (("radius", radius), ("tol", tol)):
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+    if isinstance(node_cap, bool) or not isinstance(node_cap, int) or node_cap < 1:
+        raise ValueError(f"node_cap must be an int >= 1, got {node_cap!r}")
+
+
 def sup_gap_on_ball(A: ClosedSet, B: ClosedSet, radius: float, *,
                     tol: float = DEFAULT_TOL, node_cap: int = NODE_CAP) -> CertifiedValue:
     """sup of |d(x, A) - d(x, B)| over the open ball of the given
@@ -366,8 +380,7 @@ def sup_gap_on_ball(A: ClosedSet, B: ClosedSet, radius: float, *,
     """
     A.space.require_same(B.space)
     radius = float(radius)
-    if radius <= 0:
-        raise ValueError("window radius must be positive")
+    _check_budget(tol, node_cap, radius)
     slack = A.slack + B.slack
     space = A.space
     if space.kind == FINITE:
@@ -492,6 +505,7 @@ def aw_distance(A: ClosedSet, B: ClosedSet, *,
     elsewhere.
     """
     A.space.require_same(B.space)
+    _check_budget(tol, node_cap)
     slack = A.slack + B.slack
     space = A.space
     try:
@@ -647,6 +661,7 @@ def aw_less_than(A: ClosedSet, B: ClosedSet, eps: float, *,
     Raises Indeterminate if a grid certificate straddles the threshold.
     """
     eps = float(eps)
+    _check_budget(tol, node_cap)
     if not 0.0 < eps < 1.0:
         raise ValueError("the single-window comparison needs eps in (0, 1)")
     j = max(1, int(math.floor(1.0 / eps)))

@@ -23,6 +23,7 @@ Every parse failure raises LiteralError with the offending text.
 from __future__ import annotations
 
 import ast
+import functools
 
 from .actions import GroupElement
 from .induced import (Affine, ArctanOfDistance, Identity, LinearMatrix,
@@ -42,7 +43,7 @@ def _literal(text: str):
         raise LiteralError(f"cannot read {text!r}: {exc}") from exc
 
 
-def _fields(parts):
+def parse_fields(parts):
     """['a=1', 'b=(0,0)'] -> {'a': 1, 'b': (0, 0)} via literal_eval."""
     out = {}
     for part in parts:
@@ -72,23 +73,36 @@ def _split_top(text: str, sep: str):
     return parts
 
 
+def _shaped(kind: str):
+    """Report a missing (KeyError) or misshapen (TypeError) field of a
+    KIND literal as a LiteralError naming the literal."""
+    def wrap(parse):
+        @functools.wraps(parse)
+        def checked(text, *args):
+            try:
+                return parse(text, *args)
+            except (KeyError, TypeError) as exc:
+                raise LiteralError(f"{kind} {text!r}: missing or misshapen field {exc}") from exc
+        return checked
+    return wrap
+
+
 # ---------------------------------------------------------------------------
 # spaces
 
 
+@_shaped("space")
 def parse_space(text: str) -> AmbientSpace:
     text = text.strip()
     head, *rest = _split_top(text, ":")
     head = head.strip()
     if head == "line":
-        kw = _fields(rest)
-        return AmbientSpace.line(**_expect(kw, "line", {"x0"}))
+        return AmbientSpace.line(**_expect(parse_fields(rest), "line", {"x0"}))
     if head == "euclidean":
-        kw = _fields(rest)
-        return AmbientSpace.euclidean(**_expect(kw, "euclidean", {"n", "x0"}))
+        return AmbientSpace.euclidean(**_expect(parse_fields(rest), "euclidean", {"n", "x0"}))
     if head == "open":
-        kw = _fields(rest)
-        return AmbientSpace.open_interval(**_expect(kw, "open", {"a", "b", "x0"}))
+        return AmbientSpace.open_interval(**_expect(parse_fields(rest), "open",
+                                                    {"a", "b", "x0"}))
     if head == "finite":
         if len(rest) != 1:
             raise LiteralError("finite space needs its matrix: finite:[[0,1],[1,0]]")
@@ -107,6 +121,7 @@ def _expect(kw: dict, what: str, allowed: set) -> dict:
 # sets
 
 
+@_shaped("set")
 def parse_set(text: str, space: AmbientSpace) -> ClosedSet:
     text = text.strip()
     if text.startswith("{"):
@@ -157,6 +172,7 @@ def _as_pair(v, what: str):
 # open sets (hit-and-miss constraints)
 
 
+@_shaped("open set")
 def parse_open_set(text: str, space: AmbientSpace):
     """`ball(c,r)uball(c2,r2)` as a union of open balls, or
     `complement(<set literal>)` for the complement of a compact."""
@@ -178,6 +194,7 @@ def parse_open_set(text: str, space: AmbientSpace):
 # maps
 
 
+@_shaped("map")
 def parse_map(text: str, space: AmbientSpace = None):
     text = text.strip()
     head, *rest = _split_top(text, ":")
@@ -185,7 +202,7 @@ def parse_map(text: str, space: AmbientSpace = None):
     if head == "identity":
         return Identity(space if space is not None else AmbientSpace.line())
     if head == "affine":
-        kw = _expect(_fields(rest), "affine", {"a", "b"})
+        kw = _expect(parse_fields(rest), "affine", {"a", "b"})
         return Affine(float(kw.get("a", 1.0)), float(kw.get("b", 0.0)))
     if head == "linear":
         if len(rest) != 1:
@@ -194,14 +211,12 @@ def parse_map(text: str, space: AmbientSpace = None):
     if head == "sin-reciprocal":
         return SinReciprocal()
     if head == "arctan":
-        kw = _expect(_fields(rest), "arctan", {"anchor"})
+        kw = _expect(parse_fields(rest), "arctan", {"anchor"})
         return ArctanOfDistance(space if space is not None else AmbientSpace.line(),
                                 kw.get("anchor"))
     if head == "piecewise":
-        kw = _expect(_fields(rest), "piecewise",
+        kw = _expect(parse_fields(rest), "piecewise",
                      {"knots", "values", "left", "right"})
-        if "knots" not in kw or "values" not in kw:
-            raise LiteralError("piecewise needs knots=[...] and values=[...]")
         return PiecewiseMonotone1D(tuple(kw["knots"]), tuple(kw["values"]),
                                    float(kw.get("left", 0.0)),
                                    float(kw.get("right", 0.0)))
@@ -212,24 +227,23 @@ def parse_map(text: str, space: AmbientSpace = None):
 # group elements
 
 
+_ELEMENTS = {  # head: (fields it takes, builder)
+    "identity": ({"n"}, lambda kw: GroupElement.identity(int(kw.get("n", 2)))),
+    "rotation": ({"theta"}, lambda kw: GroupElement.rotation(float(kw["theta"]))),
+    "translation": ({"v"}, lambda kw: GroupElement.translation(kw["v"])),
+    "scaling": ({"lam", "n"},
+                lambda kw: GroupElement.scaling(float(kw["lam"]), int(kw.get("n", 2)))),
+    "isometry": ({"q", "t"},
+                 lambda kw: GroupElement.isometry(tuple(map(tuple, kw["q"])), kw["t"])),
+}
+
+
+@_shaped("group element")
 def parse_element(text: str) -> GroupElement:
     text = text.strip()
     head, *rest = _split_top(text, ":")
     head = head.strip()
-    kw = _fields(rest)
-    if head == "identity":
-        _expect(kw, "identity", {"n"})
-        return GroupElement.identity(int(kw.get("n", 2)))
-    if head == "rotation":
-        _expect(kw, "rotation", {"theta"})
-        return GroupElement.rotation(float(kw["theta"]))
-    if head == "translation":
-        _expect(kw, "translation", {"v"})
-        return GroupElement.translation(kw["v"])
-    if head == "scaling":
-        _expect(kw, "scaling", {"lam", "n"})
-        return GroupElement.scaling(float(kw["lam"]), int(kw.get("n", 2)))
-    if head == "isometry":
-        _expect(kw, "isometry", {"q", "t"})
-        return GroupElement.isometry(tuple(map(tuple, kw["q"])), kw["t"])
-    raise LiteralError(f"unknown group element {text!r}")
+    if head not in _ELEMENTS:
+        raise LiteralError(f"unknown group element {text!r}")
+    fields, build = _ELEMENTS[head]
+    return build(_expect(parse_fields(rest), head, fields))

@@ -18,8 +18,7 @@ import numpy as np
 from .actions import (GroupElement, act, compose, group_distance,
                       probe_action_continuity)
 from .hitmiss import canonical_neighborhoods, converges, misses
-from .hypermetrics import (CertifiedValue, aw_distance, excess, hausdorff,
-                           set_gap)
+from .hypermetrics import aw_distance, excess, hausdorff, set_gap
 from .induced import (ArctanOfDistance, LinearMatrix, SinReciprocal,
                       check_preimage_boundedness, induced_image,
                       uniform_continuity_witness)
@@ -53,11 +52,6 @@ class ScenarioReport:
         return self.passed
 
 
-def _cv(v: CertifiedValue) -> dict:
-    return {"lo": v.lo, "hi": "inf" if v.hi.is_inf else v.hi.as_float(),
-            "method": v.method}
-
-
 def _check(asserts, name, ok, detail=""):
     asserts.append(Assertion(name, bool(ok), detail))
 
@@ -87,8 +81,8 @@ def run_oscillating_tail(cfg: OscillatingTailConfig, seed: int) -> ScenarioRepor
         d_in = hausdorff(Ak, A)
         predicted = 1.0 / (4.0 * math.pi * k * (k + 1))
         d_out = hausdorff(induced_image(f, Ak), fA)
-        rows.append({"k": k, "d_in": _cv(d_in), "predicted_in": predicted,
-                     "d_out": _cv(d_out), "predicted_out": 1.0})
+        rows.append({"k": k, "d_in": d_in.to_plain(), "predicted_in": predicted,
+                     "d_out": d_out.to_plain(), "predicted_out": 1.0})
         _check(asserts, f"d_in matches half-gap (k={k})",
                d_in.is_exact and abs(d_in.lo - predicted) <= 1e-9,
                f"{d_in.lo} vs {predicted}")
@@ -129,8 +123,8 @@ def run_escaping_pair(cfg: EscapingPairConfig, seed: int) -> ScenarioReport:
         B = ClosedSet.points(X, [0.0, float(n)])
         d_in = aw_distance(A, B)
         d_out = aw_distance(fA, induced_image(f, B))
-        rows.append({"n": n, "d_in": _cv(d_in), "bound_in": 2.0 / n,
-                     "d_out": _cv(d_out), "predicted_out": 0.5})
+        rows.append({"n": n, "d_in": d_in.to_plain(), "bound_in": 2.0 / n,
+                     "d_out": d_out.to_plain(), "predicted_out": 0.5})
         _check(asserts, f"windowed distance within 2/n (n={n})",
                d_in.is_exact and d_in.lo <= 2.0 / n,
                f"{d_in.lo} vs {2.0 / n}")
@@ -171,7 +165,7 @@ def run_tilted_ray(cfg: TiltedRayConfig, seed: int) -> ScenarioReport:
     for theta in cfg.angles:
         tilted = ClosedSet.ray(E2, (0.0, 0.0), (math.cos(theta), math.sin(theta)))
         e = excess(tilted, base)
-        rows.append({"theta": theta, "R": "inf", "excess": _cv(e)})
+        rows.append({"theta": theta, "R": "inf", "excess": e.to_plain()})
         _check(asserts, f"tilted excess is infinite (theta={theta})",
                e.is_infinite, e.method)
         for R in cfg.radii:
@@ -179,7 +173,7 @@ def run_tilted_ray(cfg: TiltedRayConfig, seed: int) -> ScenarioReport:
             seg_tilt = truncate(tilted, R)
             d = hausdorff(seg_tilt, seg_base)
             predicted = R * math.sin(theta)
-            rows.append({"theta": theta, "R": R, "d_trunc": _cv(d),
+            rows.append({"theta": theta, "R": R, "d_trunc": d.to_plain(),
                          "predicted": predicted})
             _check(asserts, f"truncated distance R*sin(theta) (theta={theta}, R={R})",
                    (not d.hi.is_inf)
@@ -221,8 +215,8 @@ def run_windowed_action(cfg: WindowedActionConfig, seed: int) -> ScenarioReport:
     rows = []
     asserts = []
     for d, row in zip(cfg.deltas, report.rows):
-        rows.append({"delta": d, "d_group": _cv(row.d_group),
-                     "d_set": _cv(row.d_set), "d_out": _cv(row.d_out)})
+        rows.append({"delta": d, "d_group": row.d_group.to_plain(),
+                     "d_set": row.d_set.to_plain(), "d_out": row.d_out.to_plain()})
         _check(asserts, f"group shift measured exactly (delta={d})",
                row.d_group.is_exact and row.d_group.lo == d, f"{row.d_group.lo}")
         _check(asserts, f"output stays within input reach (delta={d})",
@@ -283,8 +277,8 @@ def run_rigid_corpus(cfg: RigidCorpusConfig, seed: int) -> ScenarioReport:
             violations += 1
         if i < 5:
             rows.append({"instance": i, "theta": theta,
-                         "d_group": _cv(d_group), "d_set": _cv(d_set),
-                         "d_out": _cv(d_out), "bound": bound})
+                         "d_group": d_group.to_plain(), "d_set": d_set.to_plain(),
+                         "d_out": d_out.to_plain(), "bound": bound})
     rows.append({"instance": "summary", "checked": cfg.instances,
                  "violations": violations, "worst_slack": worst_slack})
     _check(asserts, "triangle transfer holds across the corpus",
@@ -325,8 +319,8 @@ def run_moving_witness(cfg: MovingWitnessConfig, seed: int) -> ScenarioReport:
     for m in cfg.probes:
         rec = uniform_continuity_witness(f, pairs, m)
         rows.append({"m": m, "pair_distance": rec.pair_distance,
-                     "set_distance": _cv(rec.set_distance),
-                     "image_distance": _cv(rec.image_distance),
+                     "set_distance": rec.set_distance.to_plain(),
+                     "image_distance": rec.image_distance.to_plain(),
                      "bound_ok": rec.bound_ok, "separated": rec.separated})
         _check(asserts, f"set distance below the pair distance (m={m})",
                rec.bound_ok,
@@ -434,6 +428,18 @@ def run(name: str, seed: int = DEFAULT_SEED, **overrides) -> ScenarioReport:
     except KeyError:
         raise ValueError(f"unknown scenario {name!r}; pick one of {available()}")
     cfg = cfg_cls()
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return runner(cfg, int(seed))
+    fields = asdict(cfg)
+    for key, value in overrides.items():
+        if key not in fields:
+            raise ValueError(f"{name} has no parameter {key!r}; it has {sorted(fields)}")
+        if not _fits(value, fields[key]):
+            raise ValueError(f"{name}: {key} takes values like {fields[key]!r}, got {value!r}")
+    return runner(replace(cfg, **overrides), int(seed))
+
+
+def _fits(value, default) -> bool:
+    """An int for an int field, an int or float for a float one, and for
+    a tuple a tuple or list whose items fit the default's first item."""
+    if isinstance(default, tuple):
+        return isinstance(value, (tuple, list)) and all(_fits(v, default[0]) for v in value)
+    return type(value) is int or (type(value) is float and isinstance(default, float))

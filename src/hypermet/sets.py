@@ -374,9 +374,11 @@ def truncate(A: ClosedSet, L: float):
     """A intersected with the closed ball of radius L around the base
     point, in the same representation family.
 
-    Returns None when the intersection is empty.  Partial overlaps that
-    the family cannot express exactly (a ball or solid box cut by the
-    window sphere) raise UnsupportedPair.
+    Returns None when the intersection is empty.  On a 1-D ambient
+    every set that is not a point set is cut as its normal form and
+    comes back as an interval union.  Partial overlaps that the family
+    cannot express exactly (a ball or solid box cut by the window
+    sphere in R^n, n >= 2) raise UnsupportedPair.
     """
     space = A.space
     L = float(L)
@@ -393,7 +395,7 @@ def truncate(A: ClosedSet, L: float):
 
     x0 = space.canon_point(space.base_point)
 
-    if isinstance(rep, IntervalUnion) or (space.is_one_dimensional and isinstance(rep, Ray)):
+    if space.is_one_dimensional:
         lo_w, hi_w = _coord(x0) - L, _coord(x0) + L
         clipped = [(max(a, lo_w), min(b, hi_w)) for a, b in A.normal_form.intervals]
         clipped = [(a, b) for a, b in clipped if a <= b]

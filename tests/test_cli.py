@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -228,3 +229,59 @@ def test_scenario_unknown_param_is_usage_error(runner):
 
 def test_scenario_unknown_name_is_usage_error(runner):
     invoke(runner, ["scenario", "run", "missing-scenario"], code=2)
+
+
+# ---------------------------------------------------------------------------
+# the recorded bytes and the refused inputs
+
+# Full stdout and exit code of exact-path invocations (1-D and finite
+# ambients only: grid and SVD outputs can vary in the last bits across
+# numpy builds), recorded from the CLI before its commands shared one
+# pipeline.  Default output is schema v1 and must not move.
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[f"{i:02d}" for i in range(len(GOLDEN))])
+def test_output_matches_the_recorded_bytes(runner, case):
+    res = runner.invoke(main, case["argv"])
+    assert (res.exit_code, res.stdout) == (case["exit_code"], case["stdout"])
+
+
+PERTURB = ["--perturb", "translation:v=(0.05,0) ; ball((0,0),1)", "ball((0,0),1)"]
+# each of these but the last ended in a traceback (the last reached exit 2
+# only by catching TypeError); a name is the indeterminate answer's
+CRASHES = [
+    (["dist", "--metric", "AW", "--space", "euclidean:n=2", "--node-cap", "5",
+      "{(0,0)}", "{(1,0)}"], "AW(A, B)"),
+    (["probe-action", "--element", "identity:n=2", "--metric", "AW",
+      "--node-cap", "5", *PERTURB], "violation"),
+    (["scenario", "run", "windowed-action", "--param", "node_cap=2"], "scenario passed"),
+    (["dist", "--metric", "AW", "--space", "euclidean:n=2", "--tol", "0",
+      "{(0,0)}", "{(1,0)}"], None),
+    (["dist", "--metric", "AW", "--tol", "nan", "{0}", "{1}"], None),
+    (["action", "--element", "rotation", "{(1,0)}"], None),
+    (["action", "--element", "scaling:n=2", "{(1,0)}"], None),
+    (["action", "--element", "isometry:q=[[1,0],[0,1]]", "{(1,0)}"], None),
+    (["action", "--element", "rotation:theta=(1,2)", "{(1,0)}"], None),
+    (["induce", "--map", "linear:[1,2]", "{(1,0)}"], None),
+    (["induce", "--map", "piecewise:knots=1:values=2", "[0,1]"], None),
+    (["dist", "--space", "euclidean", "{0}", "{1}"], None),
+    (["dist", "[0,None]", "{1}"], None),
+    (["converge", "--family", "reciprocal", "--hit", "ball(0,None)"], None),
+    (["probe-action", "--element", "identity:n=2", "--metric", "H", "--tol", "0.1",
+      *PERTURB], None),
+    (["probe-induced", "--map", "identity", "--perturb", "{0}", "--eps", "nan", "{0}"], None),
+    (["scenario", "run", "oscillating-tail", "--param", "k_max=3.0"], None),
+]
+
+
+@pytest.mark.parametrize("argv,answer", CRASHES, ids=[f"{i:02d}" for i in range(len(CRASHES))])
+def test_refused_and_indeterminate_inputs_exit_cleanly(runner, argv, answer):
+    res = runner.invoke(main, argv)
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+    if answer is None:
+        assert res.exit_code == 2 and "Error:" in res.output and res.stdout == ""
+        return
+    assert res.exit_code == 1
+    doc, vals = by_name(res.stdout)
+    assert vals == {answer: "indeterminate"} and doc["results"][0]["detail"]

@@ -413,3 +413,49 @@ def test_certified_value_invariants():
         CertifiedValue.interval(-1.0, 1.0, "grid")
     with pytest.raises(ValueError):
         CertifiedValue(math.inf, ext(3.0), "bad")
+
+
+# ---------------------------------------------------------------------------
+# budgets are checked where they enter
+
+
+FINITE = AmbientSpace.finite(((0.0, 1.0, 2.0), (1.0, 0.0, 1.0), (2.0, 1.0, 0.0)))
+BUDGET_PAIRS = {
+    "line": (ClosedSet.points(LINE, [0.0, 1.0]), ClosedSet.points(LINE, [0.0, 3.0])),
+    "finite": (ClosedSet.points(FINITE, [0]), ClosedSet.points(FINITE, [0, 2])),
+    "R^2": (ClosedSet.points(E2, [(0.0, 0.0)]), ClosedSet.points(E2, [(0.0, 0.0), (3.0, 0.0)])),
+}
+BUDGET_CALLS = {
+    "sup_gap_on_ball radius": lambda A, B, v: sup_gap_on_ball(A, B, v),
+    "sup_gap_on_ball tol": lambda A, B, v: sup_gap_on_ball(A, B, 1.0, tol=v),
+    "sup_gap_on_ball node_cap": lambda A, B, v: sup_gap_on_ball(A, B, 1.0, node_cap=v),
+    "aw_distance tol": lambda A, B, v: aw_distance(A, B, tol=v),
+    "aw_distance node_cap": lambda A, B, v: aw_distance(A, B, node_cap=v),
+    "aw_less_than tol": lambda A, B, v: aw_less_than(A, B, 0.3, tol=v),
+    "aw_less_than node_cap": lambda A, B, v: aw_less_than(A, B, 0.3, node_cap=v),
+}
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", sorted(BUDGET_CALLS))
+@pytest.mark.parametrize("ambient", sorted(BUDGET_PAIRS))
+def test_bad_budgets_are_refused(ambient, call, bad):
+    # unchecked, an infinite radius gave 0.0 on the line (the exact value
+    # is 2.0), tol=0 divided by zero in R^2 and a NaN tol failed in int()
+    A, B = BUDGET_PAIRS[ambient]
+    with pytest.raises(ValueError, match="must be"):
+        BUDGET_CALLS[call](A, B, bad)
+
+
+@pytest.mark.parametrize("cap", [True, 2.0e5, "200000"])
+def test_node_cap_must_be_an_int(cap):
+    A, B = BUDGET_PAIRS["R^2"]
+    with pytest.raises(ValueError, match="node_cap must be an int"):
+        aw_distance(A, B, node_cap=cap)
+
+
+def test_a_positive_cap_below_the_coarsest_grid_stays_indeterminate():
+    A, B = BUDGET_PAIRS["R^2"]
+    with pytest.raises(Indeterminate, match="node_cap=5"):
+        sup_gap_on_ball(A, B, 1.0, node_cap=5)
+    assert sup_gap_on_ball(*BUDGET_PAIRS["line"], 1.0e6).lo == 2.0

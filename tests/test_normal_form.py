@@ -20,7 +20,7 @@ from hypermet.errors import Indeterminate
 from hypermet.hitmiss import OpenSetRep, canonical_neighborhoods, subset_of
 from hypermet.hypermetrics import aw_distance, excess, hausdorff, set_gap, sup_gap_on_ball
 from hypermet.induced import ArctanOfDistance, dist_range
-from hypermet.sets import bounding_radius, dist_to_set, truncate
+from hypermet.sets import IntervalUnion, bounding_radius, dist_to_set, truncate
 
 LINE = AmbientSpace.line()
 E1 = AmbientSpace.euclidean(1)
@@ -370,7 +370,7 @@ def ref_covered(ivs, balls):
 
 
 @settings(max_examples=200, deadline=None)
-@given(pairs(), st.sampled_from([0.5, 3.0, 40.0, 1.0e4]),
+@given(pairs_with_solids(), st.sampled_from([0.5, 3.0, 40.0, 1.0e4]),
        st.lists(st.tuples(coord, st.sampled_from([0.5, 2.0, 1.0e3])),
                 min_size=1, max_size=3))
 def test_truncate_and_cover_match_the_merged_intervals(pair, L, balls):
@@ -381,9 +381,19 @@ def test_truncate_and_cover_match_the_merged_intervals(pair, L, balls):
     clipped = [(lo, hi) for lo, hi in clipped if lo <= hi]
     T = truncate(A, L)
     assert (T is None and not clipped) or list(T.normal_form.intervals) == clipped
+    if T is not None and not hasattr(A.rep, "points"):
+        assert isinstance(T.rep, IntervalUnion)
     wrap = (lambda x: (x,)) if space.kind == "euclidean" else (lambda x: x)
     U = OpenSetRep.ball_union(space, [(wrap(c), r) for c, r in balls])
     assert subset_of(A, U) == ref_covered(ivs, balls)
+
+
+def test_e1_balls_and_boxes_cut_by_the_window_are_intervals():
+    # both raised UnsupportedPair while E^1 solids were cut as n-D shapes
+    ball = truncate(ClosedSet.balls(E1, [((0.0,), 2.0)]), 1.0)
+    box = truncate(ClosedSet.boxes(E1, [((0.5,), (3.0,)), ((-5.0,), (-4.0,))]), 1.0)
+    assert ball == ClosedSet.intervals(E1, [(-1.0, 1.0)])
+    assert box == ClosedSet.intervals(E1, [(0.5, 1.0)])
 
 
 def test_tied_candidates_keep_the_scan_witness():

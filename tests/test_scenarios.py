@@ -90,5 +90,17 @@ def test_seed_is_recorded_and_changes_random_rows():
 def test_unknown_scenario_and_override():
     with pytest.raises(ValueError):
         scenarios.run("no-such-scenario")
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="no parameter 'horizon'"):
         scenarios.run("oscillating-tail", horizon=5)
+
+
+@pytest.mark.parametrize("override", [{"k_max": 3.0}, {"k_max": "[1"}, {"k_max": True},
+                                      {"n_points": (5,)}])
+def test_override_of_the_wrong_type_is_refused(override):
+    with pytest.raises(ValueError, match="takes values like"):
+        scenarios.run("oscillating-tail", **override)
+
+
+def test_overrides_may_widen_ints_to_floats_and_tuples_to_lists():
+    report = scenarios.run("proper-miss", matrix=[[2, 1], [0, 1]], horizon=50)
+    assert report.passed and report.params["matrix"] == [[2, 1], [0, 1]]
