@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import Indeterminate
 from .hypermetrics import CertifiedValue
-from .induced import (_np, _scaled_orthogonal, _sigma_max, affine_image,
-                      metric_by_name)
+from .induced import (_check_thresholds, _np, _scaled_orthogonal, _sigma_max,
+                      affine_image, metric_by_name)
 from .sets import (ClosedSet, FinitePoints, SampledCloud, _box_corners,
                    is_bounded, is_subset)
 from .spaces import AmbientSpace
@@ -332,8 +332,10 @@ def probe_action_continuity(g: GroupElement, A: ClosedSet, metric: str,
     distance (uniform on the reference ball), the set distance, and the
     output distance between g(A) and h(B).  A violation requires, under
     every delta, a row whose certified input proximity sits below delta
-    while the certified output distance exceeds eps.
+    while the certified output distance exceeds eps.  eps and every delta
+    must be finite and > 0.
     """
+    _check_thresholds(eps, delta_schedule)
     dist = metric_by_name(metric)
     gA = act(g, A)
     rows = []

@@ -13,9 +13,12 @@ integer window radii j >= 1 of
 which lands in [0, 1] and is insensitive to far-away discrepancies.
 On the line, on interval subspaces and on finite metric spaces the
 window suprema have exact closed forms (the gap function is piecewise
-linear, so a finite candidate scan is enough); in higher dimension the
-suprema are certified by Lipschitz grids and the result is an honest
-interval.
+linear, so a finite candidate scan is enough).  In higher dimension the
+suprema are certified by branch-and-bound over cubes: each cube is
+evaluated at one point and bounded by the pair bound of _GapBound,
+which reads the Hausdorff distances, distances and gradients of the
+sets' convex pieces.  The result is an honest interval, widened by an a
+priori rounding allowance; node_cap caps the evaluations.
 """
 
 from __future__ import annotations
@@ -360,11 +363,16 @@ def set_gap(A: ClosedSet, B: ClosedSet) -> float:
 # window suprema of the distance-gap function
 
 
+def require_positive(name: str, v) -> None:
+    """Refuse a threshold or radius that is not finite and > 0."""
+    if not (math.isfinite(v) and v > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+
+
 def _check_budget(tol, node_cap, radius=1.0):
     """radius and tol finite and > 0; node_cap an int >= 1, not a bool."""
-    for name, v in (("radius", radius), ("tol", tol)):
-        if not (math.isfinite(v) and v > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+    require_positive("radius", radius)
+    require_positive("tol", tol)
     if isinstance(node_cap, bool) or not isinstance(node_cap, int) or node_cap < 1:
         raise ValueError(f"node_cap must be an int >= 1, got {node_cap!r}")
 
@@ -374,9 +382,10 @@ def sup_gap_on_ball(A: ClosedSet, B: ClosedSet, radius: float, *,
     """sup of |d(x, A) - d(x, B)| over the open ball of the given
     radius around the base point.
 
-    Exact (finite candidate scan) on 1-D and finite ambients; grid
-    certified in R^n, where the gap function is 2-Lipschitz, with
-    target interval width tol subject to the node cap.
+    Exact (finite candidate scan) on 1-D and finite ambients.  In R^n a
+    branch-and-bound over cubes certifies it with target interval width
+    tol, evaluating at most node_cap points (a cap below 3^n raises
+    Indeterminate); a search the cap stops returns its wider interval.
     """
     A.space.require_same(B.space)
     radius = float(radius)
@@ -388,7 +397,7 @@ def sup_gap_on_ball(A: ClosedSet, B: ClosedSet, radius: float, *,
     elif space.is_one_dimensional:
         cv = _sup_gap_1d(space, A, B, radius)
     else:
-        cv = _sup_gap_grid(space, A, B, radius, tol, node_cap)
+        cv = _sup_gap_bnb(space, A, B, radius, tol, node_cap)
     return _widen(cv, slack)
 
 
@@ -425,72 +434,386 @@ def _sup_gap_1d(space, A, B, radius) -> CertifiedValue:
     return _first_max(cands, np.abs(na.dists(cands) - nb.dists(cands)), "exact-1d", lo_w)
 
 
-def _batch_dist(X: np.ndarray, S: ClosedSet) -> np.ndarray:
-    best = np.full(len(X), np.inf)
-    for kind, data in S.components():
-        if kind == "point":
-            d = np.linalg.norm(X - np.asarray(data), axis=1)
-        elif kind == "ball":
-            c, r = data
-            d = np.maximum(np.linalg.norm(X - np.asarray(c), axis=1) - r, 0.0)
-        elif kind == "box":
-            lo, hi = np.asarray(data[0]), np.asarray(data[1])
-            out = np.maximum(lo - X, 0.0) + np.maximum(X - hi, 0.0)
-            d = np.linalg.norm(out, axis=1)
-        elif kind == "segment":
-            p, q = np.asarray(data[0]), np.asarray(data[1])
-            v = q - p
-            L2 = float(v @ v)
-            t = np.clip(((X - p) @ v) / L2, 0.0, 1.0) if L2 > 0 else np.zeros(len(X))
-            d = np.linalg.norm(X - (p + t[:, None] * v), axis=1)
-        elif kind == "ray":
-            a, u = np.asarray(data[0]), np.asarray(data[1])
-            t = np.maximum((X - a) @ u, 0.0)
-            d = np.linalg.norm(X - (a + t[:, None] * u), axis=1)
-        else:
-            raise UnsupportedPair(f"cannot batch-evaluate distance to {kind!r}")
-        best = np.minimum(best, d)
-    return best
+# The n-D window supremum is certified by branch-and-bound over cubes
+# (Piyavskii 1972, Shubert 1972; the cube splitting of DIRECT, Jones et
+# al. 1993).  Both sets are convex pieces stacked into one array form,
+# and one kernel gives the distance to, and the unit gradient of, every
+# piece at a batch of points.  Arrays keep the point axis last, so that
+# reductions over coordinates and pieces run over leading axes.
+
+_U = 2.0 ** -53          # unit roundoff of binary64
+_CHUNK_BYTES = 1 << 22   # kernel temporaries stay near this size
+_NEAREST = 6             # pieces per set, nearest the point, in a pair bound
 
 
-def _grid_k(n: int, node_cap: int) -> int:
-    """The largest even k whose grid of (k+1)^n nodes fits in node_cap
-    (even keeps the center on the grid)."""
+def _allowance(n: int, scale: float) -> float:
+    """A priori bound on the rounding error of one kernel distance (and
+    of its offset vector) in R^n when every coordinate, radius and query
+    coordinate is at most scale in absolute value.
+
+    The summed squares of an offset carry a relative error of at most
+    gamma_{n+2} (Higham 2002, ch. 3, gamma_k = k u / (1 - k u)), the
+    square root and a ball's radius one more rounding each, and the
+    projection onto a segment or ray moves the foot point by a relative
+    gamma_{n+2} of the offset.  Offsets are at most 2 sqrt(n) scale long;
+    the bound takes these terms with a factor of four to spare.
+    """
+    return 32.0 * (n + 4) * math.sqrt(n) * _U * scale
+
+
+def _stack(kind, datas):
+    """The arrays of the pieces of one kind, shaped (n, k, 1) or (k, 1)
+    (see _offsets)."""
+    if kind == "point":
+        return (np.array(datas, dtype=float).T[:, :, None],)
+    first = np.array([d[0] for d in datas], dtype=float)
+    second = np.array([d[1] for d in datas], dtype=float)
+    if kind == "ball":
+        return first.T[:, :, None], second[:, None]
+    first, second = first.T[:, :, None], second.T[:, :, None]
+    if kind == "segment":
+        v = second - first
+        return first, v, (v * v).sum(axis=0)
+    return first, second  # box (lo, hi), ray (anchor, direction)
+
+
+def _offsets(kind, X, arrs):
+    """x - P(x) for every point x and every piece of one kind, P the
+    nearest point (for a ball, the offset from its centre).  X has shape
+    (n, 1, N), coordinates first; the result has shape (n, k, N)."""
+    first = arrs[0]
+    if kind in ("point", "ball"):
+        return X - first
+    if kind == "box":
+        return X - np.clip(X, first, arrs[1])
+    W, v = X - first, arrs[1]
+    t = (W * v).sum(axis=0)
+    if kind == "segment":
+        L2 = np.broadcast_to(arrs[2], t.shape)
+        t = np.clip(np.divide(t, L2, out=np.zeros_like(t), where=L2 > 0.0), 0.0, 1.0)
+    elif kind == "ray":
+        t = np.maximum(t, 0.0)
+    else:
+        raise UnsupportedPair(f"no distance kernel for {kind!r}")
+    return W - t * v
+
+
+class _Pieces:
+    """The components of A followed by those of B, stacked per kind;
+    row j of the kernel's output is component j."""
+
+    def __init__(self, comps):
+        self.comps, self.m = comps, len(comps)
+        groups = {}
+        for col, (kind, data) in enumerate(comps):
+            groups.setdefault(kind, []).append((col, data))
+        self.blocks, scale = [], 0.0
+        for kind, items in groups.items():
+            rows = np.array([c for c, _ in items])
+            arrs = _stack(kind, [d for _, d in items])
+            radius = arrs[1] if kind == "ball" else None
+            coords = np.abs(arrs[0]) + (0.0 if radius is None else radius)
+            if kind == "box":
+                coords = np.maximum(coords, np.abs(arrs[1]))
+            elif kind == "segment":
+                coords = np.maximum(coords, np.abs(arrs[0] + arrs[1]))
+            scale = max(scale, float(coords.max()))
+            self.blocks.append((kind, rows, arrs, radius))
+        self.scale = scale
+
+
+def _kernel(X: np.ndarray, pieces: _Pieces):
+    """Distances D (m, N) from the N rows of X to the m pieces, and unit
+    gradients G (n, m, N): (x - P(x)) / d, or 0 where d is 0.
+
+    One formula for every kind: the norm is the square root of the summed
+    squares of the offset, and a ball subtracts its radius from it.
+    """
+    N, n = X.shape
+    Xt = np.ascontiguousarray(X.T)[:, None, :]
+    D = np.empty((pieces.m, N))
+    G = np.empty((n, pieces.m, N))
+    for kind, rows, arrs, radius in pieces.blocks:
+        W = _offsets(kind, Xt, arrs)
+        norm = np.sqrt((W * W).sum(axis=0))
+        d = norm if radius is None else np.maximum(norm - radius, 0.0)
+        D[rows] = d
+        G[:, rows] = np.divide(W, norm, out=np.zeros_like(W), where=d > 0.0)
+    return D, G
+
+
+def _far(X, s, x0, radius, pieces: _Pieces):
+    """Upper bounds F (m, N) on the distance to each piece over the cube
+    of half-side s around each row of X within the window: exact over the
+    cube for points, balls and boxes (the sup sits at a corner), and for
+    points and balls capped by its exact sup over the window; inf for
+    segments and rays."""
+    Xt = np.ascontiguousarray(X.T)[:, None, :]
+    F = np.full((pieces.m, len(X)), np.inf)
+    for kind, rows, arrs, ball_r in pieces.blocks:
+        if kind == "box":
+            W = np.maximum(np.maximum(arrs[0] - Xt, Xt - arrs[1]) + s, 0.0)
+            F[rows] = np.sqrt((W * W).sum(axis=0))
+        elif kind in ("point", "ball"):
+            W, r = np.abs(Xt - arrs[0]) + s, (0.0 if ball_r is None else ball_r)
+            c = arrs[0][:, :, 0] - x0[:, None]
+            window = np.sqrt((c * c).sum(axis=0))[:, None] + radius - r
+            F[rows] = np.maximum(np.minimum(np.sqrt((W * W).sum(axis=0)) - r, window), 0.0)
+    return F
+
+
+def _chunks(n_rows, row_bytes):
+    """Row slices whose temporaries stay within _CHUNK_BYTES."""
+    step = max(1, _CHUNK_BYTES // row_bytes)
+    return (slice(i, i + step) for i in range(0, n_rows, step))
+
+
+def _nearest(D, G, F):
+    """Per point: the indices (k, N) of the _NEAREST pieces closest to it
+    (all of them, as (k, 1), when there are few), their rows of D, G and
+    F, and the smallest distance left out (None when none is)."""
+    k = len(D)
+    if k <= _NEAREST:
+        return np.arange(k)[:, None], D, G, F, None
+    part = np.argpartition(D, _NEAREST, axis=0)
+    idx = part[:_NEAREST]
+    return (idx, np.take_along_axis(D, idx, axis=0), np.take_along_axis(G, idx[None], axis=1),
+            np.take_along_axis(F, idx, axis=0),
+            np.take_along_axis(D, part[_NEAREST:_NEAREST + 1], axis=0)[0])
+
+
+class _GapBound:
+    """The gap |d(x, A) - d(x, B)| and an upper bound on it over a cube
+    within the window, for two sets of convex pieces in R^n.
+
+    The cube is evaluated at one point c: its centre, or for a centre
+    outside the window its radial projection into it.  Let r be the
+    farthest the cube reaches from c and S(v) the largest v . (x - c) over
+    the cube within the window.  As d_A - d_B = max_k min_i (d_{a_i} -
+    d_{b_k}),
+
+        sup (d_A - d_B) <= max_k min_i U(a_i, b_k),   and with A, B swapped,
+
+        U(a, b) = min( H(a, b),
+                       d_a(c) - d_b(c) + S(u_a - u_b) + r^2 / (2 (d_a(c) - r)),
+                       min(d_a(c) + r, F_a) - d_b(c) + S(-u_b) ).
+
+    H is the Hausdorff distance of the two pieces, u a unit gradient and
+    F_a the closed-form sup of d_a over the cube within the window (see
+    _far), which closes at once a cube that lies inside both sets.
+    The middle term needs d_a(c) > r: the Hessian of the distance to a
+    convex piece is at most 1/(d_a(c) - r) over the cube, and convexity
+    puts d_b above its tangent plane, which also gives the last term.
+    For a cube of half-side s evaluated at its centre S(v) <= s |v|_1; for
+    a cube cut by the window S also reads the ball, so a gap that grows
+    towards the window's edge is bounded by its value there.
+    The min over i runs over the _NEAREST pieces of A at c (any subset
+    gives an upper bound); the pieces of B left out are bounded together
+    by min_i min(d_{a_i}(c) + r, F_{a_i}) - d_b(c) + r at the nearest of them.
+    """
+
+    def __init__(self, A: ClosedSet, B: ClosedSet, reach: float, max_rows=math.inf):
+        """reach bounds every coordinate of an evaluated point; H may use
+        at most max_rows kernel rows, and is inf everywhere past that."""
+        comps_a = A.components()
+        self.mA = len(comps_a)
+        self.pieces = _Pieces(comps_a + B.components())
+        self.n = A.space.dim
+        self.alpha = _allowance(self.n, max(reach, self.pieces.scale))
+        self.H, self.rows = self._pair_hausdorff(max_rows)
+
+    def row_bytes(self) -> int:
+        """Bytes of kernel and pair-bound temporaries per evaluated point."""
+        pairs = min(_NEAREST, self.mA) * min(_NEAREST, self.pieces.m - self.mA)
+        return 8 * (self.pieces.m * (self.n + 2) + 3 * pairs * (self.n + 1))
+
+    def _pair_hausdorff(self, max_rows):
+        """H[i, k] >= the Hausdorff distance of piece i of A and piece k
+        of B: each excess read at the vertices of its piece (a ball's is
+        at most d(centre) + radius), |c - c'| + |r - r'| for two balls,
+        inf with a ray.  Also returns the number of kernel rows used."""
+        pieces, mA = self.pieces, self.mA
+        verts, owner = [], []
+        for i, (kind, data) in enumerate(pieces.comps):
+            vs = (_box_corners(*data) if kind == "box" else data if kind == "segment"
+                  else [data if kind == "point" else data[0]])
+            verts.extend(vs)
+            owner.extend([i] * len(vs))
+        if len(verts) > max_rows:
+            return np.full((mA, pieces.m - mA), np.inf), 0
+        X, owner = np.array(verts, dtype=float), np.array(owner)
+        E = np.full((pieces.m, pieces.m), -np.inf)
+        for sl in _chunks(len(X), self.row_bytes()):
+            np.maximum.at(E, owner[sl], _kernel(X[sl], pieces)[0].T)
+        for kind, rows, arrs, radius in pieces.blocks:
+            if kind == "ball":
+                E[rows] += radius
+            elif kind == "ray":
+                E[rows] = np.inf
+        H = np.maximum(E[:mA, mA:], E[mA:, :mA].T)
+        balls = [i for i, (kind, _) in enumerate(pieces.comps) if kind == "ball"]
+        ia = [i for i in balls if i < mA]
+        ib = [k for k in balls if k >= mA]
+        if ia and ib:
+            ca, cb = (np.array([pieces.comps[i][1][0] for i in idx]) for idx in (ia, ib))
+            ra, rb = (np.array([pieces.comps[i][1][1] for i in idx]) for idx in (ia, ib))
+            H[np.ix_(ia, [k - mA for k in ib])] = (
+                np.linalg.norm(ca[:, None, :] - cb[None, :, :], axis=2)
+                + np.abs(ra[:, None] - rb[None, :]))
+        return H, len(X)
+
+    def probe(self, C, x0, radius):
+        """The evaluation points of the cubes centred at the rows of C,
+        the kernel there, the gap, and which points lie in the window."""
+        off = C - x0
+        rad = np.sqrt(np.einsum("ij,ij->i", off, off))
+        r_in = radius - 4.0 * self.alpha
+        out = rad > r_in
+        P = C
+        if r_in > 0.0 and out.any():
+            P = np.where(out[:, None], x0 + off * (r_in / np.where(out, rad, 1.0))[:, None], C)
+        D, G = _kernel(P, self.pieces)
+        f = np.abs(D[:self.mA].min(axis=0) - D[self.mA:].min(axis=0))
+        off = P - x0
+        inside = np.sqrt(np.einsum("ij,ij->i", off, off)) + self.alpha < radius
+        return P, D, G, f, inside
+
+    def bound(self, C, P, D, G, f, s, x0, radius, floor=-math.inf):
+        """Upper bound on the gap over each cube (centre C, half-side s)
+        within the window, before the rounding allowance: the smaller of
+        f + 2 r and the pair bound, which is computed only where f + 2 r
+        exceeds floor."""
+        e = np.ascontiguousarray((C - P).T)  # C order keeps sums over axis 0 fast
+        r = (s * math.sqrt(self.n) + np.sqrt((e * e).sum(axis=0))) * (1.0 + 4.0 * _U)
+        b = f + 2.0 * r
+        hard = b > floor
+        if hard.any():
+            # compress keeps C order, which boolean indexing of a last axis does not
+            D, G, r = D.compress(hard, axis=1), G.compress(hard, axis=2), r[hard]
+            F = _far(C[hard], s, x0, radius, self.pieces)
+            win = (e.compress(hard, axis=1), np.ascontiguousarray((x0 - P[hard]).T), s, radius)
+            A, B = slice(None, self.mA), slice(self.mA, None)
+            b[hard] = np.minimum(b[hard], np.maximum(
+                self._side(D[A], G[:, A], F[A], D[B], G[:, B], self.H, r, win),
+                self._side(D[B], G[:, B], F[B], D[A], G[:, A], self.H.T, r, win)))
+        return b
+
+    def _side(self, DP, GP, FP, DQ, GQ, H, r, win):
+        """max over q of min over p of U(p, q): a bound on sup d_P - d_Q.
+        Pair arrays are shaped (p, q, point)."""
+        a = self.alpha
+        ip, dp, gp, fp, _ = _nearest(DP, GP, FP)
+        iq, dq, gq, _, dq_next = _nearest(DQ, GQ, DQ)
+        up = np.minimum(dp + r, fp)  # sup of d_p over the cube within the window
+        # a computed gradient is within 4 a / (d - a) of the exact one, and
+        # within 2 of it where d <= 5 a; below d_q there, 0 is a tangent
+        # plane of d_q up to 6 a, because d_q >= 0
+        pen_p = r * np.where(dp > 5.0 * a, 4.0 * a / (dp - a), 2.0)
+        flat = dq <= 5.0 * a
+        gq = np.where(flat, 0.0, gq)
+        pen_q = np.where(flat, 6.0 * a, r * 4.0 * a / np.where(flat, 1.0, dq - a))
+        h = H[ip[:, None, :], iq[None, :, :]]
+        last = up[:, None, :] - (dq - _support(-gq, win) - pen_q)[None, :, :]
+        near = dp - a - r
+        curv = np.divide(r * r * (1.0 + 32.0 * _U), 2.0 * near,
+                         out=np.full_like(near, np.inf), where=near > 0.0)
+        lin = _support(gp[:, :, None, :] - gq[:, None, :, :], win) + pen_p[:, None, :] + pen_q
+        mid = (dp + curv)[:, None, :] - dq + lin
+        side = np.minimum(np.minimum(h, mid), last).min(axis=0).max(axis=0)
+        if dq_next is not None:
+            side = np.maximum(side, up.min(axis=0) - dq_next + r)
+        return side
+
+
+def _support(v, win):
+    """An upper bound on max v . (x - c) over x in the cube within the
+    window, for vectors v shaped (n, ..., point): the smaller of the
+    cube's s |v|_1 + v . e (e its centre less c) and the ball's
+    v . t + R |v| (t its centre less c)."""
+    e, t, s, radius = win
+    shape = e.shape[:1] + (1,) * (v.ndim - 2) + e.shape[1:]
+    e, t = e.reshape(shape), t.reshape(shape)
+    return np.minimum(s * np.abs(v).sum(axis=0) + (v * e).sum(axis=0),
+                      (v * t).sum(axis=0) + radius * np.sqrt((v * v).sum(axis=0)))
+
+
+def _sup_gap_bnb(space, A, B, radius, tol, node_cap) -> CertifiedValue:
+    """Branch-and-bound over cubes for sup |d_A - d_B| on the window.
+
+    Cubes are evaluated level by level (see _GapBound.probe), starting
+    from the cube of half-side radius around the base point.  A cube that
+    misses the window is dropped; one whose bound is <= best + tol is
+    closed; every other splits into 2^n children.  At most node_cap
+    kernel rows are evaluated; a level that does not fit splits only the
+    cubes of largest bound.  hi is the largest bound of a closed or
+    remaining cube.  A gap and a bound are each within 3 alpha of their
+    exact values, by which both ends are widened.
+    """
+    n = space.dim
     if 3 ** n > node_cap:
         raise Indeterminate(
-            f"node_cap={node_cap} is below the 3^{n} nodes of the coarsest grid in R^{n}")
-    k = 2 * max(1, int((node_cap ** (1.0 / n) - 1.0) / 2.0))
-    while (k + 3) ** n <= node_cap:
-        k += 2
-    while (k + 1) ** n > node_cap:
-        k -= 2
-    return k
+            f"node_cap={node_cap} is below the floor of 3^{n} evaluations in R^{n}")
+    x0 = np.asarray(space.canon_point(space.base_point), dtype=float)
+    reach = float(np.abs(x0).max()) + radius  # bounds every centre coordinate
+    gap = _GapBound(A, B, reach, max_rows=node_cap - 1 - (1 << n))  # room for two levels
+    alpha = gap.alpha
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    best, wit, closed = -math.inf, x0, -math.inf
 
+    def evaluate(chunks, s, drift):
+        """Bound the cubes of half-side s centred at the rows of each chunk;
+        returns those still open and their bounds."""
+        nonlocal best, wit, closed
+        s_e = s + drift  # a computed centre is within drift of the exact one
+        open_c, open_b = [], []
+        for C in chunks:
+            off = np.maximum(np.abs(C - x0) - s_e, 0.0)
+            C = C[np.sqrt(np.einsum("ij,ij->i", off, off)) <= radius + alpha]
+            if not len(C):
+                continue
+            P, D, G, f, inside = gap.probe(C, x0, radius)
+            f_in = np.where(inside, f, -math.inf)
+            i = int(np.argmax(f_in))
+            if f_in[i] > best:
+                best, wit = float(f_in[i]), P[i]
+            b = gap.bound(C, P, D, G, f, s_e, x0, radius, floor=best + tol)
+            keep = b > best + tol
+            closed = max(closed, float(b[~keep].max(initial=-math.inf)))
+            open_c.append(C[keep])
+            open_b.append(b[keep])
+        if not open_c:
+            return np.empty((0, n)), np.empty(0)
+        return np.concatenate(open_c), np.concatenate(open_b)
 
-def _sup_gap_grid(space, A, B, radius, tol, node_cap) -> CertifiedValue:
-    n = space.dim
-    center = np.asarray(space.canon_point(space.base_point))
-    # covering radius h = spacing * sqrt(n)/2 inflates the upper bound
-    # by 2h; aim for 2h <= tol/2 within the node budget
-    want = max(tol / 4.0, 1e-9) / math.sqrt(n)
-    k = max(2, math.ceil(2.0 * radius / want))
-    k = min(k + k % 2, _grid_k(n, node_cap))
-    axes = [np.linspace(c - radius, c + radius, k + 1) for c in center]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    X = np.stack([m.ravel() for m in mesh], axis=1)
-    spacing = 2.0 * radius / k
-    h = spacing * math.sqrt(n) / 2.0
-    rad = np.linalg.norm(X - center, axis=1)
-    near = rad <= radius + h
-    X, rad = X[near], rad[near]
-    delta = np.abs(_batch_dist(X, A) - _batch_dist(X, B))
-    inside = rad <= radius
-    di = delta[inside]
-    i_best = int(np.argmax(di))
-    lo = float(di[i_best])
-    hi = float(delta.max()) + 2.0 * h
-    wit = tuple(float(v) for v in X[inside][i_best])
-    return CertifiedValue.interval(lo, max(lo, hi), f"grid(h={h:.3g})", wit)
+    evals = gap.rows + 1
+    cubes, bounds = evaluate([x0[None, :]], radius, 0.0)
+    s, level = radius, 0
+    while len(cubes):
+        keep = bounds > best + tol  # best may have risen since they were bounded
+        closed = max(closed, float(bounds[~keep].max(initial=-math.inf)))
+        cubes, bounds = cubes[keep], bounds[keep]
+        level += 1
+        drift = 2.0 * level * _U * reach
+        room = max(0, node_cap - evals) >> n
+        if not len(cubes):
+            break
+        if room == 0 or drift >= s / 8.0:  # out of budget, or at float resolution
+            closed = max(closed, float(bounds.max()))
+            break
+        if room < len(cubes):
+            order = np.argsort(-bounds, kind="stable")
+            closed = max(closed, float(bounds[order[room:]].max()))
+            cubes, bounds = cubes[order[:room]], bounds[order[:room]]
+        evals += len(cubes) << n
+        s /= 2.0
+        steps, parents = s * signs, cubes
+        cubes, bounds = evaluate(((parents[sl, None, :] + steps).reshape(-1, n)
+                                  for sl in _chunks(len(parents), gap.row_bytes() << n)),
+                                 s, drift)
+    allowance = 3.0 * alpha
+    lo = max(0.0, best - allowance)
+    hi = max(closed, best, 0.0) + allowance
+    return CertifiedValue.interval(lo, hi, "bnb", tuple(float(v) for v in wit))
 
 
 # ---------------------------------------------------------------------------
@@ -625,28 +948,26 @@ def _aw_certified(space, A, B, hb: ExtReal, tol, node_cap) -> CertifiedValue:
         return CertifiedValue.interval(0.0, min(1.0, hb.as_float()), "h-bound")
     hbf = hb.as_float()
     best_lo = best_hi = 0.0
-    worst_h = 0.0
     wit = None
     # window-count budget: past it the certificate is returned at its
     # achieved (recorded) width rather than the requested tol
     j_cap = min(math.ceil(1.0 / tol) + 1, 512)
     j = 1
     while True:
-        G = _sup_gap_grid(space, A, B, float(j), tol / 2.0, node_cap)
-        worst_h = max(worst_h, G.width / 2.0)
+        G = _sup_gap_bnb(space, A, B, float(j), tol / 2.0, node_cap)
         if min(1.0 / j, G.lo) > best_lo:
             best_lo, wit = min(1.0 / j, G.lo), G.witness
         best_hi = max(best_hi, min(1.0 / j, G.hi.as_float()))
         if G.lo >= 1.0 / j:
             # later windows contribute at most 1/(j+1) < current floor
             return CertifiedValue.interval(best_lo, max(best_hi, best_lo),
-                                           f"grid(h={worst_h:.3g})", wit)
+                                           "bnb", wit)
         tail = min(1.0 / (j + 1), hbf)
         if tail <= best_lo:
-            return CertifiedValue.interval(best_lo, best_hi, f"grid(h={worst_h:.3g})", wit)
+            return CertifiedValue.interval(best_lo, best_hi, "bnb", wit)
         hi_now = max(best_hi, tail)
         if hi_now - best_lo <= tol or j >= j_cap:
-            return CertifiedValue.interval(best_lo, hi_now, f"grid(h={worst_h:.3g})", wit)
+            return CertifiedValue.interval(best_lo, hi_now, "bnb", wit)
         j += 1
 
 
@@ -658,7 +979,9 @@ def aw_less_than(A: ClosedSet, B: ClosedSet, eps: float, *,
     1/(j+1) < eps <= 1/j, the distance is below eps exactly when the
     window-j gap is.  Defined for eps in (0, 1) only (aw_distance is
     capped at 1, so compare against it directly for larger thresholds).
-    Raises Indeterminate if a grid certificate straddles the threshold.
+    In R^n the window gap is certified by branch-and-bound within
+    node_cap evaluations; raises Indeterminate if that certificate
+    straddles the threshold.
     """
     eps = float(eps)
     _check_budget(tol, node_cap)

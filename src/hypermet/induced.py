@@ -24,7 +24,7 @@ import numpy as np
 from . import geom
 from .errors import UnsupportedPair
 from .hypermetrics import (CertifiedValue, aw_distance, hausdorff,
-                           hausdorff_lower, hausdorff_upper)
+                           hausdorff_lower, hausdorff_upper, require_positive)
 from .sets import (BallUnion, BoxUnion, ClosedSet, FinitePoints, IntervalUnion,
                    Ray, SampledCloud, SegmentUnion, _coord, _far_from_point,
                    _sup_dist, dist_to_set, is_bounded, representative_points)
@@ -839,6 +839,16 @@ class ProbeReport:
         return not self.violation
 
 
+def _check_thresholds(eps, delta_schedule):
+    """A NaN threshold would make every comparison False, and so no
+    violation; refuse it, and any infinite or nonpositive one."""
+    require_positive("eps", eps)
+    if not len(delta_schedule):
+        raise ValueError("the delta schedule is empty")
+    for delta in delta_schedule:
+        require_positive("delta", delta)
+
+
 def probe_induced_continuity(f, A: ClosedSet, metric: str, perturbations,
                              delta_schedule=(1.0, 0.1, 0.01), eps: float = 0.1,
                              **metric_kwargs) -> ProbeReport:
@@ -847,8 +857,10 @@ def probe_induced_continuity(f, A: ClosedSet, metric: str, perturbations,
     A violation needs, under every delta of the schedule, a perturbation
     within delta whose image sits more than eps away — certified on both
     sides (d_in.hi below the delta, d_out.lo above eps), so a reported
-    violation is a proof, not noise.
+    violation is a proof, not noise.  eps and every delta must be finite
+    and > 0.
     """
+    _check_thresholds(eps, delta_schedule)
     dist = metric_by_name(metric)
     fA = induced_image(f, A)
     rows = []

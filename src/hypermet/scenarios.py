@@ -422,6 +422,11 @@ def available() -> list:
     return sorted(_REGISTRY)
 
 
+# overrides that divide or count: each (or each of its items) is >= 1
+_COUNTS = {"n_points", "k_max", "separations", "instances", "points_low", "points_high",
+           "family_size", "probes", "horizon"}
+
+
 def run(name: str, seed: int = DEFAULT_SEED, **overrides) -> ScenarioReport:
     try:
         cfg_cls, runner = _REGISTRY[name]
@@ -434,6 +439,9 @@ def run(name: str, seed: int = DEFAULT_SEED, **overrides) -> ScenarioReport:
             raise ValueError(f"{name} has no parameter {key!r}; it has {sorted(fields)}")
         if not _fits(value, fields[key]):
             raise ValueError(f"{name}: {key} takes values like {fields[key]!r}, got {value!r}")
+        items = value if isinstance(value, (tuple, list)) else (value,)
+        if key in _COUNTS and any(v < 1 for v in items):
+            raise ValueError(f"{name}: {key} must be at least 1, got {value!r}")
     return runner(replace(cfg, **overrides), int(seed))
 
 

@@ -229,6 +229,16 @@ def test_probe_translations_do_not_violate():
         assert row.d_out.hi.as_float() <= d + 1e-9
 
 
+@pytest.mark.parametrize("bad", [{"eps": math.nan}, {"eps": -0.1},
+                                 {"delta_schedule": (1.0, math.nan)},
+                                 {"delta_schedule": (-math.inf,)}])
+def test_probe_refuses_thresholds_that_no_distance_can_meet(bad):
+    A = ClosedSet.balls(E2, [((0.0, 0.0), 1.0)])
+    perts = [(GroupElement.translation((0.5, 0.0)), A)]
+    with pytest.raises(ValueError):
+        probe_action_continuity(GroupElement.identity(2), A, "H", perts, **bad)
+
+
 def test_probe_rotated_ray_blows_up():
     # arbitrarily small rotations move a ray infinitely far in the
     # unbounded metric: certified violation at every delta

@@ -115,14 +115,23 @@ def test_aw_lt_bad_eps(runner):
 
 
 def test_aw_lt_indeterminate_exits_one(runner):
-    # eps sits just above the true window sup (0.6): a 40-node grid
-    # cannot push the upper bound below it
+    # the window-1 sup is 0.65; 40 evaluations leave it in about
+    # [0.51, 0.65], which straddles eps
     res = invoke(runner, ["aw-lt", "--space", "euclidean:n=2",
                           "--node-cap", "40",
-                          "{(0,0)}", "{(0.6,0)}", "0.6005"], code=1)
+                          "{(0.25,0)}", "{(0,0), (0.9,0)}", "0.6"], code=1)
     doc, vals = by_name(res.output)
-    assert vals["AW(A, B) < 0.6005"] == "indeterminate"
+    assert vals["AW(A, B) < 0.6"] == "indeterminate"
     assert "straddles" in doc["results"][0]["detail"]
+
+
+def test_aw_lt_decides_in_the_plane_with_a_small_cap(runner):
+    # the window-1 sup is 0.6 exactly (at the base point), which the pair
+    # bound pins with 40 evaluations
+    for eps, want in (("0.6005", True), ("0.59", False)):
+        res = invoke(runner, ["aw-lt", "--space", "euclidean:n=2", "--node-cap", "40",
+                              "{(0,0)}", "{(0.6,0)}", eps])
+        assert by_name(res.output)[1][f"AW(A, B) < {eps}"] is want
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +281,12 @@ CRASHES = [
       *PERTURB], None),
     (["probe-induced", "--map", "identity", "--perturb", "{0}", "--eps", "nan", "{0}"], None),
     (["scenario", "run", "oscillating-tail", "--param", "k_max=3.0"], None),
+    # these three ran: a NaN or zero delta answered "no violation", and a
+    # zero separation divided by zero
+    (["probe-induced", "--map", "identity", "--perturb", "{0}", "--deltas", "nan", "{0}"], None),
+    (["probe-action", "--element", "identity:n=2", "--metric", "H", "--deltas", "1,0",
+      *PERTURB], None),
+    (["scenario", "run", "escaping-pair", "--param", "separations=[0]"], None),
 ]
 
 

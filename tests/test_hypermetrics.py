@@ -6,12 +6,14 @@ oracles never call back into the library's geometry helpers, so each
 comparison is a genuine second route to the same number.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hypermet.hypermetrics as hm
 from hypermet.errors import Indeterminate
 from hypermet.hypermetrics import (INF, CertifiedValue, ExtReal, aw_distance,
                                    aw_less_than, excess, ext, hausdorff,
@@ -371,16 +373,28 @@ def test_aw_less_than_agrees_with_certified_distance():
 
 
 def test_aw_less_than_indeterminate_straddle():
-    # Grid mode with a coarse node cap cannot separate a threshold that
-    # sits strictly inside its own certificate.
-    A = ClosedSet.points(E2, [(0.0, 0.0)])
-    B = ClosedSet.points(E2, [(0.6, 0.0)])
+    # With 40 evaluations the branch-and-bound cannot separate a threshold
+    # that sits strictly inside its own certificate: the window-1 sup is
+    # 0.65, reached on the window's edge at (1, 0), and the bound near the
+    # far point (0.9, 0) is still loose.
+    A = ClosedSet.points(E2, [(0.25, 0.0)])
+    B = ClosedSet.points(E2, [(0.0, 0.0), (0.9, 0.0)])
     G0 = sup_gap_on_ball(A, B, 1.0, tol=1e-3, node_cap=40)
-    assert G0.width > 0.0
+    assert G0.width > 0.1
     eps = 0.5 * (G0.lo + G0.hi.as_float())
     assert 0.0 < eps < 1.0
-    with pytest.raises(Indeterminate):
+    with pytest.raises(Indeterminate, match="straddles"):
         aw_less_than(A, B, eps, tol=1e-3, node_cap=40)
+
+
+def test_aw_less_than_decides_a_sup_the_pair_bound_pins():
+    # The window-1 sup of {(0,0)} vs {(0.6,0)} is 0.6, the points'
+    # Hausdorff distance, attained at the base point: 40 evaluations pin
+    # it to within the rounding allowance.
+    A = ClosedSet.points(E2, [(0.0, 0.0)])
+    B = ClosedSet.points(E2, [(0.6, 0.0)])
+    assert aw_less_than(A, B, 0.6005, node_cap=40) is True
+    assert aw_less_than(A, B, 0.59, node_cap=40) is False
 
 
 # ---------------------------------------------------------------------------
@@ -459,3 +473,153 @@ def test_a_positive_cap_below_the_coarsest_grid_stays_indeterminate():
     with pytest.raises(Indeterminate, match="node_cap=5"):
         sup_gap_on_ball(A, B, 1.0, node_cap=5)
     assert sup_gap_on_ball(*BUDGET_PAIRS["line"], 1.0e6).lo == 2.0
+
+
+# ---------------------------------------------------------------------------
+# the n-D branch-and-bound: cube bound, certificates and rounding allowance
+
+SET_KINDS = ("points", "balls", "boxes", "segments", "ray")
+unit_coord = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False)
+small_int = st.integers(-9, 9).map(float)
+spread = st.builds(lambda s, e: s * 10.0 ** e, st.sampled_from((-1.0, 1.0)),
+                   st.floats(min_value=-3.0, max_value=4.0))
+
+
+@st.composite
+def piece_sets(draw, n, coord=unit_coord, kinds=SET_KINDS, most=3):
+    """A set of one to `most` pieces of one kind, as (kind, pieces)."""
+    kind = draw(st.sampled_from(kinds))
+    pt = st.tuples(*[coord] * n)
+    if kind == "ray":
+        u = draw(pt.filter(lambda v: math.hypot(*v) > 0.1 * max(1.0, max(map(abs, v)))))
+        return kind, [(draw(pt), u)]
+    k = draw(st.integers(1, most))
+    if kind == "points":
+        return kind, draw(st.lists(pt, min_size=k, max_size=k))
+    if kind == "balls":
+        size = st.floats(min_value=0.0, max_value=1.5) if coord is unit_coord else coord.map(abs)
+        return kind, draw(st.lists(st.tuples(pt, size), min_size=k, max_size=k))
+    pairs = draw(st.lists(st.tuples(pt, pt), min_size=k, max_size=k))
+    if kind == "boxes":
+        pairs = [(tuple(map(min, p, q)), tuple(map(max, p, q))) for p, q in pairs]
+    return kind, pairs
+
+
+def build_set(space, kind, pieces):
+    if kind == "ray":
+        return ClosedSet.ray(space, *pieces[0])
+    return getattr(ClosedSet, kind)(space, pieces)
+
+
+def oracle_dist(X, S):
+    """Distance from each row of X to S, from the raw coordinates."""
+    best = np.full(len(X), np.inf)
+    for kind, data in S.components():
+        if kind == "point":
+            d = np.sqrt(((X - np.array(data)) ** 2).sum(axis=1))
+        elif kind == "ball":
+            d = np.maximum(np.sqrt(((X - np.array(data[0])) ** 2).sum(axis=1)) - data[1], 0.0)
+        elif kind == "box":
+            lo, hi = np.array(data[0]), np.array(data[1])
+            d = np.sqrt((np.maximum(lo - X, 0.0) ** 2 + np.maximum(X - hi, 0.0) ** 2).sum(axis=1))
+        else:
+            p, v = np.array(data[0]), np.array(data[1])
+            if kind == "segment":
+                v = v - p
+                t = np.clip((X - p) @ v / (v @ v), 0.0, 1.0) if v @ v > 0 else 0.0 * X[:, 0]
+            else:
+                t = np.maximum((X - p) @ v, 0.0)
+            d = np.sqrt(((X - p - t[:, None] * v) ** 2).sum(axis=1))
+        best = np.minimum(best, d)
+    return best
+
+
+def cube_sample(c, s, per_side):
+    ticks = np.linspace(-s, s, per_side)
+    n = len(c)
+    return c + np.stack(np.meshgrid(*[ticks] * n, indexing="ij"), axis=-1).reshape(-1, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cube_bound_covers_the_gap_over_the_cube(data):
+    n = data.draw(st.sampled_from((2, 3)))
+    X = AmbientSpace.euclidean(n)
+    A = build_set(X, *data.draw(piece_sets(n)))
+    B = build_set(X, *data.draw(piece_sets(n)))
+    c = np.array(data.draw(st.tuples(*[unit_coord] * n)))
+    s = data.draw(st.floats(min_value=0.01, max_value=1.5))
+    # a window that may cut the cube: the bound covers the cube within it
+    x0 = np.array(data.draw(st.tuples(*[unit_coord] * n)))
+    R = float(np.linalg.norm(c - x0)) + data.draw(st.floats(min_value=-0.5, max_value=3.0)) * s
+    S = cube_sample(c, s, 41 if n == 2 else 13)
+    S = S[np.linalg.norm(S - x0, axis=1) < R]
+    assume(len(S) > 0)
+    gap = hm._GapBound(A, B, float(np.abs(x0).max()) + R)
+    C = c[None, :]
+    P, D, G, f, _ = gap.probe(C, x0, R)
+    bound = float(gap.bound(C, P, D, G, f, s, x0, R)[0]) + 3.0 * gap.alpha  # with the allowance
+    assert float(np.abs(oracle_dist(S, A) - oracle_dist(S, B)).max()) <= bound + 1e-12
+
+
+SMALL_TOL, SMALL_CAP = 1e-3, 100_000
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)  # its tol claim is a budget claim
+@given(st.data())
+def test_bnb_certificate_brackets_a_dense_sample_and_meets_tol(data):
+    n = data.draw(st.sampled_from((2, 3)))
+    X = AmbientSpace.euclidean(n)
+    small = dict(kinds=("points", "balls"), most=2)
+    A = build_set(X, *data.draw(piece_sets(n, **small)))
+    B = build_set(X, *data.draw(piece_sets(n, **small)))
+    R = data.draw(st.floats(min_value=0.5, max_value=3.0))
+    cv = sup_gap_on_ball(A, B, R, tol=SMALL_TOL, node_cap=SMALL_CAP)
+    S = cube_sample(np.zeros(n), R, 201 if n == 2 else 41)
+    cover = 2.0 * R / (200 if n == 2 else 40) * math.sqrt(n) / 2.0
+    rad = np.sqrt((S ** 2).sum(axis=1))
+    gap = np.abs(oracle_dist(S, A) - oracle_dist(S, B))
+    assert float(gap[rad < R].max()) <= cv.hi.as_float() + 1e-12
+    assert cv.lo <= float(gap[rad <= R + cover].max()) + 2.0 * cover + 1e-12
+    # the pair bound converges well within this budget; a bound that only
+    # sees f(c) + 2 rho does not
+    assert cv.width <= SMALL_TOL + 1e-9
+
+
+def exact_sq_dist(x, kind, data):
+    """Exact squared distance from x to one piece (for a ball, to its centre)."""
+    x = [Fraction(v) for v in x]
+    if kind in ("point", "ball"):
+        p = data if kind == "point" else data[0]
+        return sum((a - Fraction(b)) ** 2 for a, b in zip(x, p))
+    if kind == "box":
+        return sum(max(Fraction(l) - a, a - Fraction(h), Fraction(0)) ** 2
+                   for a, l, h in zip(x, *data))
+    p = [Fraction(v) for v in data[0]]
+    v = [Fraction(b) - a for a, b in zip(p, data[1])] if kind == "segment" else \
+        [Fraction(b) for b in data[1]]
+    vv = sum(b * b for b in v)
+    t = sum((a - b) * c for a, b, c in zip(x, p, v)) / vv if vv else Fraction(0)
+    t = max(t, Fraction(0)) if kind == "ray" else min(max(t, Fraction(0)), Fraction(1))
+    return sum((a - b - t * c) ** 2 for a, b, c in zip(x, p, v))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_kernel_distances_lie_within_the_rounding_allowance(data):
+    n = data.draw(st.sampled_from((2, 3)))
+    coord = data.draw(st.sampled_from((small_int, spread)))
+    S = build_set(AmbientSpace.euclidean(n), *data.draw(piece_sets(n, coord=coord)))
+    Q = np.array(data.draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=6)))
+    pieces = hm._Pieces(S.components())
+    alpha = Fraction(hm._allowance(n, max(pieces.scale, float(np.abs(Q).max()))))
+    D, _ = hm._kernel(Q, pieces)
+    for x, row in zip(Q, D.T):
+        for (kind, piece), d in zip(S.components(), row):
+            d, sq = Fraction(float(d)), exact_sq_dist(x, kind, piece)
+            r = Fraction(piece[1]) if kind == "ball" else Fraction(0)
+            # squares compare the exact distance with d -+ alpha (a ball's
+            # distance is the one to its centre less the radius)
+            assert sq <= (d + alpha + r) ** 2
+            if d - alpha > 0:
+                assert sq >= (d - alpha + r) ** 2

@@ -498,6 +498,18 @@ def test_probe_identity_never_violates():
     assert not rep.violation and bool(rep)
 
 
+@pytest.mark.parametrize("bad", [{"eps": math.nan}, {"eps": 0.0}, {"eps": math.inf},
+                                 {"delta_schedule": (math.nan,)},
+                                 {"delta_schedule": (1.0, 0.0)}, {"delta_schedule": ()}])
+def test_probe_refuses_thresholds_that_no_distance_can_meet(bad):
+    # a NaN eps or delta made every comparison False: "no violation"
+    f = Identity(LINE)
+    A = ClosedSet.points(LINE, [0.0, 1.0])
+    perts = [ClosedSet.points(LINE, [0.0, 1.5])]
+    with pytest.raises(ValueError):
+        probe_induced_continuity(f, A, "H", perts, **bad)
+
+
 def test_metric_by_name():
     A = ClosedSet.points(LINE, [0.0])
     B = ClosedSet.points(LINE, [0.0, 4.0])

@@ -9,6 +9,7 @@ import itertools
 import math
 from bisect import bisect_right
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -442,16 +443,46 @@ def test_far_pair_window_count_is_logarithmic(monkeypatch, D):
 
 
 # ---------------------------------------------------------------------------
-# the grid's node budget
+# the branch-and-bound's evaluation budget (node_cap once counted grid nodes)
 
 
 @pytest.mark.parametrize("cap", [40, 200_000, 1_500_000])
 @pytest.mark.parametrize("n", range(2, 13))
-def test_grid_nodes_stay_within_node_cap(n, cap):
+def test_grid_nodes_stay_within_node_cap(n, cap, monkeypatch):
+    # every row the distance kernel sees counts against node_cap; tol is
+    # far below what the budget can reach, so the budget is what stops
+    X = AmbientSpace.euclidean(n)
+    A = ClosedSet.points(X, [(0.0,) * n, (0.5,) + (0.0,) * (n - 1)])
+    B = ClosedSet.balls(X, [((0.0,) * (n - 1) + (0.25,), 0.125)])
+    rows = []
+    kernel = hm._kernel
+
+    def counting(P, pieces):
+        rows.append(len(P))
+        return kernel(P, pieces)
+
+    monkeypatch.setattr(hm, "_kernel", counting)
     if 3 ** n > cap:
-        with pytest.raises(Indeterminate, match=str(cap)):
-            hm._grid_k(n, cap)
+        with pytest.raises(Indeterminate, match=f"node_cap={cap} "):
+            sup_gap_on_ball(A, B, 1.0, tol=1e-12, node_cap=cap)
+        assert not rows
         return
-    k = hm._grid_k(n, cap)
-    assert k >= 2 and k % 2 == 0
-    assert (k + 1) ** n <= cap < (k + 3) ** n
+    cv = sup_gap_on_ball(A, B, 1.0, tol=1e-12, node_cap=cap)
+    assert 0 < sum(rows) <= cap
+    assert 0.0 < cv.lo <= cv.hi.as_float()
+
+
+def test_piece_vertices_count_against_a_small_cap(monkeypatch):
+    # 400 points need 400 kernel rows for the pair Hausdorff bounds; a cap
+    # that cannot hold them is spent on the cubes instead
+    rng = np.random.RandomState(1)
+    X = AmbientSpace.euclidean(2)
+    A, B = (ClosedSet.points(X, [tuple(p) for p in rng.uniform(-3, 3, (200, 2))])
+            for _ in range(2))
+    rows = []
+    kernel = hm._kernel
+    monkeypatch.setattr(hm, "_kernel", lambda P, pieces: (rows.append(len(P)), kernel(P, pieces))[1])
+    for cap in (40, 400, 1000):
+        rows.clear()
+        cv = sup_gap_on_ball(A, B, 3.0, tol=1e-3, node_cap=cap)
+        assert 0 < sum(rows) <= cap and cv.lo <= cv.hi.as_float()

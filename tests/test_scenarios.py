@@ -101,6 +101,16 @@ def test_override_of_the_wrong_type_is_refused(override):
         scenarios.run("oscillating-tail", **override)
 
 
+@pytest.mark.parametrize("name,override", [
+    ("escaping-pair", {"separations": [0]}), ("escaping-pair", {"separations": (15, -4)}),
+    ("oscillating-tail", {"k_max": 0}), ("moving-witness", {"probes": (0,)}),
+    ("proper-miss", {"horizon": 0}), ("rigid-corpus", {"instances": 0})])
+def test_override_out_of_range_is_refused(name, override):
+    # separations=[0] ended in ZeroDivisionError; k_max=0 "passed" on no rows
+    with pytest.raises(ValueError, match="must be at least 1"):
+        scenarios.run(name, **override)
+
+
 def test_overrides_may_widen_ints_to_floats_and_tuples_to_lists():
     report = scenarios.run("proper-miss", matrix=[[2, 1], [0, 1]], horizon=50)
     assert report.passed and report.params["matrix"] == [[2, 1], [0, 1]]
