@@ -147,7 +147,7 @@ _METRIC = click.option("--metric", type=click.Choice(["H", "H-", "H+", "AW"]),
 _TOL = click.option("--tol", type=float, default=None,
                     help="certificate width target (AW only)")
 _NODE_CAP = click.option("--node-cap", type=int, default=None,
-                         help="grid budget for n-dimensional certification (AW only)")
+                         help="evaluation budget for n-dimensional branch-and-bound (AW only)")
 _EPS = click.option("--eps", type=float, default=0.1, show_default=True)
 _DELTAS = click.option("--deltas", default="1,0.1,0.01", show_default=True,
                        help="comma-separated input-proximity schedule")

@@ -582,6 +582,33 @@ def _nearest(D, G, F):
             np.take_along_axis(D, part[_NEAREST:_NEAREST + 1], axis=0)[0])
 
 
+def _vertices(comps):
+    """The vertices of each piece (a ball's centre, a ray's anchor), as
+    rows of X, and the index of the piece that owns each row."""
+    verts, owner = [], []
+    for i, (kind, data) in enumerate(comps):
+        vs = (_box_corners(*data) if kind == "box" else data if kind == "segment"
+              else [data if kind == "point" else data[0]])
+        verts.extend(vs)
+        owner.extend([i] * len(vs))
+    return np.array(verts, dtype=float), np.array(owner, dtype=int)
+
+
+def _excess_at_vertices(comps, X, owner, other: _Pieces, n):
+    """E[i, k] >= the excess of piece i of comps over piece k of other:
+    the largest distance from a vertex of piece i (rows of X by owner),
+    plus a ball's radius; inf for a ray."""
+    E = np.full((len(comps), other.m), -np.inf)
+    for sl in _chunks(len(X), 8 * other.m * (n + 2)):
+        np.maximum.at(E, owner[sl], _kernel(X[sl], other)[0].T)
+    for i, (kind, data) in enumerate(comps):
+        if kind == "ball":
+            E[i] += data[1]
+        elif kind == "ray":
+            E[i] = np.inf
+    return E
+
+
 class _GapBound:
     """The gap |d(x, A) - d(x, B)| and an upper bound on it over a cube
     within the window, for two sets of convex pieces in R^n.
@@ -598,7 +625,8 @@ class _GapBound:
                        d_a(c) - d_b(c) + S(u_a - u_b) + r^2 / (2 (d_a(c) - r)),
                        min(d_a(c) + r, F_a) - d_b(c) + S(-u_b) ).
 
-    H is the Hausdorff distance of the two pieces, u a unit gradient and
+    H is the Hausdorff distance of the two pieces (left out when the
+    mA x mB pairs do not fit the budget), u a unit gradient and
     F_a the closed-form sup of d_a over the cube within the window (see
     _far), which closes at once a cube that lies inside both sets.
     The middle term needs d_a(c) > r: the Hessian of the distance to a
@@ -614,53 +642,46 @@ class _GapBound:
 
     def __init__(self, A: ClosedSet, B: ClosedSet, reach: float, max_rows=math.inf):
         """reach bounds every coordinate of an evaluated point; H may use
-        at most max_rows kernel rows, and is inf everywhere past that."""
-        comps_a = A.components()
+        at most max_rows kernel rows and max_rows entries, and is None
+        (the pair bound omits it) past that."""
+        comps_a, comps_b = A.components(), B.components()
         self.mA = len(comps_a)
-        self.pieces = _Pieces(comps_a + B.components())
+        self.pieces = _Pieces(comps_a + comps_b)
         self.n = A.space.dim
         self.alpha = _allowance(self.n, max(reach, self.pieces.scale))
-        self.H, self.rows = self._pair_hausdorff(max_rows)
+        self.H, self.rows = self._pair_hausdorff(comps_a, comps_b, max_rows)
 
     def row_bytes(self) -> int:
         """Bytes of kernel and pair-bound temporaries per evaluated point."""
         pairs = min(_NEAREST, self.mA) * min(_NEAREST, self.pieces.m - self.mA)
         return 8 * (self.pieces.m * (self.n + 2) + 3 * pairs * (self.n + 1))
 
-    def _pair_hausdorff(self, max_rows):
+    def _pair_hausdorff(self, comps_a, comps_b, max_rows):
         """H[i, k] >= the Hausdorff distance of piece i of A and piece k
-        of B: each excess read at the vertices of its piece (a ball's is
-        at most d(centre) + radius), |c - c'| + |r - r'| for two balls,
-        inf with a ray.  Also returns the number of kernel rows used."""
-        pieces, mA = self.pieces, self.mA
-        verts, owner = [], []
-        for i, (kind, data) in enumerate(pieces.comps):
-            vs = (_box_corners(*data) if kind == "box" else data if kind == "segment"
-                  else [data if kind == "point" else data[0]])
-            verts.extend(vs)
-            owner.extend([i] * len(vs))
-        if len(verts) > max_rows:
-            return np.full((mA, pieces.m - mA), np.inf), 0
-        X, owner = np.array(verts, dtype=float), np.array(owner)
-        E = np.full((pieces.m, pieces.m), -np.inf)
-        for sl in _chunks(len(X), self.row_bytes()):
-            np.maximum.at(E, owner[sl], _kernel(X[sl], pieces)[0].T)
-        for kind, rows, arrs, radius in pieces.blocks:
-            if kind == "ball":
-                E[rows] += radius
-            elif kind == "ray":
-                E[rows] = np.inf
-        H = np.maximum(E[:mA, mA:], E[mA:, :mA].T)
-        balls = [i for i, (kind, _) in enumerate(pieces.comps) if kind == "ball"]
-        ia = [i for i in balls if i < mA]
-        ib = [k for k in balls if k >= mA]
+        of B: each excess read at the vertices of its piece against the
+        other set's pieces only (a ball's is at most d(centre) + radius),
+        |c - c'| + |r - r'| for two balls, inf with a ray.  H is None when
+        its entries or the vertices exceed max_rows.  Also returns the
+        number of kernel rows used."""
+        mA, mB = len(comps_a), len(comps_b)
+        verts = [_vertices(comps) for comps in (comps_a, comps_b)]
+        rows = sum(len(X) for X, _ in verts)
+        if mA * mB > max_rows or rows > max_rows:
+            return None, 0
+        E_a, E_b = (_excess_at_vertices(comps, X, owner, _Pieces(other), self.n)
+                    for comps, (X, owner), other in ((comps_a, verts[0], comps_b),
+                                                     (comps_b, verts[1], comps_a)))
+        H = np.maximum(E_a, E_b.T, out=E_a)
+        ia = [i for i, (kind, _) in enumerate(comps_a) if kind == "ball"]
+        ib = [k for k, (kind, _) in enumerate(comps_b) if kind == "ball"]
         if ia and ib:
-            ca, cb = (np.array([pieces.comps[i][1][0] for i in idx]) for idx in (ia, ib))
-            ra, rb = (np.array([pieces.comps[i][1][1] for i in idx]) for idx in (ia, ib))
-            H[np.ix_(ia, [k - mA for k in ib])] = (
-                np.linalg.norm(ca[:, None, :] - cb[None, :, :], axis=2)
-                + np.abs(ra[:, None] - rb[None, :]))
-        return H, len(X)
+            ca, cb = (np.array([comps[i][1][0] for i in idx])
+                      for comps, idx in ((comps_a, ia), (comps_b, ib)))
+            ra, rb = (np.array([comps[i][1][1] for i in idx])
+                      for comps, idx in ((comps_a, ia), (comps_b, ib)))
+            H[np.ix_(ia, ib)] = (np.linalg.norm(ca[:, None, :] - cb[None, :, :], axis=2)
+                                 + np.abs(ra[:, None] - rb[None, :]))
+        return H, rows
 
     def probe(self, C, x0, radius):
         """The evaluation points of the cubes centred at the rows of C,
@@ -695,7 +716,8 @@ class _GapBound:
             A, B = slice(None, self.mA), slice(self.mA, None)
             b[hard] = np.minimum(b[hard], np.maximum(
                 self._side(D[A], G[:, A], F[A], D[B], G[:, B], self.H, r, win),
-                self._side(D[B], G[:, B], F[B], D[A], G[:, A], self.H.T, r, win)))
+                self._side(D[B], G[:, B], F[B], D[A], G[:, A],
+                           None if self.H is None else self.H.T, r, win)))
         return b
 
     def _side(self, DP, GP, FP, DQ, GQ, H, r, win):
@@ -712,14 +734,16 @@ class _GapBound:
         flat = dq <= 5.0 * a
         gq = np.where(flat, 0.0, gq)
         pen_q = np.where(flat, 6.0 * a, r * 4.0 * a / np.where(flat, 1.0, dq - a))
-        h = H[ip[:, None, :], iq[None, :, :]]
         last = up[:, None, :] - (dq - _support(-gq, win) - pen_q)[None, :, :]
         near = dp - a - r
         curv = np.divide(r * r * (1.0 + 32.0 * _U), 2.0 * near,
                          out=np.full_like(near, np.inf), where=near > 0.0)
         lin = _support(gp[:, :, None, :] - gq[:, None, :, :], win) + pen_p[:, None, :] + pen_q
         mid = (dp + curv)[:, None, :] - dq + lin
-        side = np.minimum(np.minimum(h, mid), last).min(axis=0).max(axis=0)
+        U = np.minimum(mid, last)
+        if H is not None:
+            U = np.minimum(U, H[ip[:, None, :], iq[None, :, :]])
+        side = U.min(axis=0).max(axis=0)
         if dq_next is not None:
             side = np.maximum(side, up.min(axis=0) - dq_next + r)
         return side

@@ -6,6 +6,7 @@ oracles never call back into the library's geometry helpers, so each
 comparison is a genuine second route to the same number.
 """
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -473,6 +474,29 @@ def test_a_positive_cap_below_the_coarsest_grid_stays_indeterminate():
     with pytest.raises(Indeterminate, match="node_cap=5"):
         sup_gap_on_ball(A, B, 1.0, node_cap=5)
     assert sup_gap_on_ball(*BUDGET_PAIRS["line"], 1.0e6).lo == 2.0
+
+
+def test_pair_hausdorff_of_a_large_pair_stays_within_the_budget():
+    # 2000 x 2000 pieces: a dense matrix over both sets' pieces would take
+    # 128 MB; past the budget the pair bound goes without H
+    rng = np.random.default_rng(0)
+    A, B = (ClosedSet.points(E2, [tuple(p) for p in rng.uniform(-3.0, 3.0, (2000, 2))])
+            for _ in range(2))
+    cap = 1000
+    assert hm._GapBound(A, B, 4.0, max_rows=cap).H is None
+    assert hm._GapBound(A, ClosedSet.points(E2, [(0.0, 0.0)]), 4.0, max_rows=cap).H is None
+    small = ClosedSet.points(E2, [(0.0, 0.0), (1.0, 0.0)])
+    assert hm._GapBound(small, small, 4.0, max_rows=cap).H.shape == (2, 2)
+    tracemalloc.start()
+    try:
+        cv = sup_gap_on_ball(A, B, 1.0, tol=1e-2, node_cap=cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6
+    S = np.random.default_rng(1).uniform(-0.7, 0.7, (400, 2))
+    gap = np.abs(oracle_dist(S, A) - oracle_dist(S, B))
+    assert float(gap.max()) <= cv.hi.as_float()
 
 
 # ---------------------------------------------------------------------------
