@@ -17,9 +17,9 @@ from .induced import (Affine, ArctanOfDistance, Composed, Identity,
                       aw_continuity_conditions, check_preimage_boundedness,
                       estimate_uniform_modulus, induced_image,
                       probe_induced_continuity, uniform_continuity_witness)
-from .sets import (ClosedSet, bounding_radius, dist_to_set, in_r_neighborhood,
-                   is_bounded, is_subset, representative_points, truncate,
-                   union_sets)
+from .sets import (ClosedSet, bounding_radius, dist_to_set, dists_to_set,
+                   in_r_neighborhood, is_bounded, is_subset,
+                   representative_points, truncate, union_sets)
 from .spaces import AmbientSpace
 
 __version__ = "0.1.0"
@@ -38,7 +38,7 @@ __all__ = [
     "GroupElement", "compose", "inverse", "act", "maps_into",
     "affine_sup_norm", "group_distance", "ucb_nbhd_contains",
     "probe_action_continuity",
-    "dist_to_set", "in_r_neighborhood", "is_bounded", "is_subset",
+    "dist_to_set", "dists_to_set", "in_r_neighborhood", "is_bounded", "is_subset",
     "bounding_radius", "truncate", "union_sets", "representative_points",
     "HypermetError", "AmbientMismatch", "UnsupportedPair", "Indeterminate",
     "GeneratorFault",

@@ -20,9 +20,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .errors import AmbientMismatch, GeneratorFault, UnsupportedPair
 from .hypermetrics import set_gap
-from .sets import (ClosedSet, _coord, _far_from_point, dist_to_set, is_bounded,
+from .sets import (ClosedSet, _coord, _dists, _far_from_point, is_bounded, is_subset,
                    representative_points)
 from .spaces import FINITE, AmbientSpace
 
@@ -70,22 +72,36 @@ class OpenSetRep:
 
 
 def hits(A: ClosedSet, U: OpenSetRep) -> bool:
-    """A meets the open set U."""
+    """A meets the open set U.
+
+    For a ball union, one batched query (dists_to_set) measures A from
+    every centre at once; _hit_rule and _hit_verdict read the verdict.
+    """
     U.space.require_same(A.space)
     if U.complement_of is not None:
         # A is nonempty, so it sticks out of K exactly when not inside K
-        from .sets import is_subset
-
         return not is_subset(A, U.complement_of, tol=0.0)
-    slack = A.slack
-    verdict = False
-    for c, r in U.balls:
-        d = dist_to_set(c, A)
-        if d < r - slack:
-            return True
-        if d < r + slack:
-            verdict = None  # undecidable at this resolution
-    if verdict is None:
+    d = _dists([c for c, _ in U.balls], A)
+    return _hit_verdict(*_hit_rule(d, np.array([r for _, r in U.balls]), A.slack), slice(None))
+
+
+def _hit_rule(d, radii, slack):
+    """For a set at distances d from the centres of open balls of the
+    given radii, the balls it certainly meets (d < r - slack) and those
+    it may meet at its resolution (d < r + slack), as two lists of flags."""
+    if slack == 0.0:
+        hit = (d < radii).tolist()
+        return hit, hit
+    return (d < radii - slack).tolist(), (d < radii + slack).tolist()
+
+
+def _hit_verdict(hit, near, group: slice) -> bool:
+    """Whether the set meets the union of a group of those balls: True
+    when it certainly meets one, False when it may meet none, and
+    UnsupportedPair (undecidable at the set's resolution) otherwise."""
+    if any(hit[group]):
+        return True
+    if any(near[group]):
         raise UnsupportedPair("cloud resolution straddles a hit-ball boundary")
     return False
 
@@ -290,11 +306,18 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
     first failing index as witness).  Overall verdict: all constraints
     pass.  A pass is evidence of convergence; a fail is a proof of exit
     at the witness index.  Generator exceptions become GeneratorFault.
+
+    The centres of the ball-union hit constraints are gathered once per
+    scan, and each term is measured from all of them in one batched
+    query (see dists_to_set).  Constraints are still read in order with the checks and the
+    rule of hits, so a scan raises the exception that the per-constraint
+    calls would raise, at the same term.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if not nbhds:
         raise ValueError("no constraints to check")
+    owned, centres, radii = _hit_batch(nbhds)
     first_fail = [None] * len(nbhds)
     last_fail = [None] * len(nbhds)
     for k in range(1, horizon + 1):
@@ -304,8 +327,16 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
             raise
         except Exception as exc:  # noqa: BLE001 - reported with its index
             raise GeneratorFault(k, exc) from exc
+        flags = None  # of every gathered ball, from one batched query
         for i, constraint in enumerate(nbhds):
-            if not constraint.satisfied_by(term):
+            if i in owned:
+                if flags is None:  # the check of hits, at the first of them
+                    constraint.open_set.space.require_same(term.space)
+                    flags = _hit_rule(_dists(centres, term), radii, term.slack)
+                ok = _hit_verdict(*flags, owned[i])
+            else:
+                ok = constraint.satisfied_by(term)
+            if not ok:
                 last_fail[i] = k
                 if first_fail[i] is None:
                     first_fail[i] = k
@@ -320,3 +351,21 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
         else:
             entries.append(ConstraintEntry(label, False, witness=first_fail[i]))
     return ConvergenceReport(all(e.passed for e in entries), horizon, tuple(entries))
+
+
+def _hit_batch(nbhds):
+    """The ball-union hit constraints of nbhds that share the first one's
+    ambient: {constraint index: the slice of its balls}, and the centres
+    and radii of all their balls stacked."""
+    owned, centres, radii, space = {}, [], [], None
+    for i, constraint in enumerate(nbhds):
+        U = constraint.open_set
+        if constraint.tag != "hit" or U.balls is None or (space is not None and U.space != space):
+            continue
+        space = U.space
+        owned[i] = slice(len(centres), len(centres) + len(U.balls))
+        centres += [c for c, _ in U.balls]
+        radii += [r for _, r in U.balls]
+    if space is None or space.kind != FINITE:
+        centres = np.array(centres, dtype=float)
+    return owned, centres, np.array(radii)

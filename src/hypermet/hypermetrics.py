@@ -40,8 +40,11 @@ from .sets import (
     Ray,
     SampledCloud,
     _box_corners,
+    _chunks,
     _coord,
-    dist_to_set,
+    _dists,
+    _kernel,
+    _Pieces,
     is_bounded,
 )
 from .spaces import FINITE, OPEN_INTERVAL
@@ -230,17 +233,11 @@ def excess(A: ClosedSet, B: ClosedSet) -> CertifiedValue:
 
 
 def _excess_point_source(A, B) -> CertifiedValue:
+    # one batched query; argmax keeps the first farthest point as witness
     pts = A.rep.points
-    if A.space.is_one_dimensional:
-        d = B.normal_form.dists(np.asarray(pts, dtype=float).ravel())
-        i = int(np.argmax(d))
-        return CertifiedValue.point(float(d[i]), "finite-max", pts[i])
-    best, wit = -1.0, None
-    for p in A.rep.points:
-        d = dist_to_set(p, B)
-        if d > best:
-            best, wit = d, p
-    return CertifiedValue.point(best, "finite-max", wit)
+    d = _dists(pts, B)
+    i = int(np.argmax(d))
+    return CertifiedValue.point(float(d[i]), "finite-max", pts[i])
 
 
 def _excess_1d(A, B) -> CertifiedValue:
@@ -436,13 +433,11 @@ def _sup_gap_1d(space, A, B, radius) -> CertifiedValue:
 
 # The n-D window supremum is certified by branch-and-bound over cubes
 # (Piyavskii 1972, Shubert 1972; the cube splitting of DIRECT, Jones et
-# al. 1993).  Both sets are convex pieces stacked into one array form,
-# and one kernel gives the distance to, and the unit gradient of, every
-# piece at a batch of points.  Arrays keep the point axis last, so that
-# reductions over coordinates and pieces run over leading axes.
+# al. 1993).  The pieces of both sets are their array forms joined, and
+# the kernel of the sets module gives the distance to, and the unit
+# gradient of, every piece at a batch of points.
 
 _U = 2.0 ** -53          # unit roundoff of binary64
-_CHUNK_BYTES = 1 << 22   # kernel temporaries stay near this size
 _NEAREST = 6             # pieces per set, nearest the point, in a pair bound
 
 
@@ -461,87 +456,6 @@ def _allowance(n: int, scale: float) -> float:
     return 32.0 * (n + 4) * math.sqrt(n) * _U * scale
 
 
-def _stack(kind, datas):
-    """The arrays of the pieces of one kind, shaped (n, k, 1) or (k, 1)
-    (see _offsets)."""
-    if kind == "point":
-        return (np.array(datas, dtype=float).T[:, :, None],)
-    first = np.array([d[0] for d in datas], dtype=float)
-    second = np.array([d[1] for d in datas], dtype=float)
-    if kind == "ball":
-        return first.T[:, :, None], second[:, None]
-    first, second = first.T[:, :, None], second.T[:, :, None]
-    if kind == "segment":
-        v = second - first
-        return first, v, (v * v).sum(axis=0)
-    return first, second  # box (lo, hi), ray (anchor, direction)
-
-
-def _offsets(kind, X, arrs):
-    """x - P(x) for every point x and every piece of one kind, P the
-    nearest point (for a ball, the offset from its centre).  X has shape
-    (n, 1, N), coordinates first; the result has shape (n, k, N)."""
-    first = arrs[0]
-    if kind in ("point", "ball"):
-        return X - first
-    if kind == "box":
-        return X - np.clip(X, first, arrs[1])
-    W, v = X - first, arrs[1]
-    t = (W * v).sum(axis=0)
-    if kind == "segment":
-        L2 = np.broadcast_to(arrs[2], t.shape)
-        t = np.clip(np.divide(t, L2, out=np.zeros_like(t), where=L2 > 0.0), 0.0, 1.0)
-    elif kind == "ray":
-        t = np.maximum(t, 0.0)
-    else:
-        raise UnsupportedPair(f"no distance kernel for {kind!r}")
-    return W - t * v
-
-
-class _Pieces:
-    """The components of A followed by those of B, stacked per kind;
-    row j of the kernel's output is component j."""
-
-    def __init__(self, comps):
-        self.comps, self.m = comps, len(comps)
-        groups = {}
-        for col, (kind, data) in enumerate(comps):
-            groups.setdefault(kind, []).append((col, data))
-        self.blocks, scale = [], 0.0
-        for kind, items in groups.items():
-            rows = np.array([c for c, _ in items])
-            arrs = _stack(kind, [d for _, d in items])
-            radius = arrs[1] if kind == "ball" else None
-            coords = np.abs(arrs[0]) + (0.0 if radius is None else radius)
-            if kind == "box":
-                coords = np.maximum(coords, np.abs(arrs[1]))
-            elif kind == "segment":
-                coords = np.maximum(coords, np.abs(arrs[0] + arrs[1]))
-            scale = max(scale, float(coords.max()))
-            self.blocks.append((kind, rows, arrs, radius))
-        self.scale = scale
-
-
-def _kernel(X: np.ndarray, pieces: _Pieces):
-    """Distances D (m, N) from the N rows of X to the m pieces, and unit
-    gradients G (n, m, N): (x - P(x)) / d, or 0 where d is 0.
-
-    One formula for every kind: the norm is the square root of the summed
-    squares of the offset, and a ball subtracts its radius from it.
-    """
-    N, n = X.shape
-    Xt = np.ascontiguousarray(X.T)[:, None, :]
-    D = np.empty((pieces.m, N))
-    G = np.empty((n, pieces.m, N))
-    for kind, rows, arrs, radius in pieces.blocks:
-        W = _offsets(kind, Xt, arrs)
-        norm = np.sqrt((W * W).sum(axis=0))
-        d = norm if radius is None else np.maximum(norm - radius, 0.0)
-        D[rows] = d
-        G[:, rows] = np.divide(W, norm, out=np.zeros_like(W), where=d > 0.0)
-    return D, G
-
-
 def _far(X, s, x0, radius, pieces: _Pieces):
     """Upper bounds F (m, N) on the distance to each piece over the cube
     of half-side s around each row of X within the window: exact over the
@@ -550,22 +464,16 @@ def _far(X, s, x0, radius, pieces: _Pieces):
     segments and rays."""
     Xt = np.ascontiguousarray(X.T)[:, None, :]
     F = np.full((pieces.m, len(X)), np.inf)
-    for kind, rows, arrs, ball_r in pieces.blocks:
+    for kind, rows, arrs in pieces.blocks:
         if kind == "box":
             W = np.maximum(np.maximum(arrs[0] - Xt, Xt - arrs[1]) + s, 0.0)
             F[rows] = np.sqrt((W * W).sum(axis=0))
         elif kind in ("point", "ball"):
-            W, r = np.abs(Xt - arrs[0]) + s, (0.0 if ball_r is None else ball_r)
+            W, r = np.abs(Xt - arrs[0]) + s, (arrs[1] if kind == "ball" else 0.0)
             c = arrs[0][:, :, 0] - x0[:, None]
             window = np.sqrt((c * c).sum(axis=0))[:, None] + radius - r
             F[rows] = np.maximum(np.minimum(np.sqrt((W * W).sum(axis=0)) - r, window), 0.0)
     return F
-
-
-def _chunks(n_rows, row_bytes):
-    """Row slices whose temporaries stay within _CHUNK_BYTES."""
-    step = max(1, _CHUNK_BYTES // row_bytes)
-    return (slice(i, i + step) for i in range(0, n_rows, step))
 
 
 def _nearest(D, G, F):
@@ -643,20 +551,29 @@ class _GapBound:
     def __init__(self, A: ClosedSet, B: ClosedSet, reach: float, max_rows=math.inf):
         """reach bounds every coordinate of an evaluated point; H may use
         at most max_rows kernel rows and max_rows entries, and is None
-        (the pair bound omits it) past that."""
+        (the pair bound omits it) past that.  Neither the pieces nor H
+        depend on the window, so one bound serves every window of a pair
+        (see at_reach)."""
         comps_a, comps_b = A.components(), B.components()
         self.mA = len(comps_a)
-        self.pieces = _Pieces(comps_a + comps_b)
+        self.pieces = A.array_form.join(B.array_form)
         self.n = A.space.dim
+        self.at_reach(reach)
+        self.H, self.rows = self._pair_hausdorff(comps_a, comps_b, A.array_form,
+                                                 B.array_form, max_rows)
+
+    def at_reach(self, reach: float) -> "_GapBound":
+        """Set the rounding allowance alpha for evaluated points whose
+        coordinates are at most reach."""
         self.alpha = _allowance(self.n, max(reach, self.pieces.scale))
-        self.H, self.rows = self._pair_hausdorff(comps_a, comps_b, max_rows)
+        return self
 
     def row_bytes(self) -> int:
         """Bytes of kernel and pair-bound temporaries per evaluated point."""
         pairs = min(_NEAREST, self.mA) * min(_NEAREST, self.pieces.m - self.mA)
         return 8 * (self.pieces.m * (self.n + 2) + 3 * pairs * (self.n + 1))
 
-    def _pair_hausdorff(self, comps_a, comps_b, max_rows):
+    def _pair_hausdorff(self, comps_a, comps_b, pieces_a, pieces_b, max_rows):
         """H[i, k] >= the Hausdorff distance of piece i of A and piece k
         of B: each excess read at the vertices of its piece against the
         other set's pieces only (a ball's is at most d(centre) + radius),
@@ -668,9 +585,9 @@ class _GapBound:
         rows = sum(len(X) for X, _ in verts)
         if mA * mB > max_rows or rows > max_rows:
             return None, 0
-        E_a, E_b = (_excess_at_vertices(comps, X, owner, _Pieces(other), self.n)
-                    for comps, (X, owner), other in ((comps_a, verts[0], comps_b),
-                                                     (comps_b, verts[1], comps_a)))
+        E_a, E_b = (_excess_at_vertices(comps, X, owner, other, self.n)
+                    for comps, (X, owner), other in ((comps_a, verts[0], pieces_b),
+                                                     (comps_b, verts[1], pieces_a)))
         H = np.maximum(E_a, E_b.T, out=E_a)
         ia = [i for i, (kind, _) in enumerate(comps_a) if kind == "ball"]
         ib = [k for k, (kind, _) in enumerate(comps_b) if kind == "ball"]
@@ -761,7 +678,17 @@ def _support(v, win):
                       (v * t).sum(axis=0) + radius * np.sqrt((v * v).sum(axis=0)))
 
 
-def _sup_gap_bnb(space, A, B, radius, tol, node_cap) -> CertifiedValue:
+def _pair_bound(A, B, reach, node_cap) -> _GapBound:
+    """The pair's _GapBound, its H within node_cap less room for two
+    levels of cubes; Indeterminate when node_cap is below 3^n."""
+    n = A.space.dim
+    if 3 ** n > node_cap:
+        raise Indeterminate(
+            f"node_cap={node_cap} is below the floor of 3^{n} evaluations in R^{n}")
+    return _GapBound(A, B, reach, max_rows=node_cap - 1 - (1 << n))
+
+
+def _sup_gap_bnb(space, A, B, radius, tol, node_cap, gap=None) -> CertifiedValue:
     """Branch-and-bound over cubes for sup |d_A - d_B| on the window.
 
     Cubes are evaluated level by level (see _GapBound.probe), starting
@@ -771,15 +698,13 @@ def _sup_gap_bnb(space, A, B, radius, tol, node_cap) -> CertifiedValue:
     kernel rows are evaluated; a level that does not fit splits only the
     cubes of largest bound.  hi is the largest bound of a closed or
     remaining cube.  A gap and a bound are each within 3 alpha of their
-    exact values, by which both ends are widened.
+    exact values, by which both ends are widened.  gap is the pair's
+    _pair_bound when a caller reuses one across windows.
     """
     n = space.dim
-    if 3 ** n > node_cap:
-        raise Indeterminate(
-            f"node_cap={node_cap} is below the floor of 3^{n} evaluations in R^{n}")
     x0 = np.asarray(space.canon_point(space.base_point), dtype=float)
     reach = float(np.abs(x0).max()) + radius  # bounds every centre coordinate
-    gap = _GapBound(A, B, reach, max_rows=node_cap - 1 - (1 << n))  # room for two levels
+    gap = _pair_bound(A, B, reach, node_cap) if gap is None else gap.at_reach(reach)
     alpha = gap.alpha
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
     best, wit, closed = -math.inf, x0, -math.inf
@@ -976,9 +901,10 @@ def _aw_certified(space, A, B, hb: ExtReal, tol, node_cap) -> CertifiedValue:
     # window-count budget: past it the certificate is returned at its
     # achieved (recorded) width rather than the requested tol
     j_cap = min(math.ceil(1.0 / tol) + 1, 512)
+    gap = _pair_bound(A, B, 0.0, node_cap)  # alpha is set per window
     j = 1
     while True:
-        G = _sup_gap_bnb(space, A, B, float(j), tol / 2.0, node_cap)
+        G = _sup_gap_bnb(space, A, B, float(j), tol / 2.0, node_cap, gap)
         if min(1.0 / j, G.lo) > best_lo:
             best_lo, wit = min(1.0 / j, G.lo), G.witness
         best_hi = max(best_hi, min(1.0 / j, G.hi.as_float()))

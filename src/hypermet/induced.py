@@ -21,14 +21,13 @@ from typing import Optional
 
 import numpy as np
 
-from . import geom
 from .errors import UnsupportedPair
 from .hypermetrics import (CertifiedValue, aw_distance, hausdorff,
                            hausdorff_lower, hausdorff_upper, require_positive)
 from .sets import (BallUnion, BoxUnion, ClosedSet, FinitePoints, IntervalUnion,
-                   Ray, SampledCloud, SegmentUnion, _coord, _far_from_point,
+                   Ray, SampledCloud, SegmentUnion, _coord, _far_from_point, _kernel,
                    _sup_dist, dist_to_set, is_bounded, representative_points)
-from .spaces import FINITE, LINE, OPEN_INTERVAL, AmbientSpace
+from .spaces import EUCLIDEAN, FINITE, LINE, OPEN_INTERVAL, AmbientSpace
 
 _HALF_PI = math.pi / 2.0
 
@@ -122,7 +121,8 @@ def _scaled_orthogonal(m) -> Optional[float]:
         e = math.frexp(float(np.abs(m).max()))[1]
         mu = _scaled_orthogonal(np.ldexp(m, -e))
         return None if mu is None else math.ldexp(mu, e)
-    if np.allclose(g, mu2 * np.eye(g.shape[0]), rtol=0.0, atol=1e-12 * max(1.0, mu2)):
+    # np.allclose with rtol=0, at a fraction of its cost; NaN compares False
+    if float(np.abs(g - mu2 * np.eye(g.shape[0])).max()) <= 1e-12 * max(1.0, mu2):
         return math.sqrt(mu2)
     return None
 
@@ -134,19 +134,33 @@ def affine_image(m, t, A: ClosedSet, codomain: AmbientSpace) -> ClosedSet:
     All points of a set go through one stacked product,
     (m @ X.reshape(N, n, 1))[:, :, 0], which rounds like the per-point
     m @ x (X @ m.T does not), so every pushed point equals the map's own
-    apply.  Balls need a scaled-orthogonal m, boxes a
-    signed-permutation-diagonal one; on a line codomain (p = 1) segments
-    and boxes become the interval between their pushed ends.
+    apply.  The image of a point set on the line or in R^p is built
+    straight from that array: one finiteness check (a non-finite image
+    raises the ValueError of canon_point), then its sorted distinct
+    rows, the set ClosedSet.points makes of them.  Balls need a
+    scaled-orthogonal m, boxes a signed-permutation-diagonal one; on a
+    line codomain (p = 1) segments and boxes become the interval between
+    their pushed ends.
     """
     rep = A.rep
     on_line = codomain.is_one_dimensional
 
-    def push(pts):
+    def pushed(pts):
         y = (m @ np.array(pts, dtype=float).reshape(len(pts), -1, 1))[:, :, 0]
-        if t is not None:
-            y = y + t
-        return [v for v, in y.tolist()] if on_line else [tuple(v) for v in y.tolist()]
+        return y if t is None else y + t
 
+    def push(pts):
+        y = pushed(pts).tolist()
+        return [v for v, in y] if on_line else [tuple(v) for v in y]
+
+    if isinstance(rep, FinitePoints) and codomain.kind in (LINE, EUCLIDEAN):
+        y = pushed(rep.points)
+        if not np.isfinite(y).all():
+            for v in y.tolist():
+                codomain.canon_point(tuple(v))  # raises its ValueError at the first bad row
+        y = y.tolist()
+        pts = set([v for v, in y] if codomain.kind == LINE else map(tuple, y))
+        return ClosedSet(codomain, FinitePoints(tuple(sorted(pts))))
     if isinstance(rep, (FinitePoints, SampledCloud)):
         pts = push(rep.points)
         if isinstance(rep, FinitePoints):
@@ -347,8 +361,9 @@ class ArctanOfDistance:
             ranges = [(max(lo - x, x - hi, 0.0), max(x - lo, hi - x))
                       for lo, hi in A.normal_form.intervals]
         else:
-            ranges = [(geom.gap(("point", self.anchor), comp), _far_from_point(self.anchor, comp))
-                      for comp in A.components()]
+            near = _kernel(_np([self.anchor]), A.array_form)[0][:, 0].tolist()
+            ranges = [(d, _far_from_point(self.anchor, comp))
+                      for d, comp in zip(near, A.components())]
         # the closed image: arctan never attains pi/2, the closure does
         return ClosedSet.intervals(out_space, [
             (math.atan(dmin), _HALF_PI if math.isinf(dmax) else math.atan(dmax))

@@ -145,6 +145,170 @@ class NormalForm1D:
             np.maximum(np.maximum(lo[right] - xs, xs - hi[right]), 0.0))
 
 
+# The n-D array form.  Every piece of an n-D set is stacked per kind
+# into numpy arrays, and one kernel gives the distance to, and the unit
+# gradient of, every piece at a batch of points.  Arrays keep the point
+# axis last, so that reductions over coordinates and pieces run over
+# leading axes.
+
+_CHUNK_BYTES = 1 << 22   # kernel temporaries stay near this size
+
+
+def _chunks(n_rows, row_bytes):
+    """Row slices whose temporaries stay within _CHUNK_BYTES."""
+    step = max(1, _CHUNK_BYTES // row_bytes)
+    return (slice(i, i + step) for i in range(0, n_rows, step))
+
+
+def _stack(kind, datas):
+    """The arrays of the pieces of one kind, shaped (n, k, 1) or (k, 1)
+    (see _offsets)."""
+    if kind == "point":
+        return (np.array(datas, dtype=float).T[:, :, None],)
+    first = np.array([d[0] for d in datas], dtype=float)
+    second = np.array([d[1] for d in datas], dtype=float)
+    if kind == "ball":
+        return first.T[:, :, None], second[:, None]
+    first, second = first.T[:, :, None], second.T[:, :, None]
+    if kind == "segment":
+        v = second - first
+        return first, v, (v * v).sum(axis=0)
+    return first, second  # box (lo, hi), ray (anchor, direction)
+
+
+def _offsets(kind, X, arrs):
+    """x - P(x) for every point x and every piece of one kind, P the
+    nearest point (for a ball, the offset from its centre).  X has shape
+    (n, 1, N), coordinates first; the result has shape (n, k, N)."""
+    first = arrs[0]
+    if kind in ("point", "ball"):
+        return X - first
+    if kind == "box":
+        return X - np.clip(X, first, arrs[1])
+    W, v = X - first, arrs[1]
+    t = (W * v).sum(axis=0)
+    if kind == "segment":
+        L2 = np.broadcast_to(arrs[2], t.shape)
+        t = np.clip(np.divide(t, L2, out=np.zeros_like(t), where=L2 > 0.0), 0.0, 1.0)
+    elif kind == "ray":
+        t = np.maximum(t, 0.0)
+    else:
+        raise UnsupportedPair(f"no distance kernel for {kind!r}")
+    return W - t * v
+
+
+class _Pieces:
+    """Convex pieces stacked per kind: blocks (kind, rows, arrays), rows
+    the pieces' rows in the kernel's output."""
+
+    def __init__(self, comps):
+        groups = {}
+        for row, (kind, data) in enumerate(comps):
+            groups.setdefault(kind, []).append((row, data))
+        self.m = len(comps)
+        self.blocks = [(kind, np.array([r for r, _ in items]), _stack(kind, [d for _, d in items]))
+                       for kind, items in groups.items()]
+
+    @classmethod
+    def of_blocks(cls, blocks, m):
+        """m pieces already stacked into blocks."""
+        self = cls.__new__(cls)
+        self.blocks, self.m = blocks, m
+        return self
+
+    def join(self, other: "_Pieces") -> "_Pieces":
+        """The pieces of self followed by those of other, one block per kind."""
+        joined = {}
+        for offset, pieces in ((0, self), (self.m, other)):
+            for kind, rows, arrs in pieces.blocks:
+                rows = np.arange(pieces.m)[rows] + offset  # rows may be a slice
+                if kind in joined:  # every array has its piece axis at -2
+                    rows = np.concatenate((joined[kind][0], rows))
+                    arrs = tuple(np.concatenate(pair, axis=-2) for pair in zip(joined[kind][1], arrs))
+                joined[kind] = rows, arrs
+        return _Pieces.of_blocks([(k, r, a) for k, (r, a) in joined.items()], self.m + other.m)
+
+    @cached_property
+    def scale(self) -> float:
+        """The largest absolute coordinate of a piece (a ball's reaches
+        out by its radius, a segment's to both ends)."""
+        scale = 0.0
+        for kind, _, arrs in self.blocks:
+            coords = np.abs(arrs[0]) + (arrs[1] if kind == "ball" else 0.0)
+            if kind == "box":
+                coords = np.maximum(coords, np.abs(arrs[1]))
+            elif kind == "segment":
+                coords = np.maximum(coords, np.abs(arrs[0] + arrs[1]))
+            scale = max(scale, float(coords.max()))
+        return scale
+
+
+def _sumsq(W):
+    """The left-to-right sum of squares over the leading axis of W."""
+    S = W * W
+    sq = S[0]
+    for s in S[1:]:
+        sq = sq + s
+    return sq
+
+
+_SAFE_SQ = 2.0 ** -968  # a sum of squares above it lost nothing to underflow
+
+
+def _scaled_norm(W):
+    """np.sqrt(_sumsq(W)), taken over W scaled by a power of two per
+    column so that no square under- or overflows; where the unscaled
+    formula does neither, both give the same float."""
+    e = np.frexp(np.abs(W).max(axis=0))[1]
+    return np.ldexp(np.sqrt(_sumsq(np.ldexp(W, -e))), e)
+
+
+def _kernel(X: np.ndarray, pieces: _Pieces):
+    """Distances D (m, N) from the N rows of X to the m pieces, and unit
+    gradients G (n, m, N): (x - P(x)) / d, or 0 where d is 0.
+
+    One formula for every kind: the norm is the square root of the
+    left-to-right sum of the squared coordinates of the offset, and a
+    ball subtracts its radius from it.  The squares are not rescaled
+    here as in _nearest_dists, so D holds to the rounding allowance
+    only while they neither underflow nor overflow.
+    """
+    N, n = X.shape
+    Xt = np.ascontiguousarray(X.T)[:, None, :]
+    D = np.empty((pieces.m, N))
+    G = np.empty((n, pieces.m, N))
+    for kind, rows, arrs in pieces.blocks:
+        W = _offsets(kind, Xt, arrs)
+        norm = np.sqrt(_sumsq(W))
+        d = np.maximum(norm - arrs[1], 0.0) if kind == "ball" else norm
+        D[rows] = d
+        G[:, rows] = np.divide(W, norm, out=np.zeros_like(W), where=d > 0.0)
+    return D, G
+
+
+def _nearest_dists(X: np.ndarray, pieces: _Pieces) -> np.ndarray:
+    """The least row of _kernel's D, without gradients and in few numpy
+    calls, with the squares rescaled where they may have under- or
+    overflowed.  The square root is monotone, so the pieces other than
+    balls take their minimum before it, and only that minimum needs the
+    check (any other piece is farther)."""
+    Xt = X.T[:, None, :]
+    best = None
+    for kind, _, arrs in pieces.blocks:
+        W = _offsets(kind, Xt, arrs)
+        sq = _sumsq(W)
+        if kind == "ball":
+            safe = sq.min() >= _SAFE_SQ and sq.max() < math.inf
+            d = np.maximum((np.sqrt(sq) if safe else _scaled_norm(W)) - arrs[1], 0.0).min(axis=0)
+        else:
+            sq = sq.min(axis=0)
+            v = sq.tolist()
+            d = np.sqrt(sq) if min(v) >= _SAFE_SQ and max(v) < math.inf else \
+                _scaled_norm(W).min(axis=0)
+        best = d if best is None else np.minimum(best, d)
+    return best
+
+
 @dataclass(frozen=True)
 class ClosedSet:
     space: AmbientSpace
@@ -291,16 +455,30 @@ class ClosedSet:
             (data, data) if kind == "point" else data for kind, data in self.components())
         return NormalForm1D([a for a, _ in ivs], [b for _, b in ivs])
 
+    @cached_property
+    def array_form(self) -> "_Pieces":
+        """The set's pieces stacked into numpy arrays per kind (n-D
+        ambients only), built on first use and kept with the set.  A point
+        set is one (m, n) block straight from its points; row j of the
+        kernel's output is component j either way."""
+        if self.space.is_one_dimensional or self.space.kind == FINITE:
+            raise UnsupportedPair("the array form needs R^n with n >= 2")
+        if isinstance(self.rep, (FinitePoints, SampledCloud)):
+            P = np.array(self.rep.points, dtype=float)
+            return _Pieces.of_blocks([("point", slice(None), (P.T[:, :, None],))], len(P))
+        return _Pieces(self.components())
+
 
 # ---------------------------------------------------------------------------
 # operations
 
 
-def dist_to_set(x, A: ClosedSet, ) -> float:
-    """Distance from a point to the set.
+def dist_to_set(x, A: ClosedSet) -> float:
+    """Distance from a point to the set: the entry of dists_to_set for x.
 
-    Exact for every exact representation; for a SampledCloud the answer
-    is the distance to the sample and is within A.slack of the truth.
+    Exact for every exact representation up to the rounding of the
+    formula (see dists_to_set); for a SampledCloud the answer is the
+    distance to the sample and is within A.slack of the truth.
     """
     space = A.space
     x = space.canon_point(x)
@@ -308,12 +486,48 @@ def dist_to_set(x, A: ClosedSet, ) -> float:
         return min(space.matrix[x][p] for p in _finite_indices(A))
     if space.is_one_dimensional:
         return A.normal_form.dist(_coord(x))
-    best = math.inf
-    for comp in A.components():
-        best = min(best, geom.gap(("point", x), comp))
-        if best == 0.0:
-            break
-    return best
+    return float(_dists([x], A)[0])
+
+
+def dists_to_set(X, A: ClosedSet) -> np.ndarray:
+    """Distances from the points X (one per row: indices on a finite
+    space, coordinates or 1-tuples on a 1-D ambient) to the set.
+
+    A row that is not a finite point of the ambient raises ValueError,
+    checked in one vectorised step.  Each entry is the float dist_to_set
+    gives for its point: in R^n one kernel pass over A.array_form (per
+    piece the square root of the left-to-right sum of squares of x less
+    its nearest point, less a ball's radius), on a 1-D ambient the
+    distances of A.normal_form, on a finite space the matrix rows.
+    """
+    space = A.space
+    if space.kind == FINITE:
+        return _dists([space.canon_point(x) for x in X], A)
+    width = 1 if space.is_one_dimensional else space.dim
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1 and (width == 1 or not len(X)):
+        X = X.reshape(-1, width)
+    if X.ndim != 2 or X.shape[1] != width or not np.isfinite(X).all():
+        raise ValueError(f"points must be finite rows of {width} coordinates")
+    if space.kind == OPEN_INTERVAL:
+        a, b = space.bounds
+        if not ((a < X) & (X < b)).all():
+            raise ValueError(f"points must lie inside the open interval ({a}, {b})")
+    return _dists(X, A)
+
+
+def _dists(X, A: ClosedSet) -> np.ndarray:
+    """dists_to_set for points already canonical, unchecked."""
+    space = A.space
+    if space.kind == FINITE:
+        idx = _finite_indices(A)
+        return np.array([min(space.matrix[x][p] for p in idx) for x in X], dtype=float)
+    X = np.asarray(X, dtype=float)
+    if space.is_one_dimensional:
+        return A.normal_form.dists(X.reshape(-1))
+    pieces = A.array_form
+    parts = [_nearest_dists(X[sl], pieces) for sl in _chunks(len(X), 8 * pieces.m * (space.dim + 2))]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _finite_indices(A: ClosedSet):
@@ -521,7 +735,7 @@ def is_subset(A: ClosedSet, B: ClosedSet, tol: float = 1e-9) -> bool:
         raise UnsupportedPair("containment of a sampled cloud cannot be certified")
 
     if isinstance(A.rep, FinitePoints):
-        return all(dist_to_set(p, B) <= tol for p in A.rep.points)
+        return bool((_dists(A.rep.points, B) <= tol).all())
 
     if A.space.is_one_dimensional:
         nb = B.normal_form

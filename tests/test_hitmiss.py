@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypermet.errors import GeneratorFault, UnsupportedPair
-from hypermet.hitmiss import (Constraint, OpenSetRep, canonical_neighborhoods,
-                              converges, hits, misses, neighborhood,
-                              subset_of)
+from hypermet.hitmiss import (Constraint, ConstraintEntry, ConvergenceReport,
+                              OpenSetRep, canonical_neighborhoods, converges,
+                              hits, misses, neighborhood, subset_of)
 from hypermet.hypermetrics import excess
-from hypermet.sets import ClosedSet
+from hypermet.sets import ClosedSet, dist_to_set
 from hypermet.spaces import AmbientSpace
 
 LINE = AmbientSpace.line()
@@ -268,3 +270,123 @@ def test_vietoris_scale_separates_stuck_family():
 def test_open_balls_need_a_finite_positive_radius(bad):
     with pytest.raises(ValueError):
         OpenSetRep.ball_union(E2, [((0.0, 0.0), bad)])
+
+
+# ---------------------------------------------------------------------------
+# the batched scan against a scan that asks one constraint at a time
+
+
+def ref_hits(A, U):
+    """hits, one ball at a time, with the strict rule written out."""
+    if U.complement_of is not None:
+        return hits(A, U)
+    undecided = False
+    for c, r in U.balls:
+        d = dist_to_set(c, A)
+        if d < r - A.slack:
+            return True
+        if d < r + A.slack:
+            undecided = True
+    if undecided:
+        raise UnsupportedPair("cloud resolution straddles a hit-ball boundary")
+    return False
+
+
+def ref_converges(seq, nbhds, horizon):
+    first, last = [None] * len(nbhds), [None] * len(nbhds)
+    for k in range(1, horizon + 1):
+        term = seq(k)
+        for i, c in enumerate(nbhds):
+            ok = (ref_hits(term, c.open_set) if c.tag == "hit"
+                  else subset_of(term, c.open_set) if c.tag == "contain"
+                  else misses(term, c.obstacle))
+            if not ok:
+                last[i] = k
+                first[i] = first[i] or k
+    entries = tuple(
+        ConstraintEntry(c.describe(), True, settles_at=1) if last[i] is None
+        else ConstraintEntry(c.describe(), True, settles_at=last[i] + 1, witness=first[i])
+        if last[i] < horizon else ConstraintEntry(c.describe(), False, witness=first[i])
+        for i, c in enumerate(nbhds))
+    return ConvergenceReport(all(e.passed for e in entries), horizon, entries)
+
+
+def outcome(scan, terms, nbhds):
+    """The scan's report, or the exception it raised and the term it read last."""
+    seen = []
+
+    def seq(k):
+        seen.append(k)
+        return terms[k - 1]
+
+    try:
+        return scan(seq, nbhds, len(terms))
+    except UnsupportedPair as exc:
+        return type(exc), str(exc), seen[-1]
+
+
+# dyadic coordinates, so that terms often sit exactly on a ball's boundary
+# (at distance r, r - h or r + h from its centre for radius r, resolution h)
+eighths = st.integers(-24, 24).map(lambda i: i / 8.0)
+
+
+@st.composite
+def scan_cases(draw):
+    plane = draw(st.booleans())
+    space = E2 if plane else LINE
+    pt = st.tuples(eighths, eighths) if plane else eighths
+    limit = ClosedSet.points(space, draw(st.lists(pt, min_size=1, max_size=4)))
+    topology = draw(st.sampled_from(("lowerV", "upperV", "vietoris", "fell")))
+    far = ClosedSet.balls(E2, [((6.0, 6.0), 1.0)]) if plane else \
+        ClosedSet.intervals(LINE, [(6.0, 7.0)])
+    nbhds = list(canonical_neighborhoods(limit, topology, 0.25, m=4, miss_compacts=[far]))
+    nbhds = draw(st.permutations(nbhds))
+    terms = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("points", "balls", "cloud")))
+        pts = draw(st.lists(pt, min_size=1, max_size=4))
+        if kind == "points":
+            terms.append(ClosedSet.points(space, pts))
+        elif kind == "cloud":
+            terms.append(ClosedSet.cloud(space, pts, draw(st.integers(0, 3)) / 8.0))
+        elif plane:
+            terms.append(ClosedSet.balls(space, [(p, draw(st.integers(0, 2)) / 8.0) for p in pts]))
+        else:
+            terms.append(ClosedSet.intervals(space, [(p, p + draw(st.integers(0, 2)) / 8.0)
+                                                     for p in pts]))
+    return tuple(nbhds), terms
+
+
+@settings(max_examples=400, deadline=None)
+@given(scan_cases())
+def test_batched_scan_matches_the_per_constraint_scan(case):
+    nbhds, terms = case
+    assert outcome(converges, terms, nbhds) == outcome(ref_converges, terms, nbhds)
+
+
+def test_a_term_on_a_hit_ball_boundary_does_not_hit():
+    A = ClosedSet.points(E2, [(0.0, 0.0)])
+    nbhds = canonical_neighborhoods(A, "lowerV", 0.25, m=1)
+    terms = [ClosedSet.points(E2, [(0.25, 0.0)]), ClosedSet.cloud(E2, [(0.375, 0.0)], 0.125),
+             ClosedSet.points(E2, [(0.125, 0.0)])]
+    rep = converges(lambda k: terms[k - 1], nbhds, horizon=3)
+    assert rep == ref_converges(lambda k: terms[k - 1], nbhds, 3)
+    assert rep.entries[0].settles_at == 3 and rep.entries[0].witness == 1
+
+
+@pytest.mark.parametrize("cover", ["balls", "complement"])
+@pytest.mark.parametrize("contain_first", [True, False])
+def test_a_straddling_cloud_raises_in_constraint_order(cover, contain_first):
+    hit = Constraint.hit(OpenSetRep.ball_union(E2, [((0.0, 0.0), 0.5)]))
+    contain = Constraint.contain(
+        OpenSetRep.ball_union(E2, [((0.0, 0.0), 2.0)]) if cover == "balls"
+        else OpenSetRep.complement(ClosedSet.balls(E2, [((6.0, 6.0), 1.0)])))
+    nbhds = (contain, hit) if contain_first else (hit, contain)
+    near = ClosedSet.points(E2, [(0.125, 0.0)])
+    terms = [near, near, ClosedSet.cloud(E2, [(0.375, 0.0)], 0.25), near]
+    got = outcome(converges, terms, nbhds)
+    assert got == outcome(ref_converges, terms, nbhds)
+    message = ("coverage of a sampled cloud cannot be certified"
+               if cover == "balls" and contain_first
+               else "cloud resolution straddles a hit-ball boundary")
+    assert got == (UnsupportedPair, message, 3)

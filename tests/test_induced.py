@@ -10,7 +10,8 @@ from hypermet.errors import AmbientMismatch, UnsupportedPair
 from hypermet.hypermetrics import aw_distance, hausdorff
 from hypermet.induced import (Affine, ArctanOfDistance, Composed, Identity,
                               LinearMatrix, PiecewiseMonotone1D,
-                              SinReciprocal, aw_continuity_conditions,
+                              SinReciprocal, _scaled_orthogonal, affine_image,
+                              aw_continuity_conditions,
                               check_preimage_boundedness, dist_range,
                               estimate_uniform_modulus, induced_image,
                               metric_by_name, probe_induced_continuity,
@@ -519,3 +520,115 @@ def test_metric_by_name():
     assert metric_by_name("AW")(A, B).lo == pytest.approx(1.0 / 3.0)
     with pytest.raises(ValueError):
         metric_by_name("L2")
+
+
+# ---------------------------------------------------------------------------
+# the fresh image of a point set, built from its pushed array
+
+
+def pushed_one_by_one(m, t, pts):
+    out = []
+    for p in pts:
+        y = m @ np.atleast_1d(np.array(p, dtype=float))
+        out.append((y if t is None else y + t).tolist())
+    return [v for v, in out] if m.shape[0] == 1 else [tuple(v) for v in out]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_point_image_is_the_set_of_its_pushed_points(data):
+    p, n = data.draw(st.sampled_from([(2, 2), (1, 2), (2, 1), (3, 2), (1, 1)]))
+    singular = data.draw(st.booleans())
+    entry = st.integers(-3, 3).map(float) if singular else spread
+    m = np.array(data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                    min_size=p, max_size=p)))
+    if singular and p > 1 and n > 1:
+        m[1] = 2.0 * m[0]  # rank one: distinct points merge
+    t = None if data.draw(st.booleans()) else np.array(data.draw(
+        st.lists(spread, min_size=p, max_size=p)))
+    domain = LINE if n == 1 else AmbientSpace.euclidean(n)
+    codomain = LINE if p == 1 else AmbientSpace.euclidean(p)
+    grid = st.integers(-4, 4).map(float)
+    pt = grid if n == 1 else st.tuples(*[grid if singular else spread] * n)
+    A = ClosedSet.points(domain, data.draw(st.lists(pt, min_size=1, max_size=12)))
+    image = affine_image(m, t, A, codomain)
+    expected = ClosedSet.points(codomain, pushed_one_by_one(m, t, A.rep.points))
+    assert image == expected
+    assert [type(v) for v in image.rep.points] == [type(v) for v in expected.rep.points]
+
+
+def test_singular_point_images_merge():
+    A = ClosedSet.points(E2, [(1.0, 0.0), (0.0, 0.5), (2.0, -0.5), (3.0, 1.0)])
+    image = affine_image(np.array([[1.0, 2.0], [2.0, 4.0]]), None, A, E2)
+    assert image.rep.points == ((1.0, 2.0), (5.0, 10.0))
+    row = affine_image(np.array([[0.0, 0.0]]), np.array([-1.5]), A, LINE)
+    assert row.rep.points == (-1.5,)
+
+
+@pytest.mark.parametrize("m, codomain", [
+    (((1e300, 0.0), (0.0, 1.0)), E2),
+    (((1e300, -1e300),), LINE),   # inf - inf: a NaN image
+    (((1e300, 1.0),), LINE),
+])
+def test_point_images_that_overflow_raise_the_constructor_error(m, codomain):
+    m = np.array(m)
+    A = ClosedSet.points(E2, [(0.0, 1.0), (1e10, 1e10), (-1e10, 2.0)])
+    with pytest.raises(ValueError) as fast:
+        affine_image(m, None, A, codomain)
+    with pytest.raises(ValueError) as slow:
+        ClosedSet.points(codomain, pushed_one_by_one(m, None, A.rep.points))
+    assert str(fast.value) == str(slow.value)
+
+
+# ---------------------------------------------------------------------------
+# the scaled-orthogonality test: np.allclose with rtol=0, read as one max
+
+
+def allclose_predicate(g, mu2):
+    return bool(np.allclose(g, mu2 * np.eye(len(g)), rtol=0.0, atol=1e-12 * max(1.0, mu2)))
+
+
+def max_predicate(g, mu2):
+    return float(np.abs(g - mu2 * np.eye(len(g))).max()) <= 1e-12 * max(1.0, mu2)
+
+
+def scaled_orthogonal_with_allclose(m):
+    """_scaled_orthogonal as it was written with np.allclose."""
+    with np.errstate(over="ignore"):
+        g = m.T @ m
+    mu2 = float(np.mean(np.diag(g)))
+    if not 2.2250738585072014e-308 <= mu2 < math.inf and m.any():
+        e = math.frexp(float(np.abs(m).max()))[1]
+        mu = scaled_orthogonal_with_allclose(np.ldexp(m, -e))
+        return None if mu is None else math.ldexp(mu, e)
+    return math.sqrt(mu2) if allclose_predicate(g, mu2) else None
+
+
+def test_the_max_predicate_agrees_with_allclose():
+    rng = np.random.default_rng(7)
+    checked = 0
+    for n in (1, 2, 3, 4):
+        for _ in range(200):
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            scale = 10.0 ** rng.uniform(-3, 3)
+            mats = [q, scale * q, rng.normal(size=(n, n)), q + 1e-13 * rng.normal(size=(n, n)),
+                    q * 10.0 ** rng.choice([-200.0, 200.0]), rng.normal(size=(n, n)) * 1e200,
+                    rng.normal(size=(n, n)) * 1e-200]
+            for m in mats:
+                with np.errstate(over="ignore", under="ignore"):
+                    assert _scaled_orthogonal(m) == scaled_orthogonal_with_allclose(m)
+                    g = m.T @ m
+                mu2 = float(np.mean(np.diag(g)))
+                # an infinite mu2 goes to the rescale path before either
+                # predicate (allclose would match inf against inf there)
+                if math.isfinite(mu2):
+                    assert max_predicate(g, mu2) == allclose_predicate(g, mu2)
+                checked += 1
+            g = (scale * q).T @ (scale * q)
+            for bad in (math.nan, math.inf, -math.inf):
+                g_bad = g.copy()
+                g_bad[rng.integers(n), rng.integers(n)] = bad
+                for mu2 in (float(np.mean(np.diag(g))), math.nan):
+                    assert not max_predicate(g_bad, mu2)
+                    assert not allclose_predicate(g_bad, mu2)
+    assert checked == 4 * 200 * 7

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hypermet import geom
 from hypermet.errors import UnsupportedPair
-from hypermet.sets import (ClosedSet, bounding_radius, dist_to_set,
-                           in_r_neighborhood, is_bounded, is_subset,
+from hypermet.hypermetrics import _allowance
+from hypermet.sets import (ClosedSet, _kernel, bounding_radius, dist_to_set,
+                           dists_to_set, in_r_neighborhood, is_bounded, is_subset,
                            representative_points, truncate, union_sets)
 from hypermet.spaces import AmbientSpace
 
@@ -262,3 +266,136 @@ def test_representative_points_belong_to_set():
     # deterministic
     A = sets[2]
     assert representative_points(A, 8) == representative_points(A, 8)
+
+
+# ---------------------------------------------------------------------------
+# one point-to-set formula: dist_to_set is dists_to_set on one row
+
+# coordinates whose differences square without underflow, where the old
+# route through geom is accurate enough to compare against
+coord = st.floats(min_value=-50.0, max_value=50.0).filter(lambda v: v == 0.0 or abs(v) > 1e-100)
+spread_coord = st.builds(lambda s, e: s * 10.0 ** e, st.sampled_from((-1.0, 1.0)),
+                         st.floats(min_value=-3.0, max_value=4.0))
+
+
+@st.composite
+def nd_sets(draw, coords=coord):
+    """A set of one to four pieces of one kind in R^2 or R^3."""
+    n = draw(st.sampled_from((2, 3)))
+    X = AmbientSpace.euclidean(n)
+    pt = st.tuples(*[coords] * n)
+    kind = draw(st.sampled_from(("points", "balls", "boxes", "segments", "ray")))
+    if kind == "ray":
+        u = draw(pt.filter(lambda v: math.hypot(*v) > 1e-3 * max(1.0, max(map(abs, v)))))
+        return ClosedSet.ray(X, draw(pt), u)
+    pieces = draw(st.lists(
+        st.tuples(pt, st.floats(min_value=0.0, max_value=5.0)) if kind == "balls"
+        else st.tuples(pt, pt) if kind in ("boxes", "segments") else pt,
+        min_size=1, max_size=4))
+    if kind == "boxes":
+        pieces = [(tuple(map(min, p, q)), tuple(map(max, p, q))) for p, q in pieces]
+    return getattr(ClosedSet, kind)(X, pieces)
+
+
+@st.composite
+def queries(draw, A, coords=coord):
+    pt = st.tuples(*[coords] * A.space.dim)
+    return draw(st.lists(pt, min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_nd_dist_to_set_is_the_batched_entry(data):
+    A = data.draw(nd_sets(data.draw(st.sampled_from((coord, spread_coord)))))
+    X = data.draw(queries(A))
+    d = dists_to_set(X, A)
+    assert d.shape == (len(X),)
+    for i, x in enumerate(X):
+        assert dist_to_set(x, A) == d[i]
+    # the branch-and-bound reads the same formula, piece by piece
+    assert (_kernel(np.array(X), A.array_form)[0].min(axis=0) == d).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_nd_distances_stay_within_the_allowance_of_geom_gap(data):
+    coords = data.draw(st.sampled_from((coord, spread_coord)))
+    A = data.draw(nd_sets(coords))
+    X = data.draw(queries(A, coords))
+    n = A.space.dim
+    scale = max(A.array_form.scale, max(abs(v) for x in X for v in x))
+    for x, d in zip(X, dists_to_set(X, A)):
+        old = min(geom.gap(("point", x), comp) for comp in A.components())
+        assert abs(d - old) <= _allowance(n, scale)
+
+
+line_coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
+
+
+@st.composite
+def one_d_sets(draw):
+    space = draw(st.sampled_from((AmbientSpace.line(), AmbientSpace.euclidean(1),
+                                  AmbientSpace.open_interval(-100.0, 100.0))))
+    kind = draw(st.sampled_from(("points", "intervals", "balls", "ray")))
+    if kind == "ray" and space.kind != "open-interval":
+        return space, ClosedSet.ray(space, draw(line_coord), draw(st.sampled_from((-1.0, 1.0))))
+    if kind == "balls" and space.kind == "euclidean":
+        balls = draw(st.lists(st.tuples(line_coord, st.floats(0.0, 5.0)), min_size=1, max_size=4))
+        return space, ClosedSet.balls(space, [((c,), r) for c, r in balls])
+    inner = st.floats(min_value=-99.0, max_value=99.0)
+    if kind == "points" or space.kind == "euclidean":
+        return space, ClosedSet.points(space, draw(st.lists(inner, min_size=1, max_size=6)))
+    ivs = draw(st.lists(st.tuples(inner, inner), min_size=1, max_size=4))
+    return space, ClosedSet.intervals(space, [tuple(sorted(iv)) for iv in ivs])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_1d_dist_to_set_is_the_batched_entry(data):
+    space, A = data.draw(one_d_sets())
+    xs = data.draw(st.lists(st.floats(min_value=-99.5, max_value=99.5), min_size=1, max_size=6))
+    rows = [(x,) for x in xs] if data.draw(st.booleans()) else xs
+    d = dists_to_set(rows, A)
+    for i, x in enumerate(rows):
+        assert dist_to_set(x, A) == d[i]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_finite_dist_to_set_is_the_batched_entry(data):
+    grid = st.integers(-20, 20)
+    pts = data.draw(st.lists(st.tuples(grid, grid), min_size=2, max_size=7, unique=True))
+    F = AmbientSpace.finite([[math.dist(p, q) for q in pts] for p in pts])
+    idx = st.integers(0, len(pts) - 1)
+    A = ClosedSet.points(F, data.draw(st.lists(idx, min_size=1, max_size=len(pts))))
+    X = data.draw(st.lists(idx, min_size=1, max_size=8))
+    d = dists_to_set(X, A)
+    for i, x in enumerate(X):
+        assert dist_to_set(x, A) == d[i]
+
+
+def test_nd_distances_do_not_under_or_overflow():
+    A = ClosedSet.points(E2, [(0.0, 0.0)])
+    for x in [(0.0, 1e-200), (3e-200, 4e-200), (0.0, 5e-324), (1e200, 0.0), (3e200, 4e200),
+              (1e308, 1e308)]:
+        assert dist_to_set(x, A) == math.hypot(*x)
+    B = ClosedSet.balls(E2, [((0.0, 0.0), 1e-300)])
+    assert dist_to_set((0.0, 3e-300), B) == 3e-300 - 1e-300
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dists_to_set_rejects_non_finite_rows(bad):
+    A = ClosedSet.balls(E2, [((0.0, 0.0), 1.0)])
+    with pytest.raises(ValueError):
+        dists_to_set([(0.0, 1.0), (bad, 0.0)], A)
+    with pytest.raises(ValueError):
+        dists_to_set(np.array([[0.0, 1.0, 2.0]]), A)  # a row of the wrong length
+    L = ClosedSet.intervals(LINE, [(0.0, 1.0)])
+    with pytest.raises(ValueError):
+        dists_to_set([0.5, bad], L)
+    U = AmbientSpace.open_interval(0.0, 1.0)
+    with pytest.raises(ValueError):
+        dists_to_set([0.5, 1.5], ClosedSet.points(U, [0.5]))
+    F = AmbientSpace.finite([[0, 1], [1, 0]])
+    with pytest.raises(ValueError):
+        dists_to_set([0, 2], ClosedSet.points(F, [0]))
