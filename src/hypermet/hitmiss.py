@@ -89,9 +89,6 @@ def _hit_rule(d, radii, slack):
     """For a set at distances d from the centres of open balls of the
     given radii, the balls it certainly meets (d < r - slack) and those
     it may meet at its resolution (d < r + slack), as two lists of flags."""
-    if slack == 0.0:
-        hit = (d < radii).tolist()
-        return hit, hit
     return (d < radii - slack).tolist(), (d < radii + slack).tolist()
 
 

@@ -27,7 +27,7 @@ from .hypermetrics import (CertifiedValue, aw_distance, hausdorff,
 from .sets import (BallUnion, BoxUnion, ClosedSet, FinitePoints, IntervalUnion,
                    Ray, SampledCloud, SegmentUnion, _coord, _far_from_point, _kernel,
                    _sup_dist, dist_to_set, is_bounded, representative_points)
-from .spaces import EUCLIDEAN, FINITE, LINE, OPEN_INTERVAL, AmbientSpace
+from .spaces import FINITE, LINE, OPEN_INTERVAL, AmbientSpace
 
 _HALF_PI = math.pi / 2.0
 
@@ -134,10 +134,9 @@ def affine_image(m, t, A: ClosedSet, codomain: AmbientSpace) -> ClosedSet:
     All points of a set go through one stacked product,
     (m @ X.reshape(N, n, 1))[:, :, 0], which rounds like the per-point
     m @ x (X @ m.T does not), so every pushed point equals the map's own
-    apply.  The image of a point set on the line or in R^p is built
-    straight from that array: one finiteness check (a non-finite image
-    raises the ValueError of canon_point), then its sorted distinct
-    rows, the set ClosedSet.points makes of them.  Balls need a
+    apply.  The image of a point set is ClosedSet.points of that array,
+    which checks it in one vectorised step (a non-finite image raises
+    canon_point's ValueError).  Balls need a
     scaled-orthogonal m, boxes a signed-permutation-diagonal one; on a
     line codomain (p = 1) segments and boxes become the interval between
     their pushed ends.
@@ -153,20 +152,11 @@ def affine_image(m, t, A: ClosedSet, codomain: AmbientSpace) -> ClosedSet:
         y = pushed(pts).tolist()
         return [v for v, in y] if on_line else [tuple(v) for v in y]
 
-    if isinstance(rep, FinitePoints) and codomain.kind in (LINE, EUCLIDEAN):
-        y = pushed(rep.points)
-        if not np.isfinite(y).all():
-            for v in y.tolist():
-                codomain.canon_point(tuple(v))  # raises its ValueError at the first bad row
-        y = y.tolist()
-        pts = set([v for v, in y] if codomain.kind == LINE else map(tuple, y))
-        return ClosedSet(codomain, FinitePoints(tuple(sorted(pts))))
-    if isinstance(rep, (FinitePoints, SampledCloud)):
-        pts = push(rep.points)
-        if isinstance(rep, FinitePoints):
-            return ClosedSet.points(codomain, pts)
+    if isinstance(rep, FinitePoints):
+        return ClosedSet.points(codomain, pushed(rep.points))
+    if isinstance(rep, SampledCloud):
         mu = _scaled_orthogonal(m)
-        return ClosedSet.cloud(codomain, pts,
+        return ClosedSet.cloud(codomain, push(rep.points),
                                (_sigma_max(m) if mu is None else mu) * rep.resolution)
     if isinstance(rep, Ray):
         (a,) = push([rep.anchor])

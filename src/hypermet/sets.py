@@ -255,57 +255,68 @@ def _sumsq(W):
 _SAFE_SQ = 2.0 ** -968  # a sum of squares above it lost nothing to underflow
 
 
-def _scaled_norm(W):
-    """np.sqrt(_sumsq(W)), taken over W scaled by a power of two per
-    column so that no square under- or overflows; where the unscaled
-    formula does neither, both give the same float."""
-    e = np.frexp(np.abs(W).max(axis=0))[1]
-    return np.ldexp(np.sqrt(_sumsq(np.ldexp(W, -e))), e)
+def _in_range(sq) -> bool:
+    """No sum of squares in sq under- or overflowed."""
+    if sq.size <= 64:  # the few sums of a query: Python's min and max are quicker
+        v = sq.ravel().tolist()
+        return not v or (min(v) >= _SAFE_SQ and max(v) < math.inf)
+    return bool(sq.min() >= _SAFE_SQ and sq.max() < math.inf)
+
+
+def _norm(W, nearest=False):
+    """The norm over the leading axis of W: the square root of _sumsq(W),
+    recomputed over W scaled by a power of two per column where a square
+    may have under- or overflowed, so that it holds to the rounding
+    allowance either way; where the unscaled formula does neither, both
+    give the same float.  With nearest, only the least norm over the next
+    axis: the square root is monotone, so the least sum is taken first
+    and only it needs the check (any other is larger).  Callers ignore
+    overflow (np.errstate), which the rescaling repairs."""
+    sq = _sumsq(W)
+    if nearest:
+        sq = sq.min(axis=0)
+    if not _in_range(sq):
+        # an offset of exactly 0 (a point inside a box) loses nothing
+        zero = ~W.any(axis=0)
+        if not _in_range(np.where(zero.any(axis=0) if nearest else zero, 1.0, sq)):
+            e = np.frexp(np.abs(W).max(axis=0))[1]
+            norm = np.ldexp(np.sqrt(_sumsq(np.ldexp(W, -e))), e)
+            return norm.min(axis=0) if nearest else norm
+    return np.sqrt(sq)
 
 
 def _kernel(X: np.ndarray, pieces: _Pieces):
     """Distances D (m, N) from the N rows of X to the m pieces, and unit
     gradients G (n, m, N): (x - P(x)) / d, or 0 where d is 0.
 
-    One formula for every kind: the norm is the square root of the
-    left-to-right sum of the squared coordinates of the offset, and a
-    ball subtracts its radius from it.  The squares are not rescaled
-    here as in _nearest_dists, so D holds to the rounding allowance
-    only while they neither underflow nor overflow.
+    One formula for every kind: the norm (_norm) of the offset, less a
+    ball's radius.
     """
     N, n = X.shape
     Xt = np.ascontiguousarray(X.T)[:, None, :]
     D = np.empty((pieces.m, N))
     G = np.empty((n, pieces.m, N))
-    for kind, rows, arrs in pieces.blocks:
-        W = _offsets(kind, Xt, arrs)
-        norm = np.sqrt(_sumsq(W))
-        d = np.maximum(norm - arrs[1], 0.0) if kind == "ball" else norm
-        D[rows] = d
-        G[:, rows] = np.divide(W, norm, out=np.zeros_like(W), where=d > 0.0)
+    with np.errstate(over="ignore"):
+        for kind, rows, arrs in pieces.blocks:
+            W = _offsets(kind, Xt, arrs)
+            norm = _norm(W)
+            d = np.maximum(norm - arrs[1], 0.0) if kind == "ball" else norm
+            D[rows] = d
+            G[:, rows] = np.divide(W, norm, out=np.zeros_like(W), where=d > 0.0)
     return D, G
 
 
 def _nearest_dists(X: np.ndarray, pieces: _Pieces) -> np.ndarray:
     """The least row of _kernel's D, without gradients and in few numpy
-    calls, with the squares rescaled where they may have under- or
-    overflowed.  The square root is monotone, so the pieces other than
-    balls take their minimum before it, and only that minimum needs the
-    check (any other piece is farther)."""
+    calls: the pieces other than balls take their least norm at once."""
     Xt = X.T[:, None, :]
     best = None
-    for kind, _, arrs in pieces.blocks:
-        W = _offsets(kind, Xt, arrs)
-        sq = _sumsq(W)
-        if kind == "ball":
-            safe = sq.min() >= _SAFE_SQ and sq.max() < math.inf
-            d = np.maximum((np.sqrt(sq) if safe else _scaled_norm(W)) - arrs[1], 0.0).min(axis=0)
-        else:
-            sq = sq.min(axis=0)
-            v = sq.tolist()
-            d = np.sqrt(sq) if min(v) >= _SAFE_SQ and max(v) < math.inf else \
-                _scaled_norm(W).min(axis=0)
-        best = d if best is None else np.minimum(best, d)
+    with np.errstate(over="ignore"):
+        for kind, _, arrs in pieces.blocks:
+            W = _offsets(kind, Xt, arrs)
+            d = np.maximum(_norm(W) - arrs[1], 0.0).min(axis=0) if kind == "ball" else \
+                _norm(W, nearest=True)
+            best = d if best is None else np.minimum(best, d)
     return best
 
 
@@ -318,7 +329,19 @@ class ClosedSet:
 
     @staticmethod
     def points(space: AmbientSpace, pts) -> "ClosedSet":
-        canon = sorted({space.canon_point(p) for p in pts})
+        """The finite set of the points pts.  On the line or in R^n pts
+        may be a float array with one point per row; one vectorised
+        finiteness check then stands for canon_point on every row, and a
+        non-finite row still raises canon_point's ValueError."""
+        if isinstance(pts, np.ndarray) and pts.dtype == float and space.kind in (LINE, EUCLIDEAN) \
+                and pts.shape[1:] == (1 if space.kind == LINE else space.dim,):
+            rows = pts.tolist()
+            if np.isfinite(pts).all():
+                canon = sorted(set([v for v, in rows] if space.kind == LINE else map(tuple, rows)))
+            else:  # raises at the first non-finite row
+                canon = sorted({space.canon_point(tuple(v)) for v in rows})
+        else:
+            canon = sorted({space.canon_point(p) for p in pts})
         if not canon:
             raise ValueError("a closed set must be nonempty")
         return ClosedSet(space, FinitePoints(tuple(canon)))
@@ -525,6 +548,8 @@ def _dists(X, A: ClosedSet) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if space.is_one_dimensional:
         return A.normal_form.dists(X.reshape(-1))
+    if not len(X):
+        return np.empty(0)
     pieces = A.array_form
     parts = [_nearest_dists(X[sl], pieces) for sl in _chunks(len(X), 8 * pieces.m * (space.dim + 2))]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)

@@ -632,3 +632,14 @@ def test_the_max_predicate_agrees_with_allclose():
                     assert not max_predicate(g_bad, mu2)
                     assert not allclose_predicate(g_bad, mu2)
     assert checked == 4 * 200 * 7
+
+
+@pytest.mark.parametrize("A", [
+    ClosedSet.boxes(E2, [((1e-200, 1e-200), (1.0, 1.0))]),
+    ClosedSet.segments(E2, [((1e-200, -1.0), (1e-200, 1.0))]),
+    ClosedSet.points(E2, [(0.0, 1e-200), (0.0, 2.0)]),
+])
+def test_arctan_image_keeps_a_tiny_gap(A):
+    # the set never comes within 1e-200 of the anchor, so neither may the image
+    lo = ArctanOfDistance(E2, (0.0, 0.0)).image(A).normal_form.lo[0]
+    assert lo > 0.0 and lo == math.atan(dist_to_set((0.0, 0.0), A))

@@ -1,15 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypermet import geom
 from hypermet.errors import UnsupportedPair
 from hypermet.hypermetrics import _allowance
-from hypermet.sets import (ClosedSet, _kernel, bounding_radius, dist_to_set,
-                           dists_to_set, in_r_neighborhood, is_bounded, is_subset,
+from hypermet.sets import (BallUnion, BoxUnion, ClosedSet, FinitePoints, _kernel,
+                           bounding_radius, dist_to_set, dists_to_set, in_r_neighborhood, is_bounded, is_subset,
                            representative_points, truncate, union_sets)
 from hypermet.spaces import AmbientSpace
 
@@ -399,3 +400,85 @@ def test_dists_to_set_rejects_non_finite_rows(bad):
     F = AmbientSpace.finite([[0, 1], [1, 0]])
     with pytest.raises(ValueError):
         dists_to_set([0, 2], ClosedSet.points(F, [0]))
+
+
+# coordinates from 1e-300 to 1e300, so that offsets square into the
+# subnormals or past the largest float
+wide_coord = st.one_of(st.just(0.0), st.builds(
+    lambda s, e: s * 10.0 ** e, st.sampled_from((-1.0, 1.0)), st.floats(min_value=-300.0, max_value=300.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_kernel_and_the_query_share_one_norm_at_every_scale(data):
+    A = data.draw(nd_sets(wide_coord))
+    X = data.draw(queries(A, wide_coord))
+    if not isinstance(A.rep, (BallUnion, BoxUnion, FinitePoints)):
+        # the projection onto a segment or ray multiplies coordinates
+        # unscaled, so its offsets are only sound below about 1e150
+        with np.errstate(over="ignore"):
+            assume(max(abs(v) for x in X for v in x) < 1e150 and A.array_form.scale < 1e150)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # overflow is repaired, not printed
+        d = dists_to_set(X, A)
+        D = _kernel(np.array(X), A.array_form)[0]
+    assert (D.min(axis=0) == d).all()
+    assert np.isfinite(d).all() or not np.isfinite(np.array(X)).all()
+
+
+@pytest.mark.parametrize("A", [
+    ClosedSet.points(E2, [(0.0, 1e-200)]),
+    ClosedSet.boxes(E2, [((1e-200, 1e-200), (1.0, 1.0))]),
+    ClosedSet.segments(E2, [((1e-200, -1.0), (1e-200, 1.0))]),
+    ClosedSet.balls(E2, [((3e-200, 0.0), 1e-200)]),
+])
+def test_the_kernel_does_not_underflow(A):
+    x = np.array([[0.0, 0.0]])
+    d = _kernel(x, A.array_form)[0][0, 0]
+    assert d > 0.0 and d == dist_to_set((0.0, 0.0), A)
+    assert math.isclose(d, min(geom.gap(("point", (0.0, 0.0)), c) for c in A.components()),
+                        rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("A", [
+    ClosedSet.points(E2, [(1.0, 2.0)]),
+    ClosedSet.points(AmbientSpace.euclidean(3), [(1.0, 2.0, 3.0)]),
+    ClosedSet.balls(E2, [((0.0, 0.0), 1.0)]),
+    ClosedSet.points(LINE, [1.0]),
+    ClosedSet.points(AmbientSpace.euclidean(1), [(1.0,)]),
+    ClosedSet.intervals(AmbientSpace.open_interval(0.0, 1.0), [(0.25, 0.5)]),
+    ClosedSet.points(AmbientSpace.finite([[0, 1], [1, 0]]), [0]),
+])
+def test_an_empty_batch_has_no_distances(A):
+    for X in ([], np.empty((0,)), np.empty((0, 1 if A.space.is_one_dimensional else A.space.dim))):
+        if A.space.kind == "finite" and isinstance(X, np.ndarray) and X.ndim == 2:
+            continue
+        d = dists_to_set(X, A)
+        assert d.shape == (0,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_points_from_an_array_are_the_points_of_its_rows(data):
+    space = data.draw(st.sampled_from((LINE, AmbientSpace.euclidean(1), E2, AmbientSpace.euclidean(3))))
+    width = 1 if space.kind == "line" else space.dim
+    grid = st.sampled_from((-1.5, -0.0, 0.0, 2.0, 1e-300, 7.25))
+    rows = data.draw(st.lists(st.lists(grid, min_size=width, max_size=width), min_size=1, max_size=8))
+    A = ClosedSet.points(space, np.array(rows))
+    expected = ClosedSet.points(space, [tuple(r) for r in rows])
+    assert A == expected
+    assert [type(p) for p in A.rep.points] == [type(p) for p in expected.rep.points]
+    assert all(type(v) is float for p in A.rep.points for v in (p if isinstance(p, tuple) else (p,)))
+
+
+@pytest.mark.parametrize("space", [LINE, E2])
+def test_points_from_a_non_finite_array_raise_the_per_point_error(space):
+    width = 1 if space.kind == "line" else 2
+    rows = [[0.5] * width, [math.nan] + [1.0] * (width - 1)]
+    with pytest.raises(ValueError) as fast:
+        ClosedSet.points(space, np.array(rows))
+    with pytest.raises(ValueError) as slow:
+        ClosedSet.points(space, [tuple(r) for r in rows])
+    assert str(fast.value) == str(slow.value)
+    with pytest.raises(ValueError):
+        ClosedSet.points(space, np.empty((0, width)))
