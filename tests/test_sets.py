@@ -423,7 +423,7 @@ def test_the_kernel_and_the_query_share_one_norm_at_every_scale(data):
         d = dists_to_set(X, A)
         D = _kernel(np.array(X), A.array_form)[0]
     assert (D.min(axis=0) == d).all()
-    assert np.isfinite(d).all() or not np.isfinite(np.array(X)).all()
+    assert np.isfinite(d).all()  # coordinates stay below 1e300, so every distance is finite
 
 
 @pytest.mark.parametrize("A", [
@@ -450,11 +450,11 @@ def test_the_kernel_does_not_underflow(A):
     ClosedSet.points(AmbientSpace.finite([[0, 1], [1, 0]]), [0]),
 ])
 def test_an_empty_batch_has_no_distances(A):
-    for X in ([], np.empty((0,)), np.empty((0, 1 if A.space.is_one_dimensional else A.space.dim))):
-        if A.space.kind == "finite" and isinstance(X, np.ndarray) and X.ndim == 2:
-            continue
-        d = dists_to_set(X, A)
-        assert d.shape == (0,)
+    batches = [[], np.empty((0,))]
+    if A.space.kind == "euclidean":
+        batches.append(np.empty((0, A.space.dim)))
+    for X in batches:
+        assert dists_to_set(X, A).shape == (0,)
 
 
 @settings(max_examples=200, deadline=None)
