@@ -252,72 +252,75 @@ def _sumsq(W):
     return sq
 
 
-_SAFE_SQ = 2.0 ** -968  # a sum of squares above it lost nothing to underflow
-
-
-def _in_range(sq) -> bool:
-    """No sum of squares in sq under- or overflowed."""
-    if sq.size <= 64:  # the few sums of a query: Python's min and max are quicker
-        v = sq.ravel().tolist()
-        return not v or (min(v) >= _SAFE_SQ and max(v) < math.inf)
-    return bool(sq.min() >= _SAFE_SQ and sq.max() < math.inf)
-
-
-def _norm(W, nearest=False):
-    """The norm over the leading axis of W: the square root of _sumsq(W),
-    recomputed over W scaled by a power of two per column where a square
-    may have under- or overflowed, so that it holds to the rounding
-    allowance either way; where the unscaled formula does neither, both
-    give the same float.  With nearest, only the least norm over the next
-    axis: the square root is monotone, so the least sum is taken first
-    and only it needs the check (any other is larger).  Callers ignore
-    overflow (np.errstate), which the rescaling repairs."""
+def _plain_norm(W, nearest=False):
+    """The square root of _sumsq(W).  With nearest, only the least norm
+    over the next axis: the square root is monotone, so the least sum is
+    taken first."""
     sq = _sumsq(W)
-    if nearest:
-        sq = sq.min(axis=0)
-    if not _in_range(sq):
-        # an offset of exactly 0 (a point inside a box) loses nothing
-        zero = ~W.any(axis=0)
-        if not _in_range(np.where(zero.any(axis=0) if nearest else zero, 1.0, sq)):
-            e = np.frexp(np.abs(W).max(axis=0))[1]
-            norm = np.ldexp(np.sqrt(_sumsq(np.ldexp(W, -e))), e)
-            return norm.min(axis=0) if nearest else norm
-    return np.sqrt(sq)
+    return np.sqrt(sq.min(axis=0) if nearest else sq)
+
+
+def _scaled_norm(W, nearest=False):
+    """_plain_norm over W scaled by a power of two per column, so that no
+    square under- or overflows; where no step of _plain_norm does, both
+    give the same float."""
+    e = np.frexp(np.abs(W).max(axis=0))[1]
+    norm = np.ldexp(np.sqrt(_sumsq(np.ldexp(W, -e))), e)
+    return norm.min(axis=0) if nearest else norm
+
+
+def _guarded(compute):
+    """compute(norm) with _plain_norm, or, if any step of it under- or
+    overflowed, again with _scaled_norm.  A square of exactly 0 (a point
+    inside a box) or an exact subnormal raises no flag, so the common
+    case pays for no range check, and the floats are those of the scaled
+    norm either way: one formula that holds to the rounding allowance at
+    every scale."""
+    try:
+        with np.errstate(over="raise", under="raise"):
+            return compute(_plain_norm)
+    except FloatingPointError:
+        with np.errstate(over="ignore", under="ignore"):
+            return compute(_scaled_norm)
 
 
 def _kernel(X: np.ndarray, pieces: _Pieces):
     """Distances D (m, N) from the N rows of X to the m pieces, and unit
     gradients G (n, m, N): (x - P(x)) / d, or 0 where d is 0.
 
-    One formula for every kind: the norm (_norm) of the offset, less a
-    ball's radius.
+    One formula for every kind: the norm of the offset (_guarded), less
+    a ball's radius.
     """
     N, n = X.shape
     Xt = np.ascontiguousarray(X.T)[:, None, :]
-    D = np.empty((pieces.m, N))
-    G = np.empty((n, pieces.m, N))
-    with np.errstate(over="ignore"):
+
+    def compute(norm_of):
+        D = np.empty((pieces.m, N))
+        G = np.empty((n, pieces.m, N))
         for kind, rows, arrs in pieces.blocks:
             W = _offsets(kind, Xt, arrs)
-            norm = _norm(W)
+            norm = norm_of(W)
             d = np.maximum(norm - arrs[1], 0.0) if kind == "ball" else norm
             D[rows] = d
             G[:, rows] = np.divide(W, norm, out=np.zeros_like(W), where=d > 0.0)
-    return D, G
+        return D, G
+    return _guarded(compute)
 
 
 def _nearest_dists(X: np.ndarray, pieces: _Pieces) -> np.ndarray:
     """The least row of _kernel's D, without gradients and in few numpy
     calls: the pieces other than balls take their least norm at once."""
     Xt = X.T[:, None, :]
-    best = None
-    with np.errstate(over="ignore"):
+
+    def compute(norm_of):
+        best = None
         for kind, _, arrs in pieces.blocks:
             W = _offsets(kind, Xt, arrs)
-            d = np.maximum(_norm(W) - arrs[1], 0.0).min(axis=0) if kind == "ball" else \
-                _norm(W, nearest=True)
+            d = np.maximum(norm_of(W) - arrs[1], 0.0).min(axis=0) if kind == "ball" else \
+                norm_of(W, nearest=True)
             best = d if best is None else np.minimum(best, d)
-    return best
+        return best
+    return _guarded(compute)
 
 
 @dataclass(frozen=True)
