@@ -31,6 +31,8 @@ def _rows(m) -> tuple:
     a = _np(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("group elements need a square matrix")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     return tuple(tuple(float(v) for v in row) for row in a)
 
 
@@ -49,6 +51,8 @@ class GroupElement:
         off = tuple(float(v) for v in self.offset)
         if len(off) != len(rows):
             raise ValueError("offset dimension mismatch")
+        if not all(map(math.isfinite, off)):
+            raise ValueError("offset entries must be finite")
         if float(abs(np.linalg.det(_np(rows)))) == 0.0:
             raise ValueError("group elements must be invertible")
         object.__setattr__(self, "matrix", rows)

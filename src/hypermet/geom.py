@@ -1,17 +1,15 @@
 """Low-level Euclidean geometry used by the set representations.
 
-Everything here works on plain float tuples.  Components of a closed
-set in n-D are normalized to a small vocabulary of primitive shapes
-(1-D sets are read through their interval normal form instead):
+Everything here works on plain float tuples: vector helpers, and the
+exact minimum distance (gap, zero when they meet) between two of the
+n-D primitive shapes
 
-    ("point", p)
-    ("ball", (c, r))
     ("box", (lo, hi))       axis-aligned, lo/hi corner tuples
     ("segment", (p, q))
     ("ray", (a, u))         u a unit vector
 
-The gap routines return exact minimum distances between two primitive
-shapes (zero when they intersect).
+Only these piece-piece gaps live here: the distance from a point to a
+piece, and so from a ball, is the array kernel of the sets module.
 """
 
 from __future__ import annotations
@@ -46,37 +44,6 @@ def unit(p):
     if n == 0.0:
         raise ValueError("zero vector has no direction")
     return tuple(a / n for a in p)
-
-
-# ---------------------------------------------------------------------------
-# point-to-shape distances
-
-
-def dist_point_ball(x, c, r) -> float:
-    return max(0.0, math.dist(x, c) - r)
-
-
-def dist_point_box(x, lo, hi) -> float:
-    return math.hypot(*(max(l - xi, xi - h, 0.0) for xi, l, h in zip(x, lo, hi)))
-
-
-def closest_on_segment(x, p, q):
-    d = sub(q, p)
-    dd = dot(d, d)
-    if dd == 0.0:
-        return p
-    t = dot(sub(x, p), d) / dd
-    t = min(1.0, max(0.0, t))
-    return add(p, scale(d, t))
-
-
-def dist_point_segment(x, p, q) -> float:
-    return math.dist(x, closest_on_segment(x, p, q))
-
-
-def dist_point_ray(x, a, u) -> float:
-    t = max(0.0, dot(sub(x, a), u))
-    return math.dist(x, add(a, scale(u, t)))
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +105,9 @@ def gap_linear_box(p, d, tmax, lo, hi) -> float:
                     ts.add(t)
     knots = sorted(ts)
 
-    def value(t):
+    def value(t):  # the distance from p + t d to the box
         x = add(p, scale(d, t))
-        return dist_point_box(x, lo, hi)
+        return math.hypot(*(max(l - xi, xi - h, 0.0) for xi, l, h in zip(x, lo, hi)))
 
     best = min(value(t) for t in knots)
     # scan each piece for an interior vertex of the active quadratic
@@ -186,29 +153,13 @@ def _as_param(shape):
 
 
 def gap(shape_a, shape_b) -> float:
-    """Exact minimum distance between two primitive shapes."""
+    """Exact minimum distance between two box, segment or ray shapes."""
     ka, da = shape_a
     kb, db = shape_b
     # order the pair so we only handle one triangle of the kind matrix
-    order = {"point": 0, "ball": 1, "box": 2, "segment": 3, "ray": 4}
+    order = {"box": 0, "segment": 1, "ray": 2}
     if order[ka] > order[kb]:
         return gap(shape_b, shape_a)
-
-    if ka == "point":
-        x = da
-        if kb == "point":
-            return math.dist(x, db)
-        if kb == "ball":
-            return dist_point_ball(x, *db)
-        if kb == "box":
-            return dist_point_box(x, *db)
-        if kb == "segment":
-            return dist_point_segment(x, *db)
-        if kb == "ray":
-            return dist_point_ray(x, *db)
-    if ka == "ball":
-        c, r = da
-        return max(0.0, gap(("point", c), shape_b) - r)
     if ka == "box":
         if kb == "box":
             return gap_box_box(*da, *db)

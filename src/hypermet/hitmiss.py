@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import AmbientMismatch, GeneratorFault, UnsupportedPair
 from .hypermetrics import set_gap
-from .sets import (ClosedSet, _coord, _dists, _far_from_point, is_bounded, is_subset,
-                   representative_points)
+from .sets import (BallUnion, ClosedSet, _coord, _dists, _far_from_point, is_bounded,
+                   is_subset, representative_points)
 from .spaces import FINITE, AmbientSpace
 
 Ball = tuple  # (center, radius)
@@ -107,8 +107,13 @@ def misses(A: ClosedSet, K: ClosedSet) -> bool:
     """A and the compact obstacle K are disjoint."""
     if not is_bounded(K):
         raise ValueError("miss obstacles must be compact (bounded closed)")
-    g = set_gap(A, K)
-    slack = A.slack + K.slack
+    return _miss_verdict(set_gap(A, K), A.slack + K.slack)
+
+
+def _miss_verdict(g: float, slack: float) -> bool:
+    """Whether a set at gap g from an obstacle misses it: True when g
+    beats the pair's slack, False when they touch, and UnsupportedPair
+    (undecidable at the resolution) otherwise."""
     if g > slack:
         return True
     if slack == 0.0 or g == 0.0:
@@ -304,17 +309,19 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
     pass.  A pass is evidence of convergence; a fail is a proof of exit
     at the witness index.  Generator exceptions become GeneratorFault.
 
-    The centres of the ball-union hit constraints are gathered once per
-    scan, and each term is measured from all of them in one batched
-    query (see dists_to_set).  Constraints are still read in order with the checks and the
-    rule of hits, so a scan raises the exception that the per-constraint
-    calls would raise, at the same term.
+    The centres of the ball-union hit constraints, and in R^n those of
+    the ball-union miss obstacles, are gathered once per scan, and each
+    term is measured from all of them in one batched query (see
+    dists_to_set; set_gap from a ball union is the least d - r).
+    Constraints are still read in order with the checks and the rules of
+    hits and misses, so a scan raises the exception that the
+    per-constraint calls would raise, at the same term.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if not nbhds:
         raise ValueError("no constraints to check")
-    owned, centres, radii = _hit_batch(nbhds)
+    owned, space, centres, radii = _hit_batch(nbhds)
     first_fail = [None] * len(nbhds)
     last_fail = [None] * len(nbhds)
     for k in range(1, horizon + 1):
@@ -324,13 +331,16 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
             raise
         except Exception as exc:  # noqa: BLE001 - reported with its index
             raise GeneratorFault(k, exc) from exc
-        flags = None  # of every gathered ball, from one batched query
+        d = None  # from every gathered ball, in one batched query
         for i, constraint in enumerate(nbhds):
             if i in owned:
-                if flags is None:  # the check of hits, at the first of them
-                    constraint.open_set.space.require_same(term.space)
-                    flags = _hit_rule(_dists(centres, term), radii, term.slack)
-                ok = _hit_verdict(*flags, owned[i])
+                if d is None:  # the check of hits and set_gap, at the first of them
+                    space.require_same(term.space)
+                    d = _dists(centres, term)
+                    flags = _hit_rule(d, radii, term.slack)
+                sl = owned[i]
+                ok = _hit_verdict(*flags, sl) if constraint.tag == "hit" else \
+                    _miss_verdict(float(np.maximum(d[sl] - radii[sl], 0.0).min()), term.slack)
             else:
                 ok = constraint.satisfied_by(term)
             if not ok:
@@ -351,18 +361,25 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
 
 
 def _hit_batch(nbhds):
-    """The ball-union hit constraints of nbhds that share the first one's
-    ambient: {constraint index: the slice of its balls}, and the centres
-    and radii of all their balls stacked."""
+    """The ball-union hit constraints of nbhds, and the miss constraints
+    whose obstacle is a ball union in R^n, that share the first one's
+    ambient: {constraint index: the slice of its balls}, that ambient, and
+    the centres and radii of all their balls stacked."""
     owned, centres, radii, space = {}, [], [], None
     for i, constraint in enumerate(nbhds):
-        U = constraint.open_set
-        if constraint.tag != "hit" or U.balls is None or (space is not None and U.space != space):
+        if constraint.tag == "hit":
+            balls, at = constraint.open_set.balls, constraint.open_set.space
+        elif constraint.tag == "miss" and isinstance(constraint.obstacle.rep, BallUnion) \
+                and not constraint.obstacle.space.is_one_dimensional:
+            balls, at = constraint.obstacle.rep.balls, constraint.obstacle.space
+        else:
             continue
-        space = U.space
-        owned[i] = slice(len(centres), len(centres) + len(U.balls))
-        centres += [c for c, _ in U.balls]
-        radii += [r for _, r in U.balls]
+        if balls is None or (space is not None and at != space):
+            continue
+        space = at
+        owned[i] = slice(len(centres), len(centres) + len(balls))
+        centres += [c for c, _ in balls]
+        radii += [r for _, r in balls]
     if space is None or space.kind != FINITE:
         centres = np.array(centres, dtype=float)
-    return owned, centres, np.array(radii)
+    return owned, space, centres, np.array(radii)

@@ -35,16 +35,19 @@ import numpy as np
 from . import geom
 from .errors import Indeterminate, UnsupportedPair
 from .sets import (
+    BallUnion,
     ClosedSet,
     FinitePoints,
     Ray,
     SampledCloud,
-    _box_corners,
     _chunks,
     _coord,
     _dists,
+    _excess_at_vertices,
     _kernel,
     _Pieces,
+    _vertices,
+    dist_to_set,
     is_bounded,
 )
 from .spaces import FINITE, OPEN_INTERVAL
@@ -262,50 +265,40 @@ def _excess_ray(A, B) -> CertifiedValue:
     if is_bounded(B):
         return CertifiedValue.infinite("ray-closed-form", ("escape", u))
     if isinstance(B.rep, Ray):
-        b, v = B.rep.anchor, B.rep.direction
-        if geom.dot(u, v) >= 1.0 - _PARALLEL_TOL:
+        if geom.dot(u, B.rep.direction) >= 1.0 - _PARALLEL_TOL:
             # distance to the target ray is convex and bounded along A,
             # hence nonincreasing: the anchor is the worst point
-            return CertifiedValue.point(geom.dist_point_ray(a, b, v),
-                                        "ray-closed-form", a)
+            return CertifiedValue.point(dist_to_set(a, B), "ray-closed-form", a)
         return CertifiedValue.infinite("ray-closed-form", ("escape", u))
     raise UnsupportedPair("ray excess is only closed-form against rays or bounded sets")
 
 
 def _excess_convex(A, B) -> CertifiedValue:
+    """The farthest vertex of A from the single piece of B (see _vertices),
+    in one batched query; a ball adds its radius, by closed form against a
+    ball target.  argmax keeps the first farthest vertex as witness."""
     bc = B.components()
     if len(bc) > 1:
         raise UnsupportedPair(
             "excess onto a multi-component set has no closed form for these representations"
         )
-    target = bc[0]
-    tkind, tdata = target
-    best, wit, method = -1.0, None, "finite-max"
-    for kind, data in A.components():
-        if kind == "segment":
-            p, q = data
-            v, c = max((geom.gap(("point", e), target), e) for e in (p, q))
-        elif kind == "box":
-            lo, hi = data
-            v, c = max((geom.gap(("point", e), target), e) for e in _box_corners(lo, hi))
-        elif kind == "ball":
-            cen, r = data
-            if tkind == "ball":
-                c2, r2 = tdata
-                v, c = max(math.dist(cen, c2) + r - r2, 0.0), cen
-            else:
-                d0 = geom.gap(("point", cen), target)
-                if d0 <= 0.0:
-                    raise UnsupportedPair(
-                        "no closed form for the excess of a ball overlapping its target"
-                    )
-                v, c = d0 + r, cen
-            method = "ball-closed-form"
-        else:
-            raise UnsupportedPair(f"no excess closed form for component kind {kind!r}")
-        if v > best:
-            best, wit = v, c
-    return CertifiedValue.point(best, method, wit)
+    balls = isinstance(A.rep, BallUnion)
+    if balls and bc[0][0] == "ball":
+        c2, r2 = bc[0][1]
+        X = [c for c, _ in A.rep.balls]
+        d = [max(math.dist(c, c2) + r - r2, 0.0) for c, r in A.rep.balls]
+    else:
+        X = _vertices(A.components())[0].tolist()
+        d = _dists(X, B)
+        if balls:
+            if (d <= 0.0).any():
+                raise UnsupportedPair(
+                    "no closed form for the excess of a ball overlapping its target"
+                )
+            d = d + np.array([r for _, r in A.rep.balls])
+    i = int(np.argmax(d))
+    return CertifiedValue.point(float(d[i]), "ball-closed-form" if balls else "finite-max",
+                                tuple(X[i]))
 
 
 def _combine_max(e1: CertifiedValue, e2: CertifiedValue, tag1, tag2) -> CertifiedValue:
@@ -347,13 +340,16 @@ def set_gap(A: ClosedSet, B: ClosedSet) -> float:
         gaps = [float(nf.dists(ends).min())
                 for nf, ends in ((nb, na.finite_ends), (na, nb.finite_ends)) if len(ends)]
         return min(gaps, default=0.0)
-    best = math.inf
-    for ca in A.components():
-        for cb in B.components():
-            best = min(best, geom.gap(ca, cb))
-            if best == 0.0:
-                return 0.0
-    return best
+    # a point side is one query, then a ball side one query from its
+    # centres; only box, segment and ray pairs read geom.gap
+    for P, Q in ((A, B), (B, A)):
+        if isinstance(P.rep, (FinitePoints, SampledCloud)):
+            return float(_dists(P.rep.points, Q).min())
+    for P, Q in ((B, A), (A, B)):
+        if isinstance(P.rep, BallUnion):
+            c, r = zip(*P.rep.balls)
+            return float(np.maximum(_dists(c, Q) - r, 0.0).min())
+    return min(geom.gap(ca, cb) for ca in A.components() for cb in B.components())
 
 
 # ---------------------------------------------------------------------------
@@ -488,33 +484,6 @@ def _nearest(D, G, F):
     return (idx, np.take_along_axis(D, idx, axis=0), np.take_along_axis(G, idx[None], axis=1),
             np.take_along_axis(F, idx, axis=0),
             np.take_along_axis(D, part[_NEAREST:_NEAREST + 1], axis=0)[0])
-
-
-def _vertices(comps):
-    """The vertices of each piece (a ball's centre, a ray's anchor), as
-    rows of X, and the index of the piece that owns each row."""
-    verts, owner = [], []
-    for i, (kind, data) in enumerate(comps):
-        vs = (_box_corners(*data) if kind == "box" else data if kind == "segment"
-              else [data if kind == "point" else data[0]])
-        verts.extend(vs)
-        owner.extend([i] * len(vs))
-    return np.array(verts, dtype=float), np.array(owner, dtype=int)
-
-
-def _excess_at_vertices(comps, X, owner, other: _Pieces, n):
-    """E[i, k] >= the excess of piece i of comps over piece k of other:
-    the largest distance from a vertex of piece i (rows of X by owner),
-    plus a ball's radius; inf for a ray."""
-    E = np.full((len(comps), other.m), -np.inf)
-    for sl in _chunks(len(X), 8 * other.m * (n + 2)):
-        np.maximum.at(E, owner[sl], _kernel(X[sl], other)[0].T)
-    for i, (kind, data) in enumerate(comps):
-        if kind == "ball":
-            E[i] += data[1]
-        elif kind == "ray":
-            E[i] = np.inf
-    return E
 
 
 class _GapBound:

@@ -25,7 +25,7 @@ from .errors import UnsupportedPair
 from .hypermetrics import (CertifiedValue, aw_distance, hausdorff,
                            hausdorff_lower, hausdorff_upper, require_positive)
 from .sets import (BallUnion, BoxUnion, ClosedSet, FinitePoints, IntervalUnion,
-                   Ray, SampledCloud, SegmentUnion, _coord, _far_from_point, _kernel,
+                   Ray, SampledCloud, SegmentUnion, _coord, _far_from_point, _piece_dists,
                    _sup_dist, dist_to_set, is_bounded, representative_points)
 from .spaces import FINITE, LINE, OPEN_INTERVAL, AmbientSpace
 
@@ -209,6 +209,8 @@ class LinearMatrix:
         m = _np(self.matrix)
         if m.ndim != 2 or m.size == 0:
             raise ValueError("need a 2-D matrix")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
         object.__setattr__(self, "matrix", tuple(tuple(float(v) for v in row) for row in m))
 
     @property
@@ -351,7 +353,7 @@ class ArctanOfDistance:
             ranges = [(max(lo - x, x - hi, 0.0), max(x - lo, hi - x))
                       for lo, hi in A.normal_form.intervals]
         else:
-            near = _kernel(_np([self.anchor]), A.array_form)[0][:, 0].tolist()
+            near = _piece_dists(self.anchor, A)
             ranges = [(d, _far_from_point(self.anchor, comp))
                       for d, comp in zip(near, A.components())]
         # the closed image: arctan never attains pi/2, the closure does

@@ -171,8 +171,12 @@ def _stack(kind, datas):
         return first.T[:, :, None], second[:, None]
     first, second = first.T[:, :, None], second.T[:, :, None]
     if kind == "segment":
+        # the projection reads v scaled by a power of two per segment, so
+        # that its squared length neither under- nor overflows
         v = second - first
-        return first, v, (v * v).sum(axis=0)
+        e = np.frexp(np.abs(v).max(axis=0))[1]
+        vs = np.ldexp(v, -e)
+        return first, v, vs, (vs * vs).sum(axis=0), np.ldexp(1.0, -e)
     return first, second  # box (lo, hi), ray (anchor, direction)
 
 
@@ -186,12 +190,14 @@ def _offsets(kind, X, arrs):
     if kind == "box":
         return X - np.clip(X, first, arrs[1])
     W, v = X - first, arrs[1]
-    t = (W * v).sum(axis=0)
     if kind == "segment":
-        L2 = np.broadcast_to(arrs[2], t.shape)
-        t = np.clip(np.divide(t, L2, out=np.zeros_like(t), where=L2 > 0.0), 0.0, 1.0)
+        # t = (W.v_s) / (v_s.v_s) 2^-e for v = 2^e v_s: in range, the float
+        # of (W.v) / (v.v)
+        vs, L2 = arrs[2], np.broadcast_to(arrs[3], W.shape[1:])
+        t = np.divide((W * vs).sum(axis=0), L2, out=np.zeros(L2.shape), where=L2 > 0.0)
+        t = np.clip(t * arrs[4], 0.0, 1.0)
     elif kind == "ray":
-        t = np.maximum(t, 0.0)
+        t = np.maximum((W * v).sum(axis=0), 0.0)
     else:
         raise UnsupportedPair(f"no distance kernel for {kind!r}")
     return W - t * v
@@ -321,6 +327,42 @@ def _nearest_dists(X: np.ndarray, pieces: _Pieces) -> np.ndarray:
             best = d if best is None else np.minimum(best, d)
         return best
     return _guarded(compute)
+
+
+# A convex piece's farthest point from a convex target is a vertex of
+# the piece (for a ball: its centre, moved out by the radius), so the
+# excess of one piece over another is read at the piece's vertices.
+
+def _vertices(comps):
+    """The vertices of each piece (a ball's centre, a ray's anchor), as
+    rows of X, and the index of the piece that owns each row."""
+    verts, owner = [], []
+    for i, (kind, data) in enumerate(comps):
+        vs = (_box_corners(*data) if kind == "box" else data if kind == "segment"
+              else [data if kind == "point" else data[0]])
+        verts.extend(vs)
+        owner.extend([i] * len(vs))
+    return np.array(verts, dtype=float), np.array(owner, dtype=int)
+
+
+def _excess_at_vertices(comps, X, owner, other: _Pieces, n):
+    """E[i, k] >= the excess of piece i of comps over piece k of other:
+    the largest distance from a vertex of piece i (rows of X by owner),
+    plus a ball's radius; inf for a ray."""
+    E = np.full((len(comps), other.m), -np.inf)
+    for sl in _chunks(len(X), 8 * other.m * (n + 2)):
+        np.maximum.at(E, owner[sl], _kernel(X[sl], other)[0].T)
+    for i, (kind, data) in enumerate(comps):
+        if kind == "ball":
+            E[i] += data[1]
+        elif kind == "ray":
+            E[i] = np.inf
+    return E
+
+
+def _piece_dists(x, A: "ClosedSet") -> list[float]:
+    """The kernel distance from the point x to each piece of the n-D set A."""
+    return _kernel(np.array([x], dtype=float), A.array_form)[0][:, 0].tolist()
 
 
 @dataclass(frozen=True)
@@ -663,10 +705,10 @@ def truncate(A: ClosedSet, L: float):
 
     if isinstance(rep, BoxUnion):
         kept = []
-        for lo, hi in rep.boxes:
+        for (lo, hi), near in zip(rep.boxes, _piece_dists(x0, A)):
             if _far_from_point(x0, ("box", (lo, hi))) <= L:
                 kept.append((lo, hi))
-            elif geom.dist_point_box(x0, lo, hi) > L:
+            elif near > L:
                 continue
             else:
                 raise UnsupportedPair(
@@ -777,62 +819,25 @@ def is_subset(A: ClosedSet, B: ClosedSet, tol: float = 1e-9) -> bool:
 
     b_comps = B.components()
     if isinstance(A.rep, Ray):
-        a, u = A.rep.anchor, A.rep.direction
-        for kind, data in b_comps:
-            if kind == "ray":
-                b, v = data
-                if geom.dot(u, v) >= 1.0 - tol and geom.dist_point_ray(a, b, v) <= tol:
-                    return True
         if all(kind != "ray" for kind, _ in b_comps):
             return False  # an unbounded set never fits in a bounded one
+        a, u = A.rep.anchor, A.rep.direction
+        if any(kind == "ray" and geom.dot(u, data[1]) >= 1.0 - tol and d <= tol
+               for (kind, data), d in zip(b_comps, _piece_dists(a, B))):
+            return True
         raise UnsupportedPair("ray containment is only decidable against rays")
 
-    # bounded convex components: check vertices / closed forms against a
-    # single target component (sufficient); otherwise undecidable here
-    def comp_inside(comp, target) -> bool:
-        kind, data = comp
-        tkind, tdata = target
-        if tkind == "ball":
-            c, r = tdata
-            if kind == "ball":
-                c2, r2 = data
-                return math.dist(c, c2) + r2 <= r + tol
-            if kind == "box":
-                lo, hi = data
-                corners = _box_corners(lo, hi)
-                return all(math.dist(c, v) <= r + tol for v in corners)
-            if kind == "segment":
-                p, q = data
-                return math.dist(c, p) <= r + tol and math.dist(c, q) <= r + tol
-        if tkind == "box":
-            lo, hi = tdata
-            if kind == "ball":
-                c, r = data
-                return all(l - tol <= ci - r and ci + r <= h + tol for ci, l, h in zip(c, lo, hi))
-            if kind == "box":
-                lo2, hi2 = data
-                return all(l - tol <= l2 and h2 <= h + tol for l, h, l2, h2 in zip(lo, hi, lo2, hi2))
-            if kind == "segment":
-                p, q = data
-                return (geom.dist_point_box(p, lo, hi) <= tol
-                        and geom.dist_point_box(q, lo, hi) <= tol)
-        if tkind == "segment":
-            if kind == "segment":
-                p, q = data
-                return (geom.dist_point_segment(p, *tdata) <= tol
-                        and geom.dist_point_segment(q, *tdata) <= tol)
-        if tkind == "point":
-            if kind == "segment":
-                p, q = data
-                tp = tdata
-                return math.dist(p, tp) <= tol and math.dist(q, tp) <= tol
-            if kind == "ball":
-                c, r = data
-                return r <= tol and math.dist(c, tdata) <= tol
-        return False
-
-    for comp in A.components():
-        if not any(comp_inside(comp, t) for t in b_comps):
+    # bounded convex pieces: each must fit a single target piece, read at
+    # its vertices (the vertex table), or by closed form for a ball in a
+    # ball or a box; otherwise undecidable here
+    comps = A.components()
+    balls = isinstance(A.rep, BallUnion)
+    E = None
+    if not (balls and all(kind in ("ball", "box") for kind, _ in b_comps)):
+        E = _excess_at_vertices(comps, *_vertices(comps), B.array_form, A.space.dim)
+    for i, (_, data) in enumerate(comps):
+        if not any(_ball_inside(data, target, tol) if balls and target[0] in ("ball", "box")
+                   else E[i, k] <= tol for k, target in enumerate(b_comps)):
             if len(b_comps) == 1:
                 return False
             raise UnsupportedPair(
@@ -840,6 +845,17 @@ def is_subset(A: ClosedSet, B: ClosedSet, tol: float = 1e-9) -> bool:
                 "when each piece fits a single component"
             )
     return True
+
+
+def _ball_inside(ball, target, tol) -> bool:
+    """The closed ball within tol of a ball or box target."""
+    c2, r2 = ball
+    tkind, tdata = target
+    if tkind == "ball":
+        c, r = tdata
+        return math.dist(c, c2) + r2 <= r + tol
+    lo, hi = tdata
+    return all(l - tol <= ci - r2 and ci + r2 <= h + tol for ci, l, h in zip(c2, lo, hi))
 
 
 def _box_corners(lo, hi):

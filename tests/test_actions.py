@@ -8,6 +8,7 @@ from hypermet.actions import (GroupElement, act, affine_sup_norm, compose,
                               probe_action_continuity, ucb_nbhd_contains)
 from hypermet.errors import Indeterminate, UnsupportedPair
 from hypermet.hypermetrics import hausdorff
+from hypermet.induced import LinearMatrix
 from hypermet.sets import ClosedSet
 from hypermet.spaces import AmbientSpace
 
@@ -49,6 +50,16 @@ def test_constructor_validation():
         GroupElement.isometry(((1.0, 1.0), (0.0, 1.0)), (0.0, 0.0))
     with pytest.raises(ValueError):
         GroupElement(((1.0, 0.0), (1.0, 0.0)), (0.0, 0.0), "singular")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_are_refused_where_they_enter(bad):
+    with pytest.raises(ValueError, match="finite"):
+        GroupElement(((bad, 0.0), (0.0, 1.0)), (0.0, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        GroupElement(((1.0, 0.0), (0.0, 1.0)), (0.0, bad))
+    with pytest.raises(ValueError, match="finite"):
+        LinearMatrix(((1.0, 0.0), (0.0, bad)))
 
 
 def test_group_laws_exact_on_integer_corpus():

@@ -287,6 +287,9 @@ CRASHES = [
     (["probe-action", "--element", "identity:n=2", "--metric", "H", "--deltas", "1,0",
       *PERTURB], None),
     (["scenario", "run", "escaping-pair", "--param", "separations=[0]"], None),
+    # an infinite matrix entry sent the scaled-orthogonal test into endless recursion
+    (["induce", "--map", "linear:[[1e309,0],[0,1]]", "--space", "euclidean:n=2",
+      "cloud(0.5; (1,0))"], None),
 ]
 
 

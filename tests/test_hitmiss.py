@@ -9,7 +9,7 @@ from hypermet.errors import GeneratorFault, UnsupportedPair
 from hypermet.hitmiss import (Constraint, ConstraintEntry, ConvergenceReport,
                               OpenSetRep, canonical_neighborhoods, converges,
                               hits, misses, neighborhood, subset_of)
-from hypermet.hypermetrics import excess
+from hypermet.hypermetrics import excess, set_gap
 from hypermet.sets import ClosedSet, dist_to_set
 from hypermet.spaces import AmbientSpace
 
@@ -339,7 +339,17 @@ def scan_cases(draw):
     topology = draw(st.sampled_from(("lowerV", "upperV", "vietoris", "fell")))
     far = ClosedSet.balls(E2, [((6.0, 6.0), 1.0)]) if plane else \
         ClosedSet.intervals(LINE, [(6.0, 7.0)])
-    nbhds = list(canonical_neighborhoods(limit, topology, 0.25, m=4, miss_compacts=[far]))
+    obstacles = [far]
+    if plane:
+        # obstacles among the terms, as a ball union and as a box, kept
+        # when they miss the limit
+        balls = draw(st.lists(st.tuples(pt, st.integers(0, 4).map(lambda i: i / 8.0)),
+                              min_size=1, max_size=3))
+        p, q = draw(pt), draw(pt)
+        near = [ClosedSet.balls(E2, balls),
+                ClosedSet.boxes(E2, [(tuple(map(min, p, q)), tuple(map(max, p, q)))])]
+        obstacles += [K for K in near if set_gap(limit, K) > 0.0]
+    nbhds = list(canonical_neighborhoods(limit, topology, 0.25, m=4, miss_compacts=obstacles))
     nbhds = draw(st.permutations(nbhds))
     terms = []
     for _ in range(draw(st.integers(1, 8))):
@@ -388,5 +398,26 @@ def test_a_straddling_cloud_raises_in_constraint_order(cover, contain_first):
     assert got == outcome(ref_converges, terms, nbhds)
     message = ("coverage of a sampled cloud cannot be certified"
                if cover == "balls" and contain_first
+               else "cloud resolution straddles a hit-ball boundary")
+    assert got == (UnsupportedPair, message, 3)
+
+
+@pytest.mark.parametrize("obstacle", [
+    ClosedSet.balls(E2, [((1.0, 0.0), 0.375), ((4.0, 4.0), 1.0)]),
+    ClosedSet.boxes(E2, [((0.625, -1.0), (1.0, 1.0))]),
+])
+@pytest.mark.parametrize("miss_first", [True, False])
+def test_a_cloud_straddling_an_obstacle_gap_raises_in_constraint_order(obstacle, miss_first):
+    # the cloud certainly hits the first ball, straddles the boundary of
+    # the second, and sits 0.125 < its resolution 0.25 from the obstacle
+    hit = Constraint.hit(OpenSetRep.ball_union(E2, [((0.0, 0.0), 2.0)]))
+    edge = Constraint.hit(OpenSetRep.ball_union(E2, [((0.5, 1.0), 0.875)]))
+    miss = Constraint.miss(obstacle)
+    nbhds = (hit, miss, edge) if miss_first else (hit, edge, miss)
+    near = ClosedSet.points(E2, [(0.0, 0.0)])
+    terms = [near, near, ClosedSet.cloud(E2, [(0.5, 0.0)], 0.25), near]
+    got = outcome(converges, terms, nbhds)
+    assert got == outcome(ref_converges, terms, nbhds)
+    message = ("cloud resolution straddles an obstacle gap" if miss_first
                else "cloud resolution straddles a hit-ball boundary")
     assert got == (UnsupportedPair, message, 3)

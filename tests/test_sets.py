@@ -1,15 +1,16 @@
+import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypermet import geom
 from hypermet.errors import UnsupportedPair
-from hypermet.hypermetrics import _allowance
-from hypermet.sets import (BallUnion, BoxUnion, ClosedSet, FinitePoints, _kernel,
+from hypermet.hypermetrics import _allowance, excess, set_gap
+from hypermet.sets import (BallUnion, ClosedSet, FinitePoints, Ray, _kernel,
                            bounding_radius, dist_to_set, dists_to_set, in_r_neighborhood, is_bounded, is_subset,
                            representative_points, truncate, union_sets)
 from hypermet.spaces import AmbientSpace
@@ -272,17 +273,62 @@ def test_representative_points_belong_to_set():
 # ---------------------------------------------------------------------------
 # one point-to-set formula: dist_to_set is dists_to_set on one row
 
-# coordinates whose differences square without underflow, where the old
-# route through geom is accurate enough to compare against
+def exact_piece(x, piece):
+    """(S, r), exactly: S the squared distance from the point x to an n-D
+    piece (for a ball, to its centre) and r a ball's radius, so that the
+    distance is max(sqrt(S) - r, 0)."""
+    kind, data = piece
+    x = [Fraction(v) for v in x]
+    r = 0.0
+    if kind == "point":
+        y = [Fraction(v) for v in data]
+    elif kind == "ball":
+        y, r = [Fraction(v) for v in data[0]], data[1]
+    elif kind == "box":
+        y = [min(max(xi, Fraction(lo)), Fraction(hi)) for xi, lo, hi in zip(x, *data)]
+    else:
+        p = [Fraction(v) for v in data[0]]
+        v = ([Fraction(b) - a for a, b in zip(p, data[1])] if kind == "segment"
+             else [Fraction(u) for u in data[1]])
+        vv = sum(vi * vi for vi in v)
+        t = max(sum((xi - pi) * vi for xi, pi, vi in zip(x, p, v)) / vv, 0) if vv else 0
+        t = min(t, 1) if kind == "segment" else t
+        y = [pi + t * vi for pi, vi in zip(p, v)]
+    return sum((xi - yi) ** 2 for xi, yi in zip(x, y)), Fraction(r)
+
+
+def exact_pieces(x, A):
+    """exact_piece for every piece of the n-D set A."""
+    return [exact_piece(x, piece) for piece in A.components()]
+
+
+def brackets(terms, lo, hi) -> bool:
+    """Whether max over j of min over k of max(sqrt(S_jk) + c_jk, 0), for
+    terms [[(S_jk, c_jk), ...], ...] in exact arithmetic, lies in [lo, hi]
+    (hi >= 0): each side read on squares."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    above = lo <= 0 or any(all(lo - c <= 0 or S >= (lo - c) ** 2 for S, c in row)
+                           for row in terms)
+    below = all(any(hi - c >= 0 and S <= (hi - c) ** 2 for S, c in row) for row in terms)
+    return above and below
+
+
+def dist_terms(x, A, offset=0):
+    """One row of brackets: the distance from x to A, less offset."""
+    return [(S, -r - Fraction(offset)) for S, r in exact_pieces(x, A)]
+
+
+# coordinates whose differences square without underflow, as the
+# allowance presumes
 coord = st.floats(min_value=-50.0, max_value=50.0).filter(lambda v: v == 0.0 or abs(v) > 1e-100)
 spread_coord = st.builds(lambda s, e: s * 10.0 ** e, st.sampled_from((-1.0, 1.0)),
                          st.floats(min_value=-3.0, max_value=4.0))
 
 
 @st.composite
-def nd_sets(draw, coords=coord):
+def nd_sets(draw, coords=coord, dims=(2, 3)):
     """A set of one to four pieces of one kind in R^2 or R^3."""
-    n = draw(st.sampled_from((2, 3)))
+    n = draw(st.sampled_from(dims))
     X = AmbientSpace.euclidean(n)
     pt = st.tuples(*[coords] * n)
     kind = draw(st.sampled_from(("points", "balls", "boxes", "segments", "ray")))
@@ -319,15 +365,15 @@ def test_nd_dist_to_set_is_the_batched_entry(data):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_nd_distances_stay_within_the_allowance_of_geom_gap(data):
+def test_nd_distances_stay_within_the_allowance_of_the_exact_distance(data):
     coords = data.draw(st.sampled_from((coord, spread_coord)))
     A = data.draw(nd_sets(coords))
     X = data.draw(queries(A, coords))
     n = A.space.dim
     scale = max(A.array_form.scale, max(abs(v) for x in X for v in x))
+    a = Fraction(_allowance(n, scale))
     for x, d in zip(X, dists_to_set(X, A)):
-        old = min(geom.gap(("point", x), comp) for comp in A.components())
-        assert abs(d - old) <= _allowance(n, scale)
+        assert brackets([dist_terms(x, A)], Fraction(d) - a, Fraction(d) + a)
 
 
 line_coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -413,17 +459,17 @@ wide_coord = st.one_of(st.just(0.0), st.builds(
 def test_the_kernel_and_the_query_share_one_norm_at_every_scale(data):
     A = data.draw(nd_sets(wide_coord))
     X = data.draw(queries(A, wide_coord))
-    if not isinstance(A.rep, (BallUnion, BoxUnion, FinitePoints)):
-        # the projection onto a segment or ray multiplies coordinates
-        # unscaled, so its offsets are only sound below about 1e150
-        with np.errstate(over="ignore"):
-            assume(max(abs(v) for x in X for v in x) < 1e150 and A.array_form.scale < 1e150)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # overflow is repaired, not printed
         d = dists_to_set(X, A)
         D = _kernel(np.array(X), A.array_form)[0]
     assert (D.min(axis=0) == d).all()
     assert np.isfinite(d).all()  # coordinates stay below 1e300, so every distance is finite
+
+
+def test_the_projection_onto_a_long_segment_does_not_overflow():
+    S = ClosedSet.segments(E2, [((0.0, 0.0), (0.0, -1e155))])
+    assert dist_to_set((1.0, -5e154), S) == 1.0
 
 
 @pytest.mark.parametrize("A", [
@@ -436,8 +482,8 @@ def test_the_kernel_does_not_underflow(A):
     x = np.array([[0.0, 0.0]])
     d = _kernel(x, A.array_form)[0][0, 0]
     assert d > 0.0 and d == dist_to_set((0.0, 0.0), A)
-    assert math.isclose(d, min(geom.gap(("point", (0.0, 0.0)), c) for c in A.components()),
-                        rel_tol=1e-15)
+    rel = Fraction(d) * Fraction(1e-15)
+    assert brackets([dist_terms((0.0, 0.0), A)], Fraction(d) - rel, Fraction(d) + rel)
 
 
 @pytest.mark.parametrize("A", [
@@ -482,3 +528,203 @@ def test_points_from_a_non_finite_array_raise_the_per_point_error(space):
     assert str(fast.value) == str(slow.value)
     with pytest.raises(ValueError):
         ClosedSet.points(space, np.empty((0, width)))
+
+
+# ---------------------------------------------------------------------------
+# set_gap, excess and is_subset read the same kernel
+
+
+def gap_terms(A, B):
+    """The one row of brackets for set_gap(A, B), read from a point or
+    ball side; None when neither set has one."""
+    for P, Q in ((A, B), (B, A)):
+        if isinstance(P.rep, FinitePoints):
+            return [[t for x in P.rep.points for t in dist_terms(x, Q)]]
+        if isinstance(P.rep, BallUnion):
+            return [[t for c, r in P.rep.balls for t in dist_terms(c, Q, r)]]
+    return None
+
+
+def vertices(piece):
+    kind, data = piece
+    if kind == "box":
+        return list(itertools.product(*zip(*data)))
+    return list(data) if kind == "segment" else [data if kind == "point" else data[0]]
+
+
+def excess_terms(A, B):
+    """The rows of brackets for excess(A, B) (from its points, from the
+    vertices of its pieces, or from its balls' centres, out by the
+    radius), math.inf where it is infinite, None where it has no closed
+    form."""
+    if isinstance(A.rep, FinitePoints):
+        return [dist_terms(x, B) for x in A.rep.points]
+    if isinstance(A.rep, Ray):
+        if is_bounded(B):
+            return math.inf
+        if not isinstance(B.rep, Ray):
+            return None
+        parallel = sum(u * v for u, v in zip(A.rep.direction, B.rep.direction)) >= 1.0 - 1e-12
+        return [dist_terms(A.rep.anchor, B)] if parallel else math.inf
+    if len(B.components()) > 1:
+        return None
+    if isinstance(A.rep, BallUnion):
+        return [dist_terms(c, B, -r) for c, r in A.rep.balls]
+    return [dist_terms(v, B) for piece in A.components() for v in vertices(piece)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_nd_set_gap_and_excess_stay_within_the_allowance_of_the_exact_value(data):
+    coords = data.draw(st.sampled_from((coord, spread_coord)))
+    A = data.draw(nd_sets(coords))
+    B = data.draw(nd_sets(coords, dims=(A.space.dim,)))
+    a = Fraction(_allowance(A.space.dim, max(A.array_form.scale, B.array_form.scale)))
+    terms = gap_terms(A, B)
+    if terms is not None:
+        for g in (set_gap(A, B), set_gap(B, A)):
+            assert brackets(terms, Fraction(g) - a, Fraction(g) + a)
+    terms = excess_terms(A, B)
+    if terms is None:
+        with pytest.raises(UnsupportedPair):
+            excess(A, B)
+        return
+    try:
+        e = excess(A, B)
+    except UnsupportedPair:
+        # a ball that meets a target of another kind has no closed form
+        assert isinstance(A.rep, BallUnion) and not isinstance(B.rep, BallUnion)
+        assert any(brackets([dist_terms(c, B)], 0, a) for c, _ in A.rep.balls)
+        return
+    if terms is math.inf:
+        assert e.is_infinite
+    else:
+        assert e.is_exact and brackets(terms, Fraction(e.lo) - a, Fraction(e.lo) + a)
+
+
+# a grid of quarters, on which every kernel distance below is exact:
+# segments run along an axis or the diagonal of two axes with a length
+# of a power of two, and rays along an axis
+quarter = st.integers(-8, 8).map(lambda i: i / 4.0)
+
+
+@st.composite
+def grid_sets(draw, n):
+    """A set of one to three pieces of one kind in R^n, on the grid."""
+    X = AmbientSpace.euclidean(n)
+    pt = st.tuples(*[quarter] * n)
+    kind = draw(st.sampled_from(("points", "balls", "boxes", "segments", "ray")))
+    if kind == "ray":
+        i, sign = draw(st.integers(0, n - 1)), draw(st.sampled_from((-1.0, 1.0)))
+        return ClosedSet.ray(X, draw(pt), tuple(sign if j == i else 0.0 for j in range(n)))
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        p = draw(pt)
+        if kind == "points":
+            pieces.append(p)
+        elif kind == "balls":
+            pieces.append((p, draw(st.integers(0, 8)) / 4.0))
+        elif kind == "boxes":
+            q = draw(pt)
+            pieces.append((tuple(map(min, p, q)), tuple(map(max, p, q))))
+        else:
+            length = 2.0 ** draw(st.integers(-2, 2))
+            v = [0.0] * n
+            for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True)):
+                v[i] = draw(st.sampled_from((-length, length)))
+            pieces.append((p, tuple(pi + vi for pi, vi in zip(p, v))))
+    return getattr(ClosedSet, kind)(X, pieces)
+
+
+def points_on(piece):
+    """A few points of an n-D piece of a grid set, exactly on it."""
+    kind, data = piece
+    if kind == "point":
+        return [data]
+    if kind == "ball":
+        c, r = data
+        return [c] + [tuple(x + s if j == i else x for j, x in enumerate(c))
+                      for i in range(len(c)) for s in (-r, r)]
+    if kind == "box":
+        return vertices(piece)
+    p, v = data
+    if kind == "segment":
+        v = tuple(q - a for a, q in zip(p, v))
+        ts = (0.0, 0.25, 0.5, 0.75, 1.0)
+    else:
+        ts = (0.0, 0.5, 1.0, 3.0)
+    return [tuple(a + t * w for a, w in zip(p, v)) for t in ts]
+
+
+@st.composite
+def grid_parts(draw, B):
+    """Points, a segment or a box spanned by points on one piece of B."""
+    pick = st.sampled_from(points_on(draw(st.sampled_from(B.components()))))
+    kind = draw(st.sampled_from(("points", "segments", "boxes")))
+    if kind == "points":
+        return ClosedSet.points(B.space, draw(st.lists(pick, min_size=1, max_size=3)))
+    p, q = draw(pick), draw(pick)
+    if kind == "segments":
+        return ClosedSet.segments(B.space, [(p, q)])
+    return ClosedSet.boxes(B.space, [(tuple(map(min, p, q)), tuple(map(max, p, q)))])
+
+
+def ref_is_subset(A, B):
+    """is_subset(A, B, tol=0) in exact arithmetic: a piece fits a target
+    piece when its vertices lie in it, a ball by closed form in a ball or
+    a box; "unsupported" where no single target piece takes a piece of A
+    and there are several."""
+    targets = B.components()
+
+    def within(x, target, out=0.0):  # x, moved out by out, lies in target
+        S, r = exact_piece(x, target)
+        return r - Fraction(out) >= 0 and S <= (r - Fraction(out)) ** 2
+
+    def fits(piece, target):
+        kind, data = piece
+        if kind == "ball" and target[0] == "ball":
+            (c, r), (c2, r2) = data, target[1]
+            S = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(c, c2))
+            return r2 - r >= 0 and S <= (Fraction(r2) - Fraction(r)) ** 2
+        if kind == "ball" and target[0] == "box":
+            (c, r), (lo, hi) = data, target[1]
+            return all(l <= Fraction(x) - Fraction(r) and Fraction(x) + Fraction(r) <= h
+                       for x, l, h in zip(c, lo, hi))
+        out = data[1] if kind == "ball" else 0.0
+        return all(within(v, target, out) for v in vertices(piece))
+
+    if isinstance(A.rep, FinitePoints):
+        return all(any(within(x, t) for t in targets) for x in A.rep.points)
+    if isinstance(A.rep, Ray):
+        if all(kind != "ray" for kind, _ in targets):
+            return False
+        return any(kind == "ray" and sum(u * v for u, v in zip(A.rep.direction, data[1])) >= 1.0
+                   and within(A.rep.anchor, (kind, data)) for kind, data in targets) or "unsupported"
+    for piece in A.components():
+        if not any(fits(piece, t) for t in targets):
+            return False if len(targets) == 1 else "unsupported"
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_is_subset_agrees_with_an_exact_vertex_reference(data):
+    n = data.draw(st.sampled_from((2, 3)))
+    B = data.draw(grid_sets(n))
+    A = data.draw(st.one_of(grid_sets(n), grid_parts(B)))
+    expected = ref_is_subset(A, B)
+    if expected == "unsupported":
+        with pytest.raises(UnsupportedPair):
+            is_subset(A, B, tol=0.0)
+    else:
+        assert is_subset(A, B, tol=0.0) is expected
+
+
+def test_flat_pieces_fit_the_lines_they_lie_on():
+    ray = ClosedSet.ray(E2, (0.0, 0.0), (1.0, 0.0))
+    seg = ClosedSet.segments(E2, [((0.0, 0.0), (4.0, 0.0))])
+    flat = ClosedSet.boxes(E2, [((1.0, 0.0), (3.0, 0.0))])
+    assert is_subset(ClosedSet.segments(E2, [((1.0, 0.0), (3.0, 0.0))]), ray, tol=0.0)
+    assert is_subset(flat, seg, tol=0.0)
+    assert is_subset(flat, ray, tol=0.0)
+    assert not is_subset(ClosedSet.boxes(E2, [((1.0, 0.0), (3.0, 0.5))]), seg, tol=0.0)
