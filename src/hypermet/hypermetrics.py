@@ -23,6 +23,7 @@ priori rounding allowance; node_cap caps the evaluations.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from bisect import bisect_left, bisect_right
@@ -44,6 +45,7 @@ from .sets import (
     _coord,
     _dists,
     _excess_at_vertices,
+    _guarded,
     _kernel,
     _Pieces,
     _vertices,
@@ -380,6 +382,13 @@ def sup_gap_on_ball(A: ClosedSet, B: ClosedSet, radius: float, *,
     tol, evaluating at most node_cap points (a cap below 3^n raises
     Indeterminate); a search the cap stops returns its wider interval.
     """
+    return _sup_gap(A, B, radius, tol, node_cap)
+
+
+def _sup_gap(A, B, radius, tol, node_cap, eps=None) -> CertifiedValue:
+    """sup_gap_on_ball; with eps, the n-D search stops once its
+    certificate, widened by the clouds' slack, settles whether the gap is
+    below eps (see _sup_gap_bnb's cut and stop)."""
     A.space.require_same(B.space)
     radius = float(radius)
     _check_budget(tol, node_cap, radius)
@@ -390,7 +399,8 @@ def sup_gap_on_ball(A: ClosedSet, B: ClosedSet, radius: float, *,
     elif space.is_one_dimensional:
         cv = _sup_gap_1d(space, A, B, radius)
     else:
-        cv = _sup_gap_bnb(space, A, B, radius, tol, node_cap)
+        cut, stop = (-math.inf, math.inf) if eps is None else (eps - slack, eps + slack)
+        cv = _sup_gap_bnb(space, A, B, radius, tol, node_cap, cut=cut, stop=stop)[0]
     return _widen(cv, slack)
 
 
@@ -522,7 +532,7 @@ class _GapBound:
         at most max_rows kernel rows and max_rows entries, and is None
         (the pair bound omits it) past that.  Neither the pieces nor H
         depend on the window, so one bound serves every window of a pair
-        (see at_reach)."""
+        (see scaled)."""
         comps_a, comps_b = A.components(), B.components()
         self.mA = len(comps_a)
         self.pieces = A.array_form.join(B.array_form)
@@ -536,6 +546,14 @@ class _GapBound:
         coordinates are at most reach."""
         self.alpha = _allowance(self.n, max(reach, self.pieces.scale))
         return self
+
+    def scaled(self, k: int, reach: float) -> "_GapBound":
+        """This bound on coordinates multiplied by 2^k (see _Pieces.scaled),
+        at the scaled reach."""
+        gap = copy.copy(self)
+        gap.pieces = self.pieces.scaled(k)
+        gap.H = None if self.H is None else np.ldexp(self.H, k)
+        return gap.at_reach(math.ldexp(reach, k))
 
     def row_bytes(self) -> int:
         """Bytes of kernel and pair-bound temporaries per evaluated point."""
@@ -565,7 +583,8 @@ class _GapBound:
                       for comps, idx in ((comps_a, ia), (comps_b, ib)))
             ra, rb = (np.array([comps[i][1][1] for i in idx])
                       for comps, idx in ((comps_a, ia), (comps_b, ib)))
-            H[np.ix_(ia, ib)] = (np.linalg.norm(ca[:, None, :] - cb[None, :, :], axis=2)
+            offsets = ca.T[:, :, None] - cb.T[:, None, :]
+            H[np.ix_(ia, ib)] = (_guarded(lambda norm_of: norm_of(offsets))
                                  + np.abs(ra[:, None] - rb[None, :]))
         return H, rows
 
@@ -657,26 +676,48 @@ def _pair_bound(A, B, reach, node_cap) -> _GapBound:
     return _GapBound(A, B, reach, max_rows=node_cap - 1 - (1 << n))
 
 
-def _sup_gap_bnb(space, A, B, radius, tol, node_cap, gap=None) -> CertifiedValue:
+def _sup_gap_bnb(space, A, B, radius, tol, node_cap, gap=None, seed=None,
+                 cut=-math.inf, stop=math.inf):
     """Branch-and-bound over cubes for sup |d_A - d_B| on the window.
 
     Cubes are evaluated level by level (see _GapBound.probe), starting
     from the cube of half-side radius around the base point.  A cube that
-    misses the window is dropped; one whose bound is <= best + tol is
-    closed; every other splits into 2^n children.  At most node_cap
-    kernel rows are evaluated; a level that does not fit splits only the
-    cubes of largest bound.  hi is the largest bound of a closed or
-    remaining cube.  A gap and a bound are each within 3 alpha of their
-    exact values, by which both ends are widened.  gap is the pair's
-    _pair_bound when a caller reuses one across windows.
+    misses the window is dropped; one whose bound is <= best + tol, or
+    whose bound plus 3 alpha lies below cut, is closed; every other splits
+    into 2^n children.  The search stops once best - 3 alpha >= stop.  At
+    most node_cap kernel rows are evaluated; a level that does not fit
+    splits only the cubes of largest bound.  hi is the largest bound of a
+    closed, remaining or abandoned cube, so a caller that asks only which
+    side of cut or stop the gap lies on gets an honest certificate that
+    settles it with less work.  A gap and a bound are each within 3 alpha
+    of their exact values, by which both ends are widened.
+
+    The search runs on coordinates multiplied by 2^k, which puts the
+    pieces and the window below 1 in absolute value: no square under- or
+    overflows there, and in range the floats are those of the unscaled
+    search times 2^k.  gap is the pair's _pair_bound when a caller reuses
+    one across windows, seed a gap value and a point of the window from an
+    earlier search (a smaller window inside this one).  Returns the
+    certificate and the search's (best, witness), a seed for a larger
+    window.
     """
     n = space.dim
     x0 = np.asarray(space.canon_point(space.base_point), dtype=float)
     reach = float(np.abs(x0).max()) + radius  # bounds every centre coordinate
-    gap = _pair_bound(A, B, reach, node_cap) if gap is None else gap.at_reach(reach)
+    gap = _pair_bound(A, B, reach, node_cap) if gap is None else gap
+    k = -math.frexp(max(reach, gap.pieces.scale))[1]
+    gap = gap.scaled(k, reach)
+    x0 = np.ldexp(x0, k)
+    radius, tol, cut, stop, reach = (math.ldexp(v, k) for v in (radius, tol, cut, stop, reach))
     alpha = gap.alpha
+    allowance = 3.0 * alpha
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
-    best, wit, closed = -math.inf, x0, -math.inf
+    best, wit = (-math.inf, x0) if seed is None else (math.ldexp(seed[0], k), np.ldexp(seed[1], k))
+    closed = -math.inf
+
+    def opens(b):
+        """Which bounds keep their cubes open."""
+        return (b > best + tol) & (b + allowance >= cut)
 
     def evaluate(chunks, s, drift):
         """Bound the cubes of half-side s centred at the rows of each chunk;
@@ -694,8 +735,8 @@ def _sup_gap_bnb(space, A, B, radius, tol, node_cap, gap=None) -> CertifiedValue
             i = int(np.argmax(f_in))
             if f_in[i] > best:
                 best, wit = float(f_in[i]), P[i]
-            b = gap.bound(C, P, D, G, f, s_e, x0, radius, floor=best + tol)
-            keep = b > best + tol
+            b = gap.bound(C, P, D, G, f, s_e, x0, radius, floor=max(best + tol, cut - allowance))
+            keep = opens(b)
             closed = max(closed, float(b[~keep].max(initial=-math.inf)))
             open_c.append(C[keep])
             open_b.append(b[keep])
@@ -707,7 +748,10 @@ def _sup_gap_bnb(space, A, B, radius, tol, node_cap, gap=None) -> CertifiedValue
     cubes, bounds = evaluate([x0[None, :]], radius, 0.0)
     s, level = radius, 0
     while len(cubes):
-        keep = bounds > best + tol  # best may have risen since they were bounded
+        if best - allowance >= stop:  # settled: the open cubes count in hi
+            closed = max(closed, float(bounds.max()))
+            break
+        keep = opens(bounds)  # best may have risen since they were bounded
         closed = max(closed, float(bounds[~keep].max(initial=-math.inf)))
         cubes, bounds = cubes[keep], bounds[keep]
         level += 1
@@ -728,10 +772,11 @@ def _sup_gap_bnb(space, A, B, radius, tol, node_cap, gap=None) -> CertifiedValue
         cubes, bounds = evaluate(((parents[sl, None, :] + steps).reshape(-1, n)
                                   for sl in _chunks(len(parents), gap.row_bytes() << n)),
                                  s, drift)
-    allowance = 3.0 * alpha
     lo = max(0.0, best - allowance)
     hi = max(closed, best, 0.0) + allowance
-    return CertifiedValue.interval(lo, hi, "bnb", tuple(float(v) for v in wit))
+    best, wit = math.ldexp(best, -k), np.ldexp(wit, -k)
+    return (CertifiedValue.interval(math.ldexp(lo, -k), math.ldexp(hi, -k), "bnb",
+                                    tuple(float(v) for v in wit)), (best, wit))
 
 
 # ---------------------------------------------------------------------------
@@ -861,19 +906,28 @@ def _window_gap_family(space, A, B):
 
 
 def _aw_certified(space, A, B, hb: ExtReal, tol, node_cap) -> CertifiedValue:
-    """hb: an upper bound on the Hausdorff distance (INF when unknown)."""
+    """Windows j = 1, 2, ... until the terms min(1/j, window-j gap) are
+    pinned to tol.  hb: an upper bound on the Hausdorff distance (INF when
+    unknown).
+
+    Window j + 1 contains window j, so its search starts from window j's
+    best gap and witness; and window j stops once its gap is certified
+    at or above 1/j, where its term is exactly 1/j and no later window
+    can exceed it.
+    """
     if hb <= tol:
         return CertifiedValue.interval(0.0, min(1.0, hb.as_float()), "h-bound")
     hbf = hb.as_float()
     best_lo = best_hi = 0.0
-    wit = None
+    wit = seed = None
     # window-count budget: past it the certificate is returned at its
     # achieved (recorded) width rather than the requested tol
     j_cap = min(math.ceil(1.0 / tol) + 1, 512)
     gap = _pair_bound(A, B, 0.0, node_cap)  # alpha is set per window
     j = 1
     while True:
-        G = _sup_gap_bnb(space, A, B, float(j), tol / 2.0, node_cap, gap)
+        G, seed = _sup_gap_bnb(space, A, B, float(j), tol / 2.0, node_cap, gap, seed,
+                               stop=1.0 / j)
         if min(1.0 / j, G.lo) > best_lo:
             best_lo, wit = min(1.0 / j, G.lo), G.witness
         best_hi = max(best_hi, min(1.0 / j, G.hi.as_float()))
@@ -899,8 +953,11 @@ def aw_less_than(A: ClosedSet, B: ClosedSet, eps: float, *,
     window-j gap is.  Defined for eps in (0, 1) only (aw_distance is
     capped at 1, so compare against it directly for larger thresholds).
     In R^n the window gap is certified by branch-and-bound within
-    node_cap evaluations; raises Indeterminate if that certificate
-    straddles the threshold.
+    node_cap evaluations, which stops as soon as its certificate clears
+    eps either way: cubes whose bounds lie below eps close, and a gap
+    found at or above eps ends the search.  Raises Indeterminate if the
+    certificate straddles the threshold: a cube closed at tol, or left
+    open by the budget, reaches eps while no gap found does.
     """
     eps = float(eps)
     _check_budget(tol, node_cap)
@@ -911,7 +968,7 @@ def aw_less_than(A: ClosedSet, B: ClosedSet, eps: float, *,
         j += 1
     while j > 1 and 1.0 / j < eps:
         j -= 1
-    G = sup_gap_on_ball(A, B, float(j), tol=min(tol, eps / 4.0), node_cap=node_cap)
+    G = _sup_gap(A, B, float(j), min(tol, eps / 4.0), node_cap, eps)
     if G.hi < eps:
         return True
     if G.lo >= eps:

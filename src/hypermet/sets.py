@@ -234,6 +234,21 @@ class _Pieces:
                 joined[kind] = rows, arrs
         return _Pieces.of_blocks([(k, r, a) for k, (r, a) in joined.items()], self.m + other.m)
 
+    def scaled(self, k: int) -> "_Pieces":
+        """The pieces with every coordinate and radius multiplied by 2^k,
+        which is exact unless it under- or overflows.  A segment's scaled
+        direction and squared length stay as they are, its factor 2^-e
+        moves by 2^-k; a ray's unit direction stays as it is."""
+        def arrays(kind, arrs):
+            if kind == "segment":
+                first, v, vs, L2, inv = arrs
+                return np.ldexp(first, k), np.ldexp(v, k), vs, L2, np.ldexp(inv, -k)
+            if kind == "ray":
+                return np.ldexp(arrs[0], k), arrs[1]
+            return tuple(np.ldexp(a, k) for a in arrs)
+        return _Pieces.of_blocks([(kind, rows, arrays(kind, arrs))
+                                  for kind, rows, arrs in self.blocks], self.m)
+
     @cached_property
     def scale(self) -> float:
         """The largest absolute coordinate of a piece (a ball's reaches
@@ -290,9 +305,10 @@ def _guarded(compute):
             return compute(_scaled_norm)
 
 
-def _kernel(X: np.ndarray, pieces: _Pieces):
+def _kernel(X: np.ndarray, pieces: _Pieces, grads=True):
     """Distances D (m, N) from the N rows of X to the m pieces, and unit
-    gradients G (n, m, N): (x - P(x)) / d, or 0 where d is 0.
+    gradients G (n, m, N): (x - P(x)) / d, or 0 where d is 0; G is None
+    without grads.
 
     One formula for every kind: the norm of the offset (_guarded), less
     a ball's radius.
@@ -302,13 +318,14 @@ def _kernel(X: np.ndarray, pieces: _Pieces):
 
     def compute(norm_of):
         D = np.empty((pieces.m, N))
-        G = np.empty((n, pieces.m, N))
+        G = np.empty((n, pieces.m, N)) if grads else None
         for kind, rows, arrs in pieces.blocks:
             W = _offsets(kind, Xt, arrs)
             norm = norm_of(W)
             d = np.maximum(norm - arrs[1], 0.0) if kind == "ball" else norm
             D[rows] = d
-            G[:, rows] = np.divide(W, norm, out=np.zeros_like(W), where=d > 0.0)
+            if grads:
+                G[:, rows] = np.divide(W, norm, out=np.zeros_like(W), where=d > 0.0)
         return D, G
     return _guarded(compute)
 
@@ -351,7 +368,7 @@ def _excess_at_vertices(comps, X, owner, other: _Pieces, n):
     plus a ball's radius; inf for a ray."""
     E = np.full((len(comps), other.m), -np.inf)
     for sl in _chunks(len(X), 8 * other.m * (n + 2)):
-        np.maximum.at(E, owner[sl], _kernel(X[sl], other)[0].T)
+        np.maximum.at(E, owner[sl], _kernel(X[sl], other, grads=False)[0].T)
     for i, (kind, data) in enumerate(comps):
         if kind == "ball":
             E[i] += data[1]
@@ -362,7 +379,7 @@ def _excess_at_vertices(comps, X, owner, other: _Pieces, n):
 
 def _piece_dists(x, A: "ClosedSet") -> list[float]:
     """The kernel distance from the point x to each piece of the n-D set A."""
-    return _kernel(np.array([x], dtype=float), A.array_form)[0][:, 0].tolist()
+    return _kernel(np.array([x], dtype=float), A.array_form, grads=False)[0][:, 0].tolist()
 
 
 @dataclass(frozen=True)

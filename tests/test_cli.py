@@ -115,14 +115,21 @@ def test_aw_lt_bad_eps(runner):
 
 
 def test_aw_lt_indeterminate_exits_one(runner):
-    # the window-1 sup is 0.65; 40 evaluations leave it in about
-    # [0.51, 0.65], which straddles eps
-    res = invoke(runner, ["aw-lt", "--space", "euclidean:n=2",
-                          "--node-cap", "40",
-                          "{(0.25,0)}", "{(0,0), (0.9,0)}", "0.6"], code=1)
+    # the window-1 certificate of these balls at tol 0.02 is about
+    # [0.8935, 0.9122], which straddles eps
+    res = invoke(runner, ["aw-lt", "--space", "euclidean:n=2", "--tol", "0.02",
+                          "--node-cap", "200000",
+                          "ball((0,0),1)", "ball((0.71,0),0.8)", "0.9"], code=1)
     doc, vals = by_name(res.output)
-    assert vals["AW(A, B) < 0.6"] == "indeterminate"
+    assert vals["AW(A, B) < 0.9"] == "indeterminate"
     assert "straddles" in doc["results"][0]["detail"]
+    # the window-1 sup of these points is 0.65: 40 evaluations cannot
+    # settle 0.649, and they do settle 0.6
+    argv = ["aw-lt", "--space", "euclidean:n=2", "--node-cap", "40",
+            "{(0.25,0)}", "{(0,0), (0.9,0)}"]
+    _, vals = by_name(invoke(runner, argv + ["0.649"], code=1).output)
+    assert vals["AW(A, B) < 0.649"] == "indeterminate"
+    assert by_name(invoke(runner, argv + ["0.6"]).output)[1]["AW(A, B) < 0.6"] is False
 
 
 def test_aw_lt_decides_in_the_plane_with_a_small_cap(runner):

@@ -7,6 +7,8 @@ comparison is a genuine second route to the same number.
 """
 import math
 import tracemalloc
+import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -374,18 +376,23 @@ def test_aw_less_than_agrees_with_certified_distance():
 
 
 def test_aw_less_than_indeterminate_straddle():
-    # With 40 evaluations the branch-and-bound cannot separate a threshold
-    # that sits strictly inside its own certificate: the window-1 sup is
-    # 0.65, reached on the window's edge at (1, 0), and the bound near the
-    # far point (0.9, 0) is still loose.
-    A = ClosedSet.points(E2, [(0.25, 0.0)])
-    B = ClosedSet.points(E2, [(0.0, 0.0), (0.9, 0.0)])
-    G0 = sup_gap_on_ball(A, B, 1.0, tol=1e-3, node_cap=40)
-    assert G0.width > 0.1
-    eps = 0.5 * (G0.lo + G0.hi.as_float())
-    assert 0.0 < eps < 1.0
+    # A unit ball against a ball of radius 0.8 shifted by 0.71: the
+    # window-1 certificate at tol 0.02 stays near [0.8935, 0.9122], which
+    # straddles 0.9 however early the decision search may stop.
+    A = ClosedSet.balls(E2, [((0.0, 0.0), 1.0)])
+    B = ClosedSet.balls(E2, [((0.71, 0.0), 0.8)])
+    with pytest.raises(Indeterminate, match="straddles eps=0.9"):
+        aw_less_than(A, B, 0.9, tol=0.02, node_cap=200_000)
+    # {(0.25,0)} vs {(0,0), (0.9,0)}: the window-1 sup is 0.65, approached
+    # at the window's edge (1, 0).  A threshold just below it is refused
+    # within 40 evaluations and decided within 100; one well below it is
+    # decided within 40, as soon as a gap above it is found.
+    P = ClosedSet.points(E2, [(0.25, 0.0)])
+    Q = ClosedSet.points(E2, [(0.0, 0.0), (0.9, 0.0)])
     with pytest.raises(Indeterminate, match="straddles"):
-        aw_less_than(A, B, eps, tol=1e-3, node_cap=40)
+        aw_less_than(P, Q, 0.649, tol=1e-3, node_cap=40)
+    assert aw_less_than(P, Q, 0.649, tol=1e-3, node_cap=100) is False
+    assert aw_less_than(P, Q, 0.6, tol=1e-3, node_cap=40) is False
 
 
 def test_aw_less_than_decides_a_sup_the_pair_bound_pins():
@@ -647,3 +654,164 @@ def test_kernel_distances_lie_within_the_rounding_allowance(data):
             assert sq <= (d + alpha + r) ** 2
             if d - alpha > 0:
                 assert sq >= (d - alpha + r) ** 2
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e-300, 1e150, 1e200])
+def test_window_certificates_bracket_the_sup_at_every_scale(scale):
+    # {0} vs {0, p} with p = (q, q): the gap max(0, |x| - |x - p|) peaks
+    # on the window's edge towards p, at 2 R - |p| = 2 R - q sqrt(2).  The
+    # search squares no offset of this scale, so nothing under- or overflows.
+    R, q = scale, 1.2 * scale
+    A = ClosedSet.points(E2, [(0.0, 0.0)])
+    B = ClosedSet.points(E2, [(0.0, 0.0), (q, q)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cv = sup_gap_on_ball(A, B, R, tol=1e-2 * scale, node_cap=20_000)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exact = 2 * Decimal(R) - Decimal(q) * Decimal(2).sqrt()
+    assert Decimal(cv.lo) <= exact <= Decimal(cv.hi.as_float())
+    assert cv.width <= 1e-2 * scale
+
+
+# ---------------------------------------------------------------------------
+# early stops: a threshold decision, a window at 1/j, nested windows
+
+DECIDE_TOL, DECIDE_CAP = 0.02, 20_000
+
+
+def deciding_window(eps):
+    """The window aw_less_than reads for eps: 1/(j + 1) < eps <= 1/j."""
+    j = 1
+    while 1.0 / (j + 1) >= eps:
+        j += 1
+    return j
+
+
+def check_decision(data, A, B):
+    """aw_less_than against a full certificate of its window at the same
+    tol (min(DECIDE_TOL, eps / 4) = DECIDE_TOL for eps >= 1/4) and cap."""
+    j = data.draw(st.integers(1, 3))
+    eps = 1.0 / (j + 1) + data.draw(st.floats(min_value=0.01, max_value=0.99)) / (j * (j + 1))
+    full = sup_gap_on_ball(A, B, float(j), tol=DECIDE_TOL, node_cap=DECIDE_CAP)
+    lo, hi = full.lo, full.hi.as_float()
+    # thresholds at or next to the certificate's ends straddle it or just clear it
+    near = data.draw(st.sampled_from((None, lo, hi, 0.5 * (lo + hi))))
+    if near is not None:
+        near += data.draw(st.sampled_from((-1e-9, 0.0, 1e-9)))
+        if 1.0 / (j + 1) < near <= 1.0 / j and near < 1.0:
+            eps = near
+    try:
+        verdict = aw_less_than(A, B, eps, tol=DECIDE_TOL, node_cap=DECIDE_CAP)
+    except Indeterminate:
+        # only where the full certificate straddles eps or a budget stopped it
+        assert lo < eps <= hi or full.width > DECIDE_TOL
+        return
+    assert (lo < eps) if verdict else (hi >= eps)
+    if hi < eps or lo >= eps:
+        assert verdict is (hi < eps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_aw_less_than_never_contradicts_the_full_window_certificate(data):
+    n = data.draw(st.sampled_from((2, 3)))
+    X = AmbientSpace.euclidean(n)
+    check_decision(data, build_set(X, *data.draw(piece_sets(n))),
+                   build_set(X, *data.draw(piece_sets(n))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_cloud_decision_never_contradicts_the_full_window_certificate(data):
+    # the cloud's resolution moves the cut and the stop by its slack
+    n = data.draw(st.sampled_from((2, 3)))
+    X = AmbientSpace.euclidean(n)
+    pts = data.draw(st.lists(st.tuples(*[unit_coord] * n), min_size=1, max_size=4))
+    A = ClosedSet.cloud(X, pts, data.draw(st.floats(min_value=0.0, max_value=0.2)))
+    check_decision(data, A, build_set(X, *data.draw(piece_sets(n))))
+
+
+def test_the_decision_search_stops_only_once_its_certificate_clears_eps():
+    # the gap at the base point is 0.25 exactly, and the window-4 sup is at
+    # least 0.65: a gap equal to eps does not settle "not below eps" until
+    # the rounding allowance is cleared as well
+    P = ClosedSet.points(E2, [(0.25, 0.0)])
+    Q = ClosedSet.points(E2, [(0.0, 0.0), (0.9, 0.0)])
+    assert aw_less_than(P, Q, 0.25) is False
+    # the same for the window-1 term: the base point's gap is 1 exactly,
+    # and the window reaches gaps near 1.9, so the term is exactly 1
+    A = ClosedSet.points(E2, [(0.0, 0.0), (0.9, 0.0)])
+    B = ClosedSet.balls(E2, [((-2.0, 0.0), 1.0)])
+    cv = aw_distance(A, B, tol=0.02)
+    assert cv.lo == cv.hi.as_float() == 1.0
+
+
+def test_a_cube_within_the_allowance_of_eps_stays_open():
+    # far from both points the first cube's bound is loose (0.94, the sup
+    # is 0.33); a threshold just above it must split that cube, not close it
+    # at a bound whose allowance reaches eps
+    A = ClosedSet.points(E2, [(3.0, 0.5)])
+    B = ClosedSet.points(E2, [(3.0, -0.5)])
+    x0 = np.zeros(2)
+    gap = hm._GapBound(A, B, 1.0)
+    C = x0[None, :]
+    P, D, G, f, _ = gap.probe(C, x0, 1.0)
+    b = float(gap.bound(C, P, D, G, f, 1.0, x0, 1.0)[0])
+    eps = b + gap.alpha
+    assert 0.5 < eps < 1.0 and sup_gap_on_ball(A, B, 1.0, tol=0.02).hi < eps
+    assert aw_less_than(A, B, eps, tol=0.02) is True
+
+
+@pytest.mark.parametrize("cap", [40, 1000, 200_000])
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_decision_search_evaluates_no_more_rows_than_the_tol_search(n, cap, monkeypatch):
+    # every row the distance kernel sees, as in the node_cap test
+    X = AmbientSpace.euclidean(n)
+    rng = np.random.RandomState(n)
+    rows = []
+    kernel = hm._kernel
+    monkeypatch.setattr(hm, "_kernel", lambda P, pieces: (rows.append(len(P)), kernel(P, pieces))[1])
+    fewer = 0
+    for _ in range(4):
+        A, B = (ClosedSet.points(X, [tuple(p) for p in rng.uniform(-2.0, 2.0, (3, n))])
+                for _ in range(2))
+        for eps in rng.uniform(0.1, 0.9, 4):
+            rows.clear()
+            sup_gap_on_ball(A, B, float(deciding_window(eps)), tol=min(DECIDE_TOL, eps / 4.0),
+                            node_cap=cap)
+            full = sum(rows)
+            rows.clear()
+            try:
+                aw_less_than(A, B, eps, tol=DECIDE_TOL, node_cap=cap)
+            except Indeterminate:
+                pass
+            assert 0 < sum(rows) <= min(full, cap)
+            fewer += sum(rows) < full
+    assert fewer > 0
+
+
+AW_TOL, AW_CAP = 0.02, 100_000
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)  # its tol claim is a budget claim
+@given(st.data())
+def test_aw_certificate_brackets_a_dense_sample_and_meets_tol(data):
+    # seeded, stopped and plain windows alike: the windowed distance lies
+    # in the certificate, and the certificate is tol wide
+    n = data.draw(st.sampled_from((2, 3)))
+    X = AmbientSpace.euclidean(n)
+    A = build_set(X, *data.draw(piece_sets(n)))
+    B = build_set(X, *data.draw(piece_sets(n)))
+    cv = aw_distance(A, B, tol=AW_TOL, node_cap=AW_CAP)
+    J, per_side = 6, (121 if n == 2 else 31)
+    S = cube_sample(np.zeros(n), float(J), per_side)
+    cover = J / (per_side - 1) * math.sqrt(n)  # covering radius of the sample
+    rad = np.sqrt((S ** 2).sum(axis=1))
+    gap = np.abs(oracle_dist(S, A) - oracle_dist(S, B))
+    lo, hi = 0.0, 1.0 / (J + 1)  # windows past J add terms <= 1/(J + 1)
+    for j in range(1, J + 1):
+        lo = max(lo, min(1.0 / j, float(gap[rad < j].max())))
+        hi = max(hi, min(1.0 / j, float(gap[rad < j + cover].max()) + 2.0 * cover))
+    assert lo <= cv.hi.as_float() + 1e-12 and cv.lo <= hi + 1e-12
+    assert cv.width <= AW_TOL + 1e-12

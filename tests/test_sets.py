@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hypermet.errors import UnsupportedPair
 from hypermet.hypermetrics import _allowance, excess, set_gap
-from hypermet.sets import (BallUnion, ClosedSet, FinitePoints, Ray, _kernel,
+from hypermet.sets import (BallUnion, ClosedSet, FinitePoints, Ray, _kernel, _piece_dists,
                            bounding_radius, dist_to_set, dists_to_set, in_r_neighborhood, is_bounded, is_subset,
                            representative_points, truncate, union_sets)
 from hypermet.spaces import AmbientSpace
@@ -465,6 +465,20 @@ def test_the_kernel_and_the_query_share_one_norm_at_every_scale(data):
         D = _kernel(np.array(X), A.array_form)[0]
     assert (D.min(axis=0) == d).all()
     assert np.isfinite(d).all()  # coordinates stay below 1e300, so every distance is finite
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_distances_only_kernel_reads_the_kernels_distances(data):
+    # the vertex table and the per-piece query skip the gradients; their
+    # distances are the kernel's, bit for bit, at every scale
+    coords = data.draw(st.sampled_from((coord, spread_coord, wide_coord)))
+    A = data.draw(nd_sets(coords))
+    X = np.array(data.draw(queries(A, coords)))
+    D, _ = _kernel(X, A.array_form)
+    D_only, G = _kernel(X, A.array_form, grads=False)
+    assert G is None and D_only.shape == D.shape and (D_only == D).all()
+    assert _piece_dists(X[0], A) == D[:, 0].tolist()
 
 
 def test_the_projection_onto_a_long_segment_does_not_overflow():
