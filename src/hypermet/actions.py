@@ -18,22 +18,13 @@ import numpy as np
 
 from .errors import Indeterminate
 from .hypermetrics import CertifiedValue
-from .induced import (_check_thresholds, _np, _scaled_orthogonal, _sigma_max,
-                      affine_image, metric_by_name)
+from .induced import (_check_thresholds, _matrix, _np, _scaled_orthogonal,
+                      _sigma_max, affine_image, metric_by_name)
 from .sets import (ClosedSet, FinitePoints, SampledCloud, _box_corners,
                    is_bounded, is_subset)
 from .spaces import AmbientSpace
 
 DEFAULT_REF_RADIUS = 10.0
-
-
-def _rows(m) -> tuple:
-    a = _np(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("group elements need a square matrix")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    return tuple(tuple(float(v) for v in row) for row in a)
 
 
 def _eye(n: int) -> tuple:
@@ -47,16 +38,17 @@ class GroupElement:
     kind: str = "affine"
 
     def __post_init__(self):
-        rows = _rows(self.matrix)
+        rows, m = _matrix(self.matrix, square=True)
         off = tuple(float(v) for v in self.offset)
         if len(off) != len(rows):
             raise ValueError("offset dimension mismatch")
         if not all(map(math.isfinite, off)):
             raise ValueError("offset entries must be finite")
-        if float(abs(np.linalg.det(_np(rows)))) == 0.0:
+        if float(abs(np.linalg.det(m))) == 0.0:
             raise ValueError("group elements must be invertible")
         object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "offset", off)
+        object.__setattr__(self, "_m", m)  # the rows as an array, not a field
 
     # -- constructors -------------------------------------------------
 
@@ -105,10 +97,6 @@ class GroupElement:
         vec = x if isinstance(x, tuple) else (x,)
         y = tuple(float(v) for v in self._m @ _np(vec) + _np(self.offset))
         return y[0] if self.dim == 1 else y
-
-    @property
-    def _m(self):
-        return _np(self.matrix)
 
     def is_isometry(self, tol: float = 1e-12) -> bool:
         g = self._m.T @ self._m

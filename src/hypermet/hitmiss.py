@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import AmbientMismatch, GeneratorFault, UnsupportedPair
 from .hypermetrics import set_gap
-from .sets import (BallUnion, ClosedSet, _coord, _dists, _far_from_point, is_bounded,
-                   is_subset, representative_points)
-from .spaces import FINITE, AmbientSpace
+from .sets import (BallUnion, ClosedSet, _coord, _dists, _dists_each, _far_from_point,
+                   _rows_per_chunk, is_bounded, is_subset, representative_points)
+from .spaces import EUCLIDEAN, FINITE, AmbientSpace
 
 Ball = tuple  # (center, radius)
 
@@ -316,14 +316,48 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
     Constraints are still read in order with the checks and the rules of
     hits and misses, so a scan raises the exception that the
     per-constraint calls would raise, at the same term.
+
+    In R^n (n >= 2) the verdicts of those gathered constraints on an
+    exact term (slack 0) cannot raise, so they are deferred: such terms
+    queue their array forms, and once the queued pieces reach the
+    kernel's memory budget (sets._rows_per_chunk), or the scan ends, one
+    kernel call measures the whole block (sets._dists_each, the floats
+    of the per-term query).  The ambient check and every other
+    constraint are still read per term, in order; clouds, 1-D and finite
+    terms are measured per term.  seq is called once per index, in
+    order, and never ahead of the term being checked, so a scan that
+    raises has read exactly the terms it would read without the deferral.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if not nbhds:
         raise ValueError("no constraints to check")
     owned, space, centres, radii = _hit_batch(nbhds)
+    deferrable = space is not None and space.kind == EUCLIDEAN and space.dim > 1
     first_fail = [None] * len(nbhds)
     last_fail = [None] * len(nbhds)
+
+    def failed(i, first, last):
+        first_fail[i] = first if first_fail[i] is None else min(first_fail[i], first)
+        last_fail[i] = last if last_fail[i] is None else max(last_fail[i], last)
+
+    # the deferred terms (index, array form), their number of pieces, and
+    # the number that fills the kernel's memory budget from every centre
+    block, queued = [], 0
+    budget = _rows_per_chunk(8 * len(centres) * (space.dim + 2)) if deferrable else 0
+
+    def flush():
+        ks = np.array([k for k, _ in block])
+        D = _dists_each(centres, [pieces for _, pieces in block])
+        for i, sl in owned.items():
+            d, r = D[:, sl], radii[sl]
+            ok = (d < r).any(axis=1) if nbhds[i].tag == "hit" else \
+                np.maximum(d - r, 0.0).min(axis=1) > 0.0
+            fails = ks[~ok]
+            if len(fails):
+                failed(i, int(fails[0]), int(fails[-1]))
+        block.clear()
+
     for k in range(1, horizon + 1):
         try:
             term = seq(k)
@@ -332,10 +366,18 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
         except Exception as exc:  # noqa: BLE001 - reported with its index
             raise GeneratorFault(k, exc) from exc
         d = None  # from every gathered ball, in one batched query
+        deferred = False
         for i, constraint in enumerate(nbhds):
             if i in owned:
+                if deferred:
+                    continue
                 if d is None:  # the check of hits and set_gap, at the first of them
                     space.require_same(term.space)
+                    if deferrable and term.slack == 0.0:
+                        block.append((k, term.array_form))
+                        queued += term.array_form.m
+                        deferred = True
+                        continue
                     d = _dists(centres, term)
                     flags = _hit_rule(d, radii, term.slack)
                 sl = owned[i]
@@ -344,9 +386,12 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
             else:
                 ok = constraint.satisfied_by(term)
             if not ok:
-                last_fail[i] = k
-                if first_fail[i] is None:
-                    first_fail[i] = k
+                failed(i, k, k)
+        if deferred and queued >= budget:
+            flush()
+            queued = 0
+    if block:
+        flush()
     entries = []
     for i, constraint in enumerate(nbhds):
         label = constraint.describe()

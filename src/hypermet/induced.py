@@ -107,6 +107,22 @@ def _np(mat):
     return np.array(mat, dtype=float)
 
 
+def _matrix(mat, square=False):
+    """A matrix of finite entries as its rows of floats and as a float
+    array that cannot be written to; ValueError for anything else (with
+    square, for a matrix that is not square)."""
+    m = _np(mat)
+    if square:
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError("group elements need a square matrix")
+    elif m.ndim != 2 or m.size == 0:
+        raise ValueError("need a 2-D matrix")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    m.flags.writeable = False
+    return tuple(map(tuple, m.tolist())), m
+
+
 def _sigma_max(m) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
@@ -115,14 +131,17 @@ def _scaled_orthogonal(m) -> Optional[float]:
     """mu when M^T M = mu^2 I (within 1e-12 relative), else None."""
     with np.errstate(over="ignore"):
         g = m.T @ m
-    mu2 = float(np.mean(np.diag(g)))
+    n = g.shape[0]
+    mu2 = float(g.trace()) / n  # the mean of the diagonal
     if not sys.float_info.min <= mu2 < math.inf and m.any():
         # the squares under- or overflow: rescale by a power of two, exactly
         e = math.frexp(float(np.abs(m).max()))[1]
         mu = _scaled_orthogonal(np.ldexp(m, -e))
         return None if mu is None else math.ldexp(mu, e)
-    # np.allclose with rtol=0, at a fraction of its cost; NaN compares False
-    if float(np.abs(g - mu2 * np.eye(g.shape[0])).max()) <= 1e-12 * max(1.0, mu2):
+    # np.allclose of g and mu2 I with rtol=0, at a fraction of its cost;
+    # NaN compares False
+    g.flat[::n + 1] -= mu2
+    if float(np.abs(g).max()) <= 1e-12 * max(1.0, mu2):
         return math.sqrt(mu2)
     return None
 
@@ -206,16 +225,9 @@ class LinearMatrix:
     matrix: tuple
 
     def __post_init__(self):
-        m = _np(self.matrix)
-        if m.ndim != 2 or m.size == 0:
-            raise ValueError("need a 2-D matrix")
-        if not np.isfinite(m).all():
-            raise ValueError("matrix entries must be finite")
-        object.__setattr__(self, "matrix", tuple(tuple(float(v) for v in row) for row in m))
-
-    @property
-    def _m(self):
-        return _np(self.matrix)
+        rows, m = _matrix(self.matrix)
+        object.__setattr__(self, "matrix", rows)
+        object.__setattr__(self, "_m", m)  # the rows as an array, not a field
 
     @property
     def domain(self):

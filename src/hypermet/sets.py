@@ -154,9 +154,15 @@ class NormalForm1D:
 _CHUNK_BYTES = 1 << 22   # kernel temporaries stay near this size
 
 
+def _rows_per_chunk(row_bytes):
+    """How many rows of row_bytes of temporaries each stay within
+    _CHUNK_BYTES (at least one)."""
+    return max(1, _CHUNK_BYTES // row_bytes)
+
+
 def _chunks(n_rows, row_bytes):
     """Row slices whose temporaries stay within _CHUNK_BYTES."""
-    step = max(1, _CHUNK_BYTES // row_bytes)
+    step = _rows_per_chunk(row_bytes)
     return (slice(i, i + step) for i in range(0, n_rows, step))
 
 
@@ -222,17 +228,19 @@ class _Pieces:
         self.blocks, self.m = blocks, m
         return self
 
-    def join(self, other: "_Pieces") -> "_Pieces":
-        """The pieces of self followed by those of other, one block per kind."""
-        joined = {}
-        for offset, pieces in ((0, self), (self.m, other)):
-            for kind, rows, arrs in pieces.blocks:
-                rows = np.arange(pieces.m)[rows] + offset  # rows may be a slice
-                if kind in joined:  # every array has its piece axis at -2
-                    rows = np.concatenate((joined[kind][0], rows))
-                    arrs = tuple(np.concatenate(pair, axis=-2) for pair in zip(joined[kind][1], arrs))
-                joined[kind] = rows, arrs
-        return _Pieces.of_blocks([(k, r, a) for k, (r, a) in joined.items()], self.m + other.m)
+    def join(self, *others: "_Pieces") -> "_Pieces":
+        """The pieces of self followed by those of each of others, one
+        block per kind."""
+        kinds, offset = {}, 0
+        for pieces in (self, *others):
+            for kind, rows, arrs in pieces.blocks:  # rows may be a slice
+                kinds.setdefault(kind, []).append((np.arange(pieces.m)[rows] + offset, arrs))
+            offset += pieces.m
+        # every array has its piece axis at -2
+        return _Pieces.of_blocks(
+            [(kind, np.concatenate([rows for rows, _ in items]),
+              tuple(np.concatenate(col, axis=-2) for col in zip(*(arrs for _, arrs in items))))
+             for kind, items in kinds.items()], offset)
 
     def scaled(self, k: int) -> "_Pieces":
         """The pieces with every coordinate and radius multiplied by 2^k,
@@ -615,6 +623,20 @@ def _dists(X, A: ClosedSet) -> np.ndarray:
     pieces = A.array_form
     parts = [_nearest_dists(X[sl], pieces) for sl in _chunks(len(X), 8 * pieces.m * (space.dim + 2))]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _dists_each(X: np.ndarray, forms) -> np.ndarray:
+    """_dists from the rows of X to each of several n-D sets, given by
+    their array forms: row j is set j's.  One kernel pass over their
+    joined pieces, reduced per set with np.minimum.reduceat; every entry
+    is the float _dists gives, since the square root is monotone and,
+    where a pass falls back to the scaled norm, pieces whose plain norm
+    neither under- nor overflows keep their floats."""
+    pieces = forms[0].join(*forms[1:])
+    parts = [_kernel(X[sl], pieces, grads=False)[0]
+             for sl in _chunks(len(X), 8 * pieces.m * (X.shape[1] + 2))]
+    D = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    return np.minimum.reduceat(D, np.cumsum([0] + [p.m for p in forms[:-1]]), axis=0)
 
 
 def _finite_indices(A: ClosedSet):

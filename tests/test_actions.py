@@ -62,6 +62,38 @@ def test_non_finite_entries_are_refused_where_they_enter(bad):
         LinearMatrix(((1.0, 0.0), (0.0, bad)))
 
 
+@pytest.mark.parametrize("make, bad, message", [
+    (LinearMatrix, (), "need a 2-D matrix"),
+    (LinearMatrix, ((),), "need a 2-D matrix"),
+    (LinearMatrix, (1.0, 2.0), "need a 2-D matrix"),
+    (LinearMatrix, ((1.0, math.nan),), "matrix entries must be finite"),
+    (lambda m: GroupElement(m, (0.0,)), ((1.0, 2.0),), "group elements need a square matrix"),
+    (lambda m: GroupElement(m, (0.0,)), (1.0,), "group elements need a square matrix"),
+    (lambda m: GroupElement(m, (0.0, 0.0)), ((math.inf, 0.0), (0.0, 1.0)),
+     "matrix entries must be finite"),
+])
+def test_matrices_are_checked_with_their_messages(make, bad, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make(bad)
+
+
+@pytest.mark.parametrize("elem", [
+    LinearMatrix(np.array([[1, 2], [3, 4], [-0.0, 5]])),
+    GroupElement(np.array([[0, -1], [1, 0]]), (1.0, 2.0)),
+])
+def test_a_map_keeps_one_read_only_array_of_its_rows(elem):
+    assert all(type(v) is float for row in elem.matrix for v in row)
+    assert elem._m is elem._m and elem._m.dtype == float
+    assert elem._m.tolist() == [list(row) for row in elem.matrix]
+    assert math.copysign(1.0, elem._m[-1, 0]) == math.copysign(1.0, elem.matrix[-1][0])
+    with pytest.raises(ValueError):
+        elem._m[0, 0] = 7.0
+    # the array is no field: equality, hash and repr read the rows
+    twin = type(elem)(elem.matrix) if isinstance(elem, LinearMatrix) else \
+        GroupElement(elem.matrix, elem.offset)
+    assert twin == elem and hash(twin) == hash(elem) and "array" not in repr(elem)
+
+
 def test_group_laws_exact_on_integer_corpus():
     rng = np.random.RandomState(15)
     e = GroupElement.identity(2)

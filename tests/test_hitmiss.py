@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypermet import hitmiss, sets
 from hypermet.errors import GeneratorFault, UnsupportedPair
 from hypermet.hitmiss import (Constraint, ConstraintEntry, ConvergenceReport,
-                              OpenSetRep, canonical_neighborhoods, converges,
+                              OpenSetRep, _hit_batch, canonical_neighborhoods, converges,
                               hits, misses, neighborhood, subset_of)
 from hypermet.hypermetrics import excess, set_gap
 from hypermet.sets import ClosedSet, dist_to_set
@@ -372,6 +373,84 @@ def scan_cases(draw):
 def test_batched_scan_matches_the_per_constraint_scan(case):
     nbhds, terms = case
     assert outcome(converges, terms, nbhds) == outcome(ref_converges, terms, nbhds)
+
+
+E3 = AmbientSpace.euclidean(3)
+
+
+@st.composite
+def nd_scan_cases(draw):
+    """Scans in R^2 or R^3 whose terms mix exact sets of every kind with
+    clouds, against families with ball and box obstacles, and a kernel
+    budget that closes a block of deferred terms at every term, every few
+    terms or only at the end of the scan."""
+    space = draw(st.sampled_from((E2, E3)))
+    pt = st.tuples(*[eighths] * space.dim)
+    limit = ClosedSet.points(space, draw(st.lists(pt, min_size=1, max_size=4)))
+    topology = draw(st.sampled_from(("lowerV", "upperV", "vietoris", "fell")))
+    obstacles = [ClosedSet.balls(space, [((6.0,) * space.dim, 1.0)])]
+    balls = draw(st.lists(st.tuples(pt, st.integers(0, 4).map(lambda i: i / 8.0)),
+                          min_size=1, max_size=3))
+    p, q = draw(pt), draw(pt)
+    near = [ClosedSet.balls(space, balls),
+            ClosedSet.boxes(space, [(tuple(map(min, p, q)), tuple(map(max, p, q)))])]
+    obstacles += [K for K in near if set_gap(limit, K) > 0.0]
+    nbhds = draw(st.permutations(canonical_neighborhoods(limit, topology, 0.25, m=4,
+                                                         miss_compacts=obstacles)))
+    terms = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(("points", "balls", "boxes", "segments", "cloud")))
+        pts = draw(st.lists(pt, min_size=1, max_size=4))
+        if kind == "points":
+            terms.append(ClosedSet.points(space, pts))
+        elif kind == "balls":
+            terms.append(ClosedSet.balls(space, [(c, draw(st.integers(0, 2)) / 8.0) for c in pts]))
+        elif kind == "boxes":
+            terms.append(ClosedSet.boxes(space, [(c, tuple(x + 0.125 for x in c)) for c in pts]))
+        elif kind == "segments":
+            terms.append(ClosedSet.segments(space, [(c, tuple(reversed(c))) for c in pts]))
+        else:
+            terms.append(ClosedSet.cloud(space, pts, draw(st.integers(0, 3)) / 8.0))
+    # the kernel's memory budget as a number of pieces measured from
+    # every gathered centre: 0 closes a block at every deferred term
+    pieces = draw(st.sampled_from((0, 1, 4, 8, None)))
+    return tuple(nbhds), terms, pieces
+
+
+@settings(max_examples=400, deadline=None)
+@given(nd_scan_cases())
+def test_deferred_blocks_match_the_per_constraint_scan(case):
+    nbhds, terms, pieces = case
+    with pytest.MonkeyPatch.context() as mp:
+        if pieces is not None:
+            row_bytes = 8 * len(_hit_batch(nbhds)[2]) * (terms[0].space.dim + 2)
+            mp.setattr(sets, "_CHUNK_BYTES", max(1, pieces * row_bytes))
+        assert outcome(converges, terms, nbhds) == outcome(ref_converges, terms, nbhds)
+
+
+def test_exact_nd_terms_are_measured_in_one_kernel_call_per_block(monkeypatch):
+    calls = {"_dists": [], "_dists_each": []}  # the second argument of each call
+    for name in calls:
+        monkeypatch.setattr(hitmiss, name, lambda X, arg, fn=getattr(hitmiss, name), name=name:
+                            calls[name].append(arg) or fn(X, arg))
+    A = ClosedSet.points(E2, [(0.0, 0.0), (1.0, 1.0)])
+    nbhds = canonical_neighborhoods(A, "fell", 0.25, m=2,
+                                    miss_compacts=[ClosedSet.balls(E2, [((4.0, 4.0), 1.0)])])
+
+    def seq(k):
+        pts = [(1.0 / k, 0.0), (1.0, 1.0)]
+        return ClosedSet.cloud(E2, pts, 0.01) if k % 5 == 0 else ClosedSet.points(E2, pts)
+
+    report = converges(seq, nbhds, horizon=20)
+    assert report == ref_converges(seq, nbhds, 20) and report.entries[0].settles_at == 5
+    # the four clouds one query each, the 16 exact terms in one block
+    assert len(calls["_dists"]) == 4 and [len(b) for b in calls["_dists_each"]] == [16]
+    # at a budget of 4 pieces from the 3 centres, blocks close every second exact term
+    for args in calls.values():
+        args.clear()
+    monkeypatch.setattr(sets, "_CHUNK_BYTES", 4 * 8 * 3 * (2 + 2))
+    assert converges(seq, nbhds, horizon=20) == report
+    assert len(calls["_dists"]) == 4 and [len(b) for b in calls["_dists_each"]] == [2] * 8
 
 
 def test_a_term_on_a_hit_ball_boundary_does_not_hit():

@@ -634,6 +634,51 @@ def test_the_max_predicate_agrees_with_allclose():
     assert checked == 4 * 200 * 7
 
 
+def scaled_orthogonal_by_the_mean(m):
+    """_scaled_orthogonal as it was written with np.mean(np.diag(g)) and
+    g - mu2 * np.eye(n)."""
+    with np.errstate(over="ignore"):
+        g = m.T @ m
+    mu2 = float(np.mean(np.diag(g)))
+    if not 2.2250738585072014e-308 <= mu2 < math.inf and m.any():
+        e = math.frexp(float(np.abs(m).max()))[1]
+        mu = scaled_orthogonal_by_the_mean(np.ldexp(m, -e))
+        return None if mu is None else math.ldexp(mu, e)
+    return math.sqrt(mu2) if max_predicate(g, mu2) else None
+
+
+@st.composite
+def maps_near_scaled_orthogonal(draw):
+    """Matrices p x n: orthogonal ones, scaled, nudged by a few ulps or
+    by 1e-13, and arbitrary ones, with entries near 1, 1e-170 or 1e160."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    kind = draw(st.sampled_from(("orthogonal", "ulps", "nudged", "any", "tall", "zero column")))
+    if kind == "ulps":
+        m = q * (1.0 + rng.integers(-4, 5, size=(n, n)) * 2.0 ** -52)
+    elif kind == "nudged":
+        m = q + 1e-13 * rng.normal(size=(n, n))
+    elif kind == "any":
+        m = rng.normal(size=(n, n))
+    elif kind == "tall":
+        m = np.vstack([q, rng.normal(size=(draw(st.integers(1, 2)), n))])
+    elif kind == "zero column":
+        m = q.copy()
+        m[:, rng.integers(n)] = 0.0
+    else:
+        m = q
+    scale = draw(st.sampled_from((1.0, 1e-170, 1e160, 2.0 ** -600, 3.0)))
+    return m * scale * draw(st.floats(0.5, 2.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(maps_near_scaled_orthogonal())
+def test_scaled_orthogonal_keeps_the_floats_of_the_mean_formula(m):
+    with np.errstate(under="ignore"):
+        assert _scaled_orthogonal(m) == scaled_orthogonal_by_the_mean(m)
+
+
 @pytest.mark.parametrize("A", [
     ClosedSet.boxes(E2, [((1e-200, 1e-200), (1.0, 1.0))]),
     ClosedSet.segments(E2, [((1e-200, -1.0), (1e-200, 1.0))]),

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypermet import sets
 from hypermet.errors import UnsupportedPair
 from hypermet.hypermetrics import _allowance, excess, set_gap
-from hypermet.sets import (BallUnion, ClosedSet, FinitePoints, Ray, _kernel, _piece_dists,
-                           bounding_radius, dist_to_set, dists_to_set, in_r_neighborhood, is_bounded, is_subset,
+from hypermet.sets import (BallUnion, ClosedSet, FinitePoints, Ray, _dists_each, _kernel,
+                           _piece_dists, bounding_radius, dist_to_set, dists_to_set, in_r_neighborhood, is_bounded, is_subset,
                            representative_points, truncate, union_sets)
 from hypermet.spaces import AmbientSpace
 
@@ -479,6 +480,27 @@ def test_the_distances_only_kernel_reads_the_kernels_distances(data):
     D_only, G = _kernel(X, A.array_form, grads=False)
     assert G is None and D_only.shape == D.shape and (D_only == D).all()
     assert _piece_dists(X[0], A) == D[:, 0].tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_pass_over_several_sets_gives_each_sets_distances(data):
+    # sets at different scales share a pass: where one of them makes it
+    # fall back to the scaled norm, the others keep their floats
+    n = data.draw(st.sampled_from((2, 3)))
+    scales = st.sampled_from((coord, spread_coord, wide_coord))
+    sets_ = [data.draw(nd_sets(data.draw(scales), dims=(n,)))
+             for _ in range(data.draw(st.integers(1, 4)))]
+    X = data.draw(queries(sets_[0], data.draw(scales)))
+    with pytest.MonkeyPatch.context() as mp:
+        if data.draw(st.booleans()):  # a pass of one query point at a time
+            mp.setattr(sets, "_CHUNK_BYTES", 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            D = _dists_each(np.array(X, dtype=float), [A.array_form for A in sets_])
+    assert D.shape == (len(sets_), len(X))
+    for row, A in zip(D, sets_):
+        assert row.tolist() == dists_to_set(X, A).tolist()
 
 
 def test_the_projection_onto_a_long_segment_does_not_overflow():
