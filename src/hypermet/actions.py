@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import Indeterminate
 from .hypermetrics import CertifiedValue
-from .induced import (_check_thresholds, _matrix, _np, _scaled_orthogonal,
-                      _sigma_max, affine_image, metric_by_name)
+from .induced import (_check_thresholds, _matrix, _np, _real_space,
+                      _scaled_orthogonal, _sigma_max, affine_image, metric_by_name)
 from .sets import (ClosedSet, FinitePoints, SampledCloud, _box_corners,
                    is_bounded, is_subset)
 from .spaces import AmbientSpace
@@ -87,13 +88,12 @@ class GroupElement:
     def dim(self) -> int:
         return len(self.matrix)
 
-    @property
+    @cached_property
     def space(self) -> AmbientSpace:
-        return AmbientSpace.line() if self.dim == 1 else AmbientSpace.euclidean(self.dim)
+        return _real_space(self.dim)
 
     def apply(self, x):
-        space = self.space
-        x = space.canon_point(x)
+        x = self.space.canon_point(x)
         vec = x if isinstance(x, tuple) else (x,)
         y = tuple(float(v) for v in self._m @ _np(vec) + _np(self.offset))
         return y[0] if self.dim == 1 else y

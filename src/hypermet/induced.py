@@ -1,9 +1,14 @@
 """Maps between ambient spaces and the functions they induce on
 closed sets.
 
-Every map knows how to push each exact representation forward to an
-exact representation of the closed image (closure taken where the raw
-image is not closed, e.g. the far end of a ray under a bounded map).
+A catalog map is one class: its spaces, apply, image,
+lipschitz_constant, describe, its preimage analysis and its verdicts on
+the two continuity conditions, with the shared fallbacks of _CatalogMap.
+Adding a map means that class plus one branch in literals.parse_map.
+
+Its image pushes each exact representation forward to an exact
+representation of the closed image (closure taken where the raw image is
+not closed, e.g. the far end of a ray under a bounded map).
 Representations with no exact finite image raise UnsupportedPair rather
 than silently approximating; sampled clouds go through only when the
 map has a Lipschitz constant to rescale their resolution.  Affine maps
@@ -17,6 +22,7 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
@@ -30,6 +36,7 @@ from .sets import (BallUnion, BoxUnion, ClosedSet, FinitePoints, IntervalUnion,
 from .spaces import FINITE, LINE, OPEN_INTERVAL, AmbientSpace
 
 _HALF_PI = math.pi / 2.0
+_LINE = AmbientSpace.line()
 
 
 # ---------------------------------------------------------------------------
@@ -46,17 +53,37 @@ def dist_range(anchor, A: ClosedSet) -> tuple[float, float]:
 # the map catalog
 
 
+class _CatalogMap:
+    """What a map answers without a closed form of its own: no preimage
+    analysis, no condition verdicts, a Lipschitz or finite-set modulus."""
+
+    def _preimage(self, B: ClosedSet, base, radii) -> PreimageReport:
+        return PreimageReport("not-applicable",
+                              note=f"no preimage analysis for {self.describe()}")
+
+    def _conditions(self) -> ConditionsReport:
+        return ConditionsReport(None, None, None,
+                                f"no catalog analysis for {self.describe()}", "")
+
+    def _modulus(self, A: ClosedSet, eps: float) -> ModulusReport:
+        L = self.lipschitz_constant()
+        if L is not None:
+            return ModulusReport("certified", delta=eps if L == 0.0 else eps / L,
+                                 note=f"Lipschitz constant {L}")
+        if isinstance(A.rep, (FinitePoints, SampledCloud)):
+            return _finite_modulus(self, A.rep.points, eps)
+        return ModulusReport("inconclusive", note=f"no modulus rule for {self.describe()}")
+
+
 @dataclass(frozen=True)
-class Identity:
+class Identity(_CatalogMap):
     space: AmbientSpace
 
     @property
     def domain(self):
         return self.space
 
-    @property
-    def codomain(self):
-        return self.space
+    codomain = domain
 
     def apply(self, x):
         return self.space.canon_point(x)
@@ -71,24 +98,25 @@ class Identity:
     def describe(self):
         return "identity"
 
+    def _preimage(self, B, base, radii):
+        _, dmax = dist_range(base, B)
+        return PreimageReport("bounded-within", radius=dmax, note="identity")
+
+    def _conditions(self):
+        return ConditionsReport(True, True, True, "isometry", "preimage is the set itself")
+
 
 @dataclass(frozen=True)
-class Affine:
+class Affine(_CatalogMap):
     """x -> a*x + b on the line."""
 
     a: float
     b: float
 
-    @property
-    def domain(self):
-        return AmbientSpace.line()
-
-    @property
-    def codomain(self):
-        return AmbientSpace.line()
+    domain = codomain = _LINE
 
     def apply(self, x):
-        return self.a * float(x) + self.b
+        return self.a * self.domain.canon_point(x) + self.b
 
     def image(self, A: ClosedSet) -> ClosedSet:
         self.domain.require_same(A.space)
@@ -101,6 +129,24 @@ class Affine:
 
     def describe(self):
         return f"affine(a={self.a}, b={self.b})"
+
+    def _preimage(self, B, base, radii):
+        if self.a == 0.0:
+            if dist_to_set(self.b, B) > 0.0:
+                return PreimageReport("bounded-within", radius=0.0,
+                                      note="constant value outside the target: empty preimage")
+            return PreimageReport("not-applicable",
+                                  note="constant map: the target meets the image in one point")
+        lo, hi = B.normal_form.lo[0], B.normal_form.hi[-1]
+        r = max(abs((lo - self.b) / self.a - base), abs((hi - self.b) / self.a - base))
+        return PreimageReport("bounded-within", radius=r)
+
+    def _conditions(self):
+        if self.a == 0.0:
+            return ConditionsReport(True, True, True, "constant",
+                                    "single-point image: vacuous")
+        return ConditionsReport(True, True, True, f"Lipschitz {abs(self.a)}",
+                                "affine rescale of the target")
 
 
 def _np(mat):
@@ -121,6 +167,12 @@ def _matrix(mat, square=False):
         raise ValueError("matrix entries must be finite")
     m.flags.writeable = False
     return tuple(map(tuple, m.tolist())), m
+
+
+@cache
+def _real_space(n: int) -> AmbientSpace:
+    """R^n, or the line when n = 1; one shared space per n."""
+    return _LINE if n == 1 else AmbientSpace.euclidean(n)
 
 
 def _sigma_max(m) -> float:
@@ -219,7 +271,7 @@ def affine_image(m, t, A: ClosedSet, codomain: AmbientSpace) -> ClosedSet:
 
 
 @dataclass(frozen=True)
-class LinearMatrix:
+class LinearMatrix(_CatalogMap):
     """x -> M x between Euclidean spaces (matrix stored row-major)."""
 
     matrix: tuple
@@ -229,15 +281,13 @@ class LinearMatrix:
         object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "_m", m)  # the rows as an array, not a field
 
-    @property
+    @cached_property
     def domain(self):
-        n = len(self.matrix[0])
-        return AmbientSpace.line() if n == 1 else AmbientSpace.euclidean(n)
+        return _real_space(len(self.matrix[0]))
 
-    @property
+    @cached_property
     def codomain(self):
-        p = len(self.matrix)
-        return AmbientSpace.line() if p == 1 else AmbientSpace.euclidean(p)
+        return _real_space(len(self.matrix))
 
     def apply(self, x):
         x = self.domain.canon_point(x)
@@ -276,21 +326,44 @@ class LinearMatrix:
     def describe(self):
         return f"linear({self.matrix})"
 
+    def _preimage(self, B, base, radii):
+        if self.is_injective():
+            _, dmax = dist_range(self.codomain.base_point, B)
+            return PreimageReport("bounded-within", radius=dmax / self.sigma_min(),
+                                  note=f"injective, sigma_min={self.sigma_min():.6g}")
+        v = self.kernel_vector()
+        m = self._m
+        anchor = None
+        for y in representative_points(B, 16):
+            yv = np.atleast_1d(_np(y))
+            x_hat, _, _, _ = np.linalg.lstsq(m, yv, rcond=None)
+            if float(np.linalg.norm(m @ x_hat - yv)) <= 1e-9 * (1.0 + float(np.linalg.norm(yv))):
+                anchor = x_hat
+                break
+        if anchor is None:
+            return PreimageReport("not-applicable",
+                                  note="sampled search found no point of the target in the image")
+        wit = tuple(tuple(float(c) for c in anchor + r * _np(v)) for r in radii)
+        return PreimageReport("escape-evidence", witnesses=wit,
+                              note="kernel direction keeps the image fixed")
+
+    def _conditions(self):
+        inj = self.is_injective()
+        note2 = (f"injective, sigma_min={self.sigma_min():.6g}" if inj
+                 else "kernel direction escapes")
+        return ConditionsReport(True, inj, inj, f"Lipschitz {self.sigma_max():.6g}", note2,
+                                cond2_witness=None if inj else self.kernel_vector())
+
 
 @dataclass(frozen=True)
-class SinReciprocal:
+class SinReciprocal(_CatalogMap):
     """x -> sin(1/x) on the open interval (0, 1)."""
 
-    @property
-    def domain(self):
-        return AmbientSpace.open_interval(0.0, 1.0)
-
-    @property
-    def codomain(self):
-        return AmbientSpace.line()
+    domain = AmbientSpace.open_interval(0.0, 1.0)
+    codomain = _LINE
 
     def apply(self, x):
-        return math.sin(1.0 / float(x))
+        return math.sin(1.0 / self.domain.canon_point(x))
 
     @staticmethod
     def _interval_image(a: float, b: float):
@@ -326,12 +399,53 @@ class SinReciprocal:
         return (1.0 / (_HALF_PI + 2.0 * math.pi * k),
                 1.0 / (3.0 * _HALF_PI + 2.0 * math.pi * k))
 
+    def _oscillation_pair_in(self, intervals):
+        best = None
+        for lo, hi in intervals:
+            # deepest crest/trough pair inside [lo, hi]: largest k keeps both in
+            k_hi = math.floor((1.0 / lo - 3.0 * _HALF_PI) / (2.0 * math.pi))
+            k_lo = math.ceil((1.0 / hi - _HALF_PI) / (2.0 * math.pi))
+            if k_hi < max(k_lo, 0):
+                continue
+            pair = self.oscillation_pair(k_hi)
+            if best is None or abs(pair[0] - pair[1]) < abs(best[0] - best[1]):
+                best = pair
+        return best
+
     def describe(self):
         return "sin-reciprocal"
 
+    def _preimage(self, B, base, radii):
+        a, b = self.domain.bounds
+        r = max(base - a, b - base)
+        return PreimageReport("bounded-within", radius=r, note="bounded domain")
+
+    def _modulus(self, A, eps):
+        rep = A.rep
+        if isinstance(rep, IntervalUnion):
+            a = min(lo for lo, _ in rep.intervals)
+            pair = self._oscillation_pair_in(rep.intervals)
+            if pair is not None and eps <= 2.0:
+                return ModulusReport("counterexample", pair=pair,
+                                     gap=abs(self.apply(pair[0]) - self.apply(pair[1])),
+                                     note="full oscillations persist at every scale near 0")
+            # away from 0 the derivative is bounded by 1/a^2
+            return ModulusReport("certified", delta=eps * a * a,
+                                 note=f"derivative bound 1/a^2 with a={a}")
+        if isinstance(rep, FinitePoints):
+            return _finite_modulus(self, rep.points, eps)
+        raise UnsupportedPair(f"no modulus analysis for {type(rep).__name__}")
+
+    def _conditions(self):
+        pair = self.oscillation_pair(100)
+        return ConditionsReport(False, True, False,
+                                "oscillation near 0 defeats every modulus",
+                                "the whole domain is bounded",
+                                cond1_witness=pair)
+
 
 @dataclass(frozen=True)
-class ArctanOfDistance:
+class ArctanOfDistance(_CatalogMap):
     """x -> arctan(d(anchor, x)); 1-Lipschitz into the line."""
 
     space: AmbientSpace
@@ -345,11 +459,10 @@ class ArctanOfDistance:
     def domain(self):
         return self.space
 
-    @property
-    def codomain(self):
-        return AmbientSpace.line()
+    codomain = _LINE
 
     def apply(self, x):
+        # the distance reads x through self.space.canon_point
         return math.atan(self.space.distance(self.anchor, x))
 
     def image(self, A: ClosedSet) -> ClosedSet:
@@ -379,9 +492,50 @@ class ArctanOfDistance:
     def describe(self):
         return f"arctan-distance(anchor={self.anchor})"
 
+    def _preimage(self, B, base, radii):
+        space = self.space
+        if space.kind == FINITE:
+            row = space.matrix[space.base_point]
+            return PreimageReport("bounded-within", radius=max(row), note="finite domain")
+        if space.kind == OPEN_INTERVAL:
+            a, b = space.bounds
+            return PreimageReport("bounded-within", radius=max(base - a, b - base),
+                                  note="bounded domain")
+        escape_lo = None
+        reach_hi = 0.0
+        for lo, hi in B.normal_form.intervals:
+            if lo >= _HALF_PI:
+                continue  # arctan of a distance never gets this high
+            if hi >= _HALF_PI:
+                escape_lo = lo if escape_lo is None else min(escape_lo, lo)
+            else:
+                reach_hi = max(reach_hi, math.tan(max(hi, 0.0)))
+        if escape_lo is not None:
+            wit = []
+            shift = math.tan((max(escape_lo, 0.0) + _HALF_PI) / 2.0)
+            for r in radii:
+                d = r if math.atan(r) > escape_lo else shift + r
+                if space.kind == LINE:
+                    wit.append(self.anchor + d)
+                else:
+                    wit.append(tuple(c + (d if i == 0 else 0.0)
+                                     for i, c in enumerate(self.anchor)))
+            return PreimageReport("escape-evidence", witnesses=tuple(wit),
+                                  note="the target reaches the arctan ceiling from below")
+        r = reach_hi + space.distance(base, self.anchor)
+        return PreimageReport("bounded-within", radius=r)
+
+    def _conditions(self):
+        if self.space.kind in (OPEN_INTERVAL, FINITE):
+            return ConditionsReport(True, True, True, "1-Lipschitz", "bounded domain")
+        wit = ClosedSet.intervals(self.codomain, [(0.0, 1.6)])
+        return ConditionsReport(True, False, False, "1-Lipschitz",
+                                "targets reaching the arctan ceiling pull back unbounded",
+                                cond2_witness=wit)
+
 
 @dataclass(frozen=True)
-class PiecewiseMonotone1D:
+class PiecewiseMonotone1D(_CatalogMap):
     """Piecewise-linear map on the line: values at knots, linear between,
     straight tails with the given slopes beyond the first and last knot."""
 
@@ -389,6 +543,8 @@ class PiecewiseMonotone1D:
     values: tuple
     left_slope: float = 0.0
     right_slope: float = 0.0
+
+    domain = codomain = _LINE
 
     def __post_init__(self):
         ks = tuple(float(k) for k in self.knots)
@@ -402,16 +558,8 @@ class PiecewiseMonotone1D:
         object.__setattr__(self, "left_slope", float(self.left_slope))
         object.__setattr__(self, "right_slope", float(self.right_slope))
 
-    @property
-    def domain(self):
-        return AmbientSpace.line()
-
-    @property
-    def codomain(self):
-        return AmbientSpace.line()
-
     def apply(self, x):
-        x = float(x)
+        x = self.domain.canon_point(x)
         ks, vs = self.knots, self.values
         if x <= ks[0]:
             return vs[0] + self.left_slope * (x - ks[0])
@@ -467,22 +615,46 @@ class PiecewiseMonotone1D:
     def describe(self):
         return f"piecewise(knots={self.knots})"
 
+    def _preimage(self, B, base, radii):
+        wit_right = self.right_slope == 0.0 and dist_to_set(self.values[-1], B) == 0.0
+        wit_left = self.left_slope == 0.0 and dist_to_set(self.values[0], B) == 0.0
+        if wit_right or wit_left:
+            k = self.knots[-1] if wit_right else self.knots[0]
+            sgn = 1.0 if wit_right else -1.0
+            return PreimageReport(
+                "escape-evidence",
+                witnesses=tuple(k + sgn * r for r in radii),
+                note="a flat tail sits at a value inside the target")
+        lo, hi = B.normal_form.lo[0], B.normal_form.hi[-1]
+        cands = [abs(self.knots[0] - base), abs(self.knots[-1] - base)]
+        if self.right_slope != 0.0:
+            k, v = self.knots[-1], self.values[-1]
+            cands.append(max(k, k + max((lo - v) / self.right_slope,
+                                        (hi - v) / self.right_slope)) - base)
+        if self.left_slope != 0.0:
+            k, v = self.knots[0], self.values[0]
+            cands.append(base - min(k, k + min((lo - v) / self.left_slope,
+                                               (hi - v) / self.left_slope)))
+        return PreimageReport("bounded-within", radius=max(cands))
+
+    def _conditions(self):
+        ok = self.left_slope != 0.0 and self.right_slope != 0.0
+        note2 = ("both tails escape to infinity" if ok
+                 else "a flat tail keeps an unbounded preimage available")
+        wit = None if ok else (self.values[0] if self.left_slope == 0.0 else self.values[-1])
+        return ConditionsReport(True, ok, ok, f"Lipschitz {self.lipschitz_constant():.6g}",
+                                note2, cond2_witness=wit)
+
 
 @dataclass(frozen=True)
-class Composed:
+class Composed(_CatalogMap):
     outer: object
     inner: object
 
     def __post_init__(self):
         self.outer.domain.require_same(self.inner.codomain, "composition")
-
-    @property
-    def domain(self):
-        return self.inner.domain
-
-    @property
-    def codomain(self):
-        return self.outer.codomain
+        object.__setattr__(self, "domain", self.inner.domain)  # not fields
+        object.__setattr__(self, "codomain", self.outer.codomain)
 
     def apply(self, x):
         return self.outer.apply(self.inner.apply(x))
@@ -524,116 +696,17 @@ class PreimageReport:
 def check_preimage_boundedness(f, B: ClosedSet, radii=(10.0, 100.0, 1000.0)) -> PreimageReport:
     """Is the preimage of the bounded target B a bounded set?
 
-    Closed forms per catalog map.  Escape evidence is a list of preimage
-    points at the scheduled distances from the base point; a bounded
-    verdict carries a certified radius.  Targets meeting the image in at
-    most one point get the not-applicable verdict: a single fiber says
-    nothing about the boundedness condition the induced-map analysis
-    needs.
+    Each catalog map answers with its own closed form.  Escape evidence
+    is a list of preimage points at the scheduled distances from the base
+    point; a bounded verdict carries a certified radius.  Targets meeting
+    the image in at most one point get the not-applicable verdict: a
+    single fiber says nothing about the boundedness condition the
+    induced-map analysis needs.
     """
     f.codomain.require_same(B.space, "preimage target")
     if not is_bounded(B):
         raise ValueError("the target of the boundedness check must be bounded")
-    base = f.domain.base_point
-
-    if isinstance(f, Identity):
-        _, dmax = dist_range(base, B)
-        return PreimageReport("bounded-within", radius=dmax, note="identity")
-
-    if isinstance(f, Affine):
-        if f.a == 0.0:
-            if dist_to_set(f.b, B) > 0.0:
-                return PreimageReport("bounded-within", radius=0.0,
-                                      note="constant value outside the target: empty preimage")
-            return PreimageReport("not-applicable",
-                                  note="constant map: the target meets the image in one point")
-        lo, hi = B.normal_form.lo[0], B.normal_form.hi[-1]
-        r = max(abs((lo - f.b) / f.a - base), abs((hi - f.b) / f.a - base))
-        return PreimageReport("bounded-within", radius=r)
-
-    if isinstance(f, LinearMatrix):
-        if f.is_injective():
-            _, dmax = dist_range(f.codomain.base_point, B)
-            return PreimageReport("bounded-within", radius=dmax / f.sigma_min(),
-                                  note=f"injective, sigma_min={f.sigma_min():.6g}")
-        v = f.kernel_vector()
-        m = f._m
-        anchor = None
-        for y in representative_points(B, 16):
-            yv = np.atleast_1d(_np(y))
-            x_hat, _, _, _ = np.linalg.lstsq(m, yv, rcond=None)
-            if float(np.linalg.norm(m @ x_hat - yv)) <= 1e-9 * (1.0 + float(np.linalg.norm(yv))):
-                anchor = x_hat
-                break
-        if anchor is None:
-            return PreimageReport("not-applicable",
-                                  note="sampled search found no point of the target in the image")
-        wit = tuple(tuple(float(c) for c in anchor + r * _np(v)) for r in radii)
-        return PreimageReport("escape-evidence", witnesses=wit,
-                              note="kernel direction keeps the image fixed")
-
-    if isinstance(f, SinReciprocal):
-        a, b = f.domain.bounds
-        r = max(base - a, b - base)
-        return PreimageReport("bounded-within", radius=r, note="bounded domain")
-
-    if isinstance(f, ArctanOfDistance):
-        space = f.space
-        if space.kind == FINITE:
-            row = space.matrix[space.base_point]
-            return PreimageReport("bounded-within", radius=max(row), note="finite domain")
-        if space.kind == OPEN_INTERVAL:
-            a, b = space.bounds
-            return PreimageReport("bounded-within", radius=max(base - a, b - base),
-                                  note="bounded domain")
-        escape_lo = None
-        reach_hi = 0.0
-        for lo, hi in B.normal_form.intervals:
-            if lo >= _HALF_PI:
-                continue  # arctan of a distance never gets this high
-            if hi >= _HALF_PI:
-                escape_lo = lo if escape_lo is None else min(escape_lo, lo)
-            else:
-                reach_hi = max(reach_hi, math.tan(max(hi, 0.0)))
-        if escape_lo is not None:
-            wit = []
-            shift = math.tan((max(escape_lo, 0.0) + _HALF_PI) / 2.0)
-            for r in radii:
-                d = r if math.atan(r) > escape_lo else shift + r
-                if space.kind == LINE:
-                    wit.append(f.anchor + d)
-                else:
-                    wit.append(tuple(c + (d if i == 0 else 0.0)
-                                     for i, c in enumerate(f.anchor)))
-            return PreimageReport("escape-evidence", witnesses=tuple(wit),
-                                  note="the target reaches the arctan ceiling from below")
-        r = reach_hi + space.distance(base, f.anchor)
-        return PreimageReport("bounded-within", radius=r)
-
-    if isinstance(f, PiecewiseMonotone1D):
-        wit_right = f.right_slope == 0.0 and dist_to_set(f.values[-1], B) == 0.0
-        wit_left = f.left_slope == 0.0 and dist_to_set(f.values[0], B) == 0.0
-        if wit_right or wit_left:
-            k = f.knots[-1] if wit_right else f.knots[0]
-            sgn = 1.0 if wit_right else -1.0
-            return PreimageReport(
-                "escape-evidence",
-                witnesses=tuple(k + sgn * r for r in radii),
-                note="a flat tail sits at a value inside the target")
-        lo, hi = B.normal_form.lo[0], B.normal_form.hi[-1]
-        cands = [abs(f.knots[0] - base), abs(f.knots[-1] - base)]
-        if f.right_slope != 0.0:
-            k, v = f.knots[-1], f.values[-1]
-            cands.append(max(k, k + max((lo - v) / f.right_slope,
-                                        (hi - v) / f.right_slope)) - base)
-        if f.left_slope != 0.0:
-            k, v = f.knots[0], f.values[0]
-            cands.append(base - min(k, k + min((lo - v) / f.left_slope,
-                                               (hi - v) / f.left_slope)))
-        return PreimageReport("bounded-within", radius=max(cands))
-
-    return PreimageReport("not-applicable",
-                          note=f"no preimage analysis for {f.describe()}")
+    return f._preimage(B, f.domain.base_point, radii)
 
 
 # ---------------------------------------------------------------------------
@@ -655,31 +728,7 @@ def estimate_uniform_modulus(f, A: ClosedSet, eps: float) -> ModulusReport:
     eps = float(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-
-    if isinstance(f, SinReciprocal):
-        rep = A.rep
-        if isinstance(rep, IntervalUnion):
-            a = min(lo for lo, _ in rep.intervals)
-            pair = _oscillation_pair_in(f, rep.intervals)
-            if pair is not None and eps <= 2.0:
-                return ModulusReport("counterexample", pair=pair,
-                                     gap=abs(f.apply(pair[0]) - f.apply(pair[1])),
-                                     note="full oscillations persist at every scale near 0")
-            # away from 0 the derivative is bounded by 1/a^2
-            return ModulusReport("certified", delta=eps * a * a,
-                                 note=f"derivative bound 1/a^2 with a={a}")
-        if isinstance(rep, FinitePoints):
-            return _finite_modulus(f, rep.points, eps)
-        raise UnsupportedPair(f"no modulus analysis for {type(rep).__name__}")
-
-    L = f.lipschitz_constant()
-    if L is not None:
-        return ModulusReport("certified", delta=eps if L == 0.0 else eps / L,
-                             note=f"Lipschitz constant {L}")
-
-    if isinstance(A.rep, (FinitePoints, SampledCloud)):
-        return _finite_modulus(f, A.rep.points, eps)
-    return ModulusReport("inconclusive", note=f"no modulus rule for {f.describe()}")
+    return f._modulus(A, eps)
 
 
 def _finite_modulus(f, pts, eps: float) -> ModulusReport:
@@ -700,20 +749,6 @@ def _finite_modulus(f, pts, eps: float) -> ModulusReport:
                              note="no pair separates by eps")
     return ModulusReport("certified", delta=worst / 2.0,
                          note="half the closest eps-separated pair distance")
-
-
-def _oscillation_pair_in(f: SinReciprocal, intervals):
-    best = None
-    for lo, hi in intervals:
-        # deepest crest/trough pair inside [lo, hi]: largest k keeps both in
-        k_hi = math.floor((1.0 / lo - 3.0 * _HALF_PI) / (2.0 * math.pi))
-        k_lo = math.ceil((1.0 / hi - _HALF_PI) / (2.0 * math.pi))
-        if k_hi < max(k_lo, 0):
-            continue
-        pair = f.oscillation_pair(k_hi)
-        if best is None or abs(pair[0] - pair[1]) < abs(best[0] - best[1]):
-            best = pair
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -780,43 +815,7 @@ class ConditionsReport:
 def aw_continuity_conditions(f) -> ConditionsReport:
     """Catalog verdicts for the two conditions that together make the
     induced function continuous for the bounded-window metric."""
-    if isinstance(f, Identity):
-        return ConditionsReport(True, True, True, "isometry", "preimage is the set itself")
-    if isinstance(f, Affine):
-        if f.a == 0.0:
-            return ConditionsReport(True, True, True, "constant",
-                                    "single-point image: vacuous")
-        return ConditionsReport(True, True, True, f"Lipschitz {abs(f.a)}",
-                                "affine rescale of the target")
-    if isinstance(f, LinearMatrix):
-        inj = f.is_injective()
-        note2 = (f"injective, sigma_min={f.sigma_min():.6g}" if inj
-                 else "kernel direction escapes")
-        return ConditionsReport(True, inj, inj, f"Lipschitz {f.sigma_max():.6g}", note2,
-                                cond2_witness=None if inj else f.kernel_vector())
-    if isinstance(f, SinReciprocal):
-        pair = f.oscillation_pair(100)
-        return ConditionsReport(False, True, False,
-                                "oscillation near 0 defeats every modulus",
-                                "the whole domain is bounded",
-                                cond1_witness=pair)
-    if isinstance(f, ArctanOfDistance):
-        bounded = f.space.kind in (OPEN_INTERVAL, FINITE)
-        if bounded:
-            return ConditionsReport(True, True, True, "1-Lipschitz", "bounded domain")
-        wit = ClosedSet.intervals(AmbientSpace.line(), [(0.0, 1.6)])
-        return ConditionsReport(True, False, False, "1-Lipschitz",
-                                "targets reaching the arctan ceiling pull back unbounded",
-                                cond2_witness=wit)
-    if isinstance(f, PiecewiseMonotone1D):
-        ok = f.left_slope != 0.0 and f.right_slope != 0.0
-        note2 = ("both tails escape to infinity" if ok
-                 else "a flat tail keeps an unbounded preimage available")
-        wit = None if ok else (f.values[0] if f.left_slope == 0.0 else f.values[-1])
-        return ConditionsReport(True, ok, ok, f"Lipschitz {f.lipschitz_constant():.6g}",
-                                note2, cond2_witness=wit)
-    return ConditionsReport(None, None, None,
-                            f"no catalog analysis for {f.describe()}", "")
+    return f._conditions()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Source hygiene: every name a library module imports is read in it,
 and every function or class it defines at module level is used
-somewhere else: by a library module, a test, the benchmark or a script.
+somewhere else: by a library module, a test or the benchmark.
 
 ``__init__.py`` is skipped by the import scan because it imports names
 to re-export them, and ``from __future__`` imports because they are
@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hypermet"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 USERS = sorted({*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
-                *(ROOT / "perfbench").rglob("*.py"), *(ROOT / "scripts").glob("*.py")})
+                *(ROOT / "perfbench").rglob("*.py")})
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:

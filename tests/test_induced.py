@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from hypermet.actions import GroupElement, act
 from hypermet.errors import AmbientMismatch, UnsupportedPair
 from hypermet.hypermetrics import aw_distance, hausdorff
-from hypermet.induced import (Affine, ArctanOfDistance, Composed, Identity,
-                              LinearMatrix, PiecewiseMonotone1D,
-                              SinReciprocal, _scaled_orthogonal, affine_image,
+from hypermet.induced import (Affine, ArctanOfDistance, Composed,
+                              ConditionsReport, Identity, LinearMatrix,
+                              ModulusReport, PiecewiseMonotone1D,
+                              PreimageReport, SinReciprocal,
+                              _scaled_orthogonal, affine_image,
                               aw_continuity_conditions,
                               check_preimage_boundedness, dist_range,
                               estimate_uniform_modulus, induced_image,
@@ -467,6 +469,233 @@ def test_conditions_catalog():
 
     comp = aw_continuity_conditions(Composed(Affine(1.0, 0.0), Affine(1.0, 1.0)))
     assert comp.overall is None
+
+
+# ---------------------------------------------------------------------------
+# every analysis of every catalog map
+
+SIN = SinReciprocal()
+FIN3 = AmbientSpace.finite(((0.0, 1.0, 2.0), (1.0, 0.0, 1.5), (2.0, 1.5, 0.0)))
+
+# map, preimage target, modulus set, eps, and the three reports
+ANALYSES = {
+    "identity-line": (
+        Identity(LINE), ClosedSet.intervals(LINE, [(1.0, 4.0)]),
+        ClosedSet.intervals(LINE, [(0.0, 10.0)]), 0.1,
+        PreimageReport("bounded-within", radius=4.0, note="identity"),
+        ModulusReport("certified", delta=0.1, note="Lipschitz constant 1.0"),
+        ConditionsReport(True, True, True, cond1_note="isometry",
+                         cond2_note="preimage is the set itself")),
+    "identity-plane": (
+        Identity(E2), ClosedSet.balls(E2, [((3.0, 0.0), 1.0)]),
+        ClosedSet.points(E2, [(0.0, 0.0), (1.0, 1.0)]), 0.5,
+        PreimageReport("bounded-within", radius=4.0, note="identity"),
+        ModulusReport("certified", delta=0.5, note="Lipschitz constant 1.0"),
+        ConditionsReport(True, True, True, cond1_note="isometry",
+                         cond2_note="preimage is the set itself")),
+    "affine": (
+        Affine(2.0, 1.0), ClosedSet.intervals(LINE, [(3.0, 7.0)]),
+        ClosedSet.intervals(LINE, [(0.0, 10.0)]), 0.1,
+        PreimageReport("bounded-within", radius=3.0),
+        ModulusReport("certified", delta=0.05, note="Lipschitz constant 2.0"),
+        ConditionsReport(True, True, True, cond1_note="Lipschitz 2.0",
+                         cond2_note="affine rescale of the target")),
+    "affine-constant-outside": (
+        Affine(0.0, 9.0), ClosedSet.intervals(LINE, [(3.0, 7.0)]),
+        ClosedSet.points(LINE, [0.0, 1.0, 5.0]), 0.5,
+        PreimageReport("bounded-within", radius=0.0,
+                       note="constant value outside the target: empty preimage"),
+        ModulusReport("certified", delta=0.5, note="Lipschitz constant 0.0"),
+        ConditionsReport(True, True, True, cond1_note="constant",
+                         cond2_note="single-point image: vacuous")),
+    "affine-constant-inside": (
+        Affine(0.0, 5.0), ClosedSet.intervals(LINE, [(3.0, 7.0)]),
+        ClosedSet.points(LINE, [0.0, 1.0, 5.0]), 0.5,
+        PreimageReport("not-applicable",
+                       note="constant map: the target meets the image in one point"),
+        ModulusReport("certified", delta=0.5, note="Lipschitz constant 0.0"),
+        ConditionsReport(True, True, True, cond1_note="constant",
+                         cond2_note="single-point image: vacuous")),
+    "linear-injective": (
+        LinearMatrix(((2.0, 1.0), (0.0, 1.0))), ClosedSet.balls(E2, [((0.0, 0.0), 1.0)]),
+        ClosedSet.balls(E2, [((0.0, 0.0), 1.0)]), 0.1,
+        PreimageReport("bounded-within", radius=1.1441228056353687,
+                       note="injective, sigma_min=0.874032"),
+        ModulusReport("certified", delta=0.0437016024448821,
+                      note="Lipschitz constant 2.2882456112707374"),
+        ConditionsReport(True, True, True, cond1_note="Lipschitz 2.28825",
+                         cond2_note="injective, sigma_min=0.874032")),
+    "linear-projection": (
+        LinearMatrix(((1.0, 0.0),)), ClosedSet.intervals(LINE, [(0.0, 1.0)]),
+        ClosedSet.points(E2, [(0.0, 0.0), (3.0, 4.0)]), 0.1,
+        PreimageReport("escape-evidence",
+                       witnesses=((0.0, 10.0), (0.0, 100.0), (0.0, 1000.0)),
+                       note="kernel direction keeps the image fixed"),
+        ModulusReport("certified", delta=0.1, note="Lipschitz constant 1.0"),
+        ConditionsReport(True, False, False, cond1_note="Lipschitz 1",
+                         cond2_note="kernel direction escapes", cond2_witness=(0.0, 1.0))),
+    "linear-singular-point": (
+        LinearMatrix(((1.0, 0.0), (0.0, 0.0))), ClosedSet.points(E2, [(1.0, 0.0)]),
+        ClosedSet.points(E2, [(0.0, 0.0), (3.0, 4.0)]), 0.1,
+        PreimageReport("escape-evidence",
+                       witnesses=((1.0, 10.0), (1.0, 100.0), (1.0, 1000.0)),
+                       note="kernel direction keeps the image fixed"),
+        ModulusReport("certified", delta=0.1, note="Lipschitz constant 1.0"),
+        ConditionsReport(True, False, False, cond1_note="Lipschitz 1",
+                         cond2_note="kernel direction escapes", cond2_witness=(0.0, 1.0))),
+    "sin-near-zero": (
+        SinReciprocal(), ClosedSet.intervals(LINE, [(-0.5, 0.5)]),
+        ClosedSet.intervals(SIN.domain, [(0.01, 0.9)]), 0.5,
+        PreimageReport("bounded-within", radius=0.5, note="bounded domain"),
+        ModulusReport("counterexample", pair=(0.010436389710943959, 0.010105075751866371),
+                      gap=2.0, note="full oscillations persist at every scale near 0"),
+        ConditionsReport(False, True, False,
+                         cond1_note="oscillation near 0 defeats every modulus",
+                         cond2_note="the whole domain is bounded",
+                         cond1_witness=(0.001587580479719654, 0.001579701668405909))),
+    "sin-away-from-zero": (
+        SinReciprocal(), ClosedSet.intervals(LINE, [(-0.5, 0.5)]),
+        ClosedSet.intervals(SIN.domain, [(0.5, 0.9)]), 0.2,
+        PreimageReport("bounded-within", radius=0.5, note="bounded domain"),
+        ModulusReport("certified", delta=0.05, note="derivative bound 1/a^2 with a=0.5"),
+        ConditionsReport(False, True, False,
+                         cond1_note="oscillation near 0 defeats every modulus",
+                         cond2_note="the whole domain is bounded",
+                         cond1_witness=(0.001587580479719654, 0.001579701668405909))),
+    "sin-points": (
+        SinReciprocal(), ClosedSet.points(LINE, [0.0]),
+        ClosedSet.points(SIN.domain, [0.1, 0.2, 0.3]), 0.5,
+        PreimageReport("bounded-within", radius=0.5, note="bounded domain"),
+        ModulusReport("certified", delta=0.04999999999999999,
+                      note="half the closest eps-separated pair distance"),
+        ConditionsReport(False, True, False,
+                         cond1_note="oscillation near 0 defeats every modulus",
+                         cond2_note="the whole domain is bounded",
+                         cond1_witness=(0.001587580479719654, 0.001579701668405909))),
+    "arctan-line-escape": (
+        ArctanOfDistance(LINE, 0.0), ClosedSet.intervals(LINE, [(0.0, 1.6)]),
+        ClosedSet.intervals(LINE, [(-3.0, 3.0)]), 0.1,
+        PreimageReport("escape-evidence", witnesses=(10.0, 100.0, 1000.0),
+                       note="the target reaches the arctan ceiling from below"),
+        ModulusReport("certified", delta=0.1, note="Lipschitz constant 1.0"),
+        ConditionsReport(True, False, False, cond1_note="1-Lipschitz",
+                         cond2_note="targets reaching the arctan ceiling pull back unbounded",
+                         cond2_witness=ClosedSet.intervals(LINE, [(0.0, 1.6)]))),
+    "arctan-line-bounded": (
+        ArctanOfDistance(LINE, 0.0), ClosedSet.intervals(LINE, [(0.0, 1.0)]),
+        ClosedSet.intervals(LINE, [(-3.0, 3.0)]), 0.1,
+        PreimageReport("bounded-within", radius=1.5574077246549023),
+        ModulusReport("certified", delta=0.1, note="Lipschitz constant 1.0"),
+        ConditionsReport(True, False, False, cond1_note="1-Lipschitz",
+                         cond2_note="targets reaching the arctan ceiling pull back unbounded",
+                         cond2_witness=ClosedSet.intervals(LINE, [(0.0, 1.6)]))),
+    "arctan-plane-escape": (
+        ArctanOfDistance(E2, (1.0, 0.0)), ClosedSet.intervals(LINE, [(1.2, 1.6)]),
+        ClosedSet.points(E2, [(0.0, 0.0), (1.0, 1.0)]), 0.1,
+        PreimageReport("escape-evidence",
+                       witnesses=((11.0, 0.0), (101.0, 0.0), (1001.0, 0.0)),
+                       note="the target reaches the arctan ceiling from below"),
+        ModulusReport("certified", delta=0.1, note="Lipschitz constant 1.0"),
+        ConditionsReport(True, False, False, cond1_note="1-Lipschitz",
+                         cond2_note="targets reaching the arctan ceiling pull back unbounded",
+                         cond2_witness=ClosedSet.intervals(LINE, [(0.0, 1.6)]))),
+    "arctan-open-interval": (
+        ArctanOfDistance(AmbientSpace.open_interval(0.0, 2.0), 0.5),
+        ClosedSet.intervals(LINE, [(0.0, 1.0)]),
+        ClosedSet.intervals(AmbientSpace.open_interval(0.0, 2.0), [(0.5, 1.5)]), 0.1,
+        PreimageReport("bounded-within", radius=1.0, note="bounded domain"),
+        ModulusReport("certified", delta=0.1, note="Lipschitz constant 1.0"),
+        ConditionsReport(True, True, True, cond1_note="1-Lipschitz",
+                         cond2_note="bounded domain")),
+    "arctan-finite": (
+        ArctanOfDistance(FIN3, 1),
+        ClosedSet.intervals(LINE, [(0.0, 1.0)]),
+        ClosedSet.points(FIN3, [0, 2]), 0.1,
+        PreimageReport("bounded-within", radius=2.0, note="finite domain"),
+        ModulusReport("certified", delta=0.1, note="Lipschitz constant 1.0"),
+        ConditionsReport(True, True, True, cond1_note="1-Lipschitz",
+                         cond2_note="bounded domain")),
+    "piecewise-flat-tail": (
+        PiecewiseMonotone1D((0.0, 1.0), (0.0, 2.0), 0.0, -1.0),
+        ClosedSet.intervals(LINE, [(-0.5, 0.5)]),
+        ClosedSet.intervals(LINE, [(0.0, 1.0)]), 0.1,
+        PreimageReport("escape-evidence", witnesses=(-10.0, -100.0, -1000.0),
+                       note="a flat tail sits at a value inside the target"),
+        ModulusReport("certified", delta=0.05, note="Lipschitz constant 2.0"),
+        ConditionsReport(True, False, False, cond1_note="Lipschitz 2",
+                         cond2_note="a flat tail keeps an unbounded preimage available",
+                         cond2_witness=0.0)),
+    "piecewise-steep": (
+        PiecewiseMonotone1D((0.0, 1.0), (0.0, 2.0), 1.0, -1.0),
+        ClosedSet.intervals(LINE, [(-0.5, 0.5)]),
+        ClosedSet.intervals(LINE, [(0.0, 1.0)]), 0.1,
+        PreimageReport("bounded-within", radius=3.5),
+        ModulusReport("certified", delta=0.05, note="Lipschitz constant 2.0"),
+        ConditionsReport(True, True, True, cond1_note="Lipschitz 2",
+                         cond2_note="both tails escape to infinity")),
+    "composed-affine": (
+        Composed(Affine(2.0, 0.0), Affine(1.0, 3.0)),
+        ClosedSet.intervals(LINE, [(0.0, 1.0)]),
+        ClosedSet.intervals(LINE, [(0.0, 1.0)]), 0.1,
+        PreimageReport("not-applicable",
+                       note="no preimage analysis for affine(a=2.0, b=0.0) . affine(a=1.0, b=3.0)"),
+        ModulusReport("certified", delta=0.05, note="Lipschitz constant 2.0"),
+        ConditionsReport(None, None, None,
+                         cond1_note="no catalog analysis for affine(a=2.0, b=0.0) . affine(a=1.0, b=3.0)")),
+    "composed-sin": (
+        Composed(Affine(1.0, 0.0), SinReciprocal()),
+        ClosedSet.intervals(LINE, [(0.0, 0.5)]),
+        ClosedSet.intervals(SIN.domain, [(0.1, 0.5)]), 0.1,
+        PreimageReport("not-applicable",
+                       note="no preimage analysis for affine(a=1.0, b=0.0) . sin-reciprocal"),
+        ModulusReport("inconclusive",
+                      note="no modulus rule for affine(a=1.0, b=0.0) . sin-reciprocal"),
+        ConditionsReport(None, None, None,
+                         cond1_note="no catalog analysis for affine(a=1.0, b=0.0) . sin-reciprocal")),
+    "composed-sin-points": (
+        Composed(Affine(1.0, 0.0), SinReciprocal()),
+        ClosedSet.intervals(LINE, [(0.0, 0.5)]),
+        ClosedSet.points(SIN.domain, [0.1, 0.2, 0.3]), 0.5,
+        PreimageReport("not-applicable",
+                       note="no preimage analysis for affine(a=1.0, b=0.0) . sin-reciprocal"),
+        ModulusReport("certified", delta=0.04999999999999999,
+                      note="half the closest eps-separated pair distance"),
+        ConditionsReport(None, None, None,
+                         cond1_note="no catalog analysis for affine(a=1.0, b=0.0) . sin-reciprocal")),
+}
+
+
+@pytest.mark.parametrize("case", ANALYSES.values(), ids=ANALYSES)
+def test_each_map_answers_its_analyses(case):
+    f, B, A, eps, preimage, modulus, conditions = case
+    assert check_preimage_boundedness(f, B) == preimage
+    assert estimate_uniform_modulus(f, A, eps) == modulus
+    assert aw_continuity_conditions(f) == conditions
+
+
+@pytest.mark.parametrize("f", [case[0] for case in ANALYSES.values()], ids=ANALYSES)
+def test_a_map_builds_its_spaces_once(f):
+    assert f.domain is f.domain and f.codomain is f.codomain
+
+
+def test_a_group_element_builds_its_space_once():
+    g = GroupElement.rotation(0.5)
+    assert g.space is g.space
+
+
+@pytest.mark.parametrize("f, x", [
+    (Identity(LINE), math.nan),
+    (Affine(2.0, 1.0), math.nan),
+    (LinearMatrix(((1.0, 0.0),)), (math.inf, 0.0)),
+    (SIN, 1.5),
+    (SIN, 0.0),
+    (ArctanOfDistance(LINE, 0.0), math.nan),
+    (PiecewiseMonotone1D((0.0, 1.0), (0.0, 1.0), 1.0, 1.0), math.inf),
+    (Composed(Affine(1.0, 0.0), SIN), 2.0),
+])
+def test_apply_refuses_a_point_outside_the_domain(f, x):
+    with pytest.raises(ValueError):
+        f.apply(x)
 
 
 # ---------------------------------------------------------------------------
