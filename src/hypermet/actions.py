@@ -6,7 +6,9 @@ whenever M M^T is the identity bitwise and fall back to a numerical
 inverse otherwise.  The action is the affine push-forward that the
 induced maps use (induced.affine_image): exact when the matrix shape
 allows it (balls need a scaled-orthogonal matrix, boxes a
-signed-permutation-diagonal one), refused otherwise.
+signed-permutation-diagonal one), refused otherwise.  apply and the
+sup-norm between elements (affine_sup_norm, over a set's vertex table)
+push points through the same stacked product, induced._pushed.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import numpy as np
 
 from .errors import Indeterminate
 from .hypermetrics import CertifiedValue
-from .induced import (_check_thresholds, _matrix, _np, _real_space,
+from .induced import (_check_thresholds, _matrix, _np, _pushed, _real_space,
                       _scaled_orthogonal, _sigma_max, affine_image, metric_by_name)
-from .sets import (ClosedSet, FinitePoints, SampledCloud, _box_corners,
+from .sets import (BallUnion, ClosedSet, FinitePoints, Ray, SampledCloud, _vertices,
                    is_bounded, is_subset)
 from .spaces import AmbientSpace
 
@@ -93,10 +95,8 @@ class GroupElement:
         return _real_space(self.dim)
 
     def apply(self, x):
-        x = self.space.canon_point(x)
-        vec = x if isinstance(x, tuple) else (x,)
-        y = tuple(float(v) for v in self._m @ _np(vec) + _np(self.offset))
-        return y[0] if self.dim == 1 else y
+        y = _pushed(self._m, _np(self.offset), [self.space.canon_point(x)])[0].tolist()
+        return y[0] if self.dim == 1 else tuple(y)
 
     def is_isometry(self, tol: float = 1e-12) -> bool:
         g = self._m.T @ self._m
@@ -149,93 +149,69 @@ def maps_into(g: GroupElement, A: ClosedSet, B: ClosedSet, tol: float = 0.0) -> 
 _SPHERE_SAMPLES = 64
 
 
-def _unit_directions(n: int):
+def _unit_directions(n: int) -> np.ndarray:
     if n == 1:
-        return [(1.0,), (-1.0,)]
+        return np.array([(1.0,), (-1.0,)])
     if n == 2:
-        return [(math.cos(2 * math.pi * k / _SPHERE_SAMPLES),
-                 math.sin(2 * math.pi * k / _SPHERE_SAMPLES))
-                for k in range(_SPHERE_SAMPLES)]
+        return np.array([(math.cos(2 * math.pi * k / _SPHERE_SAMPLES),
+                          math.sin(2 * math.pi * k / _SPHERE_SAMPLES))
+                         for k in range(_SPHERE_SAMPLES)])
     rng = np.random.RandomState(12345)
     vs = rng.standard_normal((_SPHERE_SAMPLES, n))
-    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
-    return [tuple(float(c) for c in v) for v in vs]
+    return vs / np.linalg.norm(vs, axis=1, keepdims=True)
 
 
-def _affine_norm_at(D, c, x) -> float:
-    vec = x if isinstance(x, tuple) else (x,)
-    return float(np.linalg.norm(D @ _np(vec) + c))
+def _norms(D, c, pts) -> list[float]:
+    """|D x + c| at each of the points pts, pushed by one product."""
+    return [float(np.linalg.norm(y)) for y in _pushed(D, c, pts)]
 
 
 def affine_sup_norm(D, c, A: ClosedSet) -> CertifiedValue:
     """Certified sup of |D x + c| over A.
 
-    Exact on points, segments, boxes, intervals (convexity: the max of a
-    convex function sits at extreme points) and on balls when D is
-    scaled-orthogonal; other balls get a sampled lower and a norm-bound
-    upper end.  Rays are infinite unless D kills the direction.
+    The max of a convex function over a convex piece sits at its extreme
+    points, so the answer is exact from the pushed vertex table
+    (sets._vertices; on a 1-D ambient the normal form's finite ends):
+    the largest norm, a ball's centre moved out by mu r when D is
+    scaled-orthogonal with factor mu.  Other balls get a sampled lower and
+    a sigma_max upper end.  A ray or an infinite end gives inf unless D
+    kills its direction.
     """
     D = _np(D)
     c = _np(c if isinstance(c, (tuple, list, np.ndarray)) else (c,))
     rep = A.rep
     if isinstance(rep, (FinitePoints, SampledCloud)):
-        best = max(_affine_norm_at(D, c, p) for p in rep.points)
+        best = max(_norms(D, c, rep.points))
         if isinstance(rep, SampledCloud):
             return CertifiedValue.interval(best, best + _sigma_max(D) * rep.resolution,
                                            "finite-max+cloud")
         return CertifiedValue.point(best, "finite-max")
 
-    lo = 0.0
-    hi = 0.0
-    exact = True
-    for kind, data in A.components():
-        if kind == "point":
-            v = _affine_norm_at(D, c, data)
-            lo, hi = max(lo, v), max(hi, v)
-        elif kind == "interval":
-            a, b = data
-            if math.isinf(a) or math.isinf(b):
-                if float(np.linalg.norm(D)) == 0.0:
-                    v = float(np.linalg.norm(c))
-                    lo, hi = max(lo, v), max(hi, v)
-                else:
-                    return CertifiedValue.infinite("ray-closed-form")
-            else:
-                v = max(_affine_norm_at(D, c, a), _affine_norm_at(D, c, b))
-                lo, hi = max(lo, v), max(hi, v)
-        elif kind == "segment":
-            p, q = data
-            v = max(_affine_norm_at(D, c, p), _affine_norm_at(D, c, q))
-            lo, hi = max(lo, v), max(hi, v)
-        elif kind == "box":
-            blo, bhi = data
-            corners = _box_corners(blo, bhi)
-            v = max(_affine_norm_at(D, c, p) for p in corners)
-            lo, hi = max(lo, v), max(hi, v)
-        elif kind == "ball":
-            center, r = data
-            mid = _affine_norm_at(D, c, center)
-            mu = _scaled_orthogonal(D)
-            if mu is not None:
-                v = mid + mu * r
-                lo, hi = max(lo, v), max(hi, v)
-            else:
-                exact = False
-                samp = max(
-                    _affine_norm_at(D, c, tuple(ci + r * ui for ci, ui in zip(center, u)))
-                    for u in _unit_directions(len(center)))
-                lo = max(lo, samp)
-                hi = max(hi, mid + _sigma_max(D) * r)
-        else:  # ray
-            anchor, u = data
-            if float(np.linalg.norm(D @ _np(u))) == 0.0:
-                v = _affine_norm_at(D, c, anchor)
-                lo, hi = max(lo, v), max(hi, v)
-            else:
+    if A.space.is_one_dimensional:
+        nf = A.normal_form
+        lo = max([0.0, *_norms(D, c, nf.finite_ends)])  # no finite end on the whole line
+        if math.isinf(nf.lo[0]) or math.isinf(nf.hi[-1]):
+            if float(np.linalg.norm(D)) != 0.0:
                 return CertifiedValue.infinite("ray-closed-form")
-    if exact:
+            lo = max(lo, float(np.linalg.norm(c)))
         return CertifiedValue.point(lo, "finite-max")
-    return CertifiedValue.interval(lo, hi, "sphere-sample")
+
+    if isinstance(rep, Ray) and float(np.linalg.norm(D @ _np(rep.direction))) != 0.0:
+        return CertifiedValue.infinite("ray-closed-form")
+    # per piece, the largest norm at its vertices (each piece's rows are one run)
+    comps = A.components()
+    X, owner = _vertices(comps)
+    far = np.maximum.reduceat(_norms(D, c, X), np.searchsorted(owner, np.arange(len(comps))))
+    far = far.tolist()
+    if isinstance(rep, BallUnion):
+        mu = _scaled_orthogonal(D)
+        if mu is None:
+            lo = max(0.0, *(max(_norms(D, c, _np(centre) + r * _unit_directions(len(centre))))
+                            for centre, r in rep.balls))
+            hi = max(0.0, *(v + _sigma_max(D) * r for v, (_, r) in zip(far, rep.balls)))
+            return CertifiedValue.interval(lo, hi, "sphere-sample")
+        far = [v + mu * r for v, (_, r) in zip(far, rep.balls)]
+    return CertifiedValue.point(max(0.0, *far), "finite-max")
 
 
 def group_distance(g: GroupElement, h: GroupElement,

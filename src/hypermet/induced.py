@@ -115,6 +115,10 @@ class Affine(_CatalogMap):
 
     domain = codomain = _LINE
 
+    def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError("affine coefficients must be finite")
+
     def apply(self, x):
         return self.a * self.domain.canon_point(x) + self.b
 
@@ -198,33 +202,35 @@ def _scaled_orthogonal(m) -> Optional[float]:
     return None
 
 
+def _pushed(m, t, pts) -> np.ndarray:
+    """The points pts (tuples, floats or rows of an array) under
+    x -> m x (+ t), one row each: m is a p x n array and t a length-p
+    array, or None for a linear map.  One stacked product,
+    (m @ X.reshape(N, n, 1))[:, :, 0]; the maps' apply reads it too, so
+    a pushed point is the map's own apply by construction."""
+    y = (m @ np.array(pts, dtype=float).reshape(len(pts), m.shape[1], 1))[:, :, 0]
+    return y if t is None else y + t
+
+
 def affine_image(m, t, A: ClosedSet, codomain: AmbientSpace) -> ClosedSet:
     """The closed image of A under x -> m x (+ t), exact per representation.
 
-    m is a p x n array and t a length-p array, or None for a linear map.
-    All points of a set go through one stacked product,
-    (m @ X.reshape(N, n, 1))[:, :, 0], which rounds like the per-point
-    m @ x (X @ m.T does not), so every pushed point equals the map's own
-    apply.  The image of a point set is ClosedSet.points of that array,
-    which checks it in one vectorised step (a non-finite image raises
-    canon_point's ValueError).  Balls need a
-    scaled-orthogonal m, boxes a signed-permutation-diagonal one; on a
-    line codomain (p = 1) segments and boxes become the interval between
-    their pushed ends.
+    All points of a set go through _pushed at once.  The image of a
+    point set is ClosedSet.points of that array, which checks it in one
+    vectorised step (a non-finite image raises canon_point's ValueError).
+    Balls need a scaled-orthogonal m, boxes a signed-permutation-diagonal
+    one; on a line codomain (p = 1) segments and boxes become the interval
+    between their pushed ends.
     """
     rep = A.rep
     on_line = codomain.is_one_dimensional
 
-    def pushed(pts):
-        y = (m @ np.array(pts, dtype=float).reshape(len(pts), -1, 1))[:, :, 0]
-        return y if t is None else y + t
-
     def push(pts):
-        y = pushed(pts).tolist()
+        y = _pushed(m, t, pts).tolist()
         return [v for v, in y] if on_line else [tuple(v) for v in y]
 
     if isinstance(rep, FinitePoints):
-        return ClosedSet.points(codomain, pushed(rep.points))
+        return ClosedSet.points(codomain, _pushed(m, t, rep.points))
     if isinstance(rep, SampledCloud):
         mu = _scaled_orthogonal(m)
         return ClosedSet.cloud(codomain, push(rep.points),
@@ -290,12 +296,8 @@ class LinearMatrix(_CatalogMap):
         return _real_space(len(self.matrix))
 
     def apply(self, x):
-        x = self.domain.canon_point(x)
-        vec = x if isinstance(x, tuple) else (x,)
-        y = self._m @ _np(vec)
-        if len(self.matrix) == 1:
-            return float(y[0])
-        return tuple(float(v) for v in y)
+        y = _pushed(self._m, None, [self.domain.canon_point(x)])[0].tolist()
+        return y[0] if len(self.matrix) == 1 else tuple(y)
 
     def image(self, A: ClosedSet) -> ClosedSet:
         self.domain.require_same(A.space)
@@ -551,12 +553,15 @@ class PiecewiseMonotone1D(_CatalogMap):
         vs = tuple(float(v) for v in self.values)
         if len(ks) != len(vs) or not ks:
             raise ValueError("need equally many knots and values, at least one")
+        slopes = (float(self.left_slope), float(self.right_slope))
+        if not all(map(math.isfinite, ks + vs + slopes)):
+            raise ValueError("knots, values and slopes must be finite")
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError("knots must be strictly increasing")
         object.__setattr__(self, "knots", ks)
         object.__setattr__(self, "values", vs)
-        object.__setattr__(self, "left_slope", float(self.left_slope))
-        object.__setattr__(self, "right_slope", float(self.right_slope))
+        object.__setattr__(self, "left_slope", slopes[0])
+        object.__setattr__(self, "right_slope", slopes[1])
 
     def apply(self, x):
         x = self.domain.canon_point(x)

@@ -11,6 +11,11 @@ of an unknown closed set together with a resolution h (the sample is
 h-dense in the true set and vice versa).  Distance queries answer for
 the sample; interval-valued operations widen their certificates by the
 declared slack.
+
+In R^n each question about a convex piece has one rule: distances come
+from the one kernel (_kernel), farthest points from the vertex table
+(_vertices) or _far_from_point, and truncate keeps, drops or refuses a
+solid piece by those two and clips segments and rays in one loop.
 """
 
 from __future__ import annotations
@@ -281,21 +286,17 @@ def _sumsq(W):
     return sq
 
 
-def _plain_norm(W, nearest=False):
-    """The square root of _sumsq(W).  With nearest, only the least norm
-    over the next axis: the square root is monotone, so the least sum is
-    taken first."""
-    sq = _sumsq(W)
-    return np.sqrt(sq.min(axis=0) if nearest else sq)
+def _plain_norm(W):
+    """The square root of _sumsq(W)."""
+    return np.sqrt(_sumsq(W))
 
 
-def _scaled_norm(W, nearest=False):
+def _scaled_norm(W):
     """_plain_norm over W scaled by a power of two per column, so that no
     square under- or overflows; where no step of _plain_norm does, both
     give the same float."""
     e = np.frexp(np.abs(W).max(axis=0))[1]
-    norm = np.ldexp(np.sqrt(_sumsq(np.ldexp(W, -e))), e)
-    return norm.min(axis=0) if nearest else norm
+    return np.ldexp(np.sqrt(_sumsq(np.ldexp(W, -e))), e)
 
 
 def _guarded(compute):
@@ -335,22 +336,6 @@ def _kernel(X: np.ndarray, pieces: _Pieces, grads=True):
             if grads:
                 G[:, rows] = np.divide(W, norm, out=np.zeros_like(W), where=d > 0.0)
         return D, G
-    return _guarded(compute)
-
-
-def _nearest_dists(X: np.ndarray, pieces: _Pieces) -> np.ndarray:
-    """The least row of _kernel's D, without gradients and in few numpy
-    calls: the pieces other than balls take their least norm at once."""
-    Xt = X.T[:, None, :]
-
-    def compute(norm_of):
-        best = None
-        for kind, _, arrs in pieces.blocks:
-            W = _offsets(kind, Xt, arrs)
-            d = np.maximum(norm_of(W) - arrs[1], 0.0).min(axis=0) if kind == "ball" else \
-                norm_of(W, nearest=True)
-            best = d if best is None else np.minimum(best, d)
-        return best
     return _guarded(compute)
 
 
@@ -621,7 +606,8 @@ def _dists(X, A: ClosedSet) -> np.ndarray:
     if not len(X):
         return np.empty(0)
     pieces = A.array_form
-    parts = [_nearest_dists(X[sl], pieces) for sl in _chunks(len(X), 8 * pieces.m * (space.dim + 2))]
+    parts = [_kernel(X[sl], pieces, grads=False)[0].min(axis=0)
+             for sl in _chunks(len(X), 8 * pieces.m * (space.dim + 2))]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -726,58 +712,26 @@ def truncate(A: ClosedSet, L: float):
             return None
         return ClosedSet(space, IntervalUnion(tuple(clipped)))
 
-    if isinstance(rep, BallUnion):
+    if isinstance(rep, (BallUnion, BoxUnion)):
+        # a solid piece is kept whole, dropped, or cannot be cut exactly
         kept = []
-        for c, r in rep.balls:
-            d = math.dist(c, x0)
-            if d + r <= L:
-                kept.append((c, r))
-            elif d - r > L:
-                continue
-            else:
-                raise UnsupportedPair(
-                    "ball partially overlaps the window; the intersection is not a ball union"
-                )
-        if not kept:
-            return None
-        return ClosedSet(space, BallUnion(tuple(kept)))
+        for (kind, data), near in zip(A.components(), _piece_dists(x0, A)):
+            if _far_from_point(x0, (kind, data)) <= L:
+                kept.append(data)
+            elif near <= L:
+                raise UnsupportedPair(f"{kind} partially overlaps the window; "
+                                      f"the intersection is not a {kind} union")
+        return ClosedSet(space, type(rep)(tuple(kept))) if kept else None
 
-    if isinstance(rep, BoxUnion):
+    if isinstance(rep, (SegmentUnion, Ray)):
+        lines = ([(p, geom.sub(q, p), 1.0) for p, q in rep.segments]
+                 if isinstance(rep, SegmentUnion) else [(rep.anchor, rep.direction, math.inf)])
         kept = []
-        for (lo, hi), near in zip(rep.boxes, _piece_dists(x0, A)):
-            if _far_from_point(x0, ("box", (lo, hi))) <= L:
-                kept.append((lo, hi))
-            elif near > L:
-                continue
-            else:
-                raise UnsupportedPair(
-                    "box partially overlaps the window; the intersection is not a box union"
-                )
-        if not kept:
-            return None
-        return ClosedSet(space, BoxUnion(tuple(kept)))
-
-    if isinstance(rep, SegmentUnion):
-        kept = []
-        for p, q in rep.segments:
-            piece = _clip_param_to_ball(p, geom.sub(q, p), 1.0, x0, L)
-            if piece is None:
-                continue
-            t1, t2 = piece
-            kept.append((geom.add(p, geom.scale(geom.sub(q, p), t1)),
-                         geom.add(p, geom.scale(geom.sub(q, p), t2))))
-        if not kept:
-            return None
-        return ClosedSet(space, SegmentUnion(tuple(kept)))
-
-    if isinstance(rep, Ray):
-        piece = _clip_param_to_ball(rep.anchor, rep.direction, math.inf, x0, L)
-        if piece is None:
-            return None
-        t1, t2 = piece
-        p = geom.add(rep.anchor, geom.scale(rep.direction, t1))
-        q = geom.add(rep.anchor, geom.scale(rep.direction, t2))
-        return ClosedSet(space, SegmentUnion(((p, q),)))
+        for p, d, tmax in lines:
+            piece = _clip_param_to_ball(p, d, tmax, x0, L)
+            if piece is not None:
+                kept.append(tuple(geom.add(p, geom.scale(d, t)) for t in piece))
+        return ClosedSet(space, SegmentUnion(tuple(kept))) if kept else None
 
     raise UnsupportedPair(f"cannot truncate {type(rep).__name__}")
 

@@ -297,6 +297,9 @@ CRASHES = [
     # an infinite matrix entry sent the scaled-orthogonal test into endless recursion
     (["induce", "--map", "linear:[[1e309,0],[0,1]]", "--space", "euclidean:n=2",
       "cloud(0.5; (1,0))"], None),
+    # a non-finite slope or knot is refused where the map is built
+    (["induce", "--map", "affine:a=1e999", "[0,1]"], None),
+    (["induce", "--map", "piecewise:knots=[0,1e999]:values=[0,1]", "[0,1]"], None),
 ]
 
 

@@ -698,6 +698,24 @@ def test_apply_refuses_a_point_outside_the_domain(f, x):
         f.apply(x)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Affine(math.inf, 0.0),
+    lambda: Affine(-math.inf, 1.0),
+    lambda: Affine(1.0, math.nan),
+    lambda: PiecewiseMonotone1D((0.0, math.nan, 2.0), (0.0, 1.0, 2.0)),
+    lambda: PiecewiseMonotone1D((0.0, 1.0, math.inf), (0.0, 1.0, 2.0)),
+    lambda: PiecewiseMonotone1D((0.0, 1.0), (0.0, math.inf)),
+    lambda: PiecewiseMonotone1D((0.0, 1.0), (0.0, 1.0), left_slope=math.nan),
+    lambda: PiecewiseMonotone1D((0.0, 1.0), (0.0, 1.0), right_slope=-math.inf),
+], ids=["a-inf", "a-neg-inf", "b-nan", "knot-nan", "knot-inf", "value-inf",
+        "left-nan", "right-inf"])
+def test_a_non_finite_parameter_is_refused_at_construction(make):
+    # a NaN knot once certified delta = eps with Lipschitz constant 0.0,
+    # and an infinite slope a preimage radius of 0.0
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # probes
 
