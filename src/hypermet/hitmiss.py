@@ -24,9 +24,10 @@ import numpy as np
 
 from .errors import AmbientMismatch, GeneratorFault, UnsupportedPair
 from .hypermetrics import set_gap
-from .sets import (BallUnion, ClosedSet, _coord, _dists, _dists_each, _far_from_point,
-                   _rows_per_chunk, is_bounded, is_subset, representative_points)
-from .spaces import EUCLIDEAN, FINITE, AmbientSpace
+from .sets import (BallUnion, ClosedSet, FinitePoints, Ray, _coord, _dists, _dists_each,
+                   _ends_each, _far_dists, _rows_per_chunk, is_bounded, is_subset,
+                   representative_points)
+from .spaces import FINITE, AmbientSpace
 
 Ball = tuple  # (center, radius)
 
@@ -134,39 +135,43 @@ def subset_of(A: ClosedSet, U: OpenSetRep) -> bool:
             any(space.matrix[c][p] < r for c, r in U.balls) for p in A.rep.points
         )
     if space.is_one_dimensional:
-        ivs = sorted((_coord(c) - r, _coord(c) + r) for c, r in U.balls)
-        return all(_closed_in_open_union(lo, hi, ivs) for lo, hi in A.normal_form.intervals)
-    return all(_comp_covered(comp, U.balls) for comp in A.components())
-
-
-def _closed_in_open_union(lo: float, hi: float, open_ivs) -> bool:
-    """Closed [lo, hi] inside a union of open intervals: greedy sweep,
-    strict at every endpoint."""
-    if math.isinf(lo) or math.isinf(hi):
-        return False
-    cur = lo
-    while True:
-        nxt = None
-        for a, b in open_ivs:
-            if a < cur < b and (nxt is None or b > nxt):
-                nxt = b
-        if nxt is None:
-            return False
-        if nxt > hi:
-            return True
-        cur = nxt  # the sweep point itself is not covered by the interval that reached it
-
-
-def _comp_covered(comp, balls) -> bool:
+        return bool(_covered(*A.normal_form._arrays, *_open_cover(U)).all())
     # a piece is certified covered when a single open ball takes its
     # farthest point (balls are convex; a ray's is at infinity)
-    if any(_far_from_point(c, comp) < r for c, r in balls):
+    centres, radii = (np.array(v, dtype=float) for v in zip(*U.balls))
+    covered = (_far_dists(centres, [A]) < radii).any(axis=1)
+    if covered.all():
         return True
-    if comp[0] in ("point", "ray") or len(balls) == 1:
+    # the first piece that none takes decides
+    if A.components()[int(covered.argmin())][0] in ("point", "ray") or len(U.balls) == 1:
         return False
     raise UnsupportedPair(
         "coverage by several balls is only certified when one ball takes each piece"
     )
+
+
+def _open_cover(U: OpenSetRep):
+    """The connected components (a, b) of a union of open intervals (the
+    balls of U on a 1-D ambient), as arrays of their ends, sorted: the
+    intervals merged only where they overlap strictly, since two that
+    only touch leave the common end uncovered."""
+    a, b = [], []
+    for lo, hi in sorted((_coord(c) - r, _coord(c) + r) for c, r in U.balls):
+        if b and lo < b[-1]:
+            b[-1] = max(b[-1], hi)
+        else:
+            a.append(lo)
+            b.append(hi)
+    return np.array(a), np.array(b)
+
+
+def _covered(lo, hi, a, b):
+    """Which closed intervals [lo, hi] lie in the open union with
+    components (a, b): [lo, hi] is connected, so it lies in the union
+    exactly when it lies in one component, and only the last one that
+    starts below lo can hold it."""
+    j = np.searchsorted(a, lo, side="left") - 1
+    return (j >= 0) & (hi < b[np.maximum(j, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -309,31 +314,48 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
     pass.  A pass is evidence of convergence; a fail is a proof of exit
     at the witness index.  Generator exceptions become GeneratorFault.
 
-    The centres of the ball-union hit constraints, and in R^n those of
-    the ball-union miss obstacles, are gathered once per scan, and each
-    term is measured from all of them in one batched query (see
-    dists_to_set; set_gap from a ball union is the least d - r).
-    Constraints are still read in order with the checks and the rules of
-    hits and misses, so a scan raises the exception that the
-    per-constraint calls would raise, at the same term.
+    The balls of the ball-union hit and contain constraints, and in R^n
+    those of the ball-union miss obstacles, are gathered once per scan
+    (_ball_batch).  A cloud, or a term of a finite space, is measured
+    from all their centres in one batched query (see dists_to_set;
+    set_gap from a ball union is the least d - r) and read with the rules
+    of hits and misses, and its contain constraints with subset_of.
 
-    In R^n (n >= 2) the verdicts of those gathered constraints on an
-    exact term (slack 0) cannot raise, so they are deferred: such terms
-    queue their array forms, and once the queued pieces reach the
-    kernel's memory budget (sets._rows_per_chunk), or the scan ends, one
-    kernel call measures the whole block (sets._dists_each, the floats
-    of the per-term query).  The ambient check and every other
-    constraint are still read per term, in order; clouds, 1-D and finite
-    terms are measured per term.  seq is called once per index, in
-    order, and never ahead of the term being checked, so a scan that
-    raises has read exactly the terms it would read without the deferral.
+    On an exact term (slack 0) in R^n or on a 1-D ambient, the verdicts
+    of the gathered constraints cannot raise, so they are deferred: such
+    terms queue themselves, and once their queued pieces (intervals on a
+    1-D ambient) reach the memory budget (sets._rows_per_chunk) from
+    every centre, or the scan ends, one pass decides the whole block:
+
+      * hits and misses read sets._dists_each, one kernel call (in R^n)
+        or one table (on a 1-D ambient) over the block's pieces, stacked
+        in one step: the floats of the per-term query;
+      * in R^n a contain reads sets._far_dists over the block's pieces,
+        the table that subset_of reads per term.  Against several balls
+        it is deferred only on a term of points or a ray, where a piece
+        that no ball takes means False rather than a refusal;
+      * on a 1-D ambient a contain reads the components of its open
+        union (_open_cover, _covered), the rule of subset_of.
+
+    The ambient check and every other constraint are still read per term,
+    in order.  seq is called once per index, in order, and never ahead of
+    the term being checked, so a scan that raises has read exactly the
+    terms it would read without the deferral, and raises what the
+    per-constraint calls would raise, at the same term.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if not nbhds:
         raise ValueError("no constraints to check")
-    owned, space, centres, radii = _hit_batch(nbhds)
-    deferrable = space is not None and space.kind == EUCLIDEAN and space.dim > 1
+    owned, space, centres, radii = _ball_batch(nbhds)
+    deferrable = space is not None and space.kind != FINITE
+    one_d = deferrable and space.is_one_dimensional
+    # the gathered constraints that a block decides on every exact term;
+    # the others (contain, several balls, R^n) only on one of points or a ray
+    blocked = {i for i, sl in owned.items()
+               if nbhds[i].tag != "contain" or one_d or sl.stop - sl.start == 1}
+    contains = [i for i in owned if nbhds[i].tag == "contain"]
+    covers = {i: _open_cover(nbhds[i].open_set) for i in contains} if one_d else {}
     first_fail = [None] * len(nbhds)
     last_fail = [None] * len(nbhds)
 
@@ -341,18 +363,33 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
         first_fail[i] = first if first_fail[i] is None else min(first_fail[i], first)
         last_fail[i] = last if last_fail[i] is None else max(last_fail[i], last)
 
-    # the deferred terms (index, array form), their number of pieces, and
-    # the number that fills the kernel's memory budget from every centre
+    # the deferred terms (index, term, its number of pieces), their number
+    # of pieces, and the number that fills the memory budget from every centre
     block, queued = [], 0
-    budget = _rows_per_chunk(8 * len(centres) * (space.dim + 2)) if deferrable else 0
+    budget = _rows_per_chunk(8 * len(centres) * ((1 if one_d else space.dim) + 2)) \
+        if deferrable else 0
 
     def flush():
-        ks = np.array([k for k, _ in block])
-        D = _dists_each(centres, [pieces for _, pieces in block])
+        ks = np.array([k for k, _, _ in block])
+        terms = [term for _, term, _ in block]
+        sizes = [size for _, _, size in block]
+        if len(contains) < len(owned):  # a hit or a miss
+            D = _dists_each(centres, terms)
+        starts = np.cumsum([0] + sizes[:-1])
+        if contains and one_d:
+            lo, hi = _ends_each(terms)[:2]
+        elif contains:
+            F = _far_dists(centres, terms)
         for i, sl in owned.items():
-            d, r = D[:, sl], radii[sl]
-            ok = (d < r).any(axis=1) if nbhds[i].tag == "hit" else \
-                np.maximum(d - r, 0.0).min(axis=1) > 0.0
+            tag = nbhds[i].tag
+            if tag == "hit":
+                ok = (D[:, sl] < radii[sl]).any(axis=1)
+            elif tag == "miss":
+                ok = np.maximum(D[:, sl] - radii[sl], 0.0).min(axis=1) > 0.0
+            elif one_d:
+                ok = np.logical_and.reduceat(_covered(lo, hi, *covers[i]), starts)
+            else:  # where it was read per term, it passed there on these floats
+                ok = np.logical_and.reduceat((F[:, sl] < radii[sl]).any(axis=1), starts)
             fails = ks[~ok]
             if len(fails):
                 failed(i, int(fails[0]), int(fails[-1]))
@@ -366,25 +403,31 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
         except Exception as exc:  # noqa: BLE001 - reported with its index
             raise GeneratorFault(k, exc) from exc
         d = None  # from every gathered ball, in one batched query
-        deferred = False
+        checked = deferred = False
         for i, constraint in enumerate(nbhds):
-            if i in owned:
-                if deferred:
-                    continue
-                if d is None:  # the check of hits and set_gap, at the first of them
+            sl = owned.get(i)
+            if sl is not None:
+                if not checked:  # the check of hits, subset_of and set_gap, at the first
                     space.require_same(term.space)
+                    checked = True
                     if deferrable and term.slack == 0.0:
-                        block.append((k, term.array_form))
-                        queued += term.array_form.m
+                        thin = isinstance(term.rep, (FinitePoints, Ray))
+                        size = len(term.normal_form.lo) if one_d else \
+                            len(term.rep.points) if isinstance(term.rep, FinitePoints) else \
+                            len(term.components())
+                        block.append((k, term, size))
+                        queued += size
                         deferred = True
-                        continue
+                if deferred and (thin or i in blocked):
+                    continue
+            if sl is None or constraint.tag == "contain":
+                ok = constraint.satisfied_by(term)
+            else:
+                if d is None:
                     d = _dists(centres, term)
                     flags = _hit_rule(d, radii, term.slack)
-                sl = owned[i]
                 ok = _hit_verdict(*flags, sl) if constraint.tag == "hit" else \
                     _miss_verdict(float(np.maximum(d[sl] - radii[sl], 0.0).min()), term.slack)
-            else:
-                ok = constraint.satisfied_by(term)
             if not ok:
                 failed(i, k, k)
         if deferred and queued >= budget:
@@ -405,14 +448,16 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
     return ConvergenceReport(all(e.passed for e in entries), horizon, tuple(entries))
 
 
-def _hit_batch(nbhds):
-    """The ball-union hit constraints of nbhds, and the miss constraints
-    whose obstacle is a ball union in R^n, that share the first one's
-    ambient: {constraint index: the slice of its balls}, that ambient, and
-    the centres and radii of all their balls stacked."""
+def _ball_batch(nbhds):
+    """The constraints of nbhds whose balls a scan gathers, those that
+    share the first one's ambient: ball-union hits, ball-union contains
+    outside a finite space, and misses whose obstacle is a ball union in
+    R^n.  Returns {constraint index: the slice of its balls}, that
+    ambient, and the centres and radii of all their balls stacked."""
     owned, centres, radii, space = {}, [], [], None
     for i, constraint in enumerate(nbhds):
-        if constraint.tag == "hit":
+        if constraint.tag == "hit" or (constraint.tag == "contain"
+                                       and constraint.open_set.space.kind != FINITE):
             balls, at = constraint.open_set.balls, constraint.open_set.space
         elif constraint.tag == "miss" and isinstance(constraint.obstacle.rep, BallUnion) \
                 and not constraint.obstacle.space.is_one_dimensional:

@@ -536,6 +536,7 @@ class _GapBound:
         comps_a, comps_b = A.components(), B.components()
         self.mA = len(comps_a)
         self.pieces = A.array_form.join(B.array_form)
+        self._scaled = {}
         self.n = A.space.dim
         self.at_reach(reach)
         self.H, self.rows = self._pair_hausdorff(comps_a, comps_b, A.array_form,
@@ -549,10 +550,14 @@ class _GapBound:
 
     def scaled(self, k: int, reach: float) -> "_GapBound":
         """This bound on coordinates multiplied by 2^k (see _Pieces.scaled),
-        at the scaled reach."""
-        gap = copy.copy(self)
-        gap.pieces = self.pieces.scaled(k)
-        gap.H = None if self.H is None else np.ldexp(self.H, k)
+        at the scaled reach.  The scaled copy is made once per k and kept
+        with this bound; each call sets its alpha anew, so the windows of
+        one search, which read it one at a time, share it."""
+        gap = self._scaled.get(k)
+        if gap is None:
+            gap = self._scaled[k] = copy.copy(self)
+            gap.pieces = self.pieces.scaled(k)
+            gap.H = None if self.H is None else np.ldexp(self.H, k)
         return gap.at_reach(math.ldexp(reach, k))
 
     def row_bytes(self) -> int:

@@ -31,7 +31,7 @@ from .errors import UnsupportedPair
 from .hypermetrics import (CertifiedValue, aw_distance, hausdorff,
                            hausdorff_lower, hausdorff_upper, require_positive)
 from .sets import (BallUnion, BoxUnion, ClosedSet, FinitePoints, IntervalUnion,
-                   Ray, SampledCloud, SegmentUnion, _coord, _far_from_point, _piece_dists,
+                   Ray, SampledCloud, SegmentUnion, _coord, _piece_dists, _piece_fars,
                    _sup_dist, dist_to_set, is_bounded, representative_points)
 from .spaces import FINITE, LINE, OPEN_INTERVAL, AmbientSpace
 
@@ -480,9 +480,7 @@ class ArctanOfDistance(_CatalogMap):
             ranges = [(max(lo - x, x - hi, 0.0), max(x - lo, hi - x))
                       for lo, hi in A.normal_form.intervals]
         else:
-            near = _piece_dists(self.anchor, A)
-            ranges = [(d, _far_from_point(self.anchor, comp))
-                      for d, comp in zip(near, A.components())]
+            ranges = zip(_piece_dists(self.anchor, A), _piece_fars(self.anchor, A))
         # the closed image: arctan never attains pi/2, the closure does
         return ClosedSet.intervals(out_space, [
             (math.atan(dmin), _HALF_PI if math.isinf(dmax) else math.atan(dmax))

@@ -13,9 +13,11 @@ the sample; interval-valued operations widen their certificates by the
 declared slack.
 
 In R^n each question about a convex piece has one rule: distances come
-from the one kernel (_kernel), farthest points from the vertex table
-(_vertices) or _far_from_point, and truncate keeps, drops or refuses a
-solid piece by those two and clips segments and rays in one loop.
+from the one kernel (_kernel), farthest distances from the kernel's norm
+over the vertex table (_vertices, _far_dists), and truncate keeps, drops
+or refuses a solid piece by those two and clips segments and rays in one
+loop.  Several sets asked the same question stack their pieces in one
+step (_stacked, _ends_each).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -233,6 +236,11 @@ class _Pieces:
         self.blocks, self.m = blocks, m
         return self
 
+    @classmethod
+    def of_points(cls, P):
+        """The rows of the (m, n) array P as m point pieces, one block."""
+        return cls.of_blocks([("point", slice(None), (P.T[:, :, None],))], len(P))
+
     def join(self, *others: "_Pieces") -> "_Pieces":
         """The pieces of self followed by those of each of others, one
         block per kind."""
@@ -275,6 +283,31 @@ class _Pieces:
                 coords = np.maximum(coords, np.abs(arrs[0] + arrs[1]))
             scale = max(scale, float(coords.max()))
         return scale
+
+
+def _points_of(sets_):
+    """The points of several point sets or clouds, in order, as one (m, n)
+    array; None when any of the sets has pieces of another kind."""
+    reps = [A.rep for A in sets_]
+    if all(isinstance(rep, (FinitePoints, SampledCloud)) for rep in reps):
+        return np.array([p for rep in reps for p in rep.points], dtype=float)
+    return None
+
+
+def _stacked(sets_):
+    """The pieces of several n-D sets, in order, stacked in one step, and
+    the index of each set's first piece: the points of point sets and
+    clouds go straight into one point block, any other pieces are stacked
+    per kind from the sets' components."""
+    P = _points_of(sets_)
+    if P is not None:
+        counts = [len(A.rep.points) for A in sets_]
+        pieces = _Pieces.of_points(P)
+    else:
+        comps = [A.components() for A in sets_]
+        counts = [len(c) for c in comps]
+        pieces = _Pieces([c for cs in comps for c in cs])
+    return pieces, np.cumsum([0] + counts[:-1])
 
 
 def _sumsq(W):
@@ -362,6 +395,13 @@ def _excess_at_vertices(comps, X, owner, other: _Pieces, n):
     E = np.full((len(comps), other.m), -np.inf)
     for sl in _chunks(len(X), 8 * other.m * (n + 2)):
         np.maximum.at(E, owner[sl], _kernel(X[sl], other, grads=False)[0].T)
+    return _over_pieces(E, comps)
+
+
+def _over_pieces(E, comps):
+    """E with row i, the largest of a distance over the vertices of piece
+    i of comps, widened to the whole piece: plus a ball's radius, inf for
+    a ray."""
     for i, (kind, data) in enumerate(comps):
         if kind == "ball":
             E[i] += data[1]
@@ -370,9 +410,38 @@ def _excess_at_vertices(comps, X, owner, other: _Pieces, n):
     return E
 
 
+def _far_dists(X, sets_) -> np.ndarray:
+    """F (m, N): the farthest distance from each of the N rows of X to
+    each of the m pieces of several n-D sets, in order, read at their
+    vertex table (_vertices; the points of point sets, stacked in one
+    step): the largest kernel norm (_guarded) of x - v over a piece's
+    vertices, widened to the piece (_over_pieces).  Every farthest-distance
+    question reads this one table, so a question asked of one set or of
+    a block of sets gets the same floats."""
+    V, comps = _points_of(sets_), None
+    if V is None:
+        comps = [c for A in sets_ for c in A.components()]
+        V, owner = _vertices(comps)
+    Xt = np.ascontiguousarray(X.T)[:, None, :]
+    parts = [_guarded(lambda norm_of: norm_of(Xt - V[sl].T[:, :, None]))
+             for sl in _chunks(len(V), 8 * len(X) * (X.shape[1] + 2))]
+    F = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if comps is None:  # a point is its own vertex
+        return F
+    if len(V) > len(comps):  # a box's or segment's several vertices
+        F = np.maximum.reduceat(F, np.searchsorted(owner, np.arange(len(comps))), axis=0)
+    return _over_pieces(F, comps)
+
+
 def _piece_dists(x, A: "ClosedSet") -> list[float]:
     """The kernel distance from the point x to each piece of the n-D set A."""
     return _kernel(np.array([x], dtype=float), A.array_form, grads=False)[0][:, 0].tolist()
+
+
+def _piece_fars(x, A: "ClosedSet") -> list[float]:
+    """The farthest distance from the point x to each piece of the n-D set
+    A (_far_dists)."""
+    return _far_dists(np.array([x], dtype=float), [A])[:, 0].tolist()
 
 
 @dataclass(frozen=True)
@@ -534,6 +603,11 @@ class ClosedSet:
         return NormalForm1D([a for a, _ in ivs], [b for _, b in ivs])
 
     @cached_property
+    def _radius(self) -> float:
+        """bounding_radius."""
+        return _sup_dist(self.space.canon_point(self.space.base_point), self)
+
+    @cached_property
     def array_form(self) -> "_Pieces":
         """The set's pieces stacked into numpy arrays per kind (n-D
         ambients only), built on first use and kept with the set.  A point
@@ -542,8 +616,7 @@ class ClosedSet:
         if self.space.is_one_dimensional or self.space.kind == FINITE:
             raise UnsupportedPair("the array form needs R^n with n >= 2")
         if isinstance(self.rep, (FinitePoints, SampledCloud)):
-            P = np.array(self.rep.points, dtype=float)
-            return _Pieces.of_blocks([("point", slice(None), (P.T[:, :, None],))], len(P))
+            return _Pieces.of_points(np.array(self.rep.points, dtype=float))
         return _Pieces(self.components())
 
 
@@ -611,18 +684,44 @@ def _dists(X, A: ClosedSet) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _dists_each(X: np.ndarray, forms) -> np.ndarray:
-    """_dists from the rows of X to each of several n-D sets, given by
-    their array forms: row j is set j's.  One kernel pass over their
-    joined pieces, reduced per set with np.minimum.reduceat; every entry
-    is the float _dists gives, since the square root is monotone and,
-    where a pass falls back to the scaled norm, pieces whose plain norm
-    neither under- nor overflows keep their floats."""
-    pieces = forms[0].join(*forms[1:])
-    parts = [_kernel(X[sl], pieces, grads=False)[0]
-             for sl in _chunks(len(X), 8 * pieces.m * (X.shape[1] + 2))]
+def _dists_each(X: np.ndarray, sets_) -> np.ndarray:
+    """_dists from the rows of X to each of several sets of one ambient,
+    R^n or a 1-D one: row j is set j's.  One pass over the sets' pieces,
+    stacked in one step, reduced per set with np.minimum.reduceat.
+
+    In R^n the pass is one kernel call over their pieces (_stacked);
+    every entry is the float _dists gives, since the square root is
+    monotone and, where a pass falls back to the scaled norm, pieces
+    whose plain norm neither under- nor overflows keep their floats.  On
+    a 1-D ambient it is the table max(lo - x, x - hi, 0) over their
+    normal-form intervals (_ends_each): the floats of NormalForm1D.dists,
+    which reads the same expression at the two intervals around x, the
+    nearest of all."""
+    if sets_[0].space.is_one_dimensional:
+        lo, hi, starts = _ends_each(sets_)
+        m, width = len(lo), 1
+        lo, hi, x = lo[:, None], hi[:, None], X.reshape(-1)
+
+        def table(sl):
+            return np.maximum(np.maximum(lo - x[sl], x[sl] - hi), 0.0)
+    else:
+        pieces, starts = _stacked(sets_)
+        m, width = pieces.m, X.shape[1]
+
+        def table(sl):
+            return _kernel(X[sl], pieces, grads=False)[0]
+    parts = [table(sl) for sl in _chunks(len(X), 8 * m * (width + 2))]
     D = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-    return np.minimum.reduceat(D, np.cumsum([0] + [p.m for p in forms[:-1]]), axis=0)
+    return np.minimum.reduceat(D, starts, axis=0)
+
+
+def _ends_each(sets_):
+    """The normal-form intervals of several 1-D sets stacked in one step,
+    as arrays lo and hi, and the index of each set's first interval."""
+    nfs = [A.normal_form for A in sets_]
+    lo = np.fromiter(chain.from_iterable(nf.lo for nf in nfs), float)
+    hi = np.fromiter(chain.from_iterable(nf.hi for nf in nfs), float)
+    return lo, hi, np.cumsum([0] + [len(nf.lo) for nf in nfs[:-1]])
 
 
 def _finite_indices(A: ClosedSet):
@@ -645,9 +744,10 @@ def bounding_radius(A: ClosedSet) -> float:
     """sup of d(base point, a) over the set; inf for rays.
 
     Internal helper for window saturation; the public metric API wraps
-    infinities in ExtReal instead of leaking floats.
+    infinities in ExtReal instead of leaking floats.  Computed on first
+    use and kept with the set (a scan's obstacle is checked every term).
     """
-    return _sup_dist(A.space.canon_point(A.space.base_point), A)
+    return A._radius
 
 
 def _sup_dist(x, A: ClosedSet) -> float:
@@ -658,25 +758,7 @@ def _sup_dist(x, A: ClosedSet) -> float:
     if space.is_one_dimensional:
         nf, x = A.normal_form, _coord(x)
         return max(x - nf.lo[0], nf.hi[-1] - x)
-    return max(_far_from_point(x, comp) for comp in A.components())
-
-
-def _far_from_point(x, comp) -> float:
-    """sup of d(x, y) over an n-D primitive shape (inf when unbounded)."""
-    kind, data = comp
-    if kind == "point":
-        return math.dist(x, data)
-    if kind == "ball":
-        c, r = data
-        return math.dist(x, c) + r
-    if kind == "box":
-        lo, hi = data
-        far = tuple(h if abs(h - a) >= abs(l - a) else l for l, h, a in zip(lo, hi, x))
-        return math.dist(x, far)
-    if kind == "segment":
-        p, q = data
-        return max(math.dist(x, p), math.dist(x, q))
-    return math.inf  # ray
+    return max(_piece_fars(x, A))
 
 
 def truncate(A: ClosedSet, L: float):
@@ -715,8 +797,8 @@ def truncate(A: ClosedSet, L: float):
     if isinstance(rep, (BallUnion, BoxUnion)):
         # a solid piece is kept whole, dropped, or cannot be cut exactly
         kept = []
-        for (kind, data), near in zip(A.components(), _piece_dists(x0, A)):
-            if _far_from_point(x0, (kind, data)) <= L:
+        for (kind, data), far, near in zip(A.components(), _piece_fars(x0, A), _piece_dists(x0, A)):
+            if far <= L:
                 kept.append(data)
             elif near <= L:
                 raise UnsupportedPair(f"{kind} partially overlaps the window; "

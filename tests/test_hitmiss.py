@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypermet import hitmiss, sets
 from hypermet.errors import GeneratorFault, UnsupportedPair
 from hypermet.hitmiss import (Constraint, ConstraintEntry, ConvergenceReport,
-                              OpenSetRep, _hit_batch, canonical_neighborhoods, converges,
+                              OpenSetRep, _ball_batch, canonical_neighborhoods, converges,
                               hits, misses, neighborhood, subset_of)
 from hypermet.hypermetrics import excess, set_gap
 from hypermet.sets import ClosedSet, dist_to_set
@@ -354,25 +354,46 @@ def scan_cases(draw):
     nbhds = draw(st.permutations(nbhds))
     terms = []
     for _ in range(draw(st.integers(1, 8))):
-        kind = draw(st.sampled_from(("points", "balls", "cloud")))
+        kind = draw(st.sampled_from(("points", "balls", "cloud", "ray")))
         pts = draw(st.lists(pt, min_size=1, max_size=4))
         if kind == "points":
             terms.append(ClosedSet.points(space, pts))
         elif kind == "cloud":
             terms.append(ClosedSet.cloud(space, pts, draw(st.integers(0, 3)) / 8.0))
+        elif kind == "ray":
+            terms.append(ClosedSet.ray(space, pts[0], draw(st.sampled_from(
+                ((1.0, 0.0), (0.0, -1.0), (-0.6, 0.8)) if plane else (-1.0, 1.0)))))
         elif plane:
             terms.append(ClosedSet.balls(space, [(p, draw(st.integers(0, 2)) / 8.0) for p in pts]))
         else:
             terms.append(ClosedSet.intervals(space, [(p, p + draw(st.integers(0, 2)) / 8.0)
                                                      for p in pts]))
-    return tuple(nbhds), terms
+    return tuple(nbhds), terms, draw(block_budgets)
+
+
+# the memory budget as a number of pieces (intervals on the line) measured
+# from every gathered centre: 0 closes a block at every deferred term,
+# None leaves the budget as it is (one block for the whole scan)
+block_budgets = st.sampled_from((0, 1, 4, 8, None))
+
+
+def scan_with_budget(nbhds, terms, pieces):
+    """outcome of converges and of ref_converges, with the block budget set
+    to the given number of pieces."""
+    with pytest.MonkeyPatch.context() as mp:
+        if pieces is not None:
+            space = terms[0].space
+            width = 1 if space.is_one_dimensional else space.dim
+            row_bytes = 8 * len(_ball_batch(nbhds)[2]) * (width + 2)
+            mp.setattr(sets, "_CHUNK_BYTES", max(1, pieces * row_bytes))
+        return outcome(converges, terms, nbhds), outcome(ref_converges, terms, nbhds)
 
 
 @settings(max_examples=400, deadline=None)
 @given(scan_cases())
 def test_batched_scan_matches_the_per_constraint_scan(case):
-    nbhds, terms = case
-    assert outcome(converges, terms, nbhds) == outcome(ref_converges, terms, nbhds)
+    got, ref = scan_with_budget(*case)
+    assert got == ref
 
 
 E3 = AmbientSpace.euclidean(3)
@@ -399,7 +420,7 @@ def nd_scan_cases(draw):
                                                          miss_compacts=obstacles)))
     terms = []
     for _ in range(draw(st.integers(1, 10))):
-        kind = draw(st.sampled_from(("points", "balls", "boxes", "segments", "cloud")))
+        kind = draw(st.sampled_from(("points", "balls", "boxes", "segments", "ray", "cloud")))
         pts = draw(st.lists(pt, min_size=1, max_size=4))
         if kind == "points":
             terms.append(ClosedSet.points(space, pts))
@@ -409,48 +430,64 @@ def nd_scan_cases(draw):
             terms.append(ClosedSet.boxes(space, [(c, tuple(x + 0.125 for x in c)) for c in pts]))
         elif kind == "segments":
             terms.append(ClosedSet.segments(space, [(c, tuple(reversed(c))) for c in pts]))
+        elif kind == "ray":
+            terms.append(ClosedSet.ray(space, pts[0], (1.0,) + (0.0,) * (space.dim - 1)))
         else:
             terms.append(ClosedSet.cloud(space, pts, draw(st.integers(0, 3)) / 8.0))
-    # the kernel's memory budget as a number of pieces measured from
-    # every gathered centre: 0 closes a block at every deferred term
-    pieces = draw(st.sampled_from((0, 1, 4, 8, None)))
-    return tuple(nbhds), terms, pieces
+    return tuple(nbhds), terms, draw(block_budgets)
 
 
 @settings(max_examples=400, deadline=None)
 @given(nd_scan_cases())
 def test_deferred_blocks_match_the_per_constraint_scan(case):
-    nbhds, terms, pieces = case
-    with pytest.MonkeyPatch.context() as mp:
-        if pieces is not None:
-            row_bytes = 8 * len(_hit_batch(nbhds)[2]) * (terms[0].space.dim + 2)
-            mp.setattr(sets, "_CHUNK_BYTES", max(1, pieces * row_bytes))
-        assert outcome(converges, terms, nbhds) == outcome(ref_converges, terms, nbhds)
+    got, ref = scan_with_budget(*case)
+    assert got == ref
 
 
 def test_exact_nd_terms_are_measured_in_one_kernel_call_per_block(monkeypatch):
-    calls = {"_dists": [], "_dists_each": []}  # the second argument of each call
+    calls = {"_dists": [], "_dists_each": [], "_far_dists": []}  # the second argument of each call
     for name in calls:
         monkeypatch.setattr(hitmiss, name, lambda X, arg, fn=getattr(hitmiss, name), name=name:
                             calls[name].append(arg) or fn(X, arg))
-    A = ClosedSet.points(E2, [(0.0, 0.0), (1.0, 1.0)])
-    nbhds = canonical_neighborhoods(A, "fell", 0.25, m=2,
-                                    miss_compacts=[ClosedSet.balls(E2, [((4.0, 4.0), 1.0)])])
+    # in R^2 and on the line, where the miss obstacle is read per term
+    for space, width, centres, point, far in ((E2, 2, 3, lambda x: (x, 0.0), (1.0, 1.0)),
+                                              (LINE, 1, 2, float, 2.0)):
+        for args in calls.values():
+            args.clear()
+        A = ClosedSet.points(space, [point(0.0), far])
+        nbhds = canonical_neighborhoods(A, "fell", 0.25, m=2, miss_compacts=[
+            ClosedSet.balls(E2, [((4.0, 4.0), 1.0)]) if space is E2
+            else ClosedSet.intervals(LINE, [(3.0, 5.0)])])
 
-    def seq(k):
-        pts = [(1.0 / k, 0.0), (1.0, 1.0)]
-        return ClosedSet.cloud(E2, pts, 0.01) if k % 5 == 0 else ClosedSet.points(E2, pts)
+        def seq(k):
+            pts = [point(1.0 / k), far]
+            return ClosedSet.cloud(space, pts, 0.01) if k % 5 == 0 else ClosedSet.points(space, pts)
 
-    report = converges(seq, nbhds, horizon=20)
-    assert report == ref_converges(seq, nbhds, 20) and report.entries[0].settles_at == 5
-    # the four clouds one query each, the 16 exact terms in one block
-    assert len(calls["_dists"]) == 4 and [len(b) for b in calls["_dists_each"]] == [16]
-    # at a budget of 4 pieces from the 3 centres, blocks close every second exact term
+        report = converges(seq, nbhds, horizon=20)
+        assert report == ref_converges(seq, nbhds, 20) and report.entries[0].settles_at == 5
+        # the four clouds one query each, the 16 exact terms in one block
+        assert len(calls["_dists"]) == 4 and [len(b) for b in calls["_dists_each"]] == [16]
+        # at a budget of 4 pieces from the centres, blocks close every second exact term
+        for args in calls.values():
+            args.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sets, "_CHUNK_BYTES", 4 * 8 * centres * (width + 2))
+            assert converges(seq, nbhds, horizon=20) == report
+        assert len(calls["_dists"]) == 4 and [len(b) for b in calls["_dists_each"]] == [2] * 8
+    # the contain constraint of a Vietoris family is decided in the same
+    # block, from one farthest-distance table
     for args in calls.values():
         args.clear()
-    monkeypatch.setattr(sets, "_CHUNK_BYTES", 4 * 8 * 3 * (2 + 2))
-    assert converges(seq, nbhds, horizon=20) == report
-    assert len(calls["_dists"]) == 4 and [len(b) for b in calls["_dists_each"]] == [2] * 8
+    A = ClosedSet.points(E2, [(0.0, 0.0), (1.0, 1.0)])
+    nbhds = canonical_neighborhoods(A, "vietoris", 0.25, m=2)
+
+    def exact(k):
+        return ClosedSet.points(E2, [(1.0 / k, 0.0), (1.0, 1.0 + 1.0 / k)])
+
+    report = converges(exact, nbhds, horizon=20)
+    assert [len(b) for b in calls["_dists_each"]] == [20] == [len(b) for b in calls["_far_dists"]]
+    assert not calls["_dists"]
+    assert report == ref_converges(exact, nbhds, 20) and report.entries[2].settles_at == 5
 
 
 def test_a_term_on_a_hit_ball_boundary_does_not_hit():

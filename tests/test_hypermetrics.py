@@ -763,6 +763,20 @@ def test_a_cube_within_the_allowance_of_eps_stays_open():
     assert aw_less_than(A, B, eps, tol=0.02) is True
 
 
+def test_a_pair_bound_scales_its_pieces_once_per_power_of_two():
+    # the windows of one search share a pair bound: each sets its own
+    # allowance on the copy scaled by its power of two
+    A = ClosedSet.points(E2, [(3.0, 0.5)])
+    B = ClosedSet.balls(E2, [((3.0, -0.5), 0.25)])
+    gap = hm._GapBound(A, B, 1.0)
+    small = gap.scaled(-3, 4.0)
+    alpha = small.alpha
+    assert gap.scaled(-3, 6.0) is small and small.alpha > alpha
+    assert gap.scaled(-4, 6.0) is not small
+    x = np.zeros((1, 2))
+    assert (hm._kernel(x, small.pieces)[0] == np.ldexp(hm._kernel(x, gap.pieces)[0], -3)).all()
+
+
 @pytest.mark.parametrize("cap", [40, 1000, 200_000])
 @pytest.mark.parametrize("n", [2, 3])
 def test_the_decision_search_evaluates_no_more_rows_than_the_tol_search(n, cap, monkeypatch):

@@ -2,11 +2,13 @@
 
 affine_sup_norm reads the pushed vertex table, truncate keeps one rule
 for solid pieces and one clip loop for segments and rays, the n-D
-distances read the kernel's least row, and the maps' apply reads the
-push-forward's stacked product.  The references below are the per-kind
-walks and the hand-specialised distance pass those replaced.  Every
-answer must match them bit for bit (compared by repr, so the sign of a
-zero counts), refusals and ties included.
+distances read the kernel's least row, farthest distances read the
+kernel's norm over the vertex table, a 1-D cover reads the components of
+the open union, and the maps' apply reads the push-forward's stacked
+product.  The references below are the per-kind walks, the scalar
+farthest point, the greedy cover sweep and the hand-specialised distance
+pass those replaced.  Every answer must match them bit for bit (compared
+by repr, so the sign of a zero counts), refusals and ties included.
 """
 
 import math
@@ -18,12 +20,12 @@ from hypothesis import strategies as st
 import hypermet.geom as geom
 from hypermet.actions import GroupElement, affine_sup_norm
 from hypermet.errors import UnsupportedPair
+from hypermet.hitmiss import OpenSetRep, subset_of
 from hypermet.hypermetrics import CertifiedValue
 from hypermet.induced import LinearMatrix, _scaled_orthogonal, _sigma_max
 from hypermet.sets import (BallUnion, BoxUnion, ClosedSet, FinitePoints,
-                           SampledCloud, SegmentUnion, _box_corners, _chunks,
-                           _far_from_point, _offsets, _piece_dists, _sumsq,
-                           dists_to_set, truncate)
+                           SampledCloud, SegmentUnion, _box_corners, _chunks, _coord,
+                           _offsets, _piece_dists, _sumsq, dists_to_set, truncate)
 from hypermet.spaces import AmbientSpace
 
 LINE = AmbientSpace.line()
@@ -101,6 +103,61 @@ def ref_affine_sup_norm(D, c, A):
     return CertifiedValue.interval(lo, hi, "sphere-sample")
 
 
+def ref_far_from_point(x, comp) -> float:
+    """sup of d(x, y) over an n-D primitive shape (inf when unbounded)."""
+    kind, data = comp
+    if kind == "point":
+        return math.dist(x, data)
+    if kind == "ball":
+        c, r = data
+        return math.dist(x, c) + r
+    if kind == "box":
+        lo, hi = data
+        far = tuple(h if abs(h - a) >= abs(l - a) else l for l, h, a in zip(lo, hi, x))
+        return math.dist(x, far)
+    if kind == "segment":
+        p, q = data
+        return max(math.dist(x, p), math.dist(x, q))
+    return math.inf  # ray
+
+
+def _ref_closed_in_open_union(lo, hi, open_ivs):
+    """Closed [lo, hi] inside a union of open intervals: greedy sweep,
+    strict at every endpoint."""
+    if math.isinf(lo) or math.isinf(hi):
+        return False
+    cur = lo
+    while True:
+        nxt = None
+        for a, b in open_ivs:
+            if a < cur < b and (nxt is None or b > nxt):
+                nxt = b
+        if nxt is None:
+            return False
+        if nxt > hi:
+            return True
+        cur = nxt  # the sweep point itself is not covered by the interval that reached it
+
+
+def ref_subset_of(A, U):
+    """subset_of as it was on a ball union (the complement, cloud and
+    finite paths are shared)."""
+    space = U.space
+    if U.complement_of is not None or A.slack > 0.0 or space.kind == "finite":
+        return subset_of(A, U)
+    if space.is_one_dimensional:
+        ivs = sorted((_coord(c) - r, _coord(c) + r) for c, r in U.balls)
+        return all(_ref_closed_in_open_union(lo, hi, ivs) for lo, hi in A.normal_form.intervals)
+    for comp in A.components():
+        if any(ref_far_from_point(c, comp) < r for c, r in U.balls):
+            continue
+        if comp[0] in ("point", "ray") or len(U.balls) == 1:
+            return False
+        raise UnsupportedPair(
+            "coverage by several balls is only certified when one ball takes each piece")
+    return True
+
+
 def _ref_clip(p, d, tmax, center, L):
     w = geom.sub(p, center)
     a = geom.dot(d, d)
@@ -138,7 +195,7 @@ def ref_truncate(A, L):
     if isinstance(rep, BoxUnion):
         kept = []
         for (lo, hi), near in zip(rep.boxes, _piece_dists(x0, A)):
-            if _far_from_point(x0, ("box", (lo, hi))) <= L:
+            if ref_far_from_point(x0, ("box", (lo, hi))) <= L:
                 kept.append((lo, hi))
             elif near > L:
                 continue
@@ -432,3 +489,32 @@ def test_apply_matches_the_per_point_product(p, n, seed, xs):
         t = rng.standard_normal(n)
         g = GroupElement(tuple(map(tuple, m)), tuple(t))
         assert repr(g.apply(x)) == repr(ref_apply(m, t, x))
+
+
+@st.composite
+def cover_cases(draw):
+    """A set on the grid and a union of one to four open balls with grid
+    centres and half-integer radii: pieces often sit exactly on a sphere,
+    and intervals often only touch."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    A = draw(line_sets(grid) if n == 1 else nd_sets(n, grid))
+    centre = grid if A.space.kind == "line" else points(A.space.dim, grid)
+    radius = st.integers(1, 12).map(lambda i: i / 2.0)
+    return A, OpenSetRep.ball_union(A.space, draw(st.lists(st.tuples(centre, radius),
+                                                           min_size=1, max_size=4)))
+
+
+@settings(max_examples=600, deadline=None)
+@given(cover_cases())
+@example((ClosedSet.points(LINE, [1.0]),
+          OpenSetRep.ball_union(LINE, [(0.5, 0.5), (1.5, 0.5)])))      # (0,1) u (1,2) misses 1
+@example((ClosedSet.intervals(LINE, [(0.5, 1.5)]),
+          OpenSetRep.ball_union(LINE, [(0.5, 0.5), (1.5, 0.5)])))
+@example((ClosedSet.intervals(LINE, [(0.5, 1.5)]),
+          OpenSetRep.ball_union(LINE, [(0.5, 0.5), (1.5, 0.5), (1.0, 0.5)])))  # now covered
+@example((ClosedSet.points(E2, [(3.0, 4.0)]), OpenSetRep.ball_union(E2, [((0.0, 0.0), 5.0)])))
+@example((ClosedSet.boxes(E2, [((0.0, 0.0), (3.0, 4.0))]),
+          OpenSetRep.ball_union(E2, [((0.0, 0.0), 5.0), ((0.0, 0.0), 5.5)])))
+def test_subset_of_matches_the_scalar_farthest_point_and_the_sweep(case):
+    A, U = case
+    assert outcome(subset_of, A, U) == outcome(ref_subset_of, A, U)

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from hypermet import sets
 from hypermet.errors import UnsupportedPair
 from hypermet.hypermetrics import _allowance, excess, set_gap
-from hypermet.sets import (BallUnion, ClosedSet, FinitePoints, Ray, _dists_each, _kernel,
-                           _piece_dists, bounding_radius, dist_to_set, dists_to_set, in_r_neighborhood, is_bounded, is_subset,
+from hypermet.sets import (BallUnion, ClosedSet, FinitePoints, Ray, _dists_each, _far_dists,
+                           _kernel, _piece_dists, _piece_fars, bounding_radius, dist_to_set,
+                           dists_to_set, in_r_neighborhood, is_bounded, is_subset,
                            representative_points, truncate, union_sets)
 from hypermet.spaces import AmbientSpace
 
@@ -486,18 +487,25 @@ def test_the_distances_only_kernel_reads_the_kernels_distances(data):
 @given(st.data())
 def test_one_pass_over_several_sets_gives_each_sets_distances(data):
     # sets at different scales share a pass: where one of them makes it
-    # fall back to the scaled norm, the others keep their floats
-    n = data.draw(st.sampled_from((2, 3)))
-    scales = st.sampled_from((coord, spread_coord, wide_coord))
-    sets_ = [data.draw(nd_sets(data.draw(scales), dims=(n,)))
-             for _ in range(data.draw(st.integers(1, 4)))]
-    X = data.draw(queries(sets_[0], data.draw(scales)))
+    # fall back to the scaled norm, the others keep their floats; on a 1-D
+    # ambient the pass is one table over the sets' intervals
+    n = data.draw(st.sampled_from((1, 2, 3)))
+    count = data.draw(st.integers(1, 4))
+    if n == 1:
+        space, A = data.draw(one_d_sets())
+        sets_ = [A] + [data.draw(one_d_sets().filter(lambda p: p[0] == space))[1]
+                       for _ in range(count - 1)]
+        X = [(x,) for x in data.draw(st.lists(st.floats(-99.0, 99.0), min_size=1, max_size=6))]
+    else:
+        scales = st.sampled_from((coord, spread_coord, wide_coord))
+        sets_ = [data.draw(nd_sets(data.draw(scales), dims=(n,))) for _ in range(count)]
+        X = data.draw(queries(sets_[0], data.draw(scales)))
     with pytest.MonkeyPatch.context() as mp:
         if data.draw(st.booleans()):  # a pass of one query point at a time
             mp.setattr(sets, "_CHUNK_BYTES", 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            D = _dists_each(np.array(X, dtype=float), [A.array_form for A in sets_])
+            D = _dists_each(np.array(X, dtype=float), sets_)
     assert D.shape == (len(sets_), len(X))
     for row, A in zip(D, sets_):
         assert row.tolist() == dists_to_set(X, A).tolist()
@@ -607,6 +615,36 @@ def excess_terms(A, B):
     if isinstance(A.rep, BallUnion):
         return [dist_terms(c, B, -r) for c, r in A.rep.balls]
     return [dist_terms(v, B) for piece in A.components() for v in vertices(piece)]
+
+
+eighths = st.integers(-400, 400).map(lambda i: i / 8.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_farthest_distances_stay_within_the_allowance_of_the_exact_value(data):
+    # every float is a dyadic rational, so the squared distance from a
+    # query to each vertex is exact in Fractions; eighths make ties
+    coords = data.draw(st.sampled_from((coord, spread_coord, eighths)))
+    A = data.draw(nd_sets(coords))
+    X = data.draw(queries(A, coords))
+    F = _far_dists(np.array(X, dtype=float), [A])
+    assert F.shape == (len(A.components()), len(X))
+    scale = max(A.array_form.scale, max(abs(v) for x in X for v in x))
+    a = Fraction(_allowance(A.space.dim, scale))
+    for piece, row in zip(A.components(), F):
+        kind, data_ = piece
+        for x, f in zip(X, row):
+            if kind == "ray":
+                assert f == math.inf
+                continue
+            r = Fraction(data_[1]) if kind == "ball" else Fraction(0)
+            terms = [[(sum((Fraction(p) - Fraction(q)) ** 2 for p, q in zip(x, v)), r)]
+                     for v in vertices(piece)]
+            assert brackets(terms, Fraction(f) - a, Fraction(f) + a)
+    # one point's row is the per-piece list, and a block of sets stacks theirs
+    assert _piece_fars(X[0], A) == F[:, 0].tolist()
+    assert (_far_dists(np.array(X, dtype=float), [A, A]) == np.concatenate([F, F])).all()
 
 
 @settings(max_examples=300, deadline=None)
