@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import Indeterminate
-from .hypermetrics import CertifiedValue
+from .hypermetrics import CertifiedValue, require_positive
 from .induced import (_check_thresholds, _matrix, _np, _pushed, _real_space,
                       _scaled_orthogonal, _sigma_max, affine_image, metric_by_name)
 from .sets import (BallUnion, ClosedSet, FinitePoints, Ray, SampledCloud, _vertices,
@@ -248,8 +248,7 @@ def ucb_nbhd_contains(h: GroupElement, A: ClosedSet, f: GroupElement,
     interval straddling eps raises Indeterminate.
     """
     eps = float(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    require_positive("eps", eps)
     if not is_bounded(A):
         raise ValueError("the uniform comparison needs a bounded set")
     h.space.require_same(A.space, "comparison")

@@ -262,7 +262,7 @@ def _enlargement(A: ClosedSet, r: float) -> OpenSetRep:
     if space.kind == FINITE:
         return OpenSetRep(space, balls=tuple((p, r) for p in A.rep.points))
     if space.is_one_dimensional:
-        ivs = list(A.normal_form.intervals)
+        ivs = A.normal_form.intervals
         if math.isinf(ivs[0][0]) or math.isinf(ivs[-1][1]):
             raise UnsupportedPair("no finite ball cover for an unbounded interval")
         # a point is its own centre: lo + hi overflows past half the float range

@@ -600,13 +600,8 @@ class PiecewiseMonotone1D(_CatalogMap):
                 return ClosedSet.cloud(space, pts,
                                        self.lipschitz_constant() * rep.resolution)
             return ClosedSet.points(space, pts)
-        if isinstance(rep, IntervalUnion):
-            return ClosedSet.intervals(
-                space, [self._interval_image(lo, hi) for lo, hi in rep.intervals])
-        if isinstance(rep, Ray):
-            iv = (rep.anchor, math.inf) if rep.direction > 0 else (-math.inf, rep.anchor)
-            return ClosedSet.intervals(space, [self._interval_image(*iv)])
-        raise UnsupportedPair(f"piecewise image of {type(rep).__name__}")
+        return ClosedSet.intervals(
+            space, [self._interval_image(lo, hi) for lo, hi in A.normal_form.intervals])
 
     def lipschitz_constant(self):
         slopes = [abs(self.left_slope), abs(self.right_slope)]
@@ -729,8 +724,7 @@ def estimate_uniform_modulus(f, A: ClosedSet, eps: float) -> ModulusReport:
     """A certified delta for eps on A, or a concrete counterexample pair."""
     f.domain.require_same(A.space, "modulus domain")
     eps = float(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    require_positive("eps", eps)
     return f._modulus(A, eps)
 
 

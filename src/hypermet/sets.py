@@ -12,6 +12,10 @@ h-dense in the true set and vice versa).  Distance queries answer for
 the sample; interval-valued operations widen their certificates by the
 declared slack.
 
+On a 1-D ambient every question reads one form, the set's IntervalUnion
+(ClosedSet.normal_form): its sorted, disjoint closed intervals, with
+their distances, gap midpoints and finite ends.
+
 In R^n each question about a convex piece has one rule: distances come
 from the one kernel (_kernel), farthest distances from the kernel's norm
 over the vertex table (_vertices, _far_dists), and truncate keeps, drops
@@ -49,7 +53,63 @@ class FinitePoints:
 
 @dataclass(frozen=True)
 class IntervalUnion:
+    """A 1-D set as sorted, disjoint closed intervals: the 1-D normal form
+    (ClosedSet.normal_form), points as degenerate intervals and a ray as
+    a half-infinite one.
+
+    The endpoints are read as two Python lists and their numpy copies,
+    each made on first use and kept, so a set queried once pays for little
+    more than the lists.  For disjoint sorted intervals the nearest one to
+    x is one of the two around it, so each distance below is the same
+    float a scan over all intervals gives.
+    """
+
     intervals: tuple[tuple[float, float], ...]  # disjoint, sorted
+
+    @cached_property
+    def _ends(self) -> tuple[list[float], list[float]]:
+        """The lower and the upper ends, as two lists made in one step."""
+        return [a for a, _ in self.intervals], [b for _, b in self.intervals]
+
+    @property
+    def lo(self) -> list[float]:
+        return self._ends[0]
+
+    @property
+    def hi(self) -> list[float]:
+        return self._ends[1]
+
+    @property
+    def midpoints(self) -> list[float]:
+        """Midpoints of the gaps between consecutive intervals."""
+        lo, hi = self._arrays
+        return (0.5 * (hi[:-1] + lo[1:])).tolist()
+
+    @property
+    def finite_ends(self) -> np.ndarray:
+        """All finite endpoints (a degenerate interval's twice)."""
+        ends = np.concatenate(self._arrays)
+        return ends[np.isfinite(ends)]
+
+    @cached_property
+    def _arrays(self):
+        lo, hi = self._ends
+        return np.array(lo), np.array(hi)
+
+    def dist(self, x: float) -> float:
+        lo, hi = self._ends
+        i = bisect_right(lo, x)
+        return min(max(lo[k] - x, x - hi[k], 0.0) for k in (i - 1, i) if 0 <= k < len(lo))
+
+    def dists(self, xs) -> np.ndarray:
+        """dist over a batch of finite coordinates."""
+        lo, hi = self._arrays
+        xs = np.asarray(xs, dtype=float)
+        i = np.searchsorted(lo, xs, side="right")
+        left, right = np.maximum(i - 1, 0), np.minimum(i, len(lo) - 1)
+        return np.minimum(
+            np.maximum(np.maximum(lo[left] - xs, xs - hi[left]), 0.0),
+            np.maximum(np.maximum(lo[right] - xs, xs - hi[right]), 0.0))
 
 
 @dataclass(frozen=True)
@@ -101,56 +161,6 @@ def _merge_intervals(ivs):
 def _coord(p) -> float:
     """The coordinate of a point of a 1-D ambient (E^1 points are 1-tuples)."""
     return p[0] if isinstance(p, tuple) else p
-
-
-class NormalForm1D:
-    """A 1-D set as sorted, disjoint closed intervals.
-
-    Points are degenerate intervals and a ray is a half-infinite one.
-    The endpoints are kept as two Python lists; their numpy copies are
-    made on the first batch query, so a set queried once pays for little
-    more than the lists.  For disjoint sorted intervals the nearest one to x is one of
-    the two around it, so each distance below is the same float a scan
-    over all components gives.
-    """
-
-    def __init__(self, lo: list[float], hi: list[float]):
-        self.lo, self.hi = lo, hi
-
-    @property
-    def intervals(self):
-        return zip(self.lo, self.hi)
-
-    @property
-    def midpoints(self) -> list[float]:
-        """Midpoints of the gaps between consecutive intervals."""
-        lo, hi = self._arrays
-        return (0.5 * (hi[:-1] + lo[1:])).tolist()
-
-    @property
-    def finite_ends(self) -> np.ndarray:
-        """All finite endpoints (a degenerate interval's twice)."""
-        ends = np.concatenate(self._arrays)
-        return ends[np.isfinite(ends)]
-
-    @cached_property
-    def _arrays(self):
-        return np.array(self.lo), np.array(self.hi)
-
-    def dist(self, x: float) -> float:
-        lo, hi = self.lo, self.hi
-        i = bisect_right(lo, x)
-        return min(max(lo[k] - x, x - hi[k], 0.0) for k in (i - 1, i) if 0 <= k < len(lo))
-
-    def dists(self, xs) -> np.ndarray:
-        """dist over a batch of finite coordinates."""
-        lo, hi = self._arrays
-        xs = np.asarray(xs, dtype=float)
-        i = np.searchsorted(lo, xs, side="right")
-        left, right = np.maximum(i - 1, 0), np.minimum(i, len(lo) - 1)
-        return np.minimum(
-            np.maximum(np.maximum(lo[left] - xs, xs - hi[left]), 0.0),
-            np.maximum(np.maximum(lo[right] - xs, xs - hi[right]), 0.0))
 
 
 # The n-D array form.  Every piece of an n-D set is stacked per kind
@@ -552,55 +562,45 @@ class ClosedSet:
         return self.rep.resolution if isinstance(self.rep, SampledCloud) else 0.0
 
     def components(self):
-        """The set as a list of primitive shapes (see geom module).
-
-        1-D sets normalize everything to points and intervals (a 1-D
-        ray becomes a half-infinite interval), which keeps the 1-D
-        sweep algorithms uniform.
-        """
-        space, rep = self.space, self.rep
-        one_d = space.is_one_dimensional and space.kind != FINITE
-
+        """The set as a list of convex pieces (kind, data) for R^n and
+        finite spaces; a 1-D set is read as its normal_form instead."""
+        rep = self.rep
         if isinstance(rep, (FinitePoints, SampledCloud)):
-            if one_d:
-                return [("point", float(p[0] if isinstance(p, tuple) else p))
-                        for p in rep.points]
             return [("point", p) for p in rep.points]
-        if isinstance(rep, IntervalUnion):
-            return [("interval", iv) for iv in rep.intervals]
         if isinstance(rep, BallUnion):
-            if one_d:
-                return [("interval", (c[0] - r, c[0] + r)) for c, r in rep.balls]
             return [("ball", b) for b in rep.balls]
         if isinstance(rep, BoxUnion):
-            if one_d:
-                return [("interval", (lo[0], hi[0])) for lo, hi in rep.boxes]
             return [("box", b) for b in rep.boxes]
         if isinstance(rep, SegmentUnion):
-            if one_d:
-                return [("interval", (min(p[0], q[0]), max(p[0], q[0]))) for p, q in rep.segments]
             return [("segment", s) for s in rep.segments]
         if isinstance(rep, Ray):
-            if one_d:
-                a = _coord(rep.anchor)
-                return [("interval", (a, math.inf) if _coord(rep.direction) > 0
-                         else (-math.inf, a))]
             return [("ray", (rep.anchor, rep.direction))]
-        raise UnsupportedPair(f"unknown representation {type(rep).__name__}")
+        raise UnsupportedPair(f"{type(rep).__name__} has no convex pieces; read its normal_form")
 
     @cached_property
-    def normal_form(self) -> NormalForm1D:
-        """The set's sorted disjoint intervals (1-D ambients only),
-        built on first use and kept with the set."""
+    def normal_form(self) -> IntervalUnion:
+        """The set's sorted disjoint intervals (1-D ambients only), built
+        on first use and kept with the set: an interval union is its own,
+        a point a degenerate interval, a ray a half-infinite one, and an
+        E^1 ball, box or segment the interval it spans."""
         if not self.space.is_one_dimensional:
             raise UnsupportedPair("the interval normal form needs a 1-D ambient")
         rep = self.rep
+        if isinstance(rep, IntervalUnion):
+            return rep
         if isinstance(rep, (FinitePoints, SampledCloud)):
             xs = [_coord(p) for p in rep.points]  # sorted and distinct already
-            return NormalForm1D(xs, xs)
-        ivs = rep.intervals if isinstance(rep, IntervalUnion) else _merge_intervals(
-            (data, data) if kind == "point" else data for kind, data in self.components())
-        return NormalForm1D([a for a, _ in ivs], [b for _, b in ivs])
+            return IntervalUnion(tuple(zip(xs, xs)))
+        if isinstance(rep, Ray):
+            a = _coord(rep.anchor)
+            return IntervalUnion(((a, math.inf) if _coord(rep.direction) > 0 else (-math.inf, a),))
+        if isinstance(rep, BallUnion):
+            ivs = [(c[0] - r, c[0] + r) for c, r in rep.balls]
+        elif isinstance(rep, BoxUnion):
+            ivs = [(lo[0], hi[0]) for lo, hi in rep.boxes]
+        else:
+            ivs = [(min(p[0], q[0]), max(p[0], q[0])) for p, q in rep.segments]
+        return IntervalUnion(_merge_intervals(ivs))
 
     @cached_property
     def _radius(self) -> float:
@@ -694,7 +694,7 @@ def _dists_each(X: np.ndarray, sets_) -> np.ndarray:
     monotone and, where a pass falls back to the scaled norm, pieces
     whose plain norm neither under- nor overflows keep their floats.  On
     a 1-D ambient it is the table max(lo - x, x - hi, 0) over their
-    normal-form intervals (_ends_each): the floats of NormalForm1D.dists,
+    normal-form intervals (_ends_each): the floats of IntervalUnion.dists,
     which reads the same expression at the two intervals around x, the
     nearest of all."""
     if sets_[0].space.is_one_dimensional:
@@ -773,8 +773,8 @@ def truncate(A: ClosedSet, L: float):
     """
     space = A.space
     L = float(L)
-    if L < 0:
-        raise ValueError("radius must be nonnegative")
+    if not L >= 0.0:  # refuses nan too
+        raise ValueError(f"radius {L!r} is not a nonnegative number")
     rep = A.rep
 
     if isinstance(rep, (FinitePoints, SampledCloud)):
@@ -806,6 +806,8 @@ def truncate(A: ClosedSet, L: float):
         return ClosedSet(space, type(rep)(tuple(kept))) if kept else None
 
     if isinstance(rep, (SegmentUnion, Ray)):
+        if isinstance(rep, Ray) and L == math.inf:
+            return A  # the window is the whole space; no segment holds the ray
         lines = ([(p, geom.sub(q, p), 1.0) for p, q in rep.segments]
                  if isinstance(rep, SegmentUnion) else [(rep.anchor, rep.direction, math.inf)])
         kept = []
@@ -843,7 +845,8 @@ def _clip_param_to_ball(p, d, tmax, center, L):
 def union_sets(A: ClosedSet, B: ClosedSet) -> ClosedSet:
     """Union of two sets in one representation.
 
-    1-D sets of mixed kinds merge through interval normal form; in
+    1-D sets of mixed kinds merge through their interval normal forms,
+    save a sampled cloud, whose resolution an exact union would drop; in
     higher dimension only same-family unions are expressible.
     """
     A.space.require_same(B.space)
@@ -852,10 +855,12 @@ def union_sets(A: ClosedSet, B: ClosedSet) -> ClosedSet:
     if isinstance(ra, (FinitePoints,)) and isinstance(rb, (FinitePoints,)):
         return ClosedSet.points(space, ra.points + rb.points)
     if space.is_one_dimensional:
-        na, nb = A.normal_form, B.normal_form
-        if any(math.isinf(nf.lo[0]) or math.isinf(nf.hi[-1]) for nf in (na, nb)):
+        if isinstance(ra, SampledCloud) or isinstance(rb, SampledCloud):
+            raise UnsupportedPair("an exact 1-D union would drop a sampled cloud's resolution")
+        ia, ib = A.normal_form.intervals, B.normal_form.intervals
+        if any(math.isinf(ivs[0][0]) or math.isinf(ivs[-1][1]) for ivs in (ia, ib)):
             raise UnsupportedPair("1-D unions with rays are not representable")
-        return ClosedSet.intervals(space, [*na.intervals, *nb.intervals])
+        return ClosedSet.intervals(space, [*ia, *ib])
     if isinstance(ra, BallUnion) and isinstance(rb, BallUnion):
         return ClosedSet.balls(space, ra.balls + rb.balls)
     if isinstance(ra, BoxUnion) and isinstance(rb, BoxUnion):

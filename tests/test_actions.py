@@ -246,6 +246,14 @@ def test_ucb_comparison():
         ucb_nbhd_contains(r, ClosedSet.ray(E2, (0.0, 0.0), (1.0, 0.0)), e, 0.1)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
+def test_ucb_refuses_a_threshold_that_is_not_finite_and_positive(eps):
+    # a nan eps used to raise Indeterminate ("straddles eps=nan")
+    ball = ClosedSet.balls(E2, [((0.0, 0.0), 1.0)])
+    with pytest.raises(ValueError, match="eps must be finite and > 0"):
+        ucb_nbhd_contains(GroupElement.rotation(0.2), ball, GroupElement.identity(2), eps)
+
+
 def test_ucb_indeterminate_straddle():
     ball = ClosedSet.balls(E2, [((0.0, 0.0), 1.0)])
     e = GroupElement.identity(2)

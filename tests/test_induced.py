@@ -404,6 +404,14 @@ def test_modulus_sin_certified_away_from_zero():
     assert rep.delta == pytest.approx(0.2 * 0.25)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
+def test_modulus_refuses_a_threshold_that_is_not_finite_and_positive(eps):
+    # a nan eps used to come back as a certified delta of nan
+    A = ClosedSet.intervals(LINE, [(0.0, 1.0)])
+    with pytest.raises(ValueError, match="eps must be finite and > 0"):
+        estimate_uniform_modulus(Affine(2.0, 1.0), A, eps)
+
+
 def test_modulus_finite_set():
     A = ClosedSet.points(LINE, [0.0, 1.0, 5.0])
     rep = estimate_uniform_modulus(Affine(1.0, 0.0), A, eps=0.5)

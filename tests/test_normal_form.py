@@ -22,6 +22,7 @@ from hypermet.hitmiss import OpenSetRep, canonical_neighborhoods, subset_of
 from hypermet.hypermetrics import aw_distance, excess, hausdorff, set_gap, sup_gap_on_ball
 from hypermet.induced import ArctanOfDistance, dist_range
 from hypermet.sets import IntervalUnion, bounding_radius, dist_to_set, truncate
+from test_piece_rules import ref_components
 
 LINE = AmbientSpace.line()
 E1 = AmbientSpace.euclidean(1)
@@ -38,7 +39,7 @@ def _x(p):
 
 def ref_dist_components(x, S):
     best = math.inf
-    for kind, data in S.components():
+    for kind, data in ref_components(S):
         best = min(best, abs(x - data) if kind == "point"
                    else max(data[0] - x, x - data[1], 0.0))
     return best
@@ -52,7 +53,7 @@ def ref_dist(x, ivs):
 
 
 def ref_merged(S):
-    ivs = sorted((d, d) if k == "point" else d for k, d in S.components())
+    ivs = sorted((d, d) if k == "point" else d for k, d in ref_components(S))
     merged = [list(ivs[0])]
     for a, b in ivs[1:]:
         if a <= merged[-1][1]:

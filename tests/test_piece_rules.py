@@ -4,14 +4,19 @@ affine_sup_norm reads the pushed vertex table, truncate keeps one rule
 for solid pieces and one clip loop for segments and rays, the n-D
 distances read the kernel's least row, farthest distances read the
 kernel's norm over the vertex table, a 1-D cover reads the components of
-the open union, and the maps' apply reads the push-forward's stacked
-product.  The references below are the per-kind walks, the scalar
-farthest point, the greedy cover sweep and the hand-specialised distance
-pass those replaced.  Every answer must match them bit for bit (compared
-by repr, so the sign of a zero counts), refusals and ties included.
+the open union, the maps' apply reads the push-forward's stacked
+product, and a 1-D set's normal form is the IntervalUnion that
+ClosedSet.normal_form builds.  The references below are the per-kind
+walks, the scalar farthest point, the greedy cover sweep, the
+hand-specialised distance pass and the separate normal-form class read
+from 1-D components (RefNormalForm1D, ref_components) those replaced.
+Every answer must match them bit for bit (compared by repr, so the sign
+of a zero counts), refusals and ties included.
 """
 
 import math
+from bisect import bisect_right
+from functools import cached_property
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -23,13 +28,15 @@ from hypermet.errors import UnsupportedPair
 from hypermet.hitmiss import OpenSetRep, subset_of
 from hypermet.hypermetrics import CertifiedValue
 from hypermet.induced import LinearMatrix, _scaled_orthogonal, _sigma_max
-from hypermet.sets import (BallUnion, BoxUnion, ClosedSet, FinitePoints,
+from hypermet.sets import (BallUnion, BoxUnion, ClosedSet, FinitePoints, IntervalUnion,
                            SampledCloud, SegmentUnion, _box_corners, _chunks, _coord,
-                           _offsets, _piece_dists, _sumsq, dists_to_set, truncate)
+                           _merge_intervals, _offsets, _piece_dists, _sumsq, dists_to_set,
+                           truncate)
 from hypermet.spaces import AmbientSpace
 
 LINE = AmbientSpace.line()
 E1, E2, E3 = (AmbientSpace.euclidean(n) for n in (1, 2, 3))
+OPEN = AmbientSpace.open_interval(-2.0e4, 2.0e4, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +60,86 @@ def _ref_directions(n):
     return [tuple(float(c) for c in v) for v in vs]
 
 
+class RefNormalForm1D:
+    """The 1-D normal form as a class of its own: a set's sorted, disjoint
+    intervals kept as two lists, numpy copies made on first use."""
+
+    def __init__(self, lo: list[float], hi: list[float]):
+        self.lo, self.hi = lo, hi
+
+    @property
+    def intervals(self):
+        return zip(self.lo, self.hi)
+
+    @property
+    def midpoints(self) -> list[float]:
+        lo, hi = self._arrays
+        return (0.5 * (hi[:-1] + lo[1:])).tolist()
+
+    @property
+    def finite_ends(self) -> np.ndarray:
+        ends = np.concatenate(self._arrays)
+        return ends[np.isfinite(ends)]
+
+    @cached_property
+    def _arrays(self):
+        return np.array(self.lo), np.array(self.hi)
+
+    def dist(self, x: float) -> float:
+        lo, hi = self.lo, self.hi
+        i = bisect_right(lo, x)
+        return min(max(lo[k] - x, x - hi[k], 0.0) for k in (i - 1, i) if 0 <= k < len(lo))
+
+    def dists(self, xs) -> np.ndarray:
+        lo, hi = self._arrays
+        xs = np.asarray(xs, dtype=float)
+        i = np.searchsorted(lo, xs, side="right")
+        left, right = np.maximum(i - 1, 0), np.minimum(i, len(lo) - 1)
+        return np.minimum(
+            np.maximum(np.maximum(lo[left] - xs, xs - hi[left]), 0.0),
+            np.maximum(np.maximum(lo[right] - xs, xs - hi[right]), 0.0))
+
+
+def ref_components(S):
+    """ClosedSet.components with its 1-D branches: on a 1-D ambient every
+    set as points and intervals (a ray a half-infinite interval)."""
+    space, rep = S.space, S.rep
+    one_d = space.is_one_dimensional and space.kind != "finite"
+    if isinstance(rep, (FinitePoints, SampledCloud)):
+        if one_d:
+            return [("point", float(p[0] if isinstance(p, tuple) else p)) for p in rep.points]
+        return [("point", p) for p in rep.points]
+    if isinstance(rep, IntervalUnion):
+        return [("interval", iv) for iv in rep.intervals]
+    if isinstance(rep, BallUnion):
+        if one_d:
+            return [("interval", (c[0] - r, c[0] + r)) for c, r in rep.balls]
+        return [("ball", b) for b in rep.balls]
+    if isinstance(rep, BoxUnion):
+        if one_d:
+            return [("interval", (lo[0], hi[0])) for lo, hi in rep.boxes]
+        return [("box", b) for b in rep.boxes]
+    if isinstance(rep, SegmentUnion):
+        if one_d:
+            return [("interval", (min(p[0], q[0]), max(p[0], q[0]))) for p, q in rep.segments]
+        return [("segment", s) for s in rep.segments]
+    if one_d:
+        a = _coord(rep.anchor)
+        return [("interval", (a, math.inf) if _coord(rep.direction) > 0 else (-math.inf, a))]
+    return [("ray", (rep.anchor, rep.direction))]
+
+
+def ref_normal_form(S):
+    """ClosedSet.normal_form as it was read from ref_components."""
+    rep = S.rep
+    if isinstance(rep, (FinitePoints, SampledCloud)):
+        xs = [_coord(p) for p in rep.points]
+        return RefNormalForm1D(xs, xs)
+    ivs = rep.intervals if isinstance(rep, IntervalUnion) else _merge_intervals(
+        (data, data) if kind == "point" else data for kind, data in ref_components(S))
+    return RefNormalForm1D([a for a, _ in ivs], [b for _, b in ivs])
+
+
 def ref_affine_sup_norm(D, c, A):
     D = np.array(D, dtype=float)
     c = np.array(c if isinstance(c, (tuple, list, np.ndarray)) else (c,), dtype=float)
@@ -65,7 +152,7 @@ def ref_affine_sup_norm(D, c, A):
         return CertifiedValue.point(best, "finite-max")
     lo = hi = 0.0
     exact = True
-    for kind, data in A.components():
+    for kind, data in ref_components(A):
         if kind == "point":
             v = _ref_norm_at(D, c, data)
         elif kind == "interval":
@@ -353,6 +440,18 @@ def line_sets(draw, elems=coord):
 
 
 @st.composite
+def open_interval_sets(draw, elems=spread):
+    """Point sets, clouds and interval unions inside an open interval."""
+    kind = draw(st.sampled_from(["points", "cloud", "intervals"]))
+    xs = draw(st.lists(elems, min_size=1, max_size=6))
+    if kind == "points":
+        return ClosedSet.points(OPEN, xs)
+    if kind == "cloud":
+        return ClosedSet.cloud(OPEN, xs, 0.5)
+    return ClosedSet.intervals(OPEN, [tuple(sorted(e)) for e in zip(xs, reversed(xs))])
+
+
+@st.composite
 def matrices(draw, n):
     """Scaled-orthogonal (the exact ball rule) and generic (the sampled
     one) differences D, some of which kill an axis or everything."""
@@ -400,6 +499,22 @@ def test_affine_sup_norm_matches_the_per_kind_walk(case):
     D, c, A = case
     assert outcome(affine_sup_norm, D, c, A) == outcome(ref_affine_sup_norm, D, c, A)
 
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(line_sets(), line_sets(grid), open_interval_sets()),
+       st.lists(coord, min_size=1, max_size=6))
+@example(ClosedSet.points(LINE, [-0.0, 1.0]), [0.5])
+@example(ClosedSet.ray(E1, (2.0,), (-1.0,)), [2.0, 3.0])
+def test_normal_form_matches_the_component_conversion(A, xs):
+    nf, ref = A.normal_form, ref_normal_form(A)
+    assert isinstance(nf, IntervalUnion)
+    assert repr(nf.intervals) == repr(tuple(ref.intervals))
+    assert (repr(nf.lo), repr(nf.hi)) == (repr(ref.lo), repr(ref.hi))
+    assert repr(nf.midpoints) == repr(ref.midpoints)
+    assert repr(nf.finite_ends.tolist()) == repr(ref.finite_ends.tolist())
+    assert repr([nf.dist(x) for x in xs]) == repr([ref.dist(x) for x in xs])
+    assert repr(nf.dists(xs).tolist()) == repr(ref.dists(xs).tolist())
 
 
 @settings(max_examples=400, deadline=None)

@@ -215,6 +215,29 @@ def test_truncated_points_stay_in_set_and_window():
                 assert abs(p) <= L and dist_to_set(p, A) == 0.0
 
 
+@pytest.mark.parametrize("A", [
+    ClosedSet.points(LINE, [-5.0, 1.0]),
+    ClosedSet.cloud(LINE, [-5.0, 1.0], 0.25),
+    ClosedSet.intervals(LINE, [(-10.0, -4.0), (1.0, 9.0)]),
+    ClosedSet.balls(E2, [((3.0, 0.0), 1.0)]),
+    ClosedSet.boxes(E2, [((0.0, 0.0), (1.0, 2.0))]),
+    ClosedSet.segments(E2, [((0.0, 0.0), (1.0, 1.0))]),
+    ClosedSet.ray(E2, (0.0, 0.0), (1.0, 0.0)),
+], ids=["points", "cloud", "intervals", "balls", "boxes", "segments", "ray"])
+def test_truncate_refuses_nan_and_keeps_everything_at_inf(A):
+    with pytest.raises(ValueError, match="radius nan is not a nonnegative number"):
+        truncate(A, math.nan)
+    with pytest.raises(ValueError, match="nonnegative"):
+        truncate(A, -1.0)
+    assert truncate(A, math.inf) == A  # the window is the whole space
+
+
+def test_truncate_at_inf_keeps_a_1d_ray_as_its_normal_form():
+    with pytest.raises(ValueError, match="nonnegative"):
+        truncate(ClosedSet.ray(LINE, 2.0, 1.0), math.nan)
+    assert truncate(ClosedSet.ray(LINE, 2.0, 1.0), math.inf).rep.intervals == ((2.0, math.inf),)
+
+
 # ---------------------------------------------------------------------------
 # union / subset
 
@@ -227,6 +250,21 @@ def test_union_points_and_intervals():
     assert dist_to_set(1.5, U) == 0.0
     assert dist_to_set(5.0, U) == 0.0
     assert dist_to_set(3.5, U) == 1.5
+
+
+@pytest.mark.parametrize("space", [LINE, AmbientSpace.euclidean(1)], ids=["line", "E1"])
+def test_union_with_a_sampled_cloud_keeps_its_resolution_by_refusing(space):
+    # an exact interval union would answer hausdorff to {0, 1, [5, 6]} with
+    # slack 0, while the cloud itself is only known to within 0.25
+    wrap = (lambda x: (x,)) if space.kind == "euclidean" else (lambda x: x)
+    C = ClosedSet.cloud(space, [wrap(0.0), wrap(1.0)], 0.25)
+    I = ClosedSet.intervals(space, [(5.0, 6.0)])
+    P = ClosedSet.points(space, [wrap(0.0)])
+    for A, B in ((C, I), (I, C), (C, C), (C, P), (P, C)):
+        with pytest.raises(UnsupportedPair, match="sampled cloud's resolution"):
+            union_sets(A, B)
+    with pytest.raises(UnsupportedPair):  # as in the plane
+        union_sets(ClosedSet.cloud(E2, [(0.0, 0.0)], 0.25), ClosedSet.points(E2, [(5.0, 0.0)]))
 
 
 def test_union_same_family():
