@@ -23,8 +23,8 @@ from .errors import Indeterminate
 from .hypermetrics import CertifiedValue, require_positive
 from .induced import (_check_thresholds, _matrix, _np, _pushed, _real_space,
                       _scaled_orthogonal, _sigma_max, affine_image, metric_by_name)
-from .sets import (BallUnion, ClosedSet, FinitePoints, Ray, SampledCloud, _vertices,
-                   is_bounded, is_subset)
+from .sets import (BallUnion, ClosedSet, FinitePoints, Ray, SampledCloud, _max_per_piece,
+                   _vertices, is_bounded, is_subset)
 from .spaces import AmbientSpace
 
 DEFAULT_REF_RADIUS = 10.0
@@ -198,11 +198,9 @@ def affine_sup_norm(D, c, A: ClosedSet) -> CertifiedValue:
 
     if isinstance(rep, Ray) and float(np.linalg.norm(D @ _np(rep.direction))) != 0.0:
         return CertifiedValue.infinite("ray-closed-form")
-    # per piece, the largest norm at its vertices (each piece's rows are one run)
-    comps = A.components()
-    X, owner = _vertices(comps)
-    far = np.maximum.reduceat(_norms(D, c, X), np.searchsorted(owner, np.arange(len(comps))))
-    far = far.tolist()
+    # per piece, the largest norm at its vertices
+    X, owner = _vertices(A.components())
+    far = _max_per_piece(lambda sl: np.array(_norms(D, c, X[sl])), owner, 8 * len(c)).tolist()
     if isinstance(rep, BallUnion):
         mu = _scaled_orthogonal(D)
         if mu is None:

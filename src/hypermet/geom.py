@@ -1,22 +1,20 @@
 """Low-level Euclidean geometry used by the set representations.
 
-Everything here works on plain float tuples: vector helpers, and the
-exact minimum distance (gap, zero when they meet) between two of the
-n-D primitive shapes
-
-    ("box", (lo, hi))       axis-aligned, lo/hi corner tuples
-    ("segment", (p, q))
-    ("ray", (a, u))         u a unit vector
-
-Only these piece-piece gaps live here: the distance from a point to a
-piece, and so from a ball, is the array kernel of the sets module.
+Vector helpers on plain float tuples; the guarded norm (_guarded) that
+every n-D distance of the library ends in; and gap, the least distance
+between two sets of box, segment and ray pieces, measured over every
+pair of their pieces at once from the sets' array forms.  The distance
+from a point to a piece, and so from a ball, is the array kernel of the
+sets module.
 """
 
 from __future__ import annotations
 
 import math
 
-INF = math.inf
+import numpy as np
+
+_CHUNK_BYTES = 1 << 22   # array temporaries stay near this size
 
 
 def sub(p, q):
@@ -35,137 +33,156 @@ def dot(p, q):
     return sum(a * b for a, b in zip(p, q))
 
 
-def norm(p):
-    return math.hypot(*p)
-
-
 def unit(p):
-    n = norm(p)
+    n = math.hypot(*p)
     if n == 0.0:
         raise ValueError("zero vector has no direction")
     return tuple(a / n for a in p)
 
 
 # ---------------------------------------------------------------------------
-# shape-to-shape minimum distances (gaps)
+# the guarded norm
 
 
-def _clamp(v, lo, hi):
-    return min(hi, max(lo, v))
+def _sumsq(W):
+    """The left-to-right sum of squares over the leading axis of W."""
+    S = W * W
+    sq = S[0]
+    for s in S[1:]:
+        sq = sq + s
+    return sq
 
 
-def gap_segmentlike(p1, d1, t1max, p2, d2, t2max) -> float:
-    """Minimum distance between X(t)=p1+t*d1, t in [0, t1max] and
-    Y(s)=p2+s*d2, s in [0, t2max].  t1max / t2max may be +inf, which
-    turns the segment into a ray.  Directions need not be unit."""
-    r = sub(p1, p2)
-    a = dot(d1, d1)
-    e = dot(d2, d2)
-    f = dot(d2, r)
-    c = dot(d1, r)
-
-    if a == 0.0 and e == 0.0:
-        return math.dist(p1, p2)
-    if a == 0.0:
-        s = _clamp(f / e, 0.0, t2max)
-        return math.dist(p1, add(p2, scale(d2, s)))
-    if e == 0.0:
-        t = _clamp(-c / a, 0.0, t1max)
-        return math.dist(add(p1, scale(d1, t)), p2)
-
-    b = dot(d1, d2)
-    denom = a * e - b * b
-    if denom > 0.0:
-        t = _clamp((b * f - c * e) / denom, 0.0, t1max)
-    else:
-        t = 0.0
-    s = (b * t + f) / e
-    if s < 0.0:
-        s = 0.0
-        t = _clamp(-c / a, 0.0, t1max)
-    elif s > t2max:
-        s = t2max
-        t = _clamp((b * s - c) / a, 0.0, t1max)
-    return math.dist(add(p1, scale(d1, t)), add(p2, scale(d2, s)))
+def _scaled_norm(W):
+    """The square root of _sumsq over W scaled by a power of two per
+    column, so that no square under- or overflows; where no step of the
+    plain square root of _sumsq(W) does, both give the same float."""
+    e = np.frexp(np.abs(W).max(axis=0))[1]
+    return np.ldexp(np.sqrt(_sumsq(np.ldexp(W, -e))), e)
 
 
-def gap_linear_box(p, d, tmax, lo, hi) -> float:
-    """Minimum distance between X(t)=p+t*d, t in [0, tmax] and an
-    axis-aligned box.  Exact: the squared distance is piecewise
-    quadratic and convex in t, so the minimum sits at a crossing
-    breakpoint or at a parabola vertex inside one piece."""
-    ts = {0.0}
-    if math.isfinite(tmax):
-        ts.add(tmax)
-    for pi, di, l, h in zip(p, d, lo, hi):
-        if di != 0.0:
-            for bound in (l, h):
-                t = (bound - pi) / di
-                if 0.0 < t < tmax:
-                    ts.add(t)
-    knots = sorted(ts)
-
-    def value(t):  # the distance from p + t d to the box
-        x = add(p, scale(d, t))
-        return math.hypot(*(max(l - xi, xi - h, 0.0) for xi, l, h in zip(x, lo, hi)))
-
-    best = min(value(t) for t in knots)
-    # scan each piece for an interior vertex of the active quadratic
-    pieces = list(zip(knots, knots[1:]))
-    if not math.isfinite(tmax):
-        pieces.append((knots[-1], INF))
-    for ta, tb in pieces:
-        mid = ta + 1.0 if not math.isfinite(tb) else 0.5 * (ta + tb)
-        alpha = []
-        beta = []
-        x_mid = add(p, scale(d, mid))
-        for pi, di, xm, l, h in zip(p, d, x_mid, lo, hi):
-            if xm < l:
-                alpha.append(l - pi)
-                beta.append(-di)
-            elif xm > h:
-                alpha.append(pi - h)
-                beta.append(di)
-        if not alpha:
-            return 0.0  # the line enters the box on this piece
-        bb = sum(b * b for b in beta)
-        if bb > 0.0:
-            tstar = -sum(a * b for a, b in zip(alpha, beta)) / bb
-            if ta < tstar < tb:
-                best = min(best, value(tstar))
-    return best
+def _guarded(compute):
+    """compute(norm) with the plain norm, the square root of _sumsq, or,
+    if any step of it under- or overflowed, again with _scaled_norm.  A square of exactly 0 (a point
+    inside a box) or an exact subnormal raises no flag, so the common
+    case pays for no range check, and the floats are those of the scaled
+    norm either way: one formula that holds to the rounding allowance at
+    every scale."""
+    try:
+        with np.errstate(over="raise", under="raise"):
+            return compute(lambda W: np.sqrt(_sumsq(W)))
+    except FloatingPointError:
+        with np.errstate(over="ignore", under="ignore"):
+            return compute(_scaled_norm)
 
 
-def gap_box_box(lo1, hi1, lo2, hi2) -> float:
-    return math.hypot(*(max(0.0, l2 - h1, l1 - h2) for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2)))
+# ---------------------------------------------------------------------------
+# piece-pair gaps
 
 
-def _as_param(shape):
-    """Segment or ray as (origin, direction, tmax)."""
-    kind, data = shape
-    if kind == "segment":
-        p, q = data
-        return p, sub(q, p), 1.0
-    if kind == "ray":
-        a, u = data
-        return a, u, INF
-    raise ValueError(kind)
+def _ratio(num, den):
+    """num / den, broadcast, and 0 where den is 0."""
+    num, den = np.broadcast_arrays(num, den)
+    return np.divide(num, den, out=np.zeros(num.shape), where=den != 0.0)
 
 
-def gap(shape_a, shape_b) -> float:
-    """Exact minimum distance between two box, segment or ray shapes."""
-    ka, da = shape_a
-    kb, db = shape_b
-    # order the pair so we only handle one triangle of the kind matrix
-    order = {"box": 0, "segment": 1, "ray": 2}
-    if order[ka] > order[kb]:
-        return gap(shape_b, shape_a)
-    if ka == "box":
-        if kb == "box":
-            return gap_box_box(*da, *db)
-        p, d, tmax = _as_param(shape_b)
-        return gap_linear_box(p, d, tmax, *da)
-    # segment / ray against segment / ray
-    p1, d1, t1 = _as_param(shape_a)
-    p2, d2, t2 = _as_param(shape_b)
-    return gap_segmentlike(p1, d1, t1, p2, d2, t2)
+def _dot(U, V):
+    """The sum of U * V over the leading (coordinate) axis."""
+    return (U * V).sum(axis=0)
+
+
+def _line_box(p, d, tmax, lo, hi):
+    """Candidate offsets from a segment or ray block, x(t) = p + t d for t
+    in [0, tmax], to a box block.  The squared distance along x is convex
+    and one quadratic between consecutive crossings of the box's slabs, so
+    on each such piece it is least at the vertex of that quadratic,
+    clipped into the piece.  Past the last crossing every moving
+    coordinate moves away from its slab, so a ray's tail adds nothing."""
+    bound = np.concatenate([lo - p, hi - p])
+    cross = _ratio(bound, np.concatenate([d, d]))
+    shape = (1,) + cross.shape[1:]
+    knots = np.clip(np.concatenate([np.zeros(shape), np.full(shape, tmax), cross]), 0.0, tmax)
+    knots = np.sort(np.where(knots < np.inf, knots, 0.0), axis=0)  # no tail
+    ta, tb = knots[:-1], knots[1:]
+    mid = ta + 0.5 * (tb - ta)
+    # the active quadratic on each piece: sum of (alpha + beta t)^2 over
+    # the coordinates outside their slab at its midpoint
+    p, d, lo, hi = (a[:, None] for a in (p, d, lo, hi))
+    x = p + mid * d
+    below, above = x < lo, x > hi
+    alpha = np.where(below, lo - p, np.where(above, p - hi, 0.0))
+    beta = np.where(below, -d, np.where(above, d, 0.0))
+    bb = _dot(beta, beta)
+    t = np.clip(np.divide(-_dot(alpha, beta), bb, out=mid, where=bb > 0.0), ta, tb)
+    x = p + t * d
+    return [x - np.clip(x, lo, hi)]
+
+
+def _line_line(p1, d1, tmax1, p2, d2, tmax2):
+    """Candidate offsets between two segment or ray blocks: each end and
+    the interior critical point, found with either direction projected out
+    (the normal equations would square its condition number when the two
+    are nearly parallel), against its projection onto the other piece."""
+    def onto(x, p, d, tmax):
+        return np.clip(_ratio(_dot(x - p, d), _dot(d, d)), 0.0, tmax)
+
+    def interior(p1, d1, tmax1, p2, d2):
+        k2 = _dot(d2, d2)
+        r = p1 - p2
+        d1p = d1 - _ratio(_dot(d1, d2), k2) * d2
+        rp = r - _ratio(_dot(r, d2), k2) * d2
+        return np.clip(_ratio(-_dot(rp, d1p), _dot(d1p, d1p)), 0.0, tmax1)
+
+    def ends(tmax):  # a ray has no far end
+        return (0.0, tmax) if tmax < math.inf else (0.0,)
+
+    offsets = []
+    for t in (*ends(tmax1), interior(p1, d1, tmax1, p2, d2)):
+        x = p1 + t * d1
+        offsets.append(x - (p2 + onto(x, p2, d2, tmax2) * d2))
+    for s in (*ends(tmax2), interior(p2, d2, tmax2, p1, d1)):
+        y = p2 + s * d2
+        offsets.append(p1 + onto(y, p1, d1, tmax1) * d1 - y)
+    return offsets
+
+
+_KINDS = ("box", "segment", "ray")
+_TMAX = {"segment": 1.0, "ray": math.inf}   # a line's parameter range [0, tmax]
+
+
+def _pair_offsets(kind_a, a, kind_b, b):
+    """The candidate offsets between the pieces of two blocks, each given
+    as its first two arrays: for two boxes, the separation per coordinate."""
+    if _KINDS.index(kind_a) > _KINDS.index(kind_b):
+        kind_a, a, kind_b, b = kind_b, b, kind_a, a
+    if kind_b == "box":
+        return [np.maximum(np.maximum(b[0] - a[1], a[0] - b[1]), 0.0)]
+    if kind_a == "box":
+        return _line_box(*b, _TMAX[kind_b], *a)
+    return _line_line(*a, _TMAX[kind_a], *b, _TMAX[kind_b])
+
+
+def gap(pieces_a, pieces_b) -> float:
+    """The least distance between two n-D sets of box, segment and ray
+    pieces, from their array forms (sets._Pieces): every pair of pieces in
+    one pass per pair of kind blocks, chunked over pieces_a so that
+    temporaries stay near _CHUNK_BYTES.  Each pair gives a few pairs of
+    points, one on each piece, and the gap is the least norm (_guarded) of
+    their offsets.  Both sets are first scaled by the power of two that
+    brings their largest coordinate into [1/2, 1), which is exact."""
+    k = -math.frexp(max(pieces_a.scale, pieces_b.scale))[1]
+
+    def scaled(pieces):  # a ray's unit direction stays as it is
+        return [(kind, [np.ldexp(arrs[0], k), arrs[1] if kind == "ray" else np.ldexp(arrs[1], k)])
+                for kind, _, arrs in pieces.blocks]
+    blocks_b = [(kind, [np.swapaxes(x, -1, -2) for x in b]) for kind, b in scaled(pieces_b)]
+
+    def offsets():
+        for kind_a, a in scaled(pieces_a):
+            n, m, _ = a[0].shape
+            for kind_b, b in blocks_b:
+                step = max(1, _CHUNK_BYTES // (64 * n * (2 * n + 2) * b[0].shape[-1]))
+                for i in range(0, m, step):
+                    yield from _pair_offsets(kind_a, [x[:, i:i + step] for x in a], kind_b, b)
+
+    return math.ldexp(_guarded(lambda norm_of: min(float(norm_of(W).min()) for W in offsets())), -k)

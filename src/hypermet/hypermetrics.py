@@ -35,6 +35,7 @@ import numpy as np
 
 from . import geom
 from .errors import Indeterminate, UnsupportedPair
+from .geom import _guarded
 from .sets import (
     BallUnion,
     ClosedSet,
@@ -45,7 +46,6 @@ from .sets import (
     _coord,
     _dists,
     _excess_at_vertices,
-    _guarded,
     _kernel,
     _Pieces,
     _vertices,
@@ -343,7 +343,7 @@ def set_gap(A: ClosedSet, B: ClosedSet) -> float:
                 for nf, ends in ((nb, na.finite_ends), (na, nb.finite_ends)) if len(ends)]
         return min(gaps, default=0.0)
     # a point side is one query, then a ball side one query from its
-    # centres; only box, segment and ray pairs read geom.gap
+    # centres; two sets of boxes, segments and rays go to geom.gap
     for P, Q in ((A, B), (B, A)):
         if isinstance(P.rep, (FinitePoints, SampledCloud)):
             return float(_dists(P.rep.points, Q).min())
@@ -351,7 +351,7 @@ def set_gap(A: ClosedSet, B: ClosedSet) -> float:
         if isinstance(P.rep, BallUnion):
             c, r = zip(*P.rep.balls)
             return float(np.maximum(_dists(c, Q) - r, 0.0).min())
-    return min(geom.gap(ca, cb) for ca in A.components() for cb in B.components())
+    return geom.gap(A.array_form, B.array_form)
 
 
 # ---------------------------------------------------------------------------

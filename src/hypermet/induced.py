@@ -202,12 +202,14 @@ def _scaled_orthogonal(m) -> Optional[float]:
     return None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _pushed(m, t, pts) -> np.ndarray:
     """The points pts (tuples, floats or rows of an array) under
     x -> m x (+ t), one row each: m is a p x n array and t a length-p
     array, or None for a linear map.  One stacked product,
     (m @ X.reshape(N, n, 1))[:, :, 0]; the maps' apply reads it too, so
-    a pushed point is the map's own apply by construction."""
+    a pushed point is the map's own apply by construction.  An overflow
+    comes out inf or nan, quietly: the caller's finiteness check refuses it."""
     y = (m @ np.array(pts, dtype=float).reshape(len(pts), m.shape[1], 1))[:, :, 0]
     return y if t is None else y + t
 

@@ -18,10 +18,11 @@ their distances, gap midpoints and finite ends.
 
 In R^n each question about a convex piece has one rule: distances come
 from the one kernel (_kernel), farthest distances from the kernel's norm
-over the vertex table (_vertices, _far_dists), and truncate keeps, drops
-or refuses a solid piece by those two and clips segments and rays in one
-loop.  Several sets asked the same question stack their pieces in one
-step (_stacked, _ends_each).
+over the vertex table (_vertices, _far_dists), each piece's largest by
+one reduction (_max_per_piece), and truncate keeps, drops or refuses a
+solid piece by those two and clips segments and rays in one loop.
+Several sets asked the same question stack their pieces in one step
+(_stacked, _ends_each).  Every norm is geom's guarded one (_guarded).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import numpy as np
 
 from . import geom
 from .errors import UnsupportedPair
+from .geom import _CHUNK_BYTES, _guarded
 from .spaces import (
     EUCLIDEAN,
     FINITE,
@@ -168,9 +170,6 @@ def _coord(p) -> float:
 # gradient of, every piece at a batch of points.  Arrays keep the point
 # axis last, so that reductions over coordinates and pieces run over
 # leading axes.
-
-_CHUNK_BYTES = 1 << 22   # kernel temporaries stay near this size
-
 
 def _rows_per_chunk(row_bytes):
     """How many rows of row_bytes of temporaries each stay within
@@ -320,43 +319,6 @@ def _stacked(sets_):
     return pieces, np.cumsum([0] + counts[:-1])
 
 
-def _sumsq(W):
-    """The left-to-right sum of squares over the leading axis of W."""
-    S = W * W
-    sq = S[0]
-    for s in S[1:]:
-        sq = sq + s
-    return sq
-
-
-def _plain_norm(W):
-    """The square root of _sumsq(W)."""
-    return np.sqrt(_sumsq(W))
-
-
-def _scaled_norm(W):
-    """_plain_norm over W scaled by a power of two per column, so that no
-    square under- or overflows; where no step of _plain_norm does, both
-    give the same float."""
-    e = np.frexp(np.abs(W).max(axis=0))[1]
-    return np.ldexp(np.sqrt(_sumsq(np.ldexp(W, -e))), e)
-
-
-def _guarded(compute):
-    """compute(norm) with _plain_norm, or, if any step of it under- or
-    overflowed, again with _scaled_norm.  A square of exactly 0 (a point
-    inside a box) or an exact subnormal raises no flag, so the common
-    case pays for no range check, and the floats are those of the scaled
-    norm either way: one formula that holds to the rounding allowance at
-    every scale."""
-    try:
-        with np.errstate(over="raise", under="raise"):
-            return compute(_plain_norm)
-    except FloatingPointError:
-        with np.errstate(over="ignore", under="ignore"):
-            return compute(_scaled_norm)
-
-
 def _kernel(X: np.ndarray, pieces: _Pieces, grads=True):
     """Distances D (m, N) from the N rows of X to the m pieces, and unit
     gradients G (n, m, N): (x - P(x)) / d, or 0 where d is 0; G is None
@@ -398,13 +360,31 @@ def _vertices(comps):
     return np.array(verts, dtype=float), np.array(owner, dtype=int)
 
 
+def _max_per_piece(table, owner, row_bytes):
+    """The largest of table(sl), the table of the vertex rows sl, over each
+    piece's run of rows (owner: the piece of each row): the table itself
+    when each piece owns one row, else np.maximum.reduceat, in chunks cut
+    on piece boundaries whose rows of row_bytes stay within _CHUNK_BYTES."""
+    m = int(owner[-1]) + 1
+    if m == len(owner):
+        parts = [table(sl) for sl in _chunks(m, row_bytes)]
+    else:
+        starts = np.searchsorted(owner, np.arange(m + 1))
+        per = max(1, _rows_per_chunk(row_bytes) // int(np.diff(starts).max()))  # pieces
+        parts = []
+        for i in range(0, m, per):
+            j = min(i + per, m)
+            parts.append(np.maximum.reduceat(table(slice(starts[i], starts[j])),
+                                             starts[i:j] - starts[i], axis=0))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _excess_at_vertices(comps, X, owner, other: _Pieces, n):
     """E[i, k] >= the excess of piece i of comps over piece k of other:
     the largest distance from a vertex of piece i (rows of X by owner),
     plus a ball's radius; inf for a ray."""
-    E = np.full((len(comps), other.m), -np.inf)
-    for sl in _chunks(len(X), 8 * other.m * (n + 2)):
-        np.maximum.at(E, owner[sl], _kernel(X[sl], other, grads=False)[0].T)
+    E = _max_per_piece(lambda sl: _kernel(X[sl], other, grads=False)[0].T, owner,
+                       8 * other.m * (n + 2))
     return _over_pieces(E, comps)
 
 
@@ -432,15 +412,12 @@ def _far_dists(X, sets_) -> np.ndarray:
     if V is None:
         comps = [c for A in sets_ for c in A.components()]
         V, owner = _vertices(comps)
+    else:  # a point is its own vertex
+        owner = np.arange(len(V))
     Xt = np.ascontiguousarray(X.T)[:, None, :]
-    parts = [_guarded(lambda norm_of: norm_of(Xt - V[sl].T[:, :, None]))
-             for sl in _chunks(len(V), 8 * len(X) * (X.shape[1] + 2))]
-    F = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    if comps is None:  # a point is its own vertex
-        return F
-    if len(V) > len(comps):  # a box's or segment's several vertices
-        F = np.maximum.reduceat(F, np.searchsorted(owner, np.arange(len(comps))), axis=0)
-    return _over_pieces(F, comps)
+    F = _max_per_piece(lambda sl: _guarded(lambda norm_of: norm_of(Xt - V[sl].T[:, :, None])),
+                       owner, 8 * len(X) * (X.shape[1] + 2))
+    return F if comps is None else _over_pieces(F, comps)
 
 
 def _piece_dists(x, A: "ClosedSet") -> list[float]:

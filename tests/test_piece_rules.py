@@ -25,13 +25,13 @@ from hypothesis import strategies as st
 import hypermet.geom as geom
 from hypermet.actions import GroupElement, affine_sup_norm
 from hypermet.errors import UnsupportedPair
+from hypermet.geom import _sumsq
 from hypermet.hitmiss import OpenSetRep, subset_of
 from hypermet.hypermetrics import CertifiedValue
 from hypermet.induced import LinearMatrix, _scaled_orthogonal, _sigma_max
 from hypermet.sets import (BallUnion, BoxUnion, ClosedSet, FinitePoints, IntervalUnion,
                            SampledCloud, SegmentUnion, _box_corners, _chunks, _coord,
-                           _merge_intervals, _offsets, _piece_dists, _sumsq, dists_to_set,
-                           truncate)
+                           _merge_intervals, _offsets, _piece_dists, dists_to_set, truncate)
 from hypermet.spaces import AmbientSpace
 
 LINE = AmbientSpace.line()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from hypermet import sets
 from hypermet.errors import UnsupportedPair
+from hypermet.hitmiss import Constraint, OpenSetRep, converges, misses, neighborhood
 from hypermet.hypermetrics import _allowance, excess, set_gap
 from hypermet.sets import (BallUnion, ClosedSet, FinitePoints, Ray, _dists_each, _far_dists,
                            _kernel, _piece_dists, _piece_fars, bounding_radius, dist_to_set,
@@ -616,15 +618,122 @@ def test_points_from_a_non_finite_array_raise_the_per_point_error(space):
 # set_gap, excess and is_subset read the same kernel
 
 
+# The scalar closed forms of the gap between two box, segment or ray
+# pieces, on Fractions.  The nearest parameters of two such pieces are
+# rational in their coordinates, so on floats (dyadic rationals) each form
+# gives the exact squared gap.
+
+
+def exact_line(piece):
+    """A segment or ray as (origin, direction, tmax), exactly; tmax None
+    for a ray."""
+    kind, (p, q) = piece
+    p, q = [Fraction(v) for v in p], [Fraction(v) for v in q]
+    if kind == "segment":
+        return p, [b - a for a, b in zip(p, q)], Fraction(1)
+    return p, q, None
+
+
+def clamp(v, lo, hi):
+    return max(lo, v) if hi is None else min(hi, max(lo, v))
+
+
+def exact_line_line(p1, d1, t1max, p2, d2, t2max):
+    """The squared gap between p1 + t d1, t in [0, t1max], and p2 + s d2,
+    s in [0, t2max], by the clamped closed form (Lumelsky 1985), and the
+    nearest points' largest absolute coordinate."""
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    r = [a - b for a, b in zip(p1, p2)]
+    a, e, b, c, f = dot(d1, d1), dot(d2, d2), dot(d1, d2), dot(d1, r), dot(d2, r)
+    if a == 0 and e == 0:
+        t = s = 0
+    elif a == 0:
+        t, s = 0, clamp(f / e, 0, t2max)
+    elif e == 0:
+        t, s = clamp(-c / a, 0, t1max), 0
+    else:
+        denom = a * e - b * b
+        t = clamp((b * f - c * e) / denom, 0, t1max) if denom > 0 else 0
+        s = (b * t + f) / e
+        if s < 0:
+            s, t = 0, clamp(-c / a, 0, t1max)
+        elif t2max is not None and s > t2max:
+            s, t = t2max, clamp((b * t2max - c) / a, 0, t1max)
+    reach = max(abs(v) for p, d, k in ((p1, d1, t), (p2, d2, s)) for v in (a + k * b for a, b in zip(p, d)))
+    return sum((ri + t * x - s * y) ** 2 for ri, x, y in zip(r, d1, d2)), reach
+
+
+def exact_line_box_sq(p, d, tmax, lo, hi):
+    """The squared gap between p + t d, t in [0, tmax], and the box
+    [lo, hi]: the squared distance along the line is convex and one
+    quadratic between the crossings of the box's slabs, so the least is at
+    a crossing or at the vertex of one piece."""
+    def value(t):
+        return sum(max(l - (pi + t * di), pi + t * di - h, 0) ** 2
+                   for pi, di, l, h in zip(p, d, lo, hi))
+
+    ts = {Fraction(0)} | ({tmax} if tmax is not None else set())
+    ts |= {t for pi, di, l, h in zip(p, d, lo, hi) if di for t in ((l - pi) / di, (h - pi) / di)
+           if 0 < t and (tmax is None or t < tmax)}
+    knots = sorted(ts)
+    best = min(value(t) for t in knots)
+    for ta, tb in zip(knots, knots[1:] + ([None] if tmax is None else [])):
+        mid = ta + 1 if tb is None else (ta + tb) / 2
+        alpha, beta = [], []
+        for pi, di, l, h in zip(p, d, lo, hi):
+            if pi + mid * di < l:
+                alpha.append(l - pi)
+                beta.append(-di)
+            elif pi + mid * di > h:
+                alpha.append(pi - h)
+                beta.append(di)
+        if not alpha:
+            return Fraction(0)  # the line runs through the box on this piece
+        bb = sum(x * x for x in beta)
+        if bb:
+            t = -sum(x * y for x, y in zip(alpha, beta)) / bb
+            if ta < t and (tb is None or t < tb):
+                best = min(best, value(t))
+    return best
+
+
+def exact_pair_sq(piece_a, piece_b):
+    """The squared gap between two box, segment or ray pieces, exactly."""
+    order = {"box": 0, "segment": 1, "ray": 2}
+    if order[piece_a[0]] > order[piece_b[0]]:
+        piece_a, piece_b = piece_b, piece_a
+    if piece_a[0] != "box":
+        return exact_line_line(*exact_line(piece_a), *exact_line(piece_b))[0]
+    lo, hi = ([Fraction(v) for v in corner] for corner in piece_a[1])
+    if piece_b[0] == "box":
+        lo2, hi2 = ([Fraction(v) for v in corner] for corner in piece_b[1])
+        return sum(max(0, l2 - h1, l1 - h2) ** 2 for l1, h1, l2, h2 in zip(lo, hi, lo2, hi2))
+    return exact_line_box_sq(*exact_line(piece_b), lo, hi)
+
+
+def gap_scale(A, B):
+    """The scale of the rounding allowance of set_gap(A, B): the sets'
+    largest coordinate, or, for two rays, the nearest points' one when
+    larger.  Two nearly parallel rays can be nearest far beyond every
+    coordinate of the data, and their gap is rounded at that scale."""
+    scale = max(A.array_form.scale, B.array_form.scale)
+    if isinstance(A.rep, Ray) and isinstance(B.rep, Ray):
+        reach = exact_line_line(*exact_line(A.components()[0]), *exact_line(B.components()[0]))[1]
+        scale = max(scale, float(min(reach, Fraction(sys.float_info.max))))
+    return scale
+
+
 def gap_terms(A, B):
-    """The one row of brackets for set_gap(A, B), read from a point or
-    ball side; None when neither set has one."""
+    """The one row of brackets for set_gap(A, B): read from a point or
+    ball side, else every pair of pieces by its exact squared gap."""
     for P, Q in ((A, B), (B, A)):
         if isinstance(P.rep, FinitePoints):
             return [[t for x in P.rep.points for t in dist_terms(x, Q)]]
         if isinstance(P.rep, BallUnion):
             return [[t for c, r in P.rep.balls for t in dist_terms(c, Q, r)]]
-    return None
+    return [[(exact_pair_sq(a, b), Fraction(0)) for a in A.components() for b in B.components()]]
 
 
 def vertices(piece):
@@ -685,17 +794,36 @@ def test_farthest_distances_stay_within_the_allowance_of_the_exact_value(data):
     assert (_far_dists(np.array(X, dtype=float), [A, A]) == np.concatenate([F, F])).all()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_per_piece_max_is_the_same_at_every_chunk_size(data):
+    # pieces own runs of one to eight vertex rows; chunks are cut on piece
+    # boundaries, and a table of one row per piece comes back as it is
+    runs = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=12))
+    owner = np.repeat(np.arange(len(runs)), runs)
+    T = np.array(data.draw(st.lists(st.lists(coord, min_size=3, max_size=3),
+                                    min_size=len(owner), max_size=len(owner))))
+    expected = np.array([T[owner == i].max(axis=0) for i in range(len(runs))])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sets, "_CHUNK_BYTES", data.draw(st.sampled_from((1, 24 * 5, 1 << 22))))
+        got = sets._max_per_piece(lambda sl: T[sl], owner, 24)
+        assert (got == expected).all()
+        if all(r == 1 for r in runs):
+            assert (got == T).all()
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_nd_set_gap_and_excess_stay_within_the_allowance_of_the_exact_value(data):
-    coords = data.draw(st.sampled_from((coord, spread_coord)))
+    # every kind pair; eighths make pieces touch, overlap and run parallel
+    coords = data.draw(st.sampled_from((coord, spread_coord, eighths)))
     A = data.draw(nd_sets(coords))
     B = data.draw(nd_sets(coords, dims=(A.space.dim,)))
-    a = Fraction(_allowance(A.space.dim, max(A.array_form.scale, B.array_form.scale)))
+    a = Fraction(_allowance(A.space.dim, gap_scale(A, B)))
     terms = gap_terms(A, B)
-    if terms is not None:
-        for g in (set_gap(A, B), set_gap(B, A)):
-            assert brackets(terms, Fraction(g) - a, Fraction(g) + a)
+    for g in (set_gap(A, B), set_gap(B, A)):
+        assert brackets(terms, Fraction(g) - a, Fraction(g) + a)
+    a = Fraction(_allowance(A.space.dim, max(A.array_form.scale, B.array_form.scale)))
     terms = excess_terms(A, B)
     if terms is None:
         with pytest.raises(UnsupportedPair):
@@ -712,6 +840,120 @@ def test_nd_set_gap_and_excess_stay_within_the_allowance_of_the_exact_value(data
         assert e.is_infinite
     else:
         assert e.is_exact and brackets(terms, Fraction(e.lo) - a, Fraction(e.lo) + a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_nearly_parallel_lines_that_cross_stay_within_the_allowance(data):
+    # two segments or rays through one point at an angle of 2^-k: the
+    # nearest parameters are ill-conditioned there, the gap is not
+    n = data.draw(st.sampled_from((2, 3)))
+    X = AmbientSpace.euclidean(n)
+    pt = st.tuples(*[coord] * n)
+    c = np.array(data.draw(pt))
+    u = np.array(data.draw(pt.filter(lambda v: math.hypot(*v) > 1.0)))
+    w = np.array(data.draw(pt.filter(lambda v: math.hypot(*v) > 1.0)))
+    v = u + 2.0 ** -data.draw(st.integers(5, 60)) * w
+    sets_ = []
+    for d in (u, v):
+        back, ahead = data.draw(st.floats(0.0, 2.0)), data.draw(st.floats(0.0, 2.0))
+        if data.draw(st.booleans()):
+            sets_.append(ClosedSet.segments(X, [(tuple(c - back * d), tuple(c + ahead * d))]))
+        else:
+            sets_.append(ClosedSet.ray(X, tuple(c - back * d), tuple(d)))
+    A, B = sets_
+    a = Fraction(_allowance(n, gap_scale(A, B)))
+    g = set_gap(A, B)
+    assert g == set_gap(B, A)
+    assert brackets(gap_terms(A, B), Fraction(g) - a, Fraction(g) + a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_piece_pair_gaps_hold_at_every_scale(data):
+    # from 1e-300 to 1e300 no product of the pair rules under- or
+    # overflows: both sets are scaled by one power of two first
+    n = data.draw(st.sampled_from((2, 3)))
+    A, B = (data.draw(nd_sets(wide_coord, dims=(n,)).filter(
+        lambda S: not isinstance(S.rep, (FinitePoints, BallUnion)))) for _ in range(2))
+    a = Fraction(_allowance(n, gap_scale(A, B)))
+    g = set_gap(A, B)
+    assert math.isfinite(g) and g == set_gap(B, A)
+    assert brackets(gap_terms(A, B), Fraction(g) - a, Fraction(g) + a)
+
+
+E3 = AmbientSpace.euclidean(3)
+segs, boxes = ClosedSet.segments, ClosedSet.boxes
+
+
+@pytest.mark.parametrize("A, B", [
+    # a zero-length segment, and flat boxes
+    (segs(E2, [((1.0, 1.0), (1.0, 1.0))]), segs(E2, [((3.0, 0.0), (3.0, 2.5))])),
+    (segs(E3, [((0.5, 0.5, 2.0), (0.5, 0.5, 2.0))]), boxes(E3, [((0.0, 0.0, 0.0), (1.0, 1.0, 0.0))])),
+    (boxes(E2, [((0.0, 0.0), (0.0, 2.0))]), boxes(E2, [((1.5, -1.0), (3.0, -1.0))])),
+    (boxes(E3, [((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))]), segs(E3, [((0.25, 1.0, 1.0), (2.0, 0.5, 3.0))])),
+    (ClosedSet.ray(E3, (-1.0, 0.5, 0.0), (1.0, 0.0, 0.0)), boxes(E3, [((0.0, 0.0, 0.25), (2.0, 1.0, 0.25))])),
+    # parallel, antiparallel and collinear segments and rays
+    (segs(E2, [((0.0, 0.0), (2.0, 1.0))]), segs(E2, [((1.0, 1.5), (3.0, 2.5))])),
+    (segs(E2, [((0.0, 0.0), (2.0, 1.0))]), segs(E2, [((3.0, 2.5), (1.0, 1.5))])),
+    (segs(E3, [((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))]), segs(E3, [((2.0, 2.0, 2.0), (3.0, 3.0, 3.0))])),
+    (segs(E2, [((0.0, 0.0), (1.0, 0.0))]), ClosedSet.ray(E2, (-3.0, 0.0), (-1.0, 0.0))),
+    (ClosedSet.ray(E2, (0.0, 1.0), (1.0, 0.0)), ClosedSet.ray(E2, (5.0, 0.0), (-1.0, 0.0))),
+    (ClosedSet.ray(E3, (0.0, 1.0, 0.0), (0.6, 0.0, 0.8)), ClosedSet.ray(E3, (3.0, 0.0, 4.0), (0.6, 0.0, 0.8))),
+    (ClosedSet.ray(E2, (2.0, 0.0), (1.0, 0.0)), ClosedSet.ray(E2, (-2.0, 0.0), (-1.0, 0.0))),
+    # skew lines, and a ray whose nearest point is past the other's end
+    (segs(E3, [((0.0, 0.0, 0.0), (2.0, 0.0, 0.0))]), segs(E3, [((1.0, -1.0, 1.0), (1.0, 1.0, 1.0))])),
+    (ClosedSet.ray(E3, (0.0, 0.0, 0.0), (0.0, 0.6, 0.8)), segs(E3, [((-1.0, -2.0, 0.5), (1.0, -2.0, 0.5))])),
+])
+def test_degenerate_piece_pairs_match_the_exact_gap(A, B):
+    a = Fraction(_allowance(A.space.dim, gap_scale(A, B)))
+    g = set_gap(A, B)
+    assert g == set_gap(B, A) > 0.0
+    assert brackets(gap_terms(A, B), Fraction(g) - a, Fraction(g) + a)
+
+
+@pytest.mark.parametrize("A, B", [
+    # a ray that starts inside a box, and one that enters through a face
+    (ClosedSet.ray(E2, (0.5, 0.5), (0.6, 0.8)), boxes(E2, [((0.0, 0.0), (1.0, 1.0))])),
+    (ClosedSet.ray(E2, (-1.0, 3.0), (0.6, -0.8)), boxes(E2, [((0.0, 0.0), (1.0, 1.0))])),
+    # segments through a box, ending on a face, or crossing an edge
+    (segs(E3, [((-1.0, 0.5, 0.5), (3.0, 0.5, 0.5))]), boxes(E3, [((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))])),
+    (segs(E3, [((1.0, 0.25, 0.75), (2.0, 2.0, 2.0))]), boxes(E3, [((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))])),
+    (segs(E3, [((2.0, 0.0, 0.5), (0.0, 2.0, 0.5))]), boxes(E3, [((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))])),
+    # boxes sharing a face or a corner, a flat box inside another
+    (boxes(E2, [((1.0, 0.0), (2.0, 1.0))]), boxes(E2, [((0.0, 0.0), (1.0, 1.0))])),
+    (boxes(E3, [((1.0, 1.0, 1.0), (2.0, 2.0, 2.0))]), boxes(E3, [((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))])),
+    (boxes(E3, [((0.25, 0.25, 0.5), (0.75, 0.75, 0.5))]), boxes(E3, [((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))])),
+    # crossing, touching and overlapping collinear segments and rays
+    (segs(E2, [((0.0, 0.0), (2.0, 2.0))]), segs(E2, [((0.0, 2.0), (2.0, 0.0))])),
+    (segs(E3, [((0.0, 0.0, 0.0), (1.0, 2.0, 3.0))]), segs(E3, [((1.0, 2.0, 3.0), (4.0, 0.0, 1.0))])),
+    (segs(E2, [((0.0, 0.0), (2.0, 0.0))]), segs(E2, [((1.0, 0.0), (3.0, 0.0))])),
+    (ClosedSet.ray(E2, (0.0, 0.0), (1.0, 0.0)), segs(E2, [((4.0, -1.0), (4.0, 1.0))])),
+    (ClosedSet.ray(E3, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0)), ClosedSet.ray(E3, (0.0, 0.0, 5.0), (0.0, 0.0, -1.0))),
+    (ClosedSet.ray(E2, (1.0, 1.0), (1.0, 0.0)), ClosedSet.ray(E2, (3.0, 0.0), (0.0, 1.0))),
+])
+def test_touching_piece_pairs_have_a_gap_of_exactly_zero(A, B):
+    assert set_gap(A, B) == set_gap(B, A) == 0.0
+    assert min(S for S, _ in gap_terms(A, B)[0]) == 0
+
+
+def test_a_scan_of_segment_terms_against_box_obstacles_keeps_its_report():
+    # the first obstacle is touched at k = 4 and cleared from k = 5; the
+    # second is crossed by every term
+    K = boxes(E2, [((0.0, 0.0), (1.0, 1.0))])
+
+    def seq(k):
+        return segs(E2, [((2.0 - 4.0 / k, 0.5), (3.0, 0.5)),
+                         ((0.5, 3.0), (0.5 + 1.0 / k, 1.0 + 1.0 / k))])
+
+    spec = neighborhood(Constraint.miss(K),
+                        Constraint.miss(boxes(E2, [((0.25, 1.0), (0.75, 1.5))])),
+                        Constraint.hit(OpenSetRep.ball_union(E2, [((2.5, 0.5), 0.1)])))
+    rep = converges(seq, spec, horizon=60)
+    assert not rep.passed
+    assert [(e.passed, e.settles_at, e.witness) for e in rep.entries] == [
+        (True, 5, 1), (False, None, 4), (True, 1, None)]
+    assert [misses(seq(k), K) for k in (3, 4, 5)] == [False, False, True]
 
 
 # a grid of quarters, on which every kernel distance below is exact:
