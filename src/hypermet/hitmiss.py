@@ -23,10 +23,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AmbientMismatch, GeneratorFault, UnsupportedPair
-from .hypermetrics import set_gap
-from .sets import (BallUnion, ClosedSet, FinitePoints, Ray, _coord, _dists, _dists_each,
-                   _ends_each, _far_dists, _rows_per_chunk, is_bounded, is_subset,
-                   representative_points)
+from .hypermetrics import _gaps_each, set_gap
+from .sets import (ClosedSet, FinitePoints, Ray, _coord, _dists, _dists_each, _far_dists,
+                   _rows_per_chunk, _Stack, is_bounded, is_subset, representative_points)
 from .spaces import FINITE, AmbientSpace
 
 Ball = tuple  # (center, radius)
@@ -184,6 +183,10 @@ class Constraint:
     open_set: Optional[OpenSetRep] = None
     obstacle: Optional[ClosedSet] = None
 
+    def __post_init__(self):
+        if self.tag == "miss" and not is_bounded(self.obstacle):
+            raise ValueError("miss obstacles must be compact (bounded closed)")
+
     @staticmethod
     def hit(U: OpenSetRep) -> "Constraint":
         return Constraint("hit", open_set=U)
@@ -314,22 +317,25 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
     pass.  A pass is evidence of convergence; a fail is a proof of exit
     at the witness index.  Generator exceptions become GeneratorFault.
 
-    The balls of the ball-union hit and contain constraints, and in R^n
-    those of the ball-union miss obstacles, are gathered once per scan
-    (_ball_batch).  A cloud, or a term of a finite space, is measured
-    from all their centres in one batched query (see dists_to_set;
-    set_gap from a ball union is the least d - r) and read with the rules
-    of hits and misses, and its contain constraints with subset_of.
+    The ball-union hit and contain constraints and the misses of exact
+    obstacles (slack 0) that share one ambient are gathered once per scan
+    (_ball_batch).  A cloud, or a term of a finite space, is measured from
+    all their centres in one batched query (see dists_to_set) and read
+    with the rule of hits; its contains and misses are read with subset_of
+    and misses.
 
     On an exact term (slack 0) in R^n or on a 1-D ambient, the verdicts
     of the gathered constraints cannot raise, so they are deferred: such
     terms queue themselves, and once their queued pieces (intervals on a
     1-D ambient) reach the memory budget (sets._rows_per_chunk) from
-    every centre, or the scan ends, one pass decides the whole block:
+    every centre and every obstacle piece, or the scan ends, one pass
+    decides the whole block from one stacking of its terms (sets._Stack):
 
-      * hits and misses read sets._dists_each, one kernel call (in R^n)
-        or one table (on a 1-D ambient) over the block's pieces, stacked
-        in one step: the floats of the per-term query;
+      * hits read sets._dists_each, one kernel call (in R^n) or one table
+        (on a 1-D ambient) over the block's pieces: the floats of the
+        per-term query;
+      * a miss reads hypermetrics._gaps_each, the gaps of set_gap for
+        the whole block;
       * in R^n a contain reads sets._far_dists over the block's pieces,
         the table that subset_of reads per term.  Against several balls
         it is deferred only on a term of points or a ray, where a piece
@@ -350,10 +356,16 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
     owned, space, centres, radii = _ball_batch(nbhds)
     deferrable = space is not None and space.kind != FINITE
     one_d = deferrable and space.is_one_dimensional
+
+    def pieces(A):  # A's rows in a block: intervals on a 1-D ambient
+        return len(A.normal_form.lo) if one_d else \
+            len(A.rep.points) if isinstance(A.rep, FinitePoints) else len(A.components())
+
     # the gathered constraints that a block decides on every exact term;
     # the others (contain, several balls, R^n) only on one of points or a ray
     blocked = {i for i, sl in owned.items()
                if nbhds[i].tag != "contain" or one_d or sl.stop - sl.start == 1}
+    any_hit = any(nbhds[i].tag == "hit" for i in owned)
     contains = [i for i in owned if nbhds[i].tag == "contain"]
     covers = {i: _open_cover(nbhds[i].open_set) for i in contains} if one_d else {}
     first_fail = [None] * len(nbhds)
@@ -363,33 +375,32 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
         first_fail[i] = first if first_fail[i] is None else min(first_fail[i], first)
         last_fail[i] = last if last_fail[i] is None else max(last_fail[i], last)
 
-    # the deferred terms (index, term, its number of pieces), their number
-    # of pieces, and the number that fills the memory budget from every centre
+    # the deferred terms (index, term), their number of pieces, and the
+    # number that fills the memory budget from every centre and obstacle piece
     block, queued = [], 0
-    budget = _rows_per_chunk(8 * len(centres) * ((1 if one_d else space.dim) + 2)) \
-        if deferrable else 0
+    if deferrable:
+        rows = len(centres) + sum(pieces(nbhds[i].obstacle) for i in owned
+                                  if nbhds[i].tag == "miss")
+        budget = _rows_per_chunk(8 * rows * ((1 if one_d else space.dim) + 2))
 
     def flush():
-        ks = np.array([k for k, _, _ in block])
-        terms = [term for _, term, _ in block]
-        sizes = [size for _, _, size in block]
-        if len(contains) < len(owned):  # a hit or a miss
-            D = _dists_each(centres, terms)
-        starts = np.cumsum([0] + sizes[:-1])
-        if contains and one_d:
-            lo, hi = _ends_each(terms)[:2]
-        elif contains:
-            F = _far_dists(centres, terms)
+        ks = np.array([k for k, _ in block])
+        stack = _Stack([term for _, term in block])
+        if any_hit:
+            D = _dists_each(centres, stack)
+        if contains and not one_d:
+            F = _far_dists(centres, stack.sets)
         for i, sl in owned.items():
             tag = nbhds[i].tag
             if tag == "hit":
                 ok = (D[:, sl] < radii[sl]).any(axis=1)
             elif tag == "miss":
-                ok = np.maximum(D[:, sl] - radii[sl], 0.0).min(axis=1) > 0.0
+                ok = _gaps_each(stack, nbhds[i].obstacle) > 0.0
             elif one_d:
-                ok = np.logical_and.reduceat(_covered(lo, hi, *covers[i]), starts)
+                ok = np.logical_and.reduceat(_covered(stack.lo, stack.hi, *covers[i]),
+                                             stack.starts)
             else:  # where it was read per term, it passed there on these floats
-                ok = np.logical_and.reduceat((F[:, sl] < radii[sl]).any(axis=1), starts)
+                ok = np.logical_and.reduceat((F[:, sl] < radii[sl]).any(axis=1), stack.starts)
             fails = ks[~ok]
             if len(fails):
                 failed(i, int(fails[0]), int(fails[-1]))
@@ -412,22 +423,18 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
                     checked = True
                     if deferrable and term.slack == 0.0:
                         thin = isinstance(term.rep, (FinitePoints, Ray))
-                        size = len(term.normal_form.lo) if one_d else \
-                            len(term.rep.points) if isinstance(term.rep, FinitePoints) else \
-                            len(term.components())
-                        block.append((k, term, size))
-                        queued += size
+                        block.append((k, term))
+                        queued += pieces(term)
                         deferred = True
                 if deferred and (thin or i in blocked):
                     continue
-            if sl is None or constraint.tag == "contain":
+            if sl is None or constraint.tag != "hit":
                 ok = constraint.satisfied_by(term)
             else:
                 if d is None:
                     d = _dists(centres, term)
                     flags = _hit_rule(d, radii, term.slack)
-                ok = _hit_verdict(*flags, sl) if constraint.tag == "hit" else \
-                    _miss_verdict(float(np.maximum(d[sl] - radii[sl], 0.0).min()), term.slack)
+                ok = _hit_verdict(*flags, sl)
             if not ok:
                 failed(i, k, k)
         if deferred and queued >= budget:
@@ -449,19 +456,19 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
 
 
 def _ball_batch(nbhds):
-    """The constraints of nbhds whose balls a scan gathers, those that
-    share the first one's ambient: ball-union hits, ball-union contains
-    outside a finite space, and misses whose obstacle is a ball union in
-    R^n.  Returns {constraint index: the slice of its balls}, that
-    ambient, and the centres and radii of all their balls stacked."""
+    """The constraints of nbhds that a scan gathers, those that share the
+    first one's ambient: ball-union hits, ball-union contains outside a
+    finite space, and misses of exact obstacles (slack 0).  Returns
+    {constraint index: the slice of its balls}, that ambient, and the
+    centres and radii of all their balls stacked; a miss owns an empty
+    slice."""
     owned, centres, radii, space = {}, [], [], None
     for i, constraint in enumerate(nbhds):
         if constraint.tag == "hit" or (constraint.tag == "contain"
                                        and constraint.open_set.space.kind != FINITE):
             balls, at = constraint.open_set.balls, constraint.open_set.space
-        elif constraint.tag == "miss" and isinstance(constraint.obstacle.rep, BallUnion) \
-                and not constraint.obstacle.space.is_one_dimensional:
-            balls, at = constraint.obstacle.rep.balls, constraint.obstacle.space
+        elif constraint.tag == "miss" and constraint.obstacle.slack == 0.0:
+            balls, at = (), constraint.obstacle.space
         else:
             continue
         if balls is None or (space is not None and at != space):

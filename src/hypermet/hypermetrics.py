@@ -45,9 +45,11 @@ from .sets import (
     _chunks,
     _coord,
     _dists,
+    _dists_each,
     _excess_at_vertices,
     _kernel,
     _Pieces,
+    _Stack,
     _vertices,
     dist_to_set,
     is_bounded,
@@ -329,29 +331,55 @@ def hausdorff_upper(A: ClosedSet, B: ClosedSet) -> CertifiedValue:
 
 def set_gap(A: ClosedSet, B: ClosedSet) -> float:
     """inf over a in A, b in B of d(a, b).  Exact for every supported
-    representation pair (for clouds, exact at sample level)."""
+    representation pair (for clouds, exact at sample level): the one-set
+    case of _gaps_each outside a finite space."""
     A.space.require_same(B.space)
     space = A.space
     if space.kind == FINITE:
         return min(space.matrix[a][b] for a in A.rep.points for b in B.rep.points)
-    if space.is_one_dimensional:
-        # two disjoint pieces are nearest at an end of one of them, and two
-        # that meet have an end of one inside the other; a set with no
-        # finite end is the whole line
-        na, nb = A.normal_form, B.normal_form
-        gaps = [float(nf.dists(ends).min())
-                for nf, ends in ((nb, na.finite_ends), (na, nb.finite_ends)) if len(ends)]
-        return min(gaps, default=0.0)
-    # a point side is one query, then a ball side one query from its
-    # centres; two sets of boxes, segments and rays go to geom.gap
-    for P, Q in ((A, B), (B, A)):
-        if isinstance(P.rep, (FinitePoints, SampledCloud)):
-            return float(_dists(P.rep.points, Q).min())
-    for P, Q in ((B, A), (A, B)):
-        if isinstance(P.rep, BallUnion):
-            c, r = zip(*P.rep.balls)
-            return float(np.maximum(_dists(c, Q) - r, 0.0).min())
-    return geom.gap(A.array_form, B.array_form)
+    return float(_gaps_each(_Stack([A]), B)[0])
+
+
+def _gaps_each(stack: _Stack, K: ClosedSet) -> np.ndarray:
+    """set_gap(A, K) for each set A of a stack (sets._Stack) on a 1-D
+    ambient or in R^n, in one pass: each the float of A alone.
+
+    On a 1-D ambient two disjoint pieces are nearest at an end of one of
+    them, and two that meet have an end of one inside the other: the
+    finite ends of every set are measured against K's normal form, and
+    K's finite ends against every set (_dists_each).  A K with no finite
+    end is the whole line.
+
+    In R^n a K of points or balls is one query from its centres
+    (_dists_each), less its radii.  Against any other K the points and
+    ball centres of the sets are measured with _dists, less their radii,
+    and each set of boxes, segments or rays goes to geom.gap, which scales
+    each pair of sets by its own power of two (a power shared by a whole
+    stack could underflow a small set)."""
+    if stack.pieces is None:
+        k_ends = K.normal_form.finite_ends
+        if not len(k_ends):
+            return np.zeros(len(stack.starts))
+        ends = np.stack([stack.lo, stack.hi])
+        finite = np.isfinite(ends)  # an infinite end would read inf - inf
+        d = np.full(ends.shape, np.inf)
+        d[finite] = K.normal_form.dists(ends[finite])
+        return np.minimum(np.minimum.reduceat(d.min(axis=0), stack.starts),
+                          _dists_each(k_ends, stack).min(axis=1))
+    centred = (FinitePoints, SampledCloud, BallUnion)
+    if isinstance(K.rep, centred):
+        c, r = zip(*K.rep.balls) if isinstance(K.rep, BallUnion) else (K.rep.points, 0.0)
+        return np.maximum(_dists_each(np.array(c, dtype=float), stack) - r, 0.0).min(axis=1)
+    d = np.full(stack.pieces.m, np.inf)
+    for kind, rows, arrs in stack.pieces.blocks:
+        if kind in ("point", "ball"):
+            r = arrs[1][:, 0] if kind == "ball" else 0.0
+            d[rows] = np.maximum(_dists(arrs[0][:, :, 0].T, K) - r, 0.0)
+    gaps = np.minimum.reduceat(d, stack.starts)
+    for j, A in enumerate(stack.sets):
+        if not isinstance(A.rep, centred):
+            gaps[j] = geom.gap(A.array_form, K.array_form)
+    return gaps
 
 
 # ---------------------------------------------------------------------------

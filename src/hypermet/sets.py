@@ -22,7 +22,7 @@ over the vertex table (_vertices, _far_dists), each piece's largest by
 one reduction (_max_per_piece), and truncate keeps, drops or refuses a
 solid piece by those two and clips segments and rays in one loop.
 Several sets asked the same question stack their pieces in one step
-(_stacked, _ends_each).  Every norm is geom's guarded one (_guarded).
+(_Stack).  Every norm is geom's guarded one (_guarded).
 """
 
 from __future__ import annotations
@@ -296,27 +296,45 @@ class _Pieces:
 
 def _points_of(sets_):
     """The points of several point sets or clouds, in order, as one (m, n)
-    array; None when any of the sets has pieces of another kind."""
+    array, read as one stream of coordinates (about half the time of an
+    array built from the points); None when any of the sets has pieces of
+    another kind."""
     reps = [A.rep for A in sets_]
     if all(isinstance(rep, (FinitePoints, SampledCloud)) for rep in reps):
-        return np.array([p for rep in reps for p in rep.points], dtype=float)
+        coords = chain.from_iterable(chain.from_iterable(rep.points for rep in reps))
+        return np.fromiter(coords, float).reshape(-1, sets_[0].space.dim)
     return None
 
 
-def _stacked(sets_):
-    """The pieces of several n-D sets, in order, stacked in one step, and
-    the index of each set's first piece: the points of point sets and
-    clouds go straight into one point block, any other pieces are stacked
-    per kind from the sets' components."""
-    P = _points_of(sets_)
-    if P is not None:
-        counts = [len(A.rep.points) for A in sets_]
-        pieces = _Pieces.of_points(P)
-    else:
-        comps = [A.components() for A in sets_]
-        counts = [len(c) for c in comps]
-        pieces = _Pieces([c for cs in comps for c in cs])
-    return pieces, np.cumsum([0] + counts[:-1])
+class _Stack:
+    """Several sets of one ambient, R^n or a 1-D one, stacked in one step
+    for every batched query that reads them (_dists_each,
+    hypermetrics._gaps_each); starts, the index of each set's first piece.
+
+    In R^n, pieces: the points of point sets and clouds go straight into
+    one point block, any other pieces are stacked per kind from the sets'
+    components, and one set's pieces are its array_form.  On a 1-D ambient
+    (pieces None), lo and hi: the ends of the sets' normal-form intervals
+    as two arrays."""
+
+    def __init__(self, sets_):
+        self.sets, self.pieces = sets_, None
+        if sets_[0].space.is_one_dimensional:
+            nfs = [A.normal_form for A in sets_]
+            self.lo = np.fromiter(chain.from_iterable(nf.lo for nf in nfs), float)
+            self.hi = np.fromiter(chain.from_iterable(nf.hi for nf in nfs), float)
+            counts = [len(nf.lo) for nf in nfs]
+        elif len(sets_) == 1:
+            self.pieces = sets_[0].array_form
+            counts = [self.pieces.m]
+        elif (P := _points_of(sets_)) is not None:
+            self.pieces = _Pieces.of_points(P)
+            counts = [len(A.rep.points) for A in sets_]
+        else:
+            comps = [A.components() for A in sets_]
+            self.pieces = _Pieces([c for cs in comps for c in cs])
+            counts = [len(c) for c in comps]
+        self.starts = np.cumsum([0] + counts[:-1])
 
 
 def _kernel(X: np.ndarray, pieces: _Pieces, grads=True):
@@ -661,44 +679,32 @@ def _dists(X, A: ClosedSet) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _dists_each(X: np.ndarray, sets_) -> np.ndarray:
-    """_dists from the rows of X to each of several sets of one ambient,
-    R^n or a 1-D one: row j is set j's.  One pass over the sets' pieces,
-    stacked in one step, reduced per set with np.minimum.reduceat.
+def _dists_each(X: np.ndarray, stack: _Stack) -> np.ndarray:
+    """_dists from the rows of X to each set of a stack (_Stack): row j is
+    set j's.  One pass over the stacked pieces, reduced per set with
+    np.minimum.reduceat.
 
-    In R^n the pass is one kernel call over their pieces (_stacked);
-    every entry is the float _dists gives, since the square root is
-    monotone and, where a pass falls back to the scaled norm, pieces
-    whose plain norm neither under- nor overflows keep their floats.  On
-    a 1-D ambient it is the table max(lo - x, x - hi, 0) over their
-    normal-form intervals (_ends_each): the floats of IntervalUnion.dists,
-    which reads the same expression at the two intervals around x, the
-    nearest of all."""
-    if sets_[0].space.is_one_dimensional:
-        lo, hi, starts = _ends_each(sets_)
-        m, width = len(lo), 1
-        lo, hi, x = lo[:, None], hi[:, None], X.reshape(-1)
+    In R^n the pass is one kernel call over the pieces; every entry is the
+    float _dists gives, since the square root is monotone and, where a
+    pass falls back to the scaled norm, pieces whose plain norm neither
+    under- nor overflows keep their floats.  On a 1-D ambient it is the
+    table max(lo - x, x - hi, 0) over the normal-form intervals: the
+    floats of IntervalUnion.dists, which reads the same expression at the
+    two intervals around x, the nearest of all."""
+    if stack.pieces is None:
+        m, width = len(stack.lo), 1
+        lo, hi, x = stack.lo[:, None], stack.hi[:, None], X.reshape(-1)
 
         def table(sl):
             return np.maximum(np.maximum(lo - x[sl], x[sl] - hi), 0.0)
     else:
-        pieces, starts = _stacked(sets_)
-        m, width = pieces.m, X.shape[1]
+        m, width = stack.pieces.m, X.shape[1]
 
         def table(sl):
-            return _kernel(X[sl], pieces, grads=False)[0]
+            return _kernel(X[sl], stack.pieces, grads=False)[0]
     parts = [table(sl) for sl in _chunks(len(X), 8 * m * (width + 2))]
     D = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-    return np.minimum.reduceat(D, starts, axis=0)
-
-
-def _ends_each(sets_):
-    """The normal-form intervals of several 1-D sets stacked in one step,
-    as arrays lo and hi, and the index of each set's first interval."""
-    nfs = [A.normal_form for A in sets_]
-    lo = np.fromiter(chain.from_iterable(nf.lo for nf in nfs), float)
-    hi = np.fromiter(chain.from_iterable(nf.hi for nf in nfs), float)
-    return lo, hi, np.cumsum([0] + [len(nf.lo) for nf in nfs[:-1]])
+    return np.minimum.reduceat(D, stack.starts, axis=0)
 
 
 def _finite_indices(A: ClosedSet):

@@ -164,6 +164,19 @@ def test_converge_escaping_fails(runner):
     assert entry["witness"] == 1 and entry["passed"] is False
 
 
+def test_converge_scans_misses_alone(runner):
+    res = invoke(runner, ["converge", "--family", "reciprocal", "--miss", "[0.3,0.4]",
+                          "--horizon", "20"])
+    _, vals = by_name(res.output)
+    assert vals == {"miss(IntervalUnion(intervals=((0.3, 0.4),)))":
+                    {"passed": True, "settles_at": 4, "witness": 3}, "overall": True}
+
+
+def test_converge_refuses_an_unbounded_miss_obstacle(runner):
+    res = invoke(runner, ["converge", "--family", "reciprocal", "--miss", "ray(0.3,1)"], code=2)
+    assert "Error: miss obstacles must be compact (bounded closed)" in res.output
+
+
 def test_converge_needs_a_constraint(runner):
     invoke(runner, ["converge", "--family", "reciprocal"], code=2)
 

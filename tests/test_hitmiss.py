@@ -53,6 +53,20 @@ def test_misses_needs_positive_gap():
         misses(A, ClosedSet.ray(LINE, 2.0, 1.0))  # obstacle not compact
 
 
+@pytest.mark.parametrize("ray", [ClosedSet.ray(LINE, 2.0, 1.0),
+                                 ClosedSet.ray(E2, (2.0, 2.0), (1.0, 0.0))])
+def test_an_unbounded_miss_obstacle_is_refused_where_it_is_built(ray):
+    # a scan gathers its exact obstacles without testing them again
+    A = ClosedSet.points(ray.space, [0.0] if ray.space == LINE else [(0.0, 0.0)])
+    message = r"miss obstacles must be compact \(bounded closed\)"
+    with pytest.raises(ValueError, match=message):
+        Constraint.miss(ray)
+    with pytest.raises(ValueError, match=message):
+        canonical_neighborhoods(A, "fell", 0.25, miss_compacts=[ray])
+    with pytest.raises(ValueError, match=message):
+        misses(A, ray)
+
+
 def test_cloud_slack_margins():
     U = OpenSetRep.ball_union(LINE, [(0.0, 1.0)])
     assert hits(ClosedSet.cloud(LINE, [0.5], 0.1), U)
@@ -331,27 +345,40 @@ def outcome(scan, terms, nbhds):
 eighths = st.integers(-24, 24).map(lambda i: i / 8.0)
 
 
+def families(draw, limit, obstacles):
+    """A family around limit of one of the canonical topologies (Fell with
+    the given miss obstacles), or the misses of the obstacles alone."""
+    topology = draw(st.sampled_from(("lowerV", "upperV", "vietoris", "fell", "misses")))
+    if topology == "misses":
+        return [Constraint.miss(K) for K in obstacles]
+    return list(canonical_neighborhoods(limit, topology, 0.25, m=4, miss_compacts=obstacles))
+
+
 @st.composite
 def scan_cases(draw):
     plane = draw(st.booleans())
     space = E2 if plane else LINE
     pt = st.tuples(eighths, eighths) if plane else eighths
     limit = ClosedSet.points(space, draw(st.lists(pt, min_size=1, max_size=4)))
-    topology = draw(st.sampled_from(("lowerV", "upperV", "vietoris", "fell")))
     far = ClosedSet.balls(E2, [((6.0, 6.0), 1.0)]) if plane else \
         ClosedSet.intervals(LINE, [(6.0, 7.0)])
     obstacles = [far]
+    p, q = draw(pt), draw(pt)
     if plane:
         # obstacles among the terms, as a ball union and as a box, kept
         # when they miss the limit
         balls = draw(st.lists(st.tuples(pt, st.integers(0, 4).map(lambda i: i / 8.0)),
                               min_size=1, max_size=3))
-        p, q = draw(pt), draw(pt)
         near = [ClosedSet.balls(E2, balls),
                 ClosedSet.boxes(E2, [(tuple(map(min, p, q)), tuple(map(max, p, q)))])]
-        obstacles += [K for K in near if set_gap(limit, K) > 0.0]
-    nbhds = list(canonical_neighborhoods(limit, topology, 0.25, m=4, miss_compacts=obstacles))
-    nbhds = draw(st.permutations(nbhds))
+    else:
+        # on the line, as an interval, a point set and a cloud
+        near = [ClosedSet.intervals(LINE, [(min(p, q), max(p, q))]),
+                ClosedSet.points(LINE, draw(st.lists(pt, min_size=1, max_size=3))),
+                ClosedSet.cloud(LINE, draw(st.lists(pt, min_size=1, max_size=3)),
+                                draw(st.integers(1, 3)) / 8.0)]
+    obstacles += [K for K in near if set_gap(limit, K) > 0.0]
+    nbhds = draw(st.permutations(families(draw, limit, obstacles)))
     terms = []
     for _ in range(draw(st.integers(1, 8))):
         kind = draw(st.sampled_from(("points", "balls", "cloud", "ray")))
@@ -402,22 +429,25 @@ E3 = AmbientSpace.euclidean(3)
 @st.composite
 def nd_scan_cases(draw):
     """Scans in R^2 or R^3 whose terms mix exact sets of every kind with
-    clouds, against families with ball and box obstacles, and a kernel
+    clouds, against families with obstacles of every kind, and a kernel
     budget that closes a block of deferred terms at every term, every few
     terms or only at the end of the scan."""
     space = draw(st.sampled_from((E2, E3)))
     pt = st.tuples(*[eighths] * space.dim)
     limit = ClosedSet.points(space, draw(st.lists(pt, min_size=1, max_size=4)))
-    topology = draw(st.sampled_from(("lowerV", "upperV", "vietoris", "fell")))
     obstacles = [ClosedSet.balls(space, [((6.0,) * space.dim, 1.0)])]
     balls = draw(st.lists(st.tuples(pt, st.integers(0, 4).map(lambda i: i / 8.0)),
                           min_size=1, max_size=3))
     p, q = draw(pt), draw(pt)
+    # a cloud obstacle has slack, so its miss is read per term and may raise
     near = [ClosedSet.balls(space, balls),
-            ClosedSet.boxes(space, [(tuple(map(min, p, q)), tuple(map(max, p, q)))])]
+            ClosedSet.boxes(space, [(tuple(map(min, p, q)), tuple(map(max, p, q)))]),
+            ClosedSet.segments(space, draw(st.lists(st.tuples(pt, pt), min_size=1, max_size=2))),
+            ClosedSet.points(space, draw(st.lists(pt, min_size=1, max_size=3))),
+            ClosedSet.cloud(space, draw(st.lists(pt, min_size=1, max_size=3)),
+                            draw(st.integers(1, 3)) / 8.0)]
     obstacles += [K for K in near if set_gap(limit, K) > 0.0]
-    nbhds = draw(st.permutations(canonical_neighborhoods(limit, topology, 0.25, m=4,
-                                                         miss_compacts=obstacles)))
+    nbhds = draw(st.permutations(families(draw, limit, obstacles)))
     terms = []
     for _ in range(draw(st.integers(1, 10))):
         kind = draw(st.sampled_from(("points", "balls", "boxes", "segments", "ray", "cloud")))
@@ -445,35 +475,59 @@ def test_deferred_blocks_match_the_per_constraint_scan(case):
 
 
 def test_exact_nd_terms_are_measured_in_one_kernel_call_per_block(monkeypatch):
-    calls = {"_dists": [], "_dists_each": [], "_far_dists": []}  # the second argument of each call
-    for name in calls:
-        monkeypatch.setattr(hitmiss, name, lambda X, arg, fn=getattr(hitmiss, name), name=name:
-                            calls[name].append(arg) or fn(X, arg))
-    # in R^2 and on the line, where the miss obstacle is read per term
-    for space, width, centres, point, far in ((E2, 2, 3, lambda x: (x, 0.0), (1.0, 1.0)),
-                                              (LINE, 1, 2, float, 2.0)):
-        for args in calls.values():
-            args.clear()
-        A = ClosedSet.points(space, [point(0.0), far])
-        nbhds = canonical_neighborhoods(A, "fell", 0.25, m=2, miss_compacts=[
-            ClosedSet.balls(E2, [((4.0, 4.0), 1.0)]) if space is E2
-            else ClosedSet.intervals(LINE, [(3.0, 5.0)])])
+    # the sets of each call: a block's terms, or the one term read per term
+    sets_of = {"_dists": lambda X, A: [A], "_dists_each": lambda X, stack: stack.sets,
+               "_far_dists": lambda X, sets_: sets_, "_gaps_each": lambda stack, K: stack.sets,
+               "misses": lambda A, K: [A]}
+    calls = {name: [] for name in sets_of}
+    for name, of in sets_of.items():
+        monkeypatch.setattr(hitmiss, name, lambda *args, fn=getattr(hitmiss, name), of=of,
+                            name=name: calls[name].append(of(*args)) or fn(*args))
 
+    def blocks(name):
+        return [len(sets_) for sets_ in calls[name]]
+
+    def every_fifth_a_cloud(space, point, far):
         def seq(k):
             pts = [point(1.0 / k), far]
             return ClosedSet.cloud(space, pts, 0.01) if k % 5 == 0 else ClosedSet.points(space, pts)
+        return seq
 
+    # in R^2 and on the line, against a ball and an interval obstacle; the
+    # budget is 4 pieces from 3 rows in R^2 (two hit centres and the ball's
+    # centre) and from 2 rows on the line, where the interval's one piece
+    # is a third row, so blocks close every second exact term in R^2 and
+    # at every exact term on the line
+    for space, width, rows, point, far, obstacle, sizes in (
+            (E2, 2, 3, lambda x: (x, 0.0), (1.0, 1.0), ClosedSet.balls(E2, [((4.0, 4.0), 1.0)]),
+             [2] * 8),
+            (LINE, 1, 2, float, 2.0, ClosedSet.intervals(LINE, [(3.0, 5.0)]), [1] * 16)):
+        for args in calls.values():
+            args.clear()
+        A = ClosedSet.points(space, [point(0.0), far])
+        nbhds = canonical_neighborhoods(A, "fell", 0.25, m=2, miss_compacts=[obstacle])
+        seq = every_fifth_a_cloud(space, point, far)
         report = converges(seq, nbhds, horizon=20)
         assert report == ref_converges(seq, nbhds, 20) and report.entries[0].settles_at == 5
-        # the four clouds one query each, the 16 exact terms in one block
-        assert len(calls["_dists"]) == 4 and [len(b) for b in calls["_dists_each"]] == [16]
-        # at a budget of 4 pieces from the centres, blocks close every second exact term
+        # the four clouds one query and one miss each, the 16 exact terms in one block
+        assert blocks("_dists") == [1] * 4 and [S.slack for (S,) in calls["misses"]] == [0.01] * 4
+        assert blocks("_dists_each") == [16] == blocks("_gaps_each")
         for args in calls.values():
             args.clear()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sets, "_CHUNK_BYTES", 4 * 8 * centres * (width + 2))
+            mp.setattr(sets, "_CHUNK_BYTES", 4 * 8 * rows * (width + 2))
             assert converges(seq, nbhds, horizon=20) == report
-        assert len(calls["_dists"]) == 4 and [len(b) for b in calls["_dists_each"]] == [2] * 8
+        assert len(calls["_dists"]) == 4 and blocks("_dists_each") == sizes == blocks("_gaps_each")
+    # against a box obstacle the exact terms make no misses call either
+    for args in calls.values():
+        args.clear()
+    A = ClosedSet.points(E2, [(0.0, 0.0), (1.0, 1.0)])
+    nbhds = canonical_neighborhoods(A, "fell", 0.25, m=2, miss_compacts=[
+        ClosedSet.boxes(E2, [((3.0, 3.0), (5.0, 5.0))])])
+    seq = every_fifth_a_cloud(E2, lambda x: (x, 0.0), (1.0, 1.0))
+    assert converges(seq, nbhds, horizon=20) == ref_converges(seq, nbhds, 20)
+    assert [S.slack for (S,) in calls["misses"]] == [0.01] * 4
+    assert blocks("_gaps_each") == [16]
     # the contain constraint of a Vietoris family is decided in the same
     # block, from one farthest-distance table
     for args in calls.values():
@@ -485,7 +539,7 @@ def test_exact_nd_terms_are_measured_in_one_kernel_call_per_block(monkeypatch):
         return ClosedSet.points(E2, [(1.0 / k, 0.0), (1.0, 1.0 + 1.0 / k)])
 
     report = converges(exact, nbhds, horizon=20)
-    assert [len(b) for b in calls["_dists_each"]] == [20] == [len(b) for b in calls["_far_dists"]]
+    assert blocks("_dists_each") == [20] == blocks("_far_dists")
     assert not calls["_dists"]
     assert report == ref_converges(exact, nbhds, 20) and report.entries[2].settles_at == 5
 

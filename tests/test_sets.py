@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from hypermet import sets
 from hypermet.errors import UnsupportedPair
 from hypermet.hitmiss import Constraint, OpenSetRep, converges, misses, neighborhood
-from hypermet.hypermetrics import _allowance, excess, set_gap
+from hypermet.hypermetrics import _allowance, _gaps_each, excess, set_gap
 from hypermet.sets import (BallUnion, ClosedSet, FinitePoints, Ray, _dists_each, _far_dists,
-                           _kernel, _piece_dists, _piece_fars, bounding_radius, dist_to_set,
+                           _kernel, _piece_dists, _piece_fars, _Stack, bounding_radius, dist_to_set,
                            dists_to_set, in_r_neighborhood, is_bounded, is_subset,
                            representative_points, truncate, union_sets)
 from hypermet.spaces import AmbientSpace
@@ -545,10 +545,38 @@ def test_one_pass_over_several_sets_gives_each_sets_distances(data):
             mp.setattr(sets, "_CHUNK_BYTES", 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            D = _dists_each(np.array(X, dtype=float), sets_)
+            D = _dists_each(np.array(X, dtype=float), _Stack(sets_))
     assert D.shape == (len(sets_), len(X))
     for row, A in zip(D, sets_):
         assert row.tolist() == dists_to_set(X, A).tolist()
+
+
+def clouds(coords, n):
+    pt = st.tuples(*[coords] * n)
+    return st.builds(lambda pts, h: ClosedSet.cloud(AmbientSpace.euclidean(n), pts, h),
+                     st.lists(pt, min_size=1, max_size=4), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_block_of_gaps_gives_each_sets_gap(data):
+    # each set of a block and the obstacle at its own scale, so that one of
+    # them can make a pass fall back to the scaled norm while the others
+    # do not; obstacles of every kind, unbounded ones too
+    n = data.draw(st.sampled_from((1, 2, 3)))
+    if n == 1:
+        space, K = data.draw(one_d_sets())
+        member = one_d_sets().filter(lambda p: p[0] == space).map(lambda p: p[1])
+    else:
+        member = st.sampled_from((coord, spread_coord, wide_coord)).flatmap(
+            lambda c: st.one_of(nd_sets(c, dims=(n,)), clouds(c, n)))
+        K = data.draw(member)
+    sets_ = data.draw(st.lists(member, min_size=1, max_size=5))
+    with pytest.MonkeyPatch.context() as mp:
+        if data.draw(st.booleans()):  # a pass of one query point at a time
+            mp.setattr(sets, "_CHUNK_BYTES", 1)
+        got = _gaps_each(_Stack(sets_), K).tolist()
+    assert [g.hex() for g in got] == [set_gap(A, K).hex() for A in sets_]
 
 
 def test_the_projection_onto_a_long_segment_does_not_overflow():
