@@ -75,45 +75,30 @@ def hits(A: ClosedSet, U: OpenSetRep) -> bool:
     """A meets the open set U.
 
     For a ball union, one batched query (dists_to_set) measures A from
-    every centre at once; _hit_rule and _hit_verdict read the verdict.
+    every centre at once.  A meets U when it is certainly inside one ball
+    (d < r - slack); when it is not, but may be at its resolution
+    (d < r + slack), the verdict is undecidable (UnsupportedPair).
     """
     U.space.require_same(A.space)
     if U.complement_of is not None:
         # A is nonempty, so it sticks out of K exactly when not inside K
         return not is_subset(A, U.complement_of, tol=0.0)
     d = _dists([c for c, _ in U.balls], A)
-    return _hit_verdict(*_hit_rule(d, np.array([r for _, r in U.balls]), A.slack), slice(None))
-
-
-def _hit_rule(d, radii, slack):
-    """For a set at distances d from the centres of open balls of the
-    given radii, the balls it certainly meets (d < r - slack) and those
-    it may meet at its resolution (d < r + slack), as two lists of flags."""
-    return (d < radii - slack).tolist(), (d < radii + slack).tolist()
-
-
-def _hit_verdict(hit, near, group: slice) -> bool:
-    """Whether the set meets the union of a group of those balls: True
-    when it certainly meets one, False when it may meet none, and
-    UnsupportedPair (undecidable at the set's resolution) otherwise."""
-    if any(hit[group]):
+    radii = np.array([r for _, r in U.balls])
+    if (d < radii - A.slack).any():
         return True
-    if any(near[group]):
+    if (d < radii + A.slack).any():
         raise UnsupportedPair("cloud resolution straddles a hit-ball boundary")
     return False
 
 
 def misses(A: ClosedSet, K: ClosedSet) -> bool:
-    """A and the compact obstacle K are disjoint."""
-    if not is_bounded(K):
-        raise ValueError("miss obstacles must be compact (bounded closed)")
-    return _miss_verdict(set_gap(A, K), A.slack + K.slack)
-
-
-def _miss_verdict(g: float, slack: float) -> bool:
-    """Whether a set at gap g from an obstacle misses it: True when g
+    """A and the compact obstacle K are disjoint: True when their gap
     beats the pair's slack, False when they touch, and UnsupportedPair
     (undecidable at the resolution) otherwise."""
+    if not is_bounded(K):
+        raise ValueError("miss obstacles must be compact (bounded closed)")
+    g, slack = set_gap(A, K), A.slack + K.slack
     if g > slack:
         return True
     if slack == 0.0 or g == 0.0:
@@ -318,18 +303,14 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
     at the witness index.  Generator exceptions become GeneratorFault.
 
     The ball-union hit and contain constraints and the misses of exact
-    obstacles (slack 0) that share one ambient are gathered once per scan
-    (_ball_batch).  A cloud, or a term of a finite space, is measured from
-    all their centres in one batched query (see dists_to_set) and read
-    with the rule of hits; its contains and misses are read with subset_of
-    and misses.
-
-    On an exact term (slack 0) in R^n or on a 1-D ambient, the verdicts
-    of the gathered constraints cannot raise, so they are deferred: such
-    terms queue themselves, and once their queued pieces (intervals on a
-    1-D ambient) reach the memory budget (sets._rows_per_chunk) from
-    every centre and every obstacle piece, or the scan ends, one pass
-    decides the whole block from one stacking of its terms (sets._Stack):
+    obstacles (slack 0) that share one ambient, in R^n or on a 1-D
+    ambient, are gathered once per scan (_ball_batch).  On an exact term
+    (slack 0), the verdicts of the gathered constraints cannot raise, so
+    they are deferred: such terms queue themselves, and once their queued
+    pieces (intervals on a 1-D ambient) reach the memory budget
+    (sets._rows_per_chunk) from every centre and every obstacle piece, or
+    the scan ends, one pass decides the whole block from one stacking of
+    its terms (sets._Stack):
 
       * hits read sets._dists_each, one kernel call (in R^n) or one table
         (on a 1-D ambient) over the block's pieces: the floats of the
@@ -343,19 +324,20 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
       * on a 1-D ambient a contain reads the components of its open
         union (_open_cover, _covered), the rule of subset_of.
 
-    The ambient check and every other constraint are still read per term,
-    in order.  seq is called once per index, in order, and never ahead of
-    the term being checked, so a scan that raises has read exactly the
-    terms it would read without the deferral, and raises what the
-    per-constraint calls would raise, at the same term.
+    The ambient check and every other constraint are read per term, in
+    order, through Constraint.satisfied_by (hits, subset_of or misses);
+    so is every constraint on a cloud or on a term of a finite space.
+    seq is called once per index, in order, and never ahead of the term
+    being checked, so a scan that raises has read exactly the terms it
+    would read without the deferral, and raises what the per-constraint
+    calls would raise, at the same term.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if not nbhds:
         raise ValueError("no constraints to check")
     owned, space, centres, radii = _ball_batch(nbhds)
-    deferrable = space is not None and space.kind != FINITE
-    one_d = deferrable and space.is_one_dimensional
+    one_d = space is not None and space.is_one_dimensional
 
     def pieces(A):  # A's rows in a block: intervals on a 1-D ambient
         return len(A.normal_form.lo) if one_d else \
@@ -378,7 +360,7 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
     # the deferred terms (index, term), their number of pieces, and the
     # number that fills the memory budget from every centre and obstacle piece
     block, queued = [], 0
-    if deferrable:
+    if owned:
         rows = len(centres) + sum(pieces(nbhds[i].obstacle) for i in owned
                                   if nbhds[i].tag == "miss")
         budget = _rows_per_chunk(8 * rows * ((1 if one_d else space.dim) + 2))
@@ -413,7 +395,6 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
             raise
         except Exception as exc:  # noqa: BLE001 - reported with its index
             raise GeneratorFault(k, exc) from exc
-        d = None  # from every gathered ball, in one batched query
         checked = deferred = False
         for i, constraint in enumerate(nbhds):
             sl = owned.get(i)
@@ -421,21 +402,14 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
                 if not checked:  # the check of hits, subset_of and set_gap, at the first
                     space.require_same(term.space)
                     checked = True
-                    if deferrable and term.slack == 0.0:
+                    if term.slack == 0.0:
                         thin = isinstance(term.rep, (FinitePoints, Ray))
                         block.append((k, term))
                         queued += pieces(term)
                         deferred = True
                 if deferred and (thin or i in blocked):
                     continue
-            if sl is None or constraint.tag != "hit":
-                ok = constraint.satisfied_by(term)
-            else:
-                if d is None:
-                    d = _dists(centres, term)
-                    flags = _hit_rule(d, radii, term.slack)
-                ok = _hit_verdict(*flags, sl)
-            if not ok:
+            if not constraint.satisfied_by(term):
                 failed(i, k, k)
         if deferred and queued >= budget:
             flush()
@@ -457,26 +431,23 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
 
 def _ball_batch(nbhds):
     """The constraints of nbhds that a scan gathers, those that share the
-    first one's ambient: ball-union hits, ball-union contains outside a
-    finite space, and misses of exact obstacles (slack 0).  Returns
-    {constraint index: the slice of its balls}, that ambient, and the
-    centres and radii of all their balls stacked; a miss owns an empty
-    slice."""
+    first one's ambient, which is not a finite space (whose terms are
+    never deferred): ball-union hits and contains, and misses of exact
+    obstacles (slack 0).  Returns {constraint index: the slice of its
+    balls}, that ambient, and the centres and radii of all their balls
+    stacked; a miss owns an empty slice."""
     owned, centres, radii, space = {}, [], [], None
     for i, constraint in enumerate(nbhds):
-        if constraint.tag == "hit" or (constraint.tag == "contain"
-                                       and constraint.open_set.space.kind != FINITE):
+        if constraint.tag in ("hit", "contain"):
             balls, at = constraint.open_set.balls, constraint.open_set.space
         elif constraint.tag == "miss" and constraint.obstacle.slack == 0.0:
             balls, at = (), constraint.obstacle.space
         else:
             continue
-        if balls is None or (space is not None and at != space):
+        if balls is None or at.kind == FINITE or (space is not None and at != space):
             continue
         space = at
         owned[i] = slice(len(centres), len(centres) + len(balls))
         centres += [c for c, _ in balls]
         radii += [r for _, r in balls]
-    if space is None or space.kind != FINITE:
-        centres = np.array(centres, dtype=float)
-    return owned, space, centres, np.array(radii)
+    return owned, space, np.array(centres, dtype=float), np.array(radii)

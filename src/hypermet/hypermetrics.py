@@ -49,6 +49,7 @@ from .sets import (
     _excess_at_vertices,
     _kernel,
     _Pieces,
+    _same_direction,
     _Stack,
     _vertices,
     dist_to_set,
@@ -58,8 +59,6 @@ from .spaces import FINITE, OPEN_INTERVAL
 
 DEFAULT_TOL = 1e-3
 NODE_CAP = 1_500_000
-
-_PARALLEL_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +264,16 @@ def _excess_1d(A, B) -> CertifiedValue:
 
 
 def _excess_ray(A, B) -> CertifiedValue:
+    """A ray's excess over a bounded set or a ray.  Over a ray of exactly
+    its direction (sets._same_direction, on the axes: the directions as
+    given) it is the anchor's distance; over any other ray it is
+    infinite, since the two drift apart linearly however small the
+    angle."""
     a, u = A.rep.anchor, A.rep.direction
     if is_bounded(B):
         return CertifiedValue.infinite("ray-closed-form", ("escape", u))
     if isinstance(B.rep, Ray):
-        if geom.dot(u, B.rep.direction) >= 1.0 - _PARALLEL_TOL:
+        if _same_direction(A.rep.axis, B.rep.axis):
             # distance to the target ray is convex and bounded along A,
             # hence nonincreasing: the anchor is the worst point
             return CertifiedValue.point(dist_to_set(a, B), "ray-closed-form", a)

@@ -239,8 +239,9 @@ def affine_image(m, t, A: ClosedSet, codomain: AmbientSpace) -> ClosedSet:
                                (_sigma_max(m) if mu is None else mu) * rep.resolution)
     if isinstance(rep, Ray):
         (a,) = push([rep.anchor])
-        u = m @ np.atleast_1d(_np(rep.direction))
-        if float(np.linalg.norm(u)) == 0.0:
+        # the axis, so that the identity keeps the direction exactly
+        u = m @ np.atleast_1d(_np(rep.axis))
+        if not u.any():
             return ClosedSet.points(codomain, [a])
         return ClosedSet.ray(codomain, a, tuple(u.tolist()))
     if isinstance(rep, BallUnion):

@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -133,6 +134,10 @@ class SegmentUnion:
 class Ray:
     anchor: Point
     direction: Point  # unit vector; +-1.0 on the line
+    # the direction as given, times a power of two (exact): literal
+    # multiples of one direction stay exactly proportional here, while
+    # their rounded unit vectors need not
+    axis: Point = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -534,9 +539,14 @@ class ClosedSet:
             if not (d > 0.0 or d < 0.0):
                 raise ValueError("direction must be a nonzero number")
             direction = 1.0 if d > 0 else -1.0
-        else:
-            direction = geom.unit(space.canon_point(direction))
-        return ClosedSet(space, Ray(anchor, direction))
+            return ClosedSet(space, Ray(anchor, direction, direction))
+        q = space.canon_point(direction)
+        # the largest entry brought into [1, 2), unless that rounds an entry
+        k = 1 - math.frexp(max(map(abs, q)))[1]
+        axis = tuple(math.ldexp(x, k) for x in q)
+        if any(math.ldexp(x, -k) != y for x, y in zip(axis, q)):
+            axis = q
+        return ClosedSet(space, Ray(anchor, geom.unit(q), axis))
 
     @staticmethod
     def cloud(space: AmbientSpace, pts, resolution: float) -> "ClosedSet":
@@ -855,13 +865,24 @@ def union_sets(A: ClosedSet, B: ClosedSet) -> ClosedSet:
     )
 
 
+def _same_direction(u, v) -> bool:
+    """u and v are positively proportional, in exact arithmetic on the
+    given floats: every 2x2 minor vanishes and u.v > 0.  Rays pass their
+    axes, which keep the directions as given."""
+    u, v = [Fraction(x) for x in u], [Fraction(x) for x in v]
+    return all(u[i] * v[j] == u[j] * v[i] for i in range(len(u)) for j in range(i)) \
+        and sum(a * b for a, b in zip(u, v)) > 0
+
+
 def is_subset(A: ClosedSet, B: ClosedSet, tol: float = 1e-9) -> bool:
     """Exact containment test A <= B for the supported pairs.
 
     The tolerance only softens boundary comparisons (a point that
     lands within tol of B counts as inside); set tol=0 for bit-exact
-    checks.  Raises UnsupportedPair when neither True nor False can be
-    certified for the representations at hand.
+    checks; it never softens a ray's direction (_same_direction), so a
+    ray either fits a ray or does not.  Raises UnsupportedPair when
+    neither True nor False can be certified for the representations at
+    hand.
     """
     A.space.require_same(B.space)
     if isinstance(A.rep, SampledCloud):
@@ -880,16 +901,14 @@ def is_subset(A: ClosedSet, B: ClosedSet, tol: float = 1e-9) -> bool:
                 return False
         return True
 
-    b_comps = B.components()
     if isinstance(A.rep, Ray):
-        if all(kind != "ray" for kind, _ in b_comps):
-            return False  # an unbounded set never fits in a bounded one
-        a, u = A.rep.anchor, A.rep.direction
-        if any(kind == "ray" and geom.dot(u, data[1]) >= 1.0 - tol and d <= tol
-               for (kind, data), d in zip(b_comps, _piece_dists(a, B))):
-            return True
-        raise UnsupportedPair("ray containment is only decidable against rays")
+        # the one unbounded set in R^n is a single ray, so a ray fits only
+        # a ray of exactly its direction whose distance to its anchor is
+        # within tol
+        return (isinstance(B.rep, Ray) and _same_direction(A.rep.axis, B.rep.axis)
+                and bool(_dists([A.rep.anchor], B)[0] <= tol))
 
+    b_comps = B.components()
     # bounded convex pieces: each must fit a single target piece, read at
     # its vertices (the vertex table), or by closed form for a ball in a
     # ball or a box; otherwise undecidable here

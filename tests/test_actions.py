@@ -168,6 +168,19 @@ def test_maps_into():
     assert not maps_into(t, B, ClosedSet.balls(E2, [((3.0, 0.0), 1.0)]))
 
 
+def test_the_identity_maps_a_ray_into_itself():
+    # the image's direction is read from the ray's axis, so it stays
+    # exactly proportional to the literal's
+    for n in (2, 3):
+        E, g = AmbientSpace.euclidean(n), GroupElement.identity(n)
+        for d in [(1, 3, 5), (7, 21, 2), (0.1, 0.7, -0.3), (1e-300, 3.0, 1e300)]:
+            R = ClosedSet.ray(E, (0.5,) * n, d[:n])
+            assert maps_into(g, R, R)
+        # into another literal of the same direction
+        R, R7 = (ClosedSet.ray(E, (0.5,) * n, (k, 3 * k, 5 * k)[:n]) for k in (1, 7))
+        assert R.rep.direction != R7.rep.direction  # their rounded unit vectors differ
+        assert maps_into(g, R, R7) and maps_into(g, R7, R)
+
 def test_isometries_leave_hausdorff_unchanged():
     rng = np.random.RandomState(16)
     for _ in range(50):

@@ -56,6 +56,15 @@ def test_dist_infinite_value_serializes(runner):
     assert vals["H-(A, B)"]["hi"] == "inf"
 
 
+def test_dist_tilted_rays_are_infinitely_far_apart(runner):
+    rays = ["--space", "euclidean:n=2", "ray((0,0),(1,1e-7))", "ray((0,0),(1,0))"]
+    _, vals = by_name(invoke(runner, ["dist", "--metric", "H-", *rays]).output)
+    assert vals["H-(A, B)"]["hi"] == "inf"
+    # the window-j gap is about j * 1e-7, which meets 1/j near j = 3162
+    _, vals = by_name(invoke(runner, ["dist", "--metric", "AW", "--tol", "0.02", *rays]).output)
+    assert 0.0 < vals["AW(A, B)"]["lo"] <= vals["AW(A, B)"]["hi"]
+
+
 def test_dist_plane_sets(runner):
     res = invoke(runner, ["dist", "--metric", "AW", "--space", "euclidean:n=2",
                           "{(0,0)}", "{(0,0),(4,0)}"])
@@ -207,6 +216,13 @@ def test_action_with_target(runner):
     _, vals = by_name(res.output)
     assert vals["maps_into"] is True
     assert vals["image"]["kind"] == "BallUnion"
+
+
+def test_action_into_a_tilted_ray_is_decided(runner):
+    res = invoke(runner, ["action", "--element", "identity:n=2", "--space", "euclidean:n=2",
+                          "--into", "ray((0,0),(1,0))", "ray((0,0),(1,1e-7))"])
+    _, vals = by_name(res.output)
+    assert vals["maps_into"] is False
 
 
 def test_probe_induced_violation_exits_one(runner):

@@ -344,6 +344,11 @@ def outcome(scan, terms, nbhds):
 # (at distance r, r - h or r + h from its centre for radius r, resolution h)
 eighths = st.integers(-24, 24).map(lambda i: i / 8.0)
 
+# a finite space: a cycle of eight points 1/8 apart, and a ninth point at
+# distance 2 from each of them; its distances are dyadic too
+CYCLE = AmbientSpace.finite([[2.0 if (i == 8) != (j == 8) else min(abs(i - j), 8 - abs(i - j)) / 8.0
+                              for j in range(9)] for i in range(9)])
+
 
 def families(draw, limit, obstacles):
     """A family around limit of one of the canonical topologies (Fell with
@@ -356,15 +361,19 @@ def families(draw, limit, obstacles):
 
 @st.composite
 def scan_cases(draw):
-    plane = draw(st.booleans())
-    space = E2 if plane else LINE
-    pt = st.tuples(eighths, eighths) if plane else eighths
+    space = draw(st.sampled_from((LINE, E2, CYCLE)))
+    plane, finite = space == E2, space == CYCLE
+    pt = st.tuples(eighths, eighths) if plane else st.integers(0, 7) if finite else eighths
     limit = ClosedSet.points(space, draw(st.lists(pt, min_size=1, max_size=4)))
     far = ClosedSet.balls(E2, [((6.0, 6.0), 1.0)]) if plane else \
-        ClosedSet.intervals(LINE, [(6.0, 7.0)])
+        ClosedSet.points(CYCLE, [8]) if finite else ClosedSet.intervals(LINE, [(6.0, 7.0)])
     obstacles = [far]
     p, q = draw(pt), draw(pt)
-    if plane:
+    if finite:
+        # in the finite space, as point sets
+        near = [ClosedSet.points(CYCLE, draw(st.lists(pt, min_size=1, max_size=3)))
+                for _ in range(2)]
+    elif plane:
         # obstacles among the terms, as a ball union and as a box, kept
         # when they miss the limit
         balls = draw(st.lists(st.tuples(pt, st.integers(0, 4).map(lambda i: i / 8.0)),
@@ -381,8 +390,10 @@ def scan_cases(draw):
     nbhds = draw(st.permutations(families(draw, limit, obstacles)))
     terms = []
     for _ in range(draw(st.integers(1, 8))):
-        kind = draw(st.sampled_from(("points", "balls", "cloud", "ray")))
-        pts = draw(st.lists(pt, min_size=1, max_size=4))
+        # a finite space carries only point sets; its terms may reach the far point
+        kind = draw(st.sampled_from(("points", "cloud") if finite else
+                                    ("points", "balls", "cloud", "ray")))
+        pts = draw(st.lists(st.integers(0, 8) if finite else pt, min_size=1, max_size=4))
         if kind == "points":
             terms.append(ClosedSet.points(space, pts))
         elif kind == "cloud":
@@ -399,8 +410,9 @@ def scan_cases(draw):
 
 
 # the memory budget as a number of pieces (intervals on the line) measured
-# from every gathered centre: 0 closes a block at every deferred term,
-# None leaves the budget as it is (one block for the whole scan)
+# from every gathered centre and obstacle piece: 0 closes a block at every
+# deferred term, None leaves the budget as it is (one block for the whole
+# scan)
 block_budgets = st.sampled_from((0, 1, 4, 8, None))
 
 
@@ -410,8 +422,14 @@ def scan_with_budget(nbhds, terms, pieces):
     with pytest.MonkeyPatch.context() as mp:
         if pieces is not None:
             space = terms[0].space
-            width = 1 if space.is_one_dimensional else space.dim
-            row_bytes = 8 * len(_ball_batch(nbhds)[2]) * (width + 2)
+            one_d = space.is_one_dimensional
+            # the rows that converges counts: every gathered centre, and each
+            # gathered obstacle's pieces (its intervals on the line)
+            owned, _, centres, _ = _ball_batch(nbhds)
+            rows = len(centres) + sum(
+                len(K.normal_form.lo) if one_d else len(K.components())
+                for K in (nbhds[i].obstacle for i in owned if nbhds[i].tag == "miss"))
+            row_bytes = 8 * rows * ((1 if one_d else space.dim) + 2)
             mp.setattr(sets, "_CHUNK_BYTES", max(1, pieces * row_bytes))
         return outcome(converges, terms, nbhds), outcome(ref_converges, terms, nbhds)
 
@@ -509,15 +527,16 @@ def test_exact_nd_terms_are_measured_in_one_kernel_call_per_block(monkeypatch):
         seq = every_fifth_a_cloud(space, point, far)
         report = converges(seq, nbhds, horizon=20)
         assert report == ref_converges(seq, nbhds, 20) and report.entries[0].settles_at == 5
-        # the four clouds one query and one miss each, the 16 exact terms in one block
-        assert blocks("_dists") == [1] * 4 and [S.slack for (S,) in calls["misses"]] == [0.01] * 4
+        # the four clouds one query per hit and one miss each, the 16 exact
+        # terms in one block
+        assert blocks("_dists") == [1] * 8 and [S.slack for (S,) in calls["misses"]] == [0.01] * 4
         assert blocks("_dists_each") == [16] == blocks("_gaps_each")
         for args in calls.values():
             args.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sets, "_CHUNK_BYTES", 4 * 8 * rows * (width + 2))
             assert converges(seq, nbhds, horizon=20) == report
-        assert len(calls["_dists"]) == 4 and blocks("_dists_each") == sizes == blocks("_gaps_each")
+        assert len(calls["_dists"]) == 8 and blocks("_dists_each") == sizes == blocks("_gaps_each")
     # against a box obstacle the exact terms make no misses call either
     for args in calls.values():
         args.clear()

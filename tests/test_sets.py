@@ -771,6 +771,15 @@ def vertices(piece):
     return list(data) if kind == "segment" else [data if kind == "point" else data[0]]
 
 
+def exactly_parallel(u, v):
+    """u = lam * v for some lam > 0, read in Fractions: lam from the first
+    nonzero entry of v, then every entry checked."""
+    u, v = [Fraction(x) for x in u], [Fraction(x) for x in v]
+    i = next(i for i, x in enumerate(v) if x)
+    lam = u[i] / v[i]
+    return lam > 0 and all(a == lam * b for a, b in zip(u, v))
+
+
 def excess_terms(A, B):
     """The rows of brackets for excess(A, B) (from its points, from the
     vertices of its pieces, or from its balls' centres, out by the
@@ -783,8 +792,9 @@ def excess_terms(A, B):
             return math.inf
         if not isinstance(B.rep, Ray):
             return None
-        parallel = sum(u * v for u, v in zip(A.rep.direction, B.rep.direction)) >= 1.0 - 1e-12
-        return [dist_terms(A.rep.anchor, B)] if parallel else math.inf
+        if exactly_parallel(A.rep.axis, B.rep.axis):
+            return [dist_terms(A.rep.anchor, B)]
+        return math.inf
     if len(B.components()) > 1:
         return None
     if isinstance(A.rep, BallUnion):
@@ -1080,8 +1090,11 @@ def ref_is_subset(A, B):
     if isinstance(A.rep, Ray):
         if all(kind != "ray" for kind, _ in targets):
             return False
-        return any(kind == "ray" and sum(u * v for u, v in zip(A.rep.direction, data[1])) >= 1.0
-                   and within(A.rep.anchor, (kind, data)) for kind, data in targets) or "unsupported"
+        # a ray fits a one-piece target or does not; its direction is read
+        # as given (the axis), not as its rounded unit vector
+        fits_a_ray = any(kind == "ray" and exactly_parallel(A.rep.axis, B.rep.axis)
+                         and within(A.rep.anchor, (kind, data)) for kind, data in targets)
+        return fits_a_ray or (False if len(targets) == 1 else "unsupported")
     for piece in A.components():
         if not any(fits(piece, t) for t in targets):
             return False if len(targets) == 1 else "unsupported"
@@ -1101,6 +1114,39 @@ def test_is_subset_agrees_with_an_exact_vertex_reference(data):
     else:
         assert is_subset(A, B, tol=0.0) is expected
 
+
+def test_rays_run_parallel_only_in_exactly_one_direction():
+    flat = ClosedSet.ray(E2, (0.0, 0.0), (1.0, 0.0))
+    tilted = ClosedSet.ray(E2, (0.0, 0.0), (1.0, 1e-7))
+    back = ClosedSet.ray(E2, (0.0, 0.0), (-1.0, 0.0))
+    # a tilt of 1e-600 rounds away in the unit vector, and would in an axis
+    # scaled down to [1, 2)
+    steep = ClosedSet.ray(E2, (0.0, 0.0), (1e300, 1e-300))
+    assert steep.rep.direction == flat.rep.direction
+    # the tilted ray's point (1e9, 100) lies 100 from the flat ray
+    for A, B in ((tilted, flat), (flat, tilted), (back, flat), (steep, flat)):
+        assert excess(A, B).is_infinite
+        assert not is_subset(A, B) and not is_subset(A, B, tol=0.0)
+    # two literals of one direction store one unit vector
+    diag, twice = (ClosedSet.ray(E2, (0.0, 0.0), (s, s)) for s in (1.0, 2.0))
+    assert sum(u * u for u in diag.rep.direction) < 1.0
+    assert is_subset(diag, twice, tol=0.0) and excess(diag, twice).lo == 0.0
+    # tol softens only the anchor's distance
+    lifted = ClosedSet.ray(E2, (0.0, 1e-10), (1.0, 0.0))
+    assert is_subset(lifted, flat) and not is_subset(lifted, flat, tol=0.0)
+    assert excess(lifted, flat).lo == 1e-10
+
+
+def test_literal_multiples_of_one_direction_are_one_ray():
+    # (a, b) and k(a, b) name one ray; their rounded unit vectors can differ
+    # (e.g. (1, 3) and (7, 21)), their axes stay exactly proportional
+    rays = [(ClosedSet.ray(E2, (0.0, 0.0), (a, b)), ClosedSet.ray(E2, (0.0, 0.0), (k * a, k * b)))
+            for a in range(1, 10) for b in range(10) for k in range(2, 10)]
+    assert len(rays) == 720
+    assert any(A.rep.direction != B.rep.direction for A, B in rays)
+    for A, B in rays:
+        assert excess(A, B).hi.as_float() == 0.0 == excess(B, A).hi.as_float()
+        assert is_subset(A, B, tol=0.0) and is_subset(B, A, tol=0.0)
 
 def test_flat_pieces_fit_the_lines_they_lie_on():
     ray = ClosedSet.ray(E2, (0.0, 0.0), (1.0, 0.0))
