@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -166,6 +167,13 @@ def _norms(D, c, pts) -> list[float]:
     return [float(np.linalg.norm(y)) for y in _pushed(D, c, pts)]
 
 
+def _kills(D, u) -> bool:
+    """D u = 0 in exact arithmetic on the given floats (u a ray's axis,
+    the direction as given; see sets._same_direction)."""
+    u = [Fraction(x) for x in u]
+    return not any(sum(Fraction(d) * x for d, x in zip(row, u)) for row in D.tolist())
+
+
 def affine_sup_norm(D, c, A: ClosedSet) -> CertifiedValue:
     """Certified sup of |D x + c| over A.
 
@@ -175,13 +183,14 @@ def affine_sup_norm(D, c, A: ClosedSet) -> CertifiedValue:
     the largest norm, a ball's centre moved out by mu r when D is
     scaled-orthogonal with factor mu.  Other balls get a sampled lower and
     a sigma_max upper end.  A ray or an infinite end gives inf unless D
-    kills its direction.
+    kills its direction, exactly (_kills, on the ray's axis).  A point
+    set or a cloud pushes its kept coordinate array (ClosedSet.coords).
     """
     D = _np(D)
     c = _np(c if isinstance(c, (tuple, list, np.ndarray)) else (c,))
     rep = A.rep
     if isinstance(rep, (FinitePoints, SampledCloud)):
-        best = max(_norms(D, c, rep.points))
+        best = max(_norms(D, c, A.coords))
         if isinstance(rep, SampledCloud):
             return CertifiedValue.interval(best, best + _sigma_max(D) * rep.resolution,
                                            "finite-max+cloud")
@@ -196,7 +205,7 @@ def affine_sup_norm(D, c, A: ClosedSet) -> CertifiedValue:
             lo = max(lo, float(np.linalg.norm(c)))
         return CertifiedValue.point(lo, "finite-max")
 
-    if isinstance(rep, Ray) and float(np.linalg.norm(D @ _np(rep.direction))) != 0.0:
+    if isinstance(rep, Ray) and not _kills(D, rep.axis):
         return CertifiedValue.infinite("ray-closed-form")
     # per piece, the largest norm at its vertices
     X, owner = _vertices(A.components())

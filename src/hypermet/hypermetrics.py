@@ -239,9 +239,11 @@ def excess(A: ClosedSet, B: ClosedSet) -> CertifiedValue:
 
 
 def _excess_point_source(A, B) -> CertifiedValue:
-    # one batched query; argmax keeps the first farthest point as witness
+    """The excess of a point set or cloud A over B: the largest of one
+    batched _dists from A's points (A.coords; the indices on a finite
+    space) to B.  argmax keeps the first farthest point as witness."""
     pts = A.rep.points
-    d = _dists(pts, B)
+    d = _dists(pts if A.space.kind == FINITE else A.coords, B)
     i = int(np.argmax(d))
     return CertifiedValue.point(float(d[i]), "finite-max", pts[i])
 

@@ -210,16 +210,18 @@ def _pushed(m, t, pts) -> np.ndarray:
     (m @ X.reshape(N, n, 1))[:, :, 0]; the maps' apply reads it too, so
     a pushed point is the map's own apply by construction.  An overflow
     comes out inf or nan, quietly: the caller's finiteness check refuses it."""
-    y = (m @ np.array(pts, dtype=float).reshape(len(pts), m.shape[1], 1))[:, :, 0]
+    y = (m @ np.asarray(pts, dtype=float).reshape(len(pts), m.shape[1], 1))[:, :, 0]
     return y if t is None else y + t
 
 
 def affine_image(m, t, A: ClosedSet, codomain: AmbientSpace) -> ClosedSet:
     """The closed image of A under x -> m x (+ t), exact per representation.
 
-    All points of a set go through _pushed at once.  The image of a
-    point set is ClosedSet.points of that array, which checks it in one
-    vectorised step (a non-finite image raises canon_point's ValueError).
+    All points of a set go through _pushed at once.  A point set or a
+    cloud pushes its kept coordinate array (ClosedSet.coords), and its
+    image is ClosedSet.points (or .cloud) of the pushed array, which
+    checks it in one vectorised step (a non-finite image raises
+    canon_point's ValueError).
     Balls need a scaled-orthogonal m, boxes a signed-permutation-diagonal
     one; on a line codomain (p = 1) segments and boxes become the interval
     between their pushed ends.
@@ -232,10 +234,10 @@ def affine_image(m, t, A: ClosedSet, codomain: AmbientSpace) -> ClosedSet:
         return [v for v, in y] if on_line else [tuple(v) for v in y]
 
     if isinstance(rep, FinitePoints):
-        return ClosedSet.points(codomain, _pushed(m, t, rep.points))
+        return ClosedSet.points(codomain, _pushed(m, t, A.coords))
     if isinstance(rep, SampledCloud):
         mu = _scaled_orthogonal(m)
-        return ClosedSet.cloud(codomain, push(rep.points),
+        return ClosedSet.cloud(codomain, _pushed(m, t, A.coords),
                                (_sigma_max(m) if mu is None else mu) * rep.resolution)
     if isinstance(rep, Ray):
         (a,) = push([rep.anchor])

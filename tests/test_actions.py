@@ -226,6 +226,20 @@ def test_affine_sup_norm_cases():
     assert alive.is_infinite
 
 
+@pytest.mark.parametrize("a, b", [(1, 3), (7, 21), (2, 5), (3, 7), (1, 7)])
+def test_a_matrix_that_kills_a_ray_exactly_gives_a_finite_sup(a, b):
+    # D = ((b, -a), (0, 0)) kills (a, b) exactly, but not the rounded unit
+    # vector: D @ direction reads about 5.6e-17 for (1, 3).  The sup of
+    # |D x| over the ray from the origin is 0.
+    R = ClosedSet.ray(E2, (0.0, 0.0), (a, b))
+    D = np.array([[b, -a], [0.0, 0.0]], dtype=float)
+    cv = affine_sup_norm(D, np.zeros(2), R)
+    assert cv.is_exact and cv.lo == 0.0 and cv.hi.as_float() == 0.0
+    # a matrix that misses the direction by one ulp still escapes
+    D[0, 0] = math.nextafter(float(b), math.inf)
+    assert affine_sup_norm(D, np.zeros(2), R).is_infinite
+
+
 def test_group_distance_frozen_values():
     e = GroupElement.identity(2)
     t = GroupElement.translation((3.0, 4.0))

@@ -20,7 +20,7 @@ from hypermet.sets import (BallUnion, ClosedSet, FinitePoints, Ray, _dists_each,
 from hypermet.spaces import AmbientSpace
 
 LINE = AmbientSpace.line()
-E2 = AmbientSpace.euclidean(2)
+E1, E2, E3 = (AmbientSpace.euclidean(n) for n in (1, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +267,39 @@ def test_union_with_a_sampled_cloud_keeps_its_resolution_by_refusing(space):
             union_sets(A, B)
     with pytest.raises(UnsupportedPair):  # as in the plane
         union_sets(ClosedSet.cloud(E2, [(0.0, 0.0)], 0.25), ClosedSet.points(E2, [(5.0, 0.0)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_1d_union_is_the_merge_of_both_normal_forms(data):
+    space = data.draw(st.sampled_from((LINE, E1, AmbientSpace.open_interval(-10.0, 10.0))))
+    # a small grid, so that ends coincide, -0.0 with 0.0 among them
+    x = st.sampled_from((-1.5, -0.0, 0.0, 1e-300, 0.5, 2.0))
+
+    def one_set(kind):
+        if kind == "intervals":
+            return ClosedSet.intervals(space, data.draw(st.lists(
+                st.tuples(x, x).map(sorted), min_size=1, max_size=6)))
+        pts = data.draw(st.lists(x, min_size=1, max_size=6))
+        return ClosedSet.points(space, [(p,) if space.kind == "euclidean" else p for p in pts])
+
+    # two point sets make a point set, checked with the points
+    kinds = data.draw(st.sampled_from([("intervals", "intervals"), ("intervals", "points"),
+                                       ("points", "intervals")]))
+    A, B = map(one_set, kinds)
+    U = union_sets(A, B)
+    both = [*A.normal_form.intervals, *B.normal_form.intervals]
+    # an independent coalescing of the sorted intervals, as max keeps the
+    # first of two equal ends
+    merged = []
+    for a, b in sorted(both):
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    expected = repr(tuple(map(tuple, merged)))
+    assert repr(U.rep.intervals) == repr(sets._merge_intervals(both)) == expected
+    assert U == ClosedSet.intervals(space, both)
 
 
 def test_union_same_family():
@@ -615,18 +648,106 @@ def test_an_empty_batch_has_no_distances(A):
         assert dists_to_set(X, A).shape == (0,)
 
 
+def _reference_points(space, pts):
+    """The points of pts, one canon_point per point, sorted and distinct:
+    what ClosedSet.points and ClosedSet.cloud must keep."""
+    canon = tuple(sorted({space.canon_point(p) for p in pts}))
+    if not canon:
+        raise ValueError("a closed set must be nonempty")
+    return canon
+
+
+_GRID = st.sampled_from((-1.5, -0.0, 0.0, 2.0, 1e-300, 7.25, 3, -2, 0))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_points_from_an_array_are_the_points_of_its_rows(data):
-    space = data.draw(st.sampled_from((LINE, AmbientSpace.euclidean(1), E2, AmbientSpace.euclidean(3))))
+    space = data.draw(st.sampled_from((LINE, E1, E2, E3)))
     width = 1 if space.kind == "line" else space.dim
     grid = st.sampled_from((-1.5, -0.0, 0.0, 2.0, 1e-300, 7.25))
     rows = data.draw(st.lists(st.lists(grid, min_size=width, max_size=width), min_size=1, max_size=8))
     A = ClosedSet.points(space, np.array(rows))
-    expected = ClosedSet.points(space, [tuple(r) for r in rows])
-    assert A == expected
-    assert [type(p) for p in A.rep.points] == [type(p) for p in expected.rep.points]
+    expected = _reference_points(space, [tuple(r) for r in rows])
+    assert repr(A.rep.points) == repr(expected)
     assert all(type(v) is float for p in A.rep.points for v in (p if isinstance(p, tuple) else (p,)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_points_and_clouds_keep_the_points_canon_point_gives(data):
+    space = data.draw(st.sampled_from((LINE, E1, E2, E3)), label="space")
+    width = 1 if space.kind == "line" else space.dim
+    coords = data.draw(st.lists(st.lists(_GRID, min_size=width, max_size=width),
+                                min_size=1, max_size=12))
+    forms = ["tuples", "lists", "array", "generator"]
+    if width == 1:
+        forms.append("scalars")  # bare coordinates on the line and in E^1
+    form = data.draw(st.sampled_from(forms), label="form")
+
+    def make():
+        if form == "tuples":
+            return [tuple(c) for c in coords]
+        if form == "lists":
+            return [list(c) for c in coords]
+        if form == "scalars":
+            return [c[0] for c in coords]
+        if form == "generator":
+            return (tuple(c) for c in coords)
+        # a float array, one row per point (bare coordinates on the line)
+        X = np.array(coords, dtype=float)
+        return X[:, 0] if space.kind == "line" else X
+
+    expected = repr(_reference_points(space, make()))
+    A = ClosedSet.points(space, make())
+    C = ClosedSet.cloud(space, make(), 0.5)
+    assert repr(A.rep.points) == expected and repr(C.rep.points) == expected
+    for S in (A, C):
+        ref = np.array(S.rep.points, dtype=float)
+        assert S.coords.shape == ref.shape and S.coords.tobytes() == ref.tobytes()
+        assert not S.coords.flags.writeable
+
+
+_MALFORMED = [
+    (LINE, [0.0, math.nan]),
+    (E2, [(0.0, 1.0), (math.nan, 0.0)]),
+    (LINE, [math.inf]),
+    (E2, [(0.0, -math.inf)]),
+    (E2, [(1.0, 2.0), (3.0,)]),  # ragged rows
+    (LINE, [(1.0,), (2.0, 3.0)]),
+    (E2, [(1.0, 2.0, 3.0)]),  # a wrong width
+    (LINE, [(1.0, 2.0)]),
+    (E1, [(1.0, 2.0)]),
+    (E2, [1.0, 2.0]),
+    (LINE, []),
+    (E2, []),
+    (LINE, ["abc"]),
+    (E2, [("a", "b")]),
+    (LINE, [math.nan, 10**400]),  # the first bad point decides
+    (E2, [(0.0, 10**400)]),
+]
+
+
+@pytest.mark.parametrize("space, pts", _MALFORMED + [
+    (E2, np.array([[0.5, 1.0], [np.nan, 1.0]])),
+    (E2, np.array([[0.5, np.inf]])),
+    (LINE, np.array([0.5, -np.inf])),
+    (E2, np.array([[1.0, 2.0, 3.0]])),
+    (E2, np.empty((0, 2))),
+])
+def test_malformed_points_raise_the_per_point_error(space, pts):
+    # an array's rows are reported as tuples of floats
+    ref_pts = ([tuple(v) if isinstance(v, list) else v for v in pts.tolist()]
+               if isinstance(pts, np.ndarray) else pts)
+    with pytest.raises(Exception) as ref:
+        _reference_points(space, ref_pts)
+    makers = [lambda p: ClosedSet.points(space, p), lambda p: ClosedSet.cloud(space, p, 0.5)]
+    if not isinstance(pts, np.ndarray):  # a generator of the same points
+        makers.append(lambda p: ClosedSet.points(space, (q for q in p)))
+    for make in makers:
+        with pytest.raises(type(ref.value)) as got:
+            make(pts)
+        assert str(got.value) == str(ref.value)
 
 
 @pytest.mark.parametrize("space", [LINE, E2])
@@ -920,7 +1041,6 @@ def test_piece_pair_gaps_hold_at_every_scale(data):
     assert brackets(gap_terms(A, B), Fraction(g) - a, Fraction(g) + a)
 
 
-E3 = AmbientSpace.euclidean(3)
 segs, boxes = ClosedSet.segments, ClosedSet.boxes
 
 
