@@ -168,21 +168,18 @@ def gap(pieces_a, pieces_b) -> float:
     one pass per pair of kind blocks, chunked over pieces_a so that
     temporaries stay near _CHUNK_BYTES.  Each pair gives a few pairs of
     points, one on each piece, and the gap is the least norm (_guarded) of
-    their offsets.  Both sets are first scaled by the power of two that
-    brings their largest coordinate into [1/2, 1), which is exact."""
+    their offsets.  Both sets are first scaled (_Pieces.scaled, exact) by
+    the power of two that brings their largest coordinate into [1/2, 1)."""
     k = -math.frexp(max(pieces_a.scale, pieces_b.scale))[1]
-
-    def scaled(pieces):  # a ray's unit direction stays as it is
-        return [(kind, [np.ldexp(arrs[0], k), arrs[1] if kind == "ray" else np.ldexp(arrs[1], k)])
-                for kind, _, arrs in pieces.blocks]
-    blocks_b = [(kind, [np.swapaxes(x, -1, -2) for x in b]) for kind, b in scaled(pieces_b)]
+    blocks_b = [(kind, [np.swapaxes(x, -1, -2) for x in b[:2]])
+                for kind, _, b in pieces_b.scaled(k).blocks]
 
     def offsets():
-        for kind_a, a in scaled(pieces_a):
+        for kind_a, _, a in pieces_a.scaled(k).blocks:
             n, m, _ = a[0].shape
             for kind_b, b in blocks_b:
                 step = max(1, _CHUNK_BYTES // (64 * n * (2 * n + 2) * b[0].shape[-1]))
                 for i in range(0, m, step):
-                    yield from _pair_offsets(kind_a, [x[:, i:i + step] for x in a], kind_b, b)
+                    yield from _pair_offsets(kind_a, [x[:, i:i + step] for x in a[:2]], kind_b, b)
 
     return math.ldexp(_guarded(lambda norm_of: min(float(norm_of(W).min()) for W in offsets())), -k)

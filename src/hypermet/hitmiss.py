@@ -253,9 +253,9 @@ def _enlargement(A: ClosedSet, r: float) -> OpenSetRep:
         ivs = A.normal_form.intervals
         if math.isinf(ivs[0][0]) or math.isinf(ivs[-1][1]):
             raise UnsupportedPair("no finite ball cover for an unbounded interval")
-        # a point is its own centre: lo + hi overflows past half the float range
-        return OpenSetRep.ball_union(
-            space, [(lo if lo == hi else 0.5 * (lo + hi), 0.5 * (hi - lo) + r) for lo, hi in ivs])
+        # each end is halved first, so no sum overflows; a point is its own centre
+        return OpenSetRep.ball_union(space, [(lo if lo == hi else 0.5 * lo + 0.5 * hi,
+                                              0.5 * hi - 0.5 * lo + r) for lo, hi in ivs])
     balls = []
     for kind, data in A.components():
         if kind == "point":

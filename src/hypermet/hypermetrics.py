@@ -853,26 +853,20 @@ def aw_distance(A: ClosedSet, B: ClosedSet, *,
 
 
 def _aw_exact(space, A, B) -> CertifiedValue:
+    """sup_j min(1/j, g(j)) over the exact window-gap family g.  g is
+    nondecreasing and 1/j decreasing, so the terms equal g(j) up to the
+    first window J with g(J) >= 1/J and are below 1/J after it: the
+    supremum is max(g(J-1), 1/J).  J <= j_sat: window j_sat lies at least
+    1 past every candidate, so a side that escapes gives g(j_sat) >= 1 in
+    exact arithmetic.  Where g is flat, rounding at the window edges can
+    make the float g(j) dip by a few ulps of the radius, so g(J-1) can sit
+    that far below an earlier g(j)."""
     g, j_sat, g_inf = _window_gap_family(space, A, B)
     g_sat = g(j_sat)
-    if g_sat == 0.0:
-        # windows saturated while still agreeing everywhere
-        v = 0.0 if g_inf == 0.0 else min(g_inf, 1.0 / (j_sat + 1))
-        return CertifiedValue.point(v, "exact-1d")
-    # g is nondecreasing and 1/j decreasing, so the terms min(1/j, g(j))
-    # equal g(j) up to the first window J with g(J) >= 1/J and are below
-    # 1/J after it: the supremum is max(g(J-1), 1/J).  Where g is flat,
-    # rounding at the window edges can make the float g(j) dip by a few
-    # ulps of the radius, so g(J-1) can sit that far below an earlier g(j).
-    hi_j = j_sat
-    if g_sat < 1.0 / j_sat:
-        if g_inf is not None:
-            # no crossing before saturation: the last window and the limit decide
-            return CertifiedValue.point(max(g_sat, min(1.0 / (j_sat + 1), g_inf)),
-                                        "exact-1d")
-        while g(hi_j) < 1.0 / hi_j:
-            hi_j *= 2  # one side escapes: the gap grows like the window
-    lo_j = 1
+    if g_sat < 1.0 / j_sat and g_inf is not None:
+        # no crossing before saturation: the last window and the limit decide
+        return CertifiedValue.point(max(g_sat, min(1.0 / (j_sat + 1), g_inf)), "exact-1d")
+    lo_j, hi_j = 1, j_sat
     while lo_j < hi_j:
         mid = (lo_j + hi_j) // 2
         if g(mid) >= 1.0 / mid:

@@ -82,11 +82,11 @@ class IntervalUnion:
     def hi(self) -> list[float]:
         return self._ends[1]
 
-    @property
+    @cached_property
     def midpoints(self) -> list[float]:
-        """Midpoints of the gaps between consecutive intervals."""
+        """Midpoints of the gaps between intervals, each end halved first so no sum overflows."""
         lo, hi = self._arrays
-        return (0.5 * (hi[:-1] + lo[1:])).tolist()
+        return (0.5 * hi[:-1] + 0.5 * lo[1:]).tolist()
 
     @property
     def finite_ends(self) -> np.ndarray:
@@ -197,7 +197,7 @@ def _chunks(n_rows, row_bytes):
 
 def _stack(kind, datas):
     """The arrays of the pieces of one kind, shaped (n, k, 1) or (k, 1)
-    (see _offsets)."""
+    (see _offsets), a segment's power of two as its integer exponent."""
     if kind == "point":
         return (np.array(datas, dtype=float).T[:, :, None],)
     first = np.array([d[0] for d in datas], dtype=float)
@@ -211,14 +211,14 @@ def _stack(kind, datas):
         v = second - first
         e = np.frexp(np.abs(v).max(axis=0))[1]
         vs = np.ldexp(v, -e)
-        return first, v, vs, (vs * vs).sum(axis=0), np.ldexp(1.0, -e)
+        return first, v, vs, (vs * vs).sum(axis=0), -e
     return first, second  # box (lo, hi), ray (anchor, direction)
 
 
 def _offsets(kind, X, arrs):
     """x - P(x) for every point x and every piece of one kind, P the
     nearest point (for a ball, the offset from its centre).  X has shape
-    (n, 1, N), coordinates first; the result has shape (n, k, N)."""
+    (n, 1, N), coordinates first; the result has shape (n, k, N), a segment's 2^-e by ldexp."""
     first = arrs[0]
     if kind in ("point", "ball"):
         return X - first
@@ -227,10 +227,10 @@ def _offsets(kind, X, arrs):
     W, v = X - first, arrs[1]
     if kind == "segment":
         # t = (W.v_s) / (v_s.v_s) 2^-e for v = 2^e v_s: in range, the float
-        # of (W.v) / (v.v)
+        # of (W.v) / (v.v); past it inf, which the clip takes to 1
         vs, L2 = arrs[2], np.broadcast_to(arrs[3], W.shape[1:])
         t = np.divide((W * vs).sum(axis=0), L2, out=np.zeros(L2.shape), where=L2 > 0.0)
-        t = np.clip(t * arrs[4], 0.0, 1.0)
+        t = np.clip(np.ldexp(t, arrs[4]), 0.0, 1.0)
     elif kind == "ray":
         t = np.maximum((W * v).sum(axis=0), 0.0)
     else:
@@ -278,13 +278,13 @@ class _Pieces:
 
     def scaled(self, k: int) -> "_Pieces":
         """The pieces with every coordinate and radius multiplied by 2^k,
-        which is exact unless it under- or overflows.  A segment's scaled
-        direction and squared length stay as they are, its factor 2^-e
-        moves by 2^-k; a ray's unit direction stays as it is."""
+        which is exact unless it under- or overflows (the one rescaling of
+        array forms).  A segment's scaled direction and squared length stay,
+        its integer exponent moves by -k; a ray's unit direction stays."""
         def arrays(kind, arrs):
             if kind == "segment":
-                first, v, vs, L2, inv = arrs
-                return np.ldexp(first, k), np.ldexp(v, k), vs, L2, np.ldexp(inv, -k)
+                first, v, vs, L2, ex = arrs
+                return np.ldexp(first, k), np.ldexp(v, k), vs, L2, ex - k
             if kind == "ray":
                 return np.ldexp(arrs[0], k), arrs[1]
             return tuple(np.ldexp(a, k) for a in arrs)

@@ -126,10 +126,12 @@ class AmbientSpace:
 
     @staticmethod
     def finite(matrix: Sequence[Sequence[float]], x0: int = 0, tol: float = 1e-9) -> "AmbientSpace":
+        """A matrix that validate_finite_metric passes, its diagonal stored as exactly 0.0."""
         bad = validate_finite_metric(matrix, tol=tol)
         if bad is not None:
             raise ValueError(f"not a metric: {bad.axiom} at {bad.indices}: {bad.detail}")
-        frozen = tuple(tuple(float(v) for v in row) for row in matrix)
+        frozen = tuple(tuple(0.0 if i == j else float(v) for j, v in enumerate(row))
+                       for i, row in enumerate(matrix))
         x0 = int(x0)
         if not 0 <= x0 < len(frozen):
             raise ValueError("base index out of range")

@@ -5,6 +5,7 @@ comment or recomputed here by brute force from raw coordinates — the
 oracles never call back into the library's geometry helpers, so each
 comparison is a genuine second route to the same number.
 """
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -674,6 +675,51 @@ def test_window_certificates_bracket_the_sup_at_every_scale(scale):
     assert cv.width <= 1e-2 * scale
 
 
+def test_a_short_segment_far_from_the_window_scale_keeps_its_certificates():
+    # the segment is 1e-300 long at 1e9 from the base point, the point at
+    # -1e9: on the window of radius 2.5e9 the gap reaches the Hausdorff
+    # distance 2e9 at (-2.5e9, 0); near the base point it is about 2 |x_1|,
+    # so the window-1 gap is about 2, its term is 1, and so is the distance
+    A = ClosedSet.segments(E2, [((1e9, 0.0), (1e9, 1e-300))])
+    B = ClosedSet.points(E2, [(-1e9, 0.0)])
+    cv = sup_gap_on_ball(A, B, 2.5e9, tol=1.0)
+    assert cv.lo <= 2e9 <= cv.hi
+    cv = aw_distance(A, B, tol=0.05)
+    assert cv.lo <= 1.0 <= cv.hi
+    assert aw_less_than(A, B, 0.5, tol=0.05) is False
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_segment_of_any_length_keeps_the_window_certificate_above_its_samples(data):
+    # a segment 2^-p long (down to the least subnormal) anchored 10^q from
+    # the base point on a coordinate axis, so that its other coordinates
+    # keep the short offset, against a point or a box at the same scale
+    n = data.draw(st.sampled_from((2, 3)))
+    X = AmbientSpace.euclidean(n)
+    p, q = data.draw(st.integers(0, 1074)), data.draw(st.integers(0, 12))
+    far = 10.0 ** q
+    axis = data.draw(st.integers(0, n - 1))
+    anchor = tuple(data.draw(st.sampled_from((-far, far))) if i == axis else 0.0 for i in range(n))
+    unit = st.floats(min_value=-1.0, max_value=1.0)
+    u = np.array(data.draw(st.tuples(*[unit] * n).filter(lambda v: max(map(abs, v)) > 0.1)))
+    u = np.ldexp(u / np.linalg.norm(u), -p)
+    A = ClosedSet.segments(X, [(anchor, tuple(float(v) for v in np.array(anchor) + u))])
+    lo = far * np.array(data.draw(st.tuples(*[unit] * n)))
+    if data.draw(st.booleans()):
+        B, corners = ClosedSet.points(X, [tuple(lo)]), [lo]
+    else:
+        hi = lo + np.abs(lo[::-1])
+        B = ClosedSet.boxes(X, [(tuple(lo), tuple(hi))])
+        corners = list(itertools.product(*zip(lo, hi)))
+    # the sets' own vertices and the base point
+    S = np.array([anchor, np.array(anchor) + u, *corners, np.zeros(n)], dtype=float)
+    R = 2.0 * float(np.sqrt((S * S).sum(axis=1)).max())
+    cv = sup_gap_on_ball(A, B, R, tol=0.1 * far)
+    sample = float(np.abs(oracle_dist(S, A) - oracle_dist(S, B)).max())
+    assert cv.hi.as_float() >= sample - 4.0 * hm._allowance(n, R)
+
+
 # ---------------------------------------------------------------------------
 # early stops: a threshold decision, a window at 1/j, nested windows
 
@@ -766,15 +812,17 @@ def test_a_cube_within_the_allowance_of_eps_stays_open():
 def test_a_pair_bound_scales_its_pieces_once_per_power_of_two():
     # the windows of one search share a pair bound: each sets its own
     # allowance on the copy scaled by its power of two
-    A = ClosedSet.points(E2, [(3.0, 0.5)])
     B = ClosedSet.balls(E2, [((3.0, -0.5), 0.25)])
-    gap = hm._GapBound(A, B, 1.0)
-    small = gap.scaled(-3, 4.0)
-    alpha = small.alpha
-    assert gap.scaled(-3, 6.0) is small and small.alpha > alpha
-    assert gap.scaled(-4, 6.0) is not small
-    x = np.zeros((1, 2))
-    assert (hm._kernel(x, small.pieces)[0] == np.ldexp(hm._kernel(x, gap.pieces)[0], -3)).all()
+    for A in (ClosedSet.points(E2, [(3.0, 0.5)]),
+              # a segment 1e-310 long: its power of two, 2^1030, is no float
+              ClosedSet.segments(E2, [((3.0, 0.5), (4.0, 0.5)), ((3.0, 0.0), (3.0, 1e-310))])):
+        gap = hm._GapBound(A, B, 1.0)
+        small = gap.scaled(-3, 4.0)
+        alpha = small.alpha
+        assert gap.scaled(-3, 6.0) is small and small.alpha > alpha
+        assert gap.scaled(-4, 6.0) is not small
+        x = np.zeros((1, 2))
+        assert (hm._kernel(x, small.pieces)[0] == np.ldexp(hm._kernel(x, gap.pieces)[0], -3)).all()
 
 
 @pytest.mark.parametrize("cap", [40, 1000, 200_000])

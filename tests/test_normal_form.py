@@ -7,7 +7,9 @@ them exactly: the same value, method and witness, ties included.
 
 import itertools
 import math
+import sys
 from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -336,10 +338,52 @@ def test_e1_sets_answer_like_the_same_intervals_on_the_line():
     assert ArctanOfDistance(E1).image(ray) == ClosedSet.intervals(LINE, [(0.0, math.pi / 2)])
 
 
+# two gaps whose ends sum past the float range
+FAR_A = [(1e308, 1.1e308), (1.5e308, 1.7e308)]
+FAR_B = [(1e308, 1.7e308)]
+
+
 def test_enlargement_keeps_point_centres_near_the_float_range():
     A = ClosedSet.points(LINE, [-1.5e308, 1e308])
     (contain,) = canonical_neighborhoods(A, "upperV", 1.0)
     assert contain.open_set.balls == ((-1.5e308, 1.0), (1e308, 1.0))
+    # an interval whose ends sum past the float range
+    B = ClosedSet.intervals(LINE, FAR_B)
+    (contain,) = canonical_neighborhoods(B, "upperV", 1e307)
+    (c, r), = contain.open_set.balls
+    lo, hi = Fraction(1e308), Fraction(1.7e308)
+    assert c == float((lo + hi) / 2) and r == float((hi - lo) / 2) + 1e307
+    assert contain.satisfied_by(B)
+
+
+@pytest.mark.parametrize("F", [2.0 ** 53, 1e16, 1e100, 1e300, 1e308, sys.float_info.max])
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_a_ray_against_its_far_stretch_has_distance_one_over_f_plus_one(F, side):
+    # ray(0, +-1) and +-[0, F] agree on every window up to radius F; the
+    # window-j gap is j - F past it, so the first term that 1/j caps is at
+    # j = F + 1, and the distance is 1/(F + 1)
+    A = ClosedSet.ray(LINE, 0.0, side)
+    B = ClosedSet.intervals(LINE, [tuple(sorted((0.0, side * F)))])
+    cv = aw_distance(A, B)
+    assert cv.lo == cv.hi.as_float()
+    assert abs(Fraction(cv.lo) * (Fraction(F) + 1) - 1) <= 4 * Fraction(2) ** -52
+
+
+def test_gap_midpoints_past_half_the_float_range_stay_finite():
+    # d_A peaks at the midpoint of A's gap, half its width from both ends,
+    # where d_B is 0; the value is read at the rounded midpoint, a few ulps
+    # of the coordinates from the exact half
+    A, B = ClosedSet.intervals(LINE, FAR_A), ClosedSet.intervals(LINE, FAR_B)
+    half = (Fraction(1.5e308) - Fraction(1.1e308)) / 2
+    assert A.normal_form.midpoints == [1.3e308]
+    X = AmbientSpace.line(1.3e308)
+    near = ClosedSet.intervals(X, FAR_A), ClosedSet.intervals(X, FAR_B)
+    for cv in (hausdorff(A, B), excess(B, A), sup_gap_on_ball(*near, 4e307)):
+        assert cv.lo == cv.hi.as_float()
+        assert abs(Fraction(cv.lo) - half) <= 4 * Fraction(2) ** -52 * half
+    # the first window the gap caps at 1/j reaches just past 1.1e308
+    cv = aw_distance(A, B)
+    assert cv.lo == cv.hi.as_float() and math.isclose(cv.lo, 1.0 / 1.1e308, rel_tol=1e-12)
 
 
 def test_one_d_gaps_and_ranges_never_use_the_n_d_shapes(monkeypatch):

@@ -118,6 +118,9 @@ def test_dist_examples():
     S = ClosedSet.segments(E2, [((0.0, 0.0), (2.0, 0.0))])
     assert dist_to_set((1.0, 3.0), S) == 3.0
     assert dist_to_set((5.0, 0.0), S) == 3.0
+    # a segment whose power of two, 2^1030, is no float
+    S = ClosedSet.segments(E2, [((0.0, 0.0), (0.0, 1e-310))])
+    assert dist_to_set((0.0, 5.0), S) == 5.0
 
     R = ClosedSet.ray(E2, (0.0, 0.0), (1.0, 0.0))
     assert dist_to_set((-3.0, 0.0), R) == 3.0

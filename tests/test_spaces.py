@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from hypermet import ClosedSet, aw_distance, dist_to_set, excess, hausdorff, set_gap
 from hypermet.errors import AmbientMismatch
 from hypermet.spaces import AmbientSpace, validate_finite_metric
 
@@ -108,3 +109,15 @@ def test_non_finite_input_is_rejected(bad):
         validate_finite_metric([[0.0, bad], [bad, 0.0]])
     with pytest.raises(ValueError):
         AmbientSpace.finite([[0.0, 1.0], [1.0, bad]])
+
+
+@pytest.mark.parametrize("diagonal", [-1e-10, -0.0])
+def test_a_finite_space_stores_its_diagonal_as_zero(diagonal):
+    # the check lets the diagonal be within tol of 0; the space keeps 0.0
+    X = AmbientSpace.finite([[diagonal, 1.0], [1.0, 0.0]])
+    assert X.matrix[0][0] == 0.0 and math.copysign(1.0, X.matrix[0][0]) == 1.0
+    A = ClosedSet.points(X, [0])
+    for cv in (hausdorff(A, A), excess(A, A), aw_distance(A, A)):
+        assert repr(cv).startswith("<0.0 by ") and cv.lo == cv.hi.as_float() == 0.0
+    for v in (set_gap(A, A), dist_to_set(0, A)):
+        assert v == 0.0 and math.copysign(1.0, v) == 1.0
