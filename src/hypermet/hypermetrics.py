@@ -188,27 +188,30 @@ def _widen(cv: CertifiedValue, slack: float) -> CertifiedValue:
 
 
 def _first_max(cands, d, method, default_wit) -> CertifiedValue:
-    """The first candidate of largest positive value, as the candidate
-    scan has always broken ties; (0, default_wit) when none is positive."""
+    """The first candidate of largest positive value, as a float;
+    (0, default_wit) when none is positive."""
     if len(cands):
         i = int(np.argmax(d))
         if d[i] > 0.0:
-            return CertifiedValue.point(float(d[i]), method, cands[i])
+            return CertifiedValue.point(float(d[i]), method, float(cands[i]))
     return CertifiedValue.point(0.0, method, default_wit)
 
 
-def _breakpoints(cands: set, *forms) -> set:
-    """Add the finite endpoints and gap midpoints of each normal form to
-    cands.  The insertion order fixes the set's iteration order, and so
-    which of two tied candidates a scan reports."""
-    for nf in forms:
-        for lo, hi in nf.intervals:
-            if math.isfinite(lo):
-                cands.add(lo)
-            if math.isfinite(hi):
-                cands.add(hi)
-        cands.update(nf.midpoints)
-    return cands
+def _gaps_1d(na, nb, xs) -> np.ndarray:
+    """|d(x, A) - d(x, B)| over a batch of coordinates, from the normal
+    forms na and nb.  inf - inf reads NaN where both distances overflow:
+    at a point past both sets on one side, more than the float range
+    away, or at a window edge that overflowed to +-inf.  Past both sets
+    the gap is the distance between their outer ends on that side, 0
+    where both run on to infinity."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.abs(na.dists(xs) - nb.dists(xs))
+    nan = np.isnan(d)
+    if nan.any():
+        left, right = (0.0 if a == b else abs(a - b)
+                       for a, b in ((na.lo[0], nb.lo[0]), (na.hi[-1], nb.hi[-1])))
+        d[nan] = np.where(np.asarray(xs)[nan] < na.hi[-1], left, right)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +257,19 @@ def _excess_1d(A, B) -> CertifiedValue:
         return CertifiedValue.infinite("exact-1d", ("escape", +1.0))
     if na.lo[0] == -math.inf and nb.lo[0] != -math.inf:
         return CertifiedValue.infinite("exact-1d", ("escape", -1.0))
+    # A's finite ends and B's gap midpoints inside A, in the order that
+    # breaks a tie: interval by interval, lo, hi, then its midpoints
+    lo, hi = na._arrays
     mids = nb.midpoints
-    cands = []
-    for lo, hi in na.intervals:
-        if math.isfinite(lo):
-            cands.append(lo)
-        if math.isfinite(hi):
-            cands.append(hi)
-        cands.extend(mids[bisect_left(mids, lo):bisect_right(mids, hi)])
+    # the last interval of A to start at or before each midpoint
+    k = np.searchsorted(lo, mids, side="right") - 1
+    inside = (k >= 0) & (mids <= hi[k])
+    k, mids = k[inside], mids[inside]
+    at = 2 * np.arange(len(lo)) + np.searchsorted(k, np.arange(len(lo)))
+    cands = np.empty(2 * len(lo) + len(k))
+    cands[at], cands[at + 1] = lo, hi
+    cands[2 * k + 2 + np.arange(len(k))] = mids
+    cands = cands[np.isfinite(cands)]
     return _first_max(cands, nb.dists(cands), "exact-1d", None)
 
 
@@ -467,8 +475,29 @@ def _sup_gap_1d(space, A, B, radius) -> CertifiedValue:
     na, nb = A.normal_form, B.normal_form
     x0 = _coord(space.canon_point(space.base_point))
     lo_w, hi_w = _window_1d(space, x0, radius)
-    cands = [c for c in _breakpoints({lo_w, hi_w}, na, nb) if lo_w <= c <= hi_w]
-    return _first_max(cands, np.abs(na.dists(cands) - nb.dists(cands)), "exact-1d", lo_w)
+    cands = np.concatenate(([lo_w, hi_w], na.candidates, nb.candidates))
+    cands = cands[(lo_w <= cands) & (cands <= hi_w)]
+    d = _gaps_1d(na, nb, cands)
+    m = d.max()
+    top = cands[d == m]
+    if m > 0.0 and (top != top[0]).any():
+        # the maximum is tied between candidates: the set order decides
+        cands = _breakpoints(lo_w, hi_w, na, nb)
+        d = _gaps_1d(na, nb, cands)
+    return _first_max(cands, d, "exact-1d", lo_w)
+
+
+def _breakpoints(lo_w, hi_w, *forms) -> list:
+    """The window scan's candidates in the window, in the iteration order
+    of a set that holds the window edges and then each form's candidates,
+    inserted in turn.  The first of tied candidates in this order is the
+    scan's witness.  -0.0 and 0.0 share one entry, the first inserted,
+    which is also the first zero of the candidate array, so a maximum
+    held by one value needs no set."""
+    order = {lo_w, hi_w}
+    for nf in forms:
+        order.update(nf.candidates.tolist())
+    return [c for c in order if lo_w <= c <= hi_w]
 
 
 # The n-D window supremum is certified by branch-and-bound over cubes
@@ -776,7 +805,10 @@ def _sup_gap_bnb(space, A, B, radius, tol, node_cap, gap=None, seed=None,
                 best, wit = float(f_in[i]), P[i]
             b = gap.bound(C, P, D, G, f, s_e, x0, radius, floor=max(best + tol, cut - allowance))
             keep = opens(b)
-            closed = max(closed, float(b[~keep].max(initial=-math.inf)))
+            # a NaN bound fails every test, so its cube closes; it leaves
+            # the gap unbounded, where max would keep closed
+            shut = float(b[~keep].max(initial=-math.inf))
+            closed = math.inf if math.isnan(shut) else max(closed, shut)
             open_c.append(C[keep])
             open_b.append(b[keep])
         if not open_c:
@@ -901,7 +933,7 @@ def _window_gap_family(space, A, B):
 
     na, nb = A.normal_form, B.normal_form
     x0 = _coord(space.canon_point(space.base_point))
-    cands = np.array(list(_breakpoints(set(), na, nb)))
+    cands = np.concatenate((na.candidates, nb.candidates))  # duplicates are harmless
 
     def delta(x):
         return abs(na.dist(x) - nb.dist(x))

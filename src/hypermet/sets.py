@@ -83,10 +83,18 @@ class IntervalUnion:
         return self._ends[1]
 
     @cached_property
-    def midpoints(self) -> list[float]:
+    def midpoints(self) -> np.ndarray:
         """Midpoints of the gaps between intervals, each end halved first so no sum overflows."""
         lo, hi = self._arrays
-        return (0.5 * hi[:-1] + 0.5 * lo[1:]).tolist()
+        return 0.5 * hi[:-1] + 0.5 * lo[1:]
+
+    @cached_property
+    def candidates(self) -> np.ndarray:
+        """The finite ends, interleaved lo0, hi0, lo1, hi1, ..., then the gap
+        midpoints: every kink and peak of the distance to the set, in the
+        order that breaks a tie in the window scan (hypermetrics._sup_gap_1d)."""
+        ends = np.column_stack(self._arrays).ravel()
+        return np.concatenate((ends[np.isfinite(ends)], self.midpoints))
 
     @property
     def finite_ends(self) -> np.ndarray:

@@ -809,6 +809,16 @@ def test_a_cube_within_the_allowance_of_eps_stays_open():
     assert aw_less_than(A, B, eps, tol=0.02) is True
 
 
+def test_a_nan_cube_bound_leaves_the_gap_unbounded(monkeypatch):
+    # a NaN bound fails every comparison, so it closes its cube; the
+    # certificate must then refuse to bound the gap, not drop the cube
+    monkeypatch.setattr(hm._GapBound, "bound", lambda self, C, *args, **kw: np.full(len(C), np.nan))
+    A = ClosedSet.points(E2, [(3.0, 0.5)])
+    B = ClosedSet.points(E2, [(3.0, -0.5)])
+    cv = sup_gap_on_ball(A, B, 1.0, tol=0.02)
+    assert cv.hi.is_inf and math.isfinite(cv.lo)
+
+
 def test_a_pair_bound_scales_its_pieces_once_per_power_of_two():
     # the windows of one search share a pair bound: each sets its own
     # allowance on the copy scaled by its power of two

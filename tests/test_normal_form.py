@@ -204,11 +204,12 @@ ROUNDING = 4 * math.ulp(2.0 ** 15)
 
 
 def same(cv, ref):
-    """Equal value, method and witness (floats compare equal, so the
-    sign of a zero is not compared)."""
+    """Equal value, method and witness; the witness also by repr, so the
+    sign of a zero counts."""
     lo, hi, method, wit = ref
     assert (cv.lo, cv.hi.as_float(), cv.method) == (lo, hi, method)
     assert cv.witness == wit and type(cv.witness) is type(wit)
+    assert repr(cv.witness) == repr(wit)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +376,7 @@ def test_gap_midpoints_past_half_the_float_range_stay_finite():
     # of the coordinates from the exact half
     A, B = ClosedSet.intervals(LINE, FAR_A), ClosedSet.intervals(LINE, FAR_B)
     half = (Fraction(1.5e308) - Fraction(1.1e308)) / 2
-    assert A.normal_form.midpoints == [1.3e308]
+    assert A.normal_form.midpoints.tolist() == [1.3e308]
     X = AmbientSpace.line(1.3e308)
     near = ClosedSet.intervals(X, FAR_A), ClosedSet.intervals(X, FAR_B)
     for cv in (hausdorff(A, B), excess(B, A), sup_gap_on_ball(*near, 4e307)):
@@ -452,6 +453,74 @@ def test_tied_candidates_keep_the_scan_witness():
     ref, monotone = ref_aw(LINE, A, B)
     assert monotone
     same(aw_distance(A, B), ref)
+
+
+def test_ties_between_distinct_candidates_keep_the_scan_witness():
+    # outside both sets the gap is flat: the window edge -3 ties with A's
+    # outer end 0, B's point 1 and A's gap midpoint 2.5
+    A, B = ClosedSet.points(LINE, [0.0, 5.0]), ClosedSet.points(LINE, [1.0])
+    same(sup_gap_on_ball(A, B, 3.0), (1.0, 1.0, "exact-1d", 0.0))
+    same(sup_gap_on_ball(A, B, 3.0), ref_sup_gap(LINE, A, B, 3.0))
+    # A's upper end 12 and B's gap midpoint 4 tie; the scan meets an
+    # interval's ends before the midpoints inside it
+    A, B = ClosedSet.intervals(LINE, [(0.0, 12.0)]), ClosedSet.points(LINE, [0.0, 8.0])
+    same(excess(A, B), (4.0, 4.0, "exact-1d", 12.0))
+    same(excess(A, B), ref_excess(A, B))
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_a_zero_witness_keeps_the_sign_of_the_first_zero(swap):
+    # the gap peaks at 0 alone, where A has the point -0.0 and B the gap
+    # midpoint 0.0; the scan meets the first set's zero first
+    A, B = ClosedSet.points(LINE, [-0.0]), ClosedSet.points(LINE, [-1.0, 1.0])
+    if swap:
+        A, B = B, A
+    cv = sup_gap_on_ball(A, B, 0.5)
+    same(cv, ref_sup_gap(LINE, A, B, 0.5))
+    assert repr(cv.witness) == ("0.0" if swap else "-0.0")
+
+
+def test_the_candidate_set_is_built_only_on_a_tie(monkeypatch):
+    calls = []
+    breakpoints = hm._breakpoints
+    monkeypatch.setattr(hm, "_breakpoints", lambda *args: (calls.append(args), breakpoints(*args))[1])
+    # one maximising value: B's point 0.5, which is also A's gap midpoint
+    A, B = ClosedSet.points(LINE, [-2.0, 3.0]), ClosedSet.points(LINE, [0.5])
+    same(sup_gap_on_ball(A, B, 1.0), (2.5, 2.5, "exact-1d", 0.5))
+    assert calls == []
+    A, B = ClosedSet.points(LINE, [0.0, 5.0]), ClosedSet.points(LINE, [1.0])
+    same(sup_gap_on_ball(A, B, 3.0), ref_sup_gap(LINE, A, B, 3.0))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("radius", [1.7e308, 1.6e308])
+def test_a_window_edge_past_the_float_range_from_both_sets_reads_no_nan(radius):
+    # the edge -radius lies more than the float range from both sets, so
+    # both distances there overflow to inf and their difference is NaN;
+    # the gap peaks at A's gap midpoint
+    A, B = ClosedSet.intervals(LINE, FAR_A), ClosedSet.intervals(LINE, FAR_B)
+    cv = sup_gap_on_ball(A, B, radius)
+    assert repr(cv) == "<1.9999999999999992e+307 by exact-1d>" and cv.witness == 1.3e308
+    assert cv.lo == hausdorff(A, B).lo
+    assert repr(aw_distance(A, B)) == "<9.090909090909087e-309 by exact-1d>"
+
+
+def test_a_window_past_the_float_range_from_both_sets_reads_their_outer_ends():
+    # every candidate in the window has two overflowed distances; past
+    # both sets the gap is the distance between their lower ends
+    X = AmbientSpace.line(-1.7e308)
+    A, B = ClosedSet.intervals(X, [(1e308, 1.1e308)]), ClosedSet.intervals(X, [(1.05e308, 1.2e308)])
+    same(sup_gap_on_ball(A, B, 1.0), (1.05e308 - 1e308, 1.05e308 - 1e308, "exact-1d", -1.7e308))
+
+
+def test_a_window_edge_that_overflows_to_inf_reads_the_sets_past_it():
+    # the window [0, 2e308] has the edge inf: past both sets the gap is
+    # the distance between their upper ends, 0 where both are rays
+    X = AmbientSpace.line(1e308)
+    A, B = ClosedSet.intervals(X, [(0.0, 1.0)]), ClosedSet.intervals(X, [(0.0, 2.0)])
+    same(sup_gap_on_ball(A, B, 1e308), (1.0, 1.0, "exact-1d", 2.0))
+    A, B = ClosedSet.ray(X, 0.0, 1.0), ClosedSet.ray(X, 1.0, 1.0)
+    same(sup_gap_on_ball(A, B, 1e308), (1.0, 1.0, "exact-1d", 0.0))
 
 
 @pytest.mark.parametrize("D", [1.0e4, 1.0e12])
