@@ -28,7 +28,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from typing import Any, Optional
 
 import numpy as np
@@ -588,6 +588,10 @@ class _GapBound:
     The min over i runs over the _NEAREST pieces of A at c (any subset
     gives an upper bound); the pieces of B left out are bounded together
     by min_i min(d_{a_i}(c) + r, F_{a_i}) - d_b(c) + r at the nearest of them.
+    Both sides are bounded in one pass over one pair table shaped (side,
+    i, k, point), side 1 holding U(b_k, a_i), so that both read H[i, k]:
+    side 0 reduces by min over i, then max over k; side 1 by min over k,
+    then max over i.
     """
 
     def __init__(self, A: ClosedSet, B: ClosedSet, reach: float, max_rows=math.inf):
@@ -624,9 +628,9 @@ class _GapBound:
         return gap.at_reach(math.ldexp(reach, k))
 
     def row_bytes(self) -> int:
-        """Bytes of kernel and pair-bound temporaries per evaluated point."""
-        pairs = min(_NEAREST, self.mA) * min(_NEAREST, self.pieces.m - self.mA)
-        return 8 * (self.pieces.m * (self.n + 2) + 3 * pairs * (self.n + 1))
+        """Bytes of kernel and pair-bound temporaries (both sides) per evaluated point."""
+        kA, kB = min(_NEAREST, self.mA), min(_NEAREST, self.pieces.m - self.mA)
+        return 8 * (self.pieces.m * (self.n + 2) + 3 * (2 * kA * kB + kA + kB) * (self.n + 1))
 
     def _pair_hausdorff(self, comps_a, comps_b, pieces_a, pieces_b, max_rows):
         """H[i, k] >= the Hausdorff distance of piece i of A and piece k
@@ -666,10 +670,11 @@ class _GapBound:
         P = C
         if r_in > 0.0 and out.any():
             P = np.where(out[:, None], x0 + off * (r_in / np.where(out, rad, 1.0))[:, None], C)
+            off = P - x0
+            rad = np.sqrt(np.einsum("ij,ij->i", off, off))
         D, G = _kernel(P, self.pieces)
         f = np.abs(D[:self.mA].min(axis=0) - D[self.mA:].min(axis=0))
-        off = P - x0
-        inside = np.sqrt(np.einsum("ij,ij->i", off, off)) + self.alpha < radius
+        inside = rad + self.alpha < radius
         return P, D, G, f, inside
 
     def bound(self, C, P, D, G, f, s, x0, radius, floor=-math.inf):
@@ -681,45 +686,55 @@ class _GapBound:
         r = (s * math.sqrt(self.n) + np.sqrt((e * e).sum(axis=0))) * (1.0 + 4.0 * _U)
         b = f + 2.0 * r
         hard = b > floor
-        if hard.any():
-            # compress keeps C order, which boolean indexing of a last axis does not
-            D, G, r = D.compress(hard, axis=1), G.compress(hard, axis=2), r[hard]
-            F = _far(C[hard], s, x0, radius, self.pieces)
-            win = (e.compress(hard, axis=1), np.ascontiguousarray((x0 - P[hard]).T), s, radius)
-            A, B = slice(None, self.mA), slice(self.mA, None)
-            b[hard] = np.minimum(b[hard], np.maximum(
-                self._side(D[A], G[:, A], F[A], D[B], G[:, B], self.H, r, win),
-                self._side(D[B], G[:, B], F[B], D[A], G[:, A],
-                           None if self.H is None else self.H.T, r, win)))
-        return b
-
-    def _side(self, DP, GP, FP, DQ, GQ, H, r, win):
-        """max over q of min over p of U(p, q): a bound on sup d_P - d_Q.
-        Pair arrays are shaped (p, q, point)."""
-        a = self.alpha
-        ip, dp, gp, fp, _ = _nearest(DP, GP, FP)
-        iq, dq, gq, _, dq_next = _nearest(DQ, GQ, DQ)
-        up = np.minimum(dp + r, fp)  # sup of d_p over the cube within the window
+        if not hard.any():
+            return b
+        # compress keeps C order, which boolean indexing of a last axis does not
+        D, G, r = D.compress(hard, axis=1), G.compress(hard, axis=2), r[hard]
+        F = _far(C[hard], s, x0, radius, self.pieces)
+        win = (e.compress(hard, axis=1), np.ascontiguousarray((x0 - P[hard]).T), s, radius)
+        a, mA = self.alpha, self.mA
+        ia, dA, gA, fA, nextA = _nearest(D[:mA], G[:, :mA], F[:mA])
+        ib, dB, gB, fB, nextB = _nearest(D[mA:], G[:, mA:], F[mA:])
+        kA, kB = len(dA), len(dB)
+        if nextA is not None or nextB is not None:  # rows: A's nearest, then B's
+            D, F = np.concatenate((dA, dB)), np.concatenate((fA, fB))
+            G = np.concatenate((gA, gB), axis=1)
+        up = np.minimum(D + r, F)  # sup of d_p over the cube within the window
         # a computed gradient is within 4 a / (d - a) of the exact one, and
         # within 2 of it where d <= 5 a; below d_q there, 0 is a tangent
         # plane of d_q up to 6 a, because d_q >= 0
-        pen_p = r * np.where(dp > 5.0 * a, 4.0 * a / (dp - a), 2.0)
-        flat = dq <= 5.0 * a
-        gq = np.where(flat, 0.0, gq)
-        pen_q = np.where(flat, 6.0 * a, r * 4.0 * a / np.where(flat, 1.0, dq - a))
-        last = up[:, None, :] - (dq - _support(-gq, win) - pen_q)[None, :, :]
-        near = dp - a - r
+        pen_p = r * np.where(D > 5.0 * a, 4.0 * a / (D - a), 2.0)
+        flat = D <= 5.0 * a
+        gq = np.where(flat, 0.0, G)
+        pen_q = np.where(flat, 6.0 * a, r * 4.0 * a / np.where(flat, 1.0, D - a))
+        near = D - a - r
         curv = np.divide(r * r * (1.0 + 32.0 * _U), 2.0 * near,
                          out=np.full_like(near, np.inf), where=near > 0.0)
-        lin = _support(gp[:, :, None, :] - gq[:, None, :, :], win) + pen_p[:, None, :] + pen_q
-        mid = (dp + curv)[:, None, :] - dq + lin
-        U = np.minimum(mid, last)
-        if H is not None:
-            U = np.minimum(U, H[ip[:, None, :], iq[None, :, :]])
-        side = U.min(axis=0).max(axis=0)
-        if dq_next is not None:
-            side = np.maximum(side, up.min(axis=0) - dq_next + r)
-        return side
+        p, q, pairs = _pair_rows(kA, kB)
+        v = np.empty((self.n, pairs + kA + kB, len(r)))  # the pairs' u_p - u_q, then -u_q
+        pair_v = v[:, :pairs].reshape(self.n, 2, kA, kB, -1)
+        np.subtract(G[:, :kA, None], gq[:, None, kA:], out=pair_v[:, 0])
+        np.subtract(G[:, None, kA:], gq[:, :kA, None], out=pair_v[:, 1])
+        np.negative(gq, out=v[:, pairs:])
+        sup = _support(v, win)
+        lin = sup[:pairs].reshape(p.shape + r.shape) + pen_p[p] + pen_q[q]
+        U = np.minimum((D + curv)[p] - D[q] + lin, up[p] - (D - sup[pairs:] - pen_q)[q])
+        if self.H is not None:
+            U = np.minimum(U, self.H[ia[:, None, :], ib[None, :, :]])
+        sides = U[0].min(axis=0).max(axis=0), U[1].min(axis=1).max(axis=0)
+        for side, up_p, next_q in ((sides[0], up[:kA], nextB), (sides[1], up[kA:], nextA)):
+            if next_q is not None:
+                np.maximum(side, up_p.min(axis=0) - next_q + r, out=side)
+        b[hard] = np.minimum(b[hard], np.maximum(*sides))
+        return b
+
+
+@lru_cache(maxsize=None)
+def _pair_rows(kA, kB):
+    """Rows of p and of q, each (2, kA, kB) and shared by every caller,
+    into A's kA rows joined with B's kB (see _GapBound); the pair count."""
+    i, k = np.indices((kA, kB))
+    return np.stack((i, k + kA)), np.stack((k + kA, i)), 2 * kA * kB
 
 
 def _support(v, win):

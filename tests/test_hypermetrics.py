@@ -19,11 +19,12 @@ from hypothesis import strategies as st
 
 import hypermet.hypermetrics as hm
 from hypermet.errors import Indeterminate
+from hypermet.geom import _CHUNK_BYTES
 from hypermet.hypermetrics import (INF, CertifiedValue, ExtReal, aw_distance,
                                    aw_less_than, excess, ext, hausdorff,
                                    hausdorff_lower, hausdorff_upper, set_gap,
                                    sup_gap_on_ball)
-from hypermet.sets import ClosedSet
+from hypermet.sets import ClosedSet, _rows_per_chunk
 from hypermet.spaces import AmbientSpace
 
 LINE = AmbientSpace.line()
@@ -592,6 +593,90 @@ def test_cube_bound_covers_the_gap_over_the_cube(data):
     P, D, G, f, _ = gap.probe(C, x0, R)
     bound = float(gap.bound(C, P, D, G, f, s, x0, R)[0]) + 3.0 * gap.alpha  # with the allowance
     assert float(np.abs(oracle_dist(S, A) - oracle_dist(S, B)).max()) <= bound + 1e-12
+
+
+def side_bound(a, DP, GP, FP, DQ, GQ, H, r, win):
+    """max over q of min over p of U(p, q), a bound on sup d_P - d_Q, in a
+    pass of its own: pair arrays shaped (p, q, point)."""
+    ip, dp, gp, fp, _ = hm._nearest(DP, GP, FP)
+    iq, dq, gq, _, dq_next = hm._nearest(DQ, GQ, DQ)
+    up = np.minimum(dp + r, fp)
+    pen_p = r * np.where(dp > 5.0 * a, 4.0 * a / (dp - a), 2.0)
+    flat = dq <= 5.0 * a
+    gq = np.where(flat, 0.0, gq)
+    pen_q = np.where(flat, 6.0 * a, r * 4.0 * a / np.where(flat, 1.0, dq - a))
+    last = up[:, None, :] - (dq - hm._support(-gq, win) - pen_q)[None, :, :]
+    near = dp - a - r
+    curv = np.divide(r * r * (1.0 + 32.0 * hm._U), 2.0 * near,
+                     out=np.full_like(near, np.inf), where=near > 0.0)
+    lin = hm._support(gp[:, :, None, :] - gq[:, None, :, :], win) + pen_p[:, None, :] + pen_q
+    U = np.minimum((dp + curv)[:, None, :] - dq + lin, last)
+    if H is not None:
+        U = np.minimum(U, H[ip[:, None, :], iq[None, :, :]])
+    side = U.min(axis=0).max(axis=0)
+    if dq_next is not None:
+        side = np.maximum(side, up.min(axis=0) - dq_next + r)
+    return side
+
+
+def two_pass_bound(gap, C, P, D, G, f, s, x0, radius):
+    """The cube bound with each side of the pair bound in its own pass."""
+    e = np.ascontiguousarray((C - P).T)
+    r = (s * math.sqrt(gap.n) + np.sqrt((e * e).sum(axis=0))) * (1.0 + 4.0 * hm._U)
+    F = hm._far(C, s, x0, radius, gap.pieces)
+    win = (e, np.ascontiguousarray((x0 - P).T), s, radius)
+    A, B, H = slice(None, gap.mA), slice(gap.mA, None), gap.H
+    return np.minimum(f + 2.0 * r, np.maximum(
+        side_bound(gap.alpha, D[A], G[:, A], F[A], D[B], G[:, B], H, r, win),
+        side_bound(gap.alpha, D[B], G[:, B], F[B], D[A], G[:, A],
+                   None if H is None else H.T, r, win)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_one_pass_pair_bound_is_the_two_pass_bound_bit_for_bit(data):
+    # more than _NEAREST pieces, mA != mB, B = A, centres on a piece (flat
+    # entries, d <= 5 alpha), large cubes (d - alpha - r <= 0), no H, and
+    # windows that move evaluation points off the centres
+    n = data.draw(st.sampled_from((2, 3)))
+    X = AmbientSpace.euclidean(n)
+    A = build_set(X, *data.draw(piece_sets(n, most=9)))
+    B = A if data.draw(st.booleans()) else build_set(X, *data.draw(piece_sets(n, most=9)))
+    C = np.array(data.draw(st.lists(st.tuples(*[unit_coord] * n), min_size=1, max_size=6)))
+    kind, piece = data.draw(st.sampled_from(A.components() + B.components()))
+    if data.draw(st.booleans()):  # a centre on a point, a ball's centre or a vertex
+        C[0] = piece if kind == "point" else piece[0]
+    s = data.draw(st.floats(min_value=0.01, max_value=1.5))
+    x0 = np.array(data.draw(st.tuples(*[unit_coord] * n)))
+    R = data.draw(st.floats(min_value=0.5, max_value=6.0))
+    gap = hm._GapBound(A, B, float(np.abs(x0).max()) + R,
+                       max_rows=data.draw(st.sampled_from((0, math.inf))))
+    P, D, G, f, _ = gap.probe(C, x0, R)
+    one = gap.bound(C, P, D, G, f, s, x0, R)
+    two = two_pass_bound(gap, C, P, D, G, f, s, x0, R)
+    assert np.array_equal(one.view(np.uint64), two.view(np.uint64))
+
+
+@pytest.mark.parametrize("pieces", [5, 12, 40])
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_chunk_of_cube_bounds_stays_near_the_chunk_budget(n, pieces):
+    # row_bytes prices both sides' pair tables and the joined _support
+    # input, so a chunk of rows peaks near _CHUNK_BYTES, not twice past it
+    X = AmbientSpace.euclidean(n)
+    rng = np.random.default_rng(pieces + n)
+    A = ClosedSet.points(X, [tuple(v) for v in rng.uniform(-2.0, 2.0, (pieces, n))])
+    B = ClosedSet.balls(X, [(tuple(v), 0.2) for v in rng.uniform(-2.0, 2.0, (pieces, n))])
+    x0, R = np.zeros(n), 3.0
+    gap = hm._GapBound(A, B, R)
+    C = rng.uniform(-1.5, 1.5, (_rows_per_chunk(gap.row_bytes()), n))
+    P, D, G, f, _ = gap.probe(C, x0, R)
+    tracemalloc.start()
+    try:
+        gap.bound(C, P, D, G, f, 0.01, x0, R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * _CHUNK_BYTES
 
 
 SMALL_TOL, SMALL_CAP = 1e-3, 100_000
