@@ -151,8 +151,6 @@ _SPHERE_SAMPLES = 64
 
 
 def _unit_directions(n: int) -> np.ndarray:
-    if n == 1:
-        return np.array([(1.0,), (-1.0,)])
     if n == 2:
         return np.array([(math.cos(2 * math.pi * k / _SPHERE_SAMPLES),
                           math.sin(2 * math.pi * k / _SPHERE_SAMPLES))
@@ -213,9 +211,14 @@ def affine_sup_norm(D, c, A: ClosedSet) -> CertifiedValue:
     if isinstance(rep, BallUnion):
         mu = _scaled_orthogonal(D)
         if mu is None:
-            lo = max(0.0, *(max(_norms(D, c, _np(centre) + r * _unit_directions(len(centre))))
-                            for centre, r in rep.balls))
-            hi = max(0.0, *(v + _sigma_max(D) * r for v, (_, r) in zip(far, rep.balls)))
+            # both ends moved out by the rounding of |D x + t| (x a centre x0 or a sample just
+            # off the sphere) and of sigma_max: 16 gamma_{2n+4} of |D| (|x0| + 2 r) + |t|
+            size, t, sigma = float(np.linalg.norm(D)), float(np.linalg.norm(c)), _sigma_max(D)
+            err = [32.0 * (len(c) + 2) * 2.0 ** -53
+                   * (size * (float(np.linalg.norm(x0)) + 2.0 * r) + t) for x0, r in rep.balls]
+            lo = max(0.0, *(max(_norms(D, c, _np(x0) + r * _unit_directions(len(x0)))) - e
+                            for (x0, r), e in zip(rep.balls, err)))
+            hi = max(0.0, *(v + sigma * r + e for v, (_, r), e in zip(far, rep.balls, err)))
             return CertifiedValue.interval(lo, hi, "sphere-sample")
         far = [v + mu * r for v, (_, r) in zip(far, rep.balls)]
     return CertifiedValue.point(max(0.0, *far), "finite-max")

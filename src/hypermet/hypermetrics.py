@@ -627,6 +627,12 @@ class _GapBound:
             gap.H = None if self.H is None else np.ldexp(self.H, k)
         return gap.at_reach(math.ldexp(reach, k))
 
+    def hausdorff(self) -> float:
+        """H(A, B) <= max(max_k min_i H[i, k], max_i min_k H[i, k]) + 3 alpha; inf without H."""
+        if self.H is None:
+            return math.inf
+        return float(max(self.H.min(0).max(), self.H.min(1).max())) + 3.0 * self.alpha
+
     def row_bytes(self) -> int:
         """Bytes of kernel and pair-bound temporaries (both sides) per evaluated point."""
         kA, kB = min(_NEAREST, self.mA), min(_NEAREST, self.pieces.m - self.mA)
@@ -878,7 +884,6 @@ def aw_distance(A: ClosedSet, B: ClosedSet, *,
     """
     A.space.require_same(B.space)
     _check_budget(tol, node_cap)
-    slack = A.slack + B.slack
     space = A.space
     try:
         dh = hausdorff(A, B).hi
@@ -887,15 +892,13 @@ def aw_distance(A: ClosedSet, B: ClosedSet, *,
     if space.kind == FINITE or space.is_one_dimensional:
         cv = _aw_exact(space, A, B)
     else:
-        cv = _aw_certified(space, A, B, dh, tol, node_cap)
-    cv = _widen(cv, slack)
-    if not cv.is_infinite and cv.hi > 1.0:
-        cv = CertifiedValue(min(cv.lo, 1.0), ext(1.0), cv.method, cv.witness)
-    # the windowed distance never exceeds the full two-sided distance, so a
-    # finite hausdorff certificate tightens the upper end (kills the odd
-    # last-ulp overshoot from sup evaluation at interior candidates)
-    if not dh.is_inf and dh < cv.hi:
-        cv = CertifiedValue(min(cv.lo, dh.as_float()), dh, cv.method, cv.witness)
+        cv = _aw_certified(space, A, B, dh.as_float(), tol, node_cap)
+    cv = _widen(cv, A.slack + B.slack)
+    # the windowed distance is at most 1 and at most a finite hausdorff hi (which
+    # kills the odd last-ulp overshoot from sup evaluation at interior candidates)
+    top = min(1.0, dh.as_float())
+    if top < cv.hi:
+        cv = CertifiedValue(min(cv.lo, top), ext(top), cv.method, cv.witness)
     return cv
 
 
@@ -985,43 +988,37 @@ def _window_gap_family(space, A, B):
     return g, j_sat, g_inf
 
 
-def _aw_certified(space, A, B, hb: ExtReal, tol, node_cap) -> CertifiedValue:
-    """Windows j = 1, 2, ... until the terms min(1/j, window-j gap) are
-    pinned to tol.  hb: an upper bound on the Hausdorff distance (INF when
-    unknown).
+def _aw_certified(space, A, B, hb: float, tol, node_cap) -> CertifiedValue:
+    """Windows j = 1, 2, ... until the terms min(1/j, g(j)) of the window
+    gaps g are pinned to tol; hb bounds H(A, B), as does the pair table.
 
-    Window j + 1 contains window j, so its search starts from window j's
-    best gap and witness; and window j stops once its gap is certified
-    at or above 1/j, where its term is exactly 1/j and no later window
-    can exceed it.
-    """
+    Window j contains the earlier ones, and g(j) <= H(A, B) (Beer 1993,
+    ch. 3): the terms up to j are at most cap, the smaller of their running
+    max and min(1, hb, hi of window j), and the later ones at most tail =
+    min(1/(j+1), hb).  Window j closes at once a cube whose bound is below
+    tail - tol: no gap there can stop the loop at j or lift max(cap, tail).
+    It starts from window j - 1's best gap and witness, and stops once its
+    gap is certified at or above 1/j, where its term is exactly 1/j and no
+    later window can exceed it."""
+    if hb > tol:
+        gap = _pair_bound(A, B, 0.0, node_cap)  # alpha is set per window
+        hb = min(hb, gap.hausdorff())
     if hb <= tol:
-        return CertifiedValue.interval(0.0, min(1.0, hb.as_float()), "h-bound")
-    hbf = hb.as_float()
-    best_lo = best_hi = 0.0
-    wit = seed = None
-    # window-count budget: past it the certificate is returned at its
-    # achieved (recorded) width rather than the requested tol
-    j_cap = min(math.ceil(1.0 / tol) + 1, 512)
-    gap = _pair_bound(A, B, 0.0, node_cap)  # alpha is set per window
-    j = 1
-    while True:
+        return CertifiedValue.interval(0.0, min(1.0, hb), "h-bound")
+    lo, cap, wit, seed = 0.0, 0.0, None, None
+    j_cap = min(math.ceil(1.0 / tol) + 1, 512)  # windows; then the width achieved
+    for j in itertools.count(1):
+        tail = min(1.0 / (j + 1), hb)
         G, seed = _sup_gap_bnb(space, A, B, float(j), tol / 2.0, node_cap, gap, seed,
-                               stop=1.0 / j)
-        if min(1.0 / j, G.lo) > best_lo:
-            best_lo, wit = min(1.0 / j, G.lo), G.witness
-        best_hi = max(best_hi, min(1.0 / j, G.hi.as_float()))
-        if G.lo >= 1.0 / j:
-            # later windows contribute at most 1/(j+1) < current floor
-            return CertifiedValue.interval(best_lo, max(best_hi, best_lo),
-                                           "bnb", wit)
-        tail = min(1.0 / (j + 1), hbf)
-        if tail <= best_lo:
-            return CertifiedValue.interval(best_lo, best_hi, "bnb", wit)
-        hi_now = max(best_hi, tail)
-        if hi_now - best_lo <= tol or j >= j_cap:
-            return CertifiedValue.interval(best_lo, hi_now, "bnb", wit)
-        j += 1
+                               cut=tail - tol, stop=1.0 / j)
+        if min(1.0 / j, G.lo) > lo:
+            lo, wit = min(1.0 / j, G.lo), G.witness
+        if G.lo >= 1.0 / j:  # the later terms are at most 1/(j+1) < lo
+            return CertifiedValue.interval(lo, max(lo, cap), "bnb", wit)
+        top = min(1.0, hb, G.hi.as_float())
+        cap = min(max(cap, min(1.0 / j, top)), top)
+        if tail <= lo or max(cap, tail) - lo <= tol or j >= j_cap:
+            return CertifiedValue.interval(lo, max(cap, tail), "bnb", wit)
 
 
 def aw_less_than(A: ClosedSet, B: ClosedSet, eps: float, *,

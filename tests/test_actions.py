@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -238,6 +239,22 @@ def test_a_matrix_that_kills_a_ray_exactly_gives_a_finite_sup(a, b):
     # a matrix that misses the direction by one ulp still escapes
     D[0, 0] = math.nextafter(float(b), math.inf)
     assert affine_sup_norm(D, np.zeros(2), R).is_infinite
+
+
+@pytest.mark.parametrize("a, b", [(1.988839743156844, 1.9233413551049203),
+                                  (-1.16685593, 0.40004961)])
+def test_a_sampled_ball_certificate_contains_the_sup_under_a_zero_column(a, b):
+    # D = ((a, 0), (b, 0)) maps x to x_1 (a, b); over ball((-1, -1), 1),
+    # |x_1| peaks at 2, so the sup is 2 |(a, b)|.  The samples reach it at
+    # (-2, -1), where their rounding put the lower end one ulp above an
+    # unwidened sigma_max upper end: an empty certificate.
+    D = np.array([[a, 0.0], [b, 0.0]])
+    cv = affine_sup_norm(D, np.zeros(2), ClosedSet.balls(E2, [((-1.0, -1.0), 1.0)]))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exact = 2 * (Decimal(a) ** 2 + Decimal(b) ** 2).sqrt()
+    assert Decimal(cv.lo) <= exact <= Decimal(cv.hi.as_float())
+    assert cv.width <= 1e-12 * cv.lo
 
 
 def test_group_distance_frozen_values():

@@ -972,3 +972,154 @@ def test_aw_certificate_brackets_a_dense_sample_and_meets_tol(data):
         hi = max(hi, min(1.0 / j, float(gap[rad < j + cover].max()) + 2.0 * cover))
     assert lo <= cv.hi.as_float() + 1e-12 and cv.lo <= hi + 1e-12
     assert cv.width <= AW_TOL + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the n-D window loop: a finite Hausdorff tail from the pair table, and the
+# loop without it as a reference
+
+dyadic = st.integers(-24, 24).map(lambda k: k / 8.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_the_pair_table_bounds_the_exact_hausdorff_distance_of_point_sets(data):
+    n = data.draw(st.sampled_from((2, 3)))
+    P, Q = (data.draw(st.lists(st.tuples(*[dyadic] * n), min_size=1, max_size=6))
+            for _ in range(2))
+    X = AmbientSpace.euclidean(n)
+    bound = hm._GapBound(ClosedSet.points(X, P), ClosedSet.points(X, Q), 0.0).hausdorff()
+
+    def sq(p, q):
+        return sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(p, q))
+
+    h2 = max(max(min(sq(p, q) for q in Q) for p in P), max(min(sq(p, q) for p in P) for q in Q))
+    assert Fraction(bound) ** 2 >= h2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_pair_table_bound_lies_above_a_dense_sample_of_ball_and_box_unions(data):
+    # e(A, B) >= d(x, B) for every sample x inside A, and likewise for B;
+    # the pieces reach at most 6 from the origin
+    n = data.draw(st.sampled_from((2, 3)))
+    X = AmbientSpace.euclidean(n)
+    A, B = (build_set(X, *data.draw(piece_sets(n, coord=dyadic, kinds=("balls", "boxes"),
+                                               most=4)))
+            for _ in range(2))
+    bound = hm._GapBound(A, B, 0.0).hausdorff()
+    S = cube_sample(np.zeros(n), 6.0, 121 if n == 2 else 25)
+    dA, dB = oracle_dist(S, A), oracle_dist(S, B)
+    sample = max(dB[dA == 0.0].max(initial=0.0), dA[dB == 0.0].max(initial=0.0))
+    assert sample <= bound + 1e-12
+
+
+def test_the_shifted_boxes_settle_in_one_window(monkeypatch):
+    # 30 boxes of side 0.3 against the same boxes moved by (0.04, 0.04):
+    # hausdorff refuses the pair, but the pair table bounds H near
+    # 0.04 sqrt(2), so window 1 already pins the distance.  With an
+    # infinite tail the loop ran 13 windows to push 1/(j+1) down.
+    radii = []
+    bnb = hm._sup_gap_bnb
+    monkeypatch.setattr(hm, "_sup_gap_bnb",
+                        lambda *args, **kw: (radii.append(args[3]), bnb(*args, **kw))[1])
+    c = np.random.default_rng(3).uniform(-3.0, 3.0, (30, 2))
+    A = ClosedSet.boxes(E2, [(tuple(p), tuple(p + 0.3)) for p in c])
+    B = ClosedSet.boxes(E2, [(tuple(p + 0.04), tuple(p + 0.34)) for p in c])
+    cv = aw_distance(A, B, tol=0.02)
+    assert len(radii) <= 2
+    assert cv.lo <= 0.04 * math.sqrt(2.0) <= cv.hi.as_float() and cv.width <= 0.02
+
+
+def ref_aw_distance(A, B, tol, node_cap):
+    """aw_distance by the window loop without a finite tail for pairs that
+    hausdorff refuses: every window searched to tol / 2 without a cut, the
+    upper end the running max of min(1/j, hi of window j), the tail
+    min(1/(j+1), hausdorff hi).  Returns (lo, hi, the last window)."""
+    try:
+        hb = hausdorff(A, B).hi.as_float()
+    except hm.UnsupportedPair:
+        hb = math.inf
+    top = min(1.0, hb)
+    if hb <= tol:
+        return 0.0, top, 0
+    lo = hi = 0.0
+    seed = None
+    j_cap = min(math.ceil(1.0 / tol) + 1, 512)
+    gap = hm._pair_bound(A, B, 0.0, node_cap)
+    for j in itertools.count(1):
+        G, seed = hm._sup_gap_bnb(A.space, A, B, float(j), tol / 2.0, node_cap, gap, seed,
+                                  stop=1.0 / j)
+        lo, hi = max(lo, min(1.0 / j, G.lo)), max(hi, min(1.0 / j, G.hi.as_float()))
+        if G.lo >= 1.0 / j:
+            return min(lo, top), min(max(hi, lo), top), j
+        tail = min(1.0 / (j + 1), hb)
+        if tail <= lo:
+            return min(lo, top), min(hi, top), j
+        if max(hi, tail) - lo <= tol or j >= j_cap:
+            return min(lo, top), min(max(hi, tail), top), j
+
+
+def loop_corpus(seed, count):
+    """Pairs of point, ball, box, segment and ray sets of 1 to 6 pieces in
+    R^2 and R^3: half of them a set and a copy moved by 0.01 to 0.5, half
+    two sets drawn apart."""
+    rng = np.random.default_rng(seed)
+    kinds = ("points", "balls", "boxes", "segments", "ray")
+
+    def draw(X, kind, k, base=None, move=0.0):
+        n = X.dim
+        if base is None:
+            base = (rng.uniform(-3.0, 3.0, (k, n)), rng.uniform(-1.0, 1.0, (k, n)),
+                    rng.uniform(0.0, 1.0, k))
+        P, Q, r = base[0] + move * rng.normal(size=base[0].shape), base[1], base[2]
+        if kind == "ray":
+            return ClosedSet.ray(X, tuple(P[0]), tuple(Q[0])), base
+        if kind == "points":
+            return ClosedSet.points(X, [tuple(p) for p in P]), base
+        if kind == "balls":
+            return ClosedSet.balls(X, [(tuple(p), float(s)) for p, s in zip(P, r)]), base
+        if kind == "boxes":
+            return ClosedSet.boxes(X, [(tuple(p), tuple(p + np.abs(q))) for p, q in zip(P, Q)]), base
+        return ClosedSet.segments(X, [(tuple(p), tuple(p + q)) for p, q in zip(P, Q)]), base
+
+    for i in range(count):
+        X = AmbientSpace.euclidean(2 + i % 2)
+        kind = kinds[rng.integers(5)]
+        A, base = draw(X, kind, int(rng.integers(1, 7)))
+        if rng.integers(2):
+            B, _ = draw(X, kind, 0, base, float(10.0 ** rng.uniform(-2.0, -0.3)))
+        else:
+            B, _ = draw(X, kinds[rng.integers(5)], int(rng.integers(1, 7)))
+        yield A, B
+
+
+def test_the_window_loop_meets_the_loop_without_a_finite_tail():
+    # every certificate intersects the reference's and lies above a dense
+    # sample; it is tol wide wherever the reference is, and its hi exceeds
+    # the reference's by rounding only, or as far as its own tol stop lets
+    # it (a finite tail can stop the loop windows earlier); aw_less_than
+    # never contradicts it
+    changed = 0
+    for A, B in loop_corpus(1, 200):
+        n = A.space.dim
+        cv = aw_distance(A, B, tol=AW_TOL, node_cap=AW_CAP)
+        lo, hi = cv.lo, cv.hi.as_float()
+        ref_lo, ref_hi, J = ref_aw_distance(A, B, AW_TOL, AW_CAP)
+        alpha = hm._allowance(n, max(hm._GapBound(A, B, 0.0).pieces.scale, J + 1.0))
+        assert lo <= ref_hi and ref_lo <= hi
+        assert hi <= max(ref_hi, lo + AW_TOL) + 4.0 * alpha
+        if ref_hi - ref_lo <= AW_TOL:
+            assert hi - lo <= AW_TOL
+        changed += (lo, hi) != (ref_lo, ref_hi)
+        S = cube_sample(np.zeros(n), 6.0, 61 if n == 2 else 17)
+        rad = np.sqrt((S ** 2).sum(axis=1))
+        gap = np.abs(oracle_dist(S, A) - oracle_dist(S, B))
+        assert max(min(1.0 / j, float(gap[rad < j].max())) for j in range(1, 7)) <= hi + 1e-12
+        for eps in {lo, hi, 0.5 * (lo + hi)} - {0.0, 1.0}:
+            try:
+                verdict = aw_less_than(A, B, eps, tol=AW_TOL, node_cap=AW_CAP)
+            except Indeterminate:
+                continue
+            assert (lo < eps) if verdict else (hi >= eps)
+    assert changed > 0

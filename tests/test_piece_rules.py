@@ -173,10 +173,14 @@ def ref_affine_sup_norm(D, c, A):
             mu = _scaled_orthogonal(D)
             if mu is None:
                 exact = False
+                # both ends moved out by the rounding of the norms and of sigma_max
+                slack = 32.0 * (len(center) + 2) * 2.0 ** -53 * (
+                    float(np.linalg.norm(D)) * (float(np.linalg.norm(center)) + 2.0 * r)
+                    + float(np.linalg.norm(c)))
                 lo = max(lo, max(
                     _ref_norm_at(D, c, tuple(ci + r * ui for ci, ui in zip(center, u)))
-                    for u in _ref_directions(len(center))))
-                hi = max(hi, mid + _sigma_max(D) * r)
+                    for u in _ref_directions(len(center))) - slack)
+                hi = max(hi, mid + _sigma_max(D) * r + slack)
                 continue
             v = mid + mu * r
         else:  # ray
@@ -495,6 +499,9 @@ def sup_norm_cases(draw):
           ClosedSet.ray(AmbientSpace.euclidean(2), (3.0, 4.0), (0.0, 1.0))))
 @example((np.array([[0.3, 0.4], [0.0, 0.0]]), np.zeros(2),
           ClosedSet.balls(AmbientSpace.euclidean(2), [((0.0, 0.0), 1.0), ((5.0, 1.0), 2.0)])))
+# a zero column: the samples' lower end sat one ulp above sigma_max's upper end
+@example((np.array([[1.988839743156844, 0.0], [1.9233413551049203, 0.0]]), np.zeros(2),
+          ClosedSet.balls(AmbientSpace.euclidean(2), [((-1.0, -1.0), 1.0)])))
 def test_affine_sup_norm_matches_the_per_kind_walk(case):
     D, c, A = case
     assert outcome(affine_sup_norm, D, c, A) == outcome(ref_affine_sup_norm, D, c, A)
