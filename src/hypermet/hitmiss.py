@@ -25,8 +25,9 @@ import numpy as np
 from .errors import AmbientMismatch, GeneratorFault, UnsupportedPair
 from .hypermetrics import _gaps_each, set_gap
 from .sets import (ClosedSet, FinitePoints, Ray, _coord, _dists, _dists_each, _far_dists,
-                   _rows_per_chunk, _Stack, is_bounded, is_subset, representative_points)
-from .spaces import FINITE, AmbientSpace
+                   _point_array, _rows_per_chunk, _Stack, is_bounded, is_subset,
+                   representative_points)
+from .spaces import AmbientSpace
 
 Ball = tuple  # (center, radius)
 
@@ -113,17 +114,12 @@ def subset_of(A: ClosedSet, U: OpenSetRep) -> bool:
         return misses(A, U.complement_of)
     if A.slack > 0.0:
         raise UnsupportedPair("coverage of a sampled cloud cannot be certified")
-    space = U.space
-    if space.kind == FINITE:
-        return all(
-            any(space.matrix[c][p] < r for c, r in U.balls) for p in A.rep.points
-        )
-    if space.is_one_dimensional:
+    if U.space.is_one_dimensional:
         return bool(_covered(*A.normal_form._arrays, *_open_cover(U)).all())
     # a piece is certified covered when a single open ball takes its
     # farthest point (balls are convex; a ray's is at infinity)
-    centres, radii = (np.array(v, dtype=float) for v in zip(*U.balls))
-    covered = (_far_dists(centres, [A]) < radii).any(axis=1)
+    centres, radii = zip(*U.balls)
+    covered = (_far_dists(_point_array(U.space, centres), [A]) < np.array(radii)).any(axis=1)
     if covered.all():
         return True
     # the first piece that none takes decides
@@ -247,8 +243,6 @@ def _enlargement(A: ClosedSet, r: float) -> OpenSetRep:
     space = A.space
     if A.slack > 0.0:
         raise UnsupportedPair("no certified enlargement for a sampled cloud")
-    if space.kind == FINITE:
-        return OpenSetRep(space, balls=tuple((p, r) for p in A.rep.points))
     if space.is_one_dimensional:
         ivs = A.normal_form.intervals
         if math.isinf(ivs[0][0]) or math.isinf(ivs[-1][1]):
@@ -302,31 +296,28 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
     pass.  A pass is evidence of convergence; a fail is a proof of exit
     at the witness index.  Generator exceptions become GeneratorFault.
 
-    The ball-union hit and contain constraints and the misses of exact
-    obstacles (slack 0) that share one ambient, in R^n or on a 1-D
-    ambient, are gathered once per scan (_ball_batch).  On an exact term
-    (slack 0), the verdicts of the gathered constraints cannot raise, so
-    they are deferred: such terms queue themselves, and once their queued
-    pieces (intervals on a 1-D ambient) reach the memory budget
-    (sets._rows_per_chunk) from every centre and every obstacle piece, or
-    the scan ends, one pass decides the whole block from one stacking of
-    its terms (sets._Stack):
+    The ball-union hits and contains and the misses of exact obstacles
+    (slack 0) that share one ambient (R^n, 1-D or finite) are gathered
+    once per scan (_ball_batch).  Their verdicts on an exact term (slack
+    0) cannot raise, so such terms are deferred: once their queued pieces
+    (intervals on a 1-D ambient) reach the memory budget
+    (sets._rows_per_chunk) from every centre and obstacle piece, or the
+    scan ends, one pass decides the whole block from one stacking of its
+    terms (sets._Stack):
 
-      * hits read sets._dists_each, one kernel call (in R^n) or one table
-        (on a 1-D ambient) over the block's pieces: the floats of the
-        per-term query;
-      * a miss reads hypermetrics._gaps_each, the gaps of set_gap for
-        the whole block;
-      * in R^n a contain reads sets._far_dists over the block's pieces,
-        the table that subset_of reads per term.  Against several balls
-        it is deferred only on a term of points or a ray, where a piece
-        that no ball takes means False rather than a refusal;
-      * on a 1-D ambient a contain reads the components of its open
-        union (_open_cover, _covered), the rule of subset_of.
+      * hits read sets._dists_each: one kernel call in R^n, one table on
+        a 1-D ambient, one read of the matrix on a finite space; the
+        floats of the per-term query;
+      * a miss reads hypermetrics._gaps_each, set_gap for the whole block;
+      * a contain reads the components of its open union on a 1-D ambient
+        (_open_cover, _covered), elsewhere sets._far_dists over the
+        block's pieces, the rules of subset_of; against several balls the
+        latter only on a term of points or a ray, where a piece that no
+        ball takes means False rather than a refusal.
 
-    The ambient check and every other constraint are read per term, in
-    order, through Constraint.satisfied_by (hits, subset_of or misses);
-    so is every constraint on a cloud or on a term of a finite space.
+    The ambient check, every other constraint and every constraint on a
+    term with slack are read per term, in order, through
+    Constraint.satisfied_by (hits, subset_of or misses).
     seq is called once per index, in order, and never ahead of the term
     being checked, so a scan that raises has read exactly the terms it
     would read without the deferral, and raises what the per-constraint
@@ -344,7 +335,7 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
             len(A.rep.points) if isinstance(A.rep, FinitePoints) else len(A.components())
 
     # the gathered constraints that a block decides on every exact term;
-    # the others (contain, several balls, R^n) only on one of points or a ray
+    # the others (contain, several balls, not 1-D) only on one of points or a ray
     blocked = {i for i, sl in owned.items()
                if nbhds[i].tag != "contain" or one_d or sl.stop - sl.start == 1}
     any_hit = any(nbhds[i].tag == "hit" for i in owned)
@@ -431,11 +422,10 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
 
 def _ball_batch(nbhds):
     """The constraints of nbhds that a scan gathers, those that share the
-    first one's ambient, which is not a finite space (whose terms are
-    never deferred): ball-union hits and contains, and misses of exact
+    first one's ambient: ball-union hits and contains, and misses of exact
     obstacles (slack 0).  Returns {constraint index: the slice of its
-    balls}, that ambient, and the centres and radii of all their balls
-    stacked; a miss owns an empty slice."""
+    balls}, that ambient, and the centres (sets._point_array) and radii
+    of all their balls stacked; a miss owns an empty slice."""
     owned, centres, radii, space = {}, [], [], None
     for i, constraint in enumerate(nbhds):
         if constraint.tag in ("hit", "contain"):
@@ -444,10 +434,10 @@ def _ball_batch(nbhds):
             balls, at = (), constraint.obstacle.space
         else:
             continue
-        if balls is None or at.kind == FINITE or (space is not None and at != space):
+        if balls is None or (space is not None and at != space):
             continue
         space = at
         owned[i] = slice(len(centres), len(centres) + len(balls))
         centres += [c for c, _ in balls]
         radii += [r for _, r in balls]
-    return owned, space, np.array(centres, dtype=float), np.array(radii)
+    return owned, space, _point_array(space, centres) if owned else np.empty(0), np.array(radii)

@@ -49,6 +49,7 @@ from .sets import (
     _excess_at_vertices,
     _kernel,
     _Pieces,
+    _point_array,
     _same_direction,
     _Stack,
     _vertices,
@@ -188,12 +189,12 @@ def _widen(cv: CertifiedValue, slack: float) -> CertifiedValue:
 
 
 def _first_max(cands, d, method, default_wit) -> CertifiedValue:
-    """The first candidate of largest positive value, as a float;
-    (0, default_wit) when none is positive."""
+    """The first candidate of largest positive value, as a Python float
+    (an int for an index); (0, default_wit) when none is positive."""
     if len(cands):
         i = int(np.argmax(d))
         if d[i] > 0.0:
-            return CertifiedValue.point(float(d[i]), method, float(cands[i]))
+            return CertifiedValue.point(float(d[i]), method, np.asarray(cands)[i].item())
     return CertifiedValue.point(0.0, method, default_wit)
 
 
@@ -245,10 +246,9 @@ def _excess_point_source(A, B) -> CertifiedValue:
     """The excess of a point set or cloud A over B: the largest of one
     batched _dists from A's points (A.coords; the indices on a finite
     space) to B.  argmax keeps the first farthest point as witness."""
-    pts = A.rep.points
-    d = _dists(pts if A.space.kind == FINITE else A.coords, B)
+    d = _dists(A.coords, B)
     i = int(np.argmax(d))
-    return CertifiedValue.point(float(d[i]), "finite-max", pts[i])
+    return CertifiedValue.point(float(d[i]), "finite-max", A.rep.points[i])
 
 
 def _excess_1d(A, B) -> CertifiedValue:
@@ -346,17 +346,14 @@ def hausdorff_upper(A: ClosedSet, B: ClosedSet) -> CertifiedValue:
 def set_gap(A: ClosedSet, B: ClosedSet) -> float:
     """inf over a in A, b in B of d(a, b).  Exact for every supported
     representation pair (for clouds, exact at sample level): the one-set
-    case of _gaps_each outside a finite space."""
+    case of _gaps_each."""
     A.space.require_same(B.space)
-    space = A.space
-    if space.kind == FINITE:
-        return min(space.matrix[a][b] for a in A.rep.points for b in B.rep.points)
     return float(_gaps_each(_Stack([A]), B)[0])
 
 
 def _gaps_each(stack: _Stack, K: ClosedSet) -> np.ndarray:
-    """set_gap(A, K) for each set A of a stack (sets._Stack) on a 1-D
-    ambient or in R^n, in one pass: each the float of A alone.
+    """set_gap(A, K) for each set A of a stack (sets._Stack) in one pass:
+    each the float of A alone.
 
     On a 1-D ambient two disjoint pieces are nearest at an end of one of
     them, and two that meet have an end of one inside the other: the
@@ -364,13 +361,13 @@ def _gaps_each(stack: _Stack, K: ClosedSet) -> np.ndarray:
     K's finite ends against every set (_dists_each).  A K with no finite
     end is the whole line.
 
-    In R^n a K of points or balls is one query from its centres
-    (_dists_each), less its radii.  Against any other K the points and
-    ball centres of the sets are measured with _dists, less their radii,
-    and each set of boxes, segments or rays goes to geom.gap, which scales
-    each pair of sets by its own power of two (a power shared by a whole
-    stack could underflow a small set)."""
-    if stack.pieces is None:
+    In R^n and on a finite space a K of points or balls is one query from
+    its centres (_dists_each), less its radii.  Against any other K the
+    points and ball centres of the sets are measured with _dists, less
+    their radii, and each set of boxes, segments or rays goes to geom.gap,
+    which scales each pair of sets by its own power of two (a power shared
+    by a whole stack could underflow a small set)."""
+    if stack.lo is not None:
         k_ends = K.normal_form.finite_ends
         if not len(k_ends):
             return np.zeros(len(stack.starts))
@@ -382,8 +379,8 @@ def _gaps_each(stack: _Stack, K: ClosedSet) -> np.ndarray:
                           _dists_each(k_ends, stack).min(axis=1))
     centred = (FinitePoints, SampledCloud, BallUnion)
     if isinstance(K.rep, centred):
-        c, r = zip(*K.rep.balls) if isinstance(K.rep, BallUnion) else (K.rep.points, 0.0)
-        return np.maximum(_dists_each(np.array(c, dtype=float), stack) - r, 0.0).min(axis=1)
+        c, r = zip(*K.rep.balls) if isinstance(K.rep, BallUnion) else (K.coords, 0.0)
+        return np.maximum(_dists_each(_point_array(K.space, c), stack) - r, 0.0).min(axis=1)
     d = np.full(stack.pieces.m, np.inf)
     for kind, rows, arrs in stack.pieces.blocks:
         if kind in ("point", "ball"):
@@ -436,8 +433,9 @@ def _sup_gap(A, B, radius, tol, node_cap, eps=None) -> CertifiedValue:
     _check_budget(tol, node_cap, radius)
     slack = A.slack + B.slack
     space = A.space
-    if space.kind == FINITE:
-        cv = _sup_gap_finite(space, A, B, radius)
+    if space.kind == FINITE:  # the first largest gap in the open window
+        d = np.where(space.dist_matrix[space.base_point] < radius, _finite_gaps(space, A, B), 0.0)
+        cv = _first_max(np.arange(space.size), d, "finite-max", space.base_point)
     elif space.is_one_dimensional:
         cv = _sup_gap_1d(space, A, B, radius)
     else:
@@ -446,17 +444,11 @@ def _sup_gap(A, B, radius, tol, node_cap, eps=None) -> CertifiedValue:
     return _widen(cv, slack)
 
 
-def _sup_gap_finite(space, A, B, radius) -> CertifiedValue:
-    apts, bpts = A.rep.points, B.rep.points
-    row0 = space.matrix[space.base_point]
-    best, wit = 0.0, space.base_point
-    for x in range(space.size):
-        if row0[x] < radius:  # open window
-            d = abs(min(space.matrix[x][a] for a in apts)
-                    - min(space.matrix[x][b] for b in bpts))
-            if d > best:
-                best, wit = d, x
-    return CertifiedValue.point(best, "finite-max", wit)
+def _finite_gaps(space, A, B) -> np.ndarray:
+    """|d(x, A) - d(x, B)| at every point x of a finite space, in index
+    order: the one gap vector of its window suprema."""
+    every = np.arange(space.size)
+    return np.abs(_dists(every, A) - _dists(every, B))
 
 
 def _window_1d(space, x0: float, radius: float):
@@ -931,36 +923,25 @@ def _window_gap_family(space, A, B):
     """Returns (g, j_sat, g_inf): the exact window-gap function over
     integer radii, the radius past which nothing new enters the window,
     and the limiting gap (None when it grows without bound)."""
-    if space.kind == FINITE:
-        row0 = space.matrix[space.base_point]
-        apts, bpts = A.rep.points, B.rep.points
-        pairs = sorted(
-            (row0[x], abs(min(space.matrix[x][a] for a in apts)
-                          - min(space.matrix[x][b] for b in bpts)))
-            for x in range(space.size)
-        )
-        radii = [r for r, _ in pairs]
-        prefix = list(itertools.accumulate((v for _, v in pairs), max))
-
-        def g(j):
-            i = bisect_left(radii, float(j))  # open window: strict
-            return prefix[i - 1] if i else 0.0
-
-        j_sat = int(math.floor(radii[-1])) + 1
-        return g, j_sat, prefix[-1]
-
-    na, nb = A.normal_form, B.normal_form
-    x0 = _coord(space.canon_point(space.base_point))
-    cands = np.concatenate((na.candidates, nb.candidates))  # duplicates are harmless
+    finite = space.kind == FINITE
+    if finite:  # the gaps at every point, by distance from the base point
+        r, d = space.dist_matrix[space.base_point], _finite_gaps(space, A, B)
+    else:
+        na, nb = A.normal_form, B.normal_form
+        x0 = _coord(space.canon_point(space.base_point))
+        cands = np.concatenate((na.candidates, nb.candidates))  # duplicates are harmless
+        r = np.abs(cands - x0)
+        d = np.abs(na.dists(cands) - nb.dists(cands))
+    order = np.argsort(r, kind="stable")  # within a tie in r only the group's max is read
+    radii = r[order].tolist()
+    prefix = np.maximum.accumulate(d[order]).tolist() or [0.0]
+    if finite:  # the open window j holds the base point and all before bisect_left
+        return (lambda j: prefix[bisect_left(radii, float(j)) - 1],
+                int(math.floor(radii[-1])) + 1, prefix[-1])
 
     def delta(x):
         return abs(na.dist(x) - nb.dist(x))
 
-    r = np.abs(cands - x0)
-    d = np.abs(na.dists(cands) - nb.dists(cands))
-    order = np.argsort(r)  # within a tie in r only the group's max is read
-    radii = r[order].tolist()
-    prefix = np.maximum.accumulate(d[order]).tolist() or [0.0]
     interior_max = prefix[-1]
 
     if space.kind == OPEN_INTERVAL:

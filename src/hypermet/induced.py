@@ -475,7 +475,7 @@ class ArctanOfDistance(_CatalogMap):
     def image(self, A: ClosedSet) -> ClosedSet:
         self.space.require_same(A.space)
         out_space, rep = self.codomain, A.rep
-        if isinstance(rep, (FinitePoints, SampledCloud)) or self.space.kind == FINITE:
+        if isinstance(rep, (FinitePoints, SampledCloud)):  # every set of a finite space
             pts = [self.apply(p) for p in rep.points]
             if isinstance(rep, SampledCloud):
                 return ClosedSet.cloud(out_space, pts, rep.resolution)

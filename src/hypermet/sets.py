@@ -327,19 +327,22 @@ def _points_of(sets_):
 
 
 class _Stack:
-    """Several sets of one ambient, R^n or a 1-D one, stacked in one step
-    for every batched query that reads them (_dists_each,
-    hypermetrics._gaps_each); starts, the index of each set's first piece.
+    """Several sets of one ambient stacked in one step for every batched
+    query that reads them (_dists_each, hypermetrics._gaps_each); starts,
+    the index of each set's first piece.
 
     In R^n, pieces: the points of point sets and clouds go straight into
     one point block, any other pieces are stacked per kind from the sets'
-    components, and one set's pieces are its array_form.  On a 1-D ambient
-    (pieces None), lo and hi: the ends of the sets' normal-form intervals
-    as two arrays."""
+    components, and one set's pieces are its array_form.  On a 1-D
+    ambient, lo and hi: the ends of the sets' normal-form intervals as two
+    arrays.  On a finite space, idx: the sets' coords concatenated."""
 
     def __init__(self, sets_):
-        self.sets, self.pieces = sets_, None
-        if sets_[0].space.is_one_dimensional:
+        self.sets, self.pieces, self.lo, self.hi, self.idx = sets_, None, None, None, None
+        if sets_[0].space.kind == FINITE:
+            self.idx = np.concatenate([A.coords for A in sets_])
+            counts = [len(A.coords) for A in sets_]
+        elif sets_[0].space.is_one_dimensional:
             nfs = [A.normal_form for A in sets_]
             self.lo = np.fromiter(chain.from_iterable(nf.lo for nf in nfs), float)
             self.hi = np.fromiter(chain.from_iterable(nf.hi for nf in nfs), float)
@@ -440,12 +443,16 @@ def _over_pieces(E, comps):
 
 def _far_dists(X, sets_) -> np.ndarray:
     """F (m, N): the farthest distance from each of the N rows of X to
-    each of the m pieces of several n-D sets, in order, read at their
-    vertex table (_vertices; the points of point sets, stacked in one
-    step): the largest kernel norm (_guarded) of x - v over a piece's
-    vertices, widened to the piece (_over_pieces).  Every farthest-distance
+    each of the m pieces of several n-D or finite-space sets, in order.
+    In R^n it is read at their vertex table (_vertices; the points of
+    point sets, stacked in one step): the largest kernel norm (_guarded)
+    of x - v over a piece's vertices, widened to the piece (_over_pieces);
+    on a finite space, at the matrix (X indices).  Every farthest-distance
     question reads this one table, so a question asked of one set or of
     a block of sets gets the same floats."""
+    space = sets_[0].space
+    if space.kind == FINITE:
+        return space.dist_matrix[X][:, np.concatenate([A.coords for A in sets_])].T
     V, comps = _points_of(sets_), None
     if V is None:
         comps = [c for A in sets_ for c in A.components()]
@@ -464,9 +471,14 @@ def _piece_dists(x, A: "ClosedSet") -> list[float]:
 
 
 def _piece_fars(x, A: "ClosedSet") -> list[float]:
-    """The farthest distance from the point x to each piece of the n-D set
-    A (_far_dists)."""
-    return _far_dists(np.array([x], dtype=float), [A])[:, 0].tolist()
+    """The farthest distance from the point x to each piece of A (_far_dists)."""
+    return _far_dists(_point_array(A.space, [x]), [A])[:, 0].tolist()
+
+
+def _point_array(space: AmbientSpace, pts) -> np.ndarray:
+    """Canonical points as one array, the form every batched query reads:
+    indices (np.intp) on a finite space, float coordinates elsewhere."""
+    return np.asarray(pts, dtype=np.intp if space.kind == FINITE else float)
 
 
 def _canon_points(space: AmbientSpace, pts) -> tuple:
@@ -519,7 +531,7 @@ class ClosedSet:
 
     @staticmethod
     def intervals(space: AmbientSpace, ivs) -> "ClosedSet":
-        if not space.is_one_dimensional or space.kind == FINITE:
+        if not space.is_one_dimensional:
             raise ValueError("interval unions live on the line or an interval subspace")
         merged = _merge_intervals(ivs)
         if space.kind == OPEN_INTERVAL:
@@ -667,14 +679,15 @@ class ClosedSet:
         array, np.array(rep.points, dtype=float), built on first use from
         one stream of coordinates and kept with the set.  Every array
         read of the points (array_form, affine_image, the point excess,
-        affine_sup_norm, is_subset) reads this one."""
+        affine_sup_norm, is_subset) reads this one; on a finite space, the
+        indices as np.intp."""
         if not isinstance(self.rep, (FinitePoints, SampledCloud)):
             raise UnsupportedPair(f"{type(self.rep).__name__} has no point coordinates")
         pts = self.rep.points
         if self.space.kind == EUCLIDEAN:
             X = np.fromiter(chain.from_iterable(pts), float).reshape(len(pts), self.space.dim)
         else:
-            X = np.fromiter(pts, float, len(pts))
+            X = np.fromiter(pts, np.intp if self.space.kind == FINITE else float, len(pts))
         X.flags.writeable = False
         return X
 
@@ -692,8 +705,6 @@ def dist_to_set(x, A: ClosedSet) -> float:
     """
     space = A.space
     x = space.canon_point(x)
-    if space.kind == FINITE:
-        return min(space.matrix[x][p] for p in _finite_indices(A))
     if space.is_one_dimensional:
         return A.normal_form.dist(_coord(x))
     return float(_dists([x], A)[0])
@@ -708,7 +719,8 @@ def dists_to_set(X, A: ClosedSet) -> np.ndarray:
     gives for its point: in R^n one kernel pass over A.array_form (per
     piece the square root of the left-to-right sum of squares of x less
     its nearest point, less a ball's radius), on a 1-D ambient the
-    distances of A.normal_form, on a finite space the matrix rows.
+    distances of A.normal_form, on a finite space the least entry of the
+    rows of AmbientSpace.dist_matrix over A's points.
     """
     space = A.space
     if space.kind == FINITE:
@@ -730,8 +742,7 @@ def _dists(X, A: ClosedSet) -> np.ndarray:
     """dists_to_set for points already canonical, unchecked."""
     space = A.space
     if space.kind == FINITE:
-        idx = _finite_indices(A)
-        return np.array([min(space.matrix[x][p] for p in idx) for x in X], dtype=float)
+        return space.dist_matrix[X][:, A.coords].min(axis=1)
     X = np.asarray(X, dtype=float)
     if space.is_one_dimensional:
         return A.normal_form.dists(X.reshape(-1))
@@ -754,13 +765,19 @@ def _dists_each(X: np.ndarray, stack: _Stack) -> np.ndarray:
     under- nor overflows keep their floats.  On a 1-D ambient it is the
     table max(lo - x, x - hi, 0) over the normal-form intervals: the
     floats of IntervalUnion.dists, which reads the same expression at the
-    two intervals around x, the nearest of all."""
-    if stack.pieces is None:
+    two intervals around x, the nearest of all.  On a finite space it is
+    the matrix at X (indices) and the stacked points."""
+    if stack.lo is not None:
         m, width = len(stack.lo), 1
         lo, hi, x = stack.lo[:, None], stack.hi[:, None], X.reshape(-1)
 
         def table(sl):
             return np.maximum(np.maximum(lo - x[sl], x[sl] - hi), 0.0)
+    elif stack.idx is not None:
+        m, width, M = len(stack.idx), 1, stack.sets[0].space.dist_matrix
+
+        def table(sl):
+            return M[X[sl]][:, stack.idx].T
     else:
         m, width = stack.pieces.m, X.shape[1]
 
@@ -769,12 +786,6 @@ def _dists_each(X: np.ndarray, stack: _Stack) -> np.ndarray:
     parts = [table(sl) for sl in _chunks(len(X), 8 * m * (width + 2))]
     D = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     return np.minimum.reduceat(D, stack.starts, axis=0)
-
-
-def _finite_indices(A: ClosedSet):
-    if not isinstance(A.rep, (FinitePoints, SampledCloud)):
-        raise UnsupportedPair("finite metric spaces only carry point sets")
-    return A.rep.points
 
 
 def in_r_neighborhood(x, A: ClosedSet, r: float) -> bool:
@@ -800,8 +811,6 @@ def bounding_radius(A: ClosedSet) -> float:
 def _sup_dist(x, A: ClosedSet) -> float:
     """sup of d(x, a) over a in A (inf when A is unbounded), x canonical."""
     space = A.space
-    if space.kind == FINITE:
-        return max(space.matrix[x][p] for p in _finite_indices(A))
     if space.is_one_dimensional:
         nf, x = A.normal_form, _coord(x)
         return max(x - nf.lo[0], nf.hi[-1] - x)
@@ -947,7 +956,7 @@ def is_subset(A: ClosedSet, B: ClosedSet, tol: float = 1e-9) -> bool:
         raise UnsupportedPair("containment of a sampled cloud cannot be certified")
 
     if isinstance(A.rep, FinitePoints):
-        return bool((_dists(A.rep.points if A.space.kind == FINITE else A.coords, B) <= tol).all())
+        return bool((_dists(A.coords, B) <= tol).all())
 
     if A.space.is_one_dimensional:
         nb = B.normal_form
@@ -1011,8 +1020,6 @@ def representative_points(A: ClosedSet, m: int):
     if m < 1:
         raise ValueError("need at least one sample point")
     space = A.space
-    if space.kind == FINITE:
-        return list(_finite_indices(A))[:m]
     out = set()
     if space.is_one_dimensional:
         for lo, hi in A.normal_form.intervals:

@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
+
+import numpy as np
 
 from .errors import AmbientMismatch
 
@@ -38,47 +41,52 @@ class MetricViolation:
     detail: str
 
 
-def validate_finite_metric(matrix: Sequence[Sequence[float]], tol: float = 1e-9):
+_DIAGONAL = 1e-9                    # |d(i, i)| up to this is stored as 0.0
+_TRIANGLE = 1.0 + 4.0 * 2.0 ** -53  # 1 + 4u, u the unit roundoff of binary64
+
+
+def validate_finite_metric(matrix: Sequence[Sequence[float]]):
     """Check a square matrix for the metric axioms.
 
     Returns None when every axiom holds, otherwise a MetricViolation
-    naming the first offending entry or triple (row-major scan order).
-    Non-square input and non-finite entries are usage errors and raise
-    ValueError.
-    """
+    naming the first offending entry or triple in row-major order: the
+    diagonal, then positivity or symmetry entry by entry, then the
+    triangle inequality.  Non-square input and non-finite entries raise
+    ValueError, non-numeric ones TypeError.  |d(i, i)| <= 1e-9 passes, and
+    the rest reads the matrix as stored, that diagonal 0.0: d(i, j) > 0,
+    d(i, j) == d(j, i), and d(i, k) <= (d(i, j) + d(j, k)) (1 + 4u) for
+    u = 2^-53, one min-plus pass per row; rounded distances (math.dist of
+    collinear points) can miss the plain comparison by a few u."""
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix is not square")
-        if not all(map(math.isfinite, row)):
+        if not all(map(math.isfinite, row)):  # raises on a non-numeric entry
             raise ValueError("matrix entries must be finite numbers")
-    for i in range(n):
-        if abs(matrix[i][i]) > tol:
-            return MetricViolation("diagonal", (i,), f"d({i},{i}) = {matrix[i][i]!r} != 0")
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if matrix[i][j] <= tol:
-                return MetricViolation(
-                    "positivity", (i, j), f"d({i},{j}) = {matrix[i][j]!r} is not positive"
-                )
-            if abs(matrix[i][j] - matrix[j][i]) > tol:
-                return MetricViolation(
-                    "symmetry", (i, j), f"d({i},{j}) = {matrix[i][j]!r} != d({j},{i}) = {matrix[j][i]!r}"
-                )
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if matrix[i][k] > matrix[i][j] + matrix[j][k] + tol:
-                    return MetricViolation(
-                        "triangle",
-                        (i, j, k),
-                        f"d({i},{k}) = {matrix[i][k]!r} > d({i},{j}) + d({j},{k}) "
-                        f"= {matrix[i][j] + matrix[j][k]!r}",
-                    )
+    M = np.array(matrix, dtype=float)
+    far = np.abs(M.diagonal()) > _DIAGONAL
+    if far.any():
+        i = int(far.argmax())
+        return MetricViolation("diagonal", (i,), f"d({i},{i}) = {float(M[i, i])!r} != 0")
+    np.fill_diagonal(M, 0.0)
+    bad = ~((M > 0.0) & (M == M.T) | np.eye(n, dtype=bool))
+    if bad.any():
+        i, j = divmod(int(bad.argmax()), n)
+        dij, dji = float(M[i, j]), float(M[j, i])
+        if not dij > 0.0:
+            return MetricViolation("positivity", (i, j), f"d({i},{j}) = {dij!r} is not positive")
+        return MetricViolation("symmetry", (i, j), f"d({i},{j}) = {dij!r} != d({j},{i}) = {dji!r}")
+    with np.errstate(over="ignore"):  # a sum past the float range bounds nothing
+        for i, row in enumerate(M):
+            # via[j, k] = d(i, j) + d(j, k); rounding is monotone, so the
+            # least bound on d(i, k) is the min-plus entry scaled once
+            via = row[:, None] + M
+            if (row > via.min(axis=0) * _TRIANGLE).any():
+                j, k = divmod(int((row > via * _TRIANGLE).argmax()), n)
+                return MetricViolation("triangle", (i, j, k), f"d({i},{k}) = {float(row[k])!r} > "
+                                       f"d({i},{j}) + d({j},{k}) = {float(via[j, k])!r}")
     return None
 
 
@@ -125,9 +133,10 @@ class AmbientSpace:
         return AmbientSpace(OPEN_INTERVAL, 1, base, bounds=(a, b))
 
     @staticmethod
-    def finite(matrix: Sequence[Sequence[float]], x0: int = 0, tol: float = 1e-9) -> "AmbientSpace":
-        """A matrix that validate_finite_metric passes, its diagonal stored as exactly 0.0."""
-        bad = validate_finite_metric(matrix, tol=tol)
+    def finite(matrix: Sequence[Sequence[float]], x0: int = 0) -> "AmbientSpace":
+        """A matrix that validate_finite_metric passes, its diagonal stored
+        as exactly 0.0, as row tuples and as one array (dist_matrix)."""
+        bad = validate_finite_metric(matrix)
         if bad is not None:
             raise ValueError(f"not a metric: {bad.axiom} at {bad.indices}: {bad.detail}")
         frozen = tuple(tuple(0.0 if i == j else float(v) for j, v in enumerate(row))
@@ -152,6 +161,16 @@ class AmbientSpace:
         if self.kind != FINITE:
             raise AmbientMismatch("size is only defined for finite spaces")
         return len(self.matrix)
+
+    @cached_property
+    def dist_matrix(self) -> np.ndarray:
+        """A finite space's matrix as one read-only float64 array, made on
+        first use; not a field, so ==, hash and repr read the tuple."""
+        if self.kind != FINITE:
+            raise AmbientMismatch("only finite spaces have a distance matrix")
+        M = np.array(self.matrix)
+        M.flags.writeable = False
+        return M
 
     def canon_point(self, p) -> Point:
         """Normalize a user-supplied point to this space's canonical form."""

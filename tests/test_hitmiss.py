@@ -409,10 +409,10 @@ def scan_cases(draw):
     return tuple(nbhds), terms, draw(block_budgets)
 
 
-# the memory budget as a number of pieces (intervals on the line) measured
-# from every gathered centre and obstacle piece: 0 closes a block at every
-# deferred term, None leaves the budget as it is (one block for the whole
-# scan)
+# the memory budget as a number of pieces (intervals on the line, points
+# on the finite space) measured from every gathered centre and obstacle
+# piece: 0 closes a block at every deferred term, None leaves the budget
+# as it is (one block for the whole scan)
 block_budgets = st.sampled_from((0, 1, 4, 8, None))
 
 
@@ -561,6 +561,52 @@ def test_exact_nd_terms_are_measured_in_one_kernel_call_per_block(monkeypatch):
     assert blocks("_dists_each") == [20] == blocks("_far_dists")
     assert not calls["_dists"]
     assert report == ref_converges(exact, nbhds, 20) and report.entries[2].settles_at == 5
+
+
+def test_exact_finite_terms_are_read_in_one_matrix_pass_per_block(monkeypatch):
+    sets_of = {"_dists": lambda X, A: [A], "_dists_each": lambda X, stack: stack.sets,
+               "_far_dists": lambda X, sets_: sets_, "_gaps_each": lambda stack, K: stack.sets,
+               "misses": lambda A, K: [A], "subset_of": lambda A, U: [A]}
+    calls = {name: [] for name in sets_of}
+    for name, of in sets_of.items():
+        monkeypatch.setattr(hitmiss, name, lambda *args, fn=getattr(hitmiss, name), of=of,
+                            name=name: calls[name].append(of(*args)) or fn(*args))
+
+    def blocks(name):
+        return [len(sets_) for sets_ in calls[name]]
+
+    def seq(k):  # two points each, every fifth a cloud for Fell; {0, 4} from k = 5
+        pts = [0, 4] if k > 4 else [k, k + 4]
+        return ClosedSet.cloud(CYCLE, pts, 0.01) if k % 5 == 0 and fell else \
+            ClosedSet.points(CYCLE, pts)
+
+    A = ClosedSet.points(CYCLE, [0, 4])
+    for fell, exact, sizes in ((True, 16, [2] * 8), (False, 20, [4] * 5)):
+        nbhds = canonical_neighborhoods(A, "fell" if fell else "vietoris", 0.25, m=2,
+                                        miss_compacts=[ClosedSet.points(CYCLE, [8])])
+        ref = ref_converges(seq, nbhds, 20)
+        for args in calls.values():
+            args.clear()
+        report = converges(seq, nbhds, horizon=20)
+        assert report == ref and report.entries[0].settles_at == 5
+        # the clouds one query per hit (two hits), the exact terms in one block
+        assert blocks("_dists") == [1] * 2 * (20 - exact) and blocks("_dists_each") == [exact]
+        if fell:
+            assert [S.slack for (S,) in calls["misses"]] == [0.01] * 4
+            assert blocks("_gaps_each") == [16] and not calls["_far_dists"]
+        else:  # the contain of every term from one farthest-distance table
+            assert blocks("_far_dists") == [20] and not calls["subset_of"]
+        # a budget of 4 (Fell) or 8 (Vietoris) points from every centre and
+        # obstacle point (three rows for Fell: two hit centres and the
+        # obstacle; four for Vietoris: two hit and two contain centres)
+        # closes a block every second or every fourth exact term
+        rows = 3 if fell else 4
+        for args in calls.values():
+            args.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sets, "_CHUNK_BYTES", sizes[0] * 2 * 8 * rows * 3)
+            assert converges(seq, nbhds, horizon=20) == report
+        assert len(calls["_dists"]) == 2 * (20 - exact) and blocks("_dists_each") == sizes
 
 
 def test_a_term_on_a_hit_ball_boundary_does_not_hit():

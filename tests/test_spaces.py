@@ -113,7 +113,7 @@ def test_non_finite_input_is_rejected(bad):
 
 @pytest.mark.parametrize("diagonal", [-1e-10, -0.0])
 def test_a_finite_space_stores_its_diagonal_as_zero(diagonal):
-    # the check lets the diagonal be within tol of 0; the space keeps 0.0
+    # the check lets the diagonal be within 1e-9 of 0; the space keeps 0.0
     X = AmbientSpace.finite([[diagonal, 1.0], [1.0, 0.0]])
     assert X.matrix[0][0] == 0.0 and math.copysign(1.0, X.matrix[0][0]) == 1.0
     A = ClosedSet.points(X, [0])
