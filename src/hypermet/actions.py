@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import Indeterminate
+from .geom import _guarded
 from .hypermetrics import CertifiedValue, require_positive
 from .induced import (_check_thresholds, _matrix, _np, _pushed, _real_space,
                       _scaled_orthogonal, _sigma_max, affine_image, metric_by_name)
@@ -29,6 +30,7 @@ from .sets import (BallUnion, ClosedSet, FinitePoints, Ray, SampledCloud, _max_p
 from .spaces import AmbientSpace
 
 DEFAULT_REF_RADIUS = 10.0
+_ISOMETRY_TOL = 1e-12   # |M^T M - I| entrywise, for GroupElement.is_isometry
 
 
 def _eye(n: int) -> tuple:
@@ -99,9 +101,9 @@ class GroupElement:
         y = _pushed(self._m, _np(self.offset), [self.space.canon_point(x)])[0].tolist()
         return y[0] if self.dim == 1 else tuple(y)
 
-    def is_isometry(self, tol: float = 1e-12) -> bool:
+    def is_isometry(self) -> bool:
         g = self._m.T @ self._m
-        return bool(np.allclose(g, np.eye(self.dim), rtol=0.0, atol=tol))
+        return bool(np.allclose(g, np.eye(self.dim), rtol=0.0, atol=_ISOMETRY_TOL))
 
     def describe(self) -> str:
         return f"{self.kind}(matrix={self.matrix}, offset={self.offset})"
@@ -139,8 +141,8 @@ def act(g: GroupElement, A: ClosedSet) -> ClosedSet:
     return affine_image(g._m, _np(g.offset), A, g.space)
 
 
-def maps_into(g: GroupElement, A: ClosedSet, B: ClosedSet, tol: float = 0.0) -> bool:
-    return is_subset(act(g, A), B, tol=tol)
+def maps_into(g: GroupElement, A: ClosedSet, B: ClosedSet) -> bool:
+    return is_subset(act(g, A), B)
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +162,9 @@ def _unit_directions(n: int) -> np.ndarray:
     return vs / np.linalg.norm(vs, axis=1, keepdims=True)
 
 
-def _norms(D, c, pts) -> list[float]:
-    """|D x + c| at each of the points pts, pushed by one product."""
-    return [float(np.linalg.norm(y)) for y in _pushed(D, c, pts)]
+def _norms(Y) -> np.ndarray:
+    """The guarded norm (geom._guarded) of each row of Y."""
+    return _guarded(lambda norm_of: norm_of(Y.T))
 
 
 def _kills(D, u) -> bool:
@@ -183,12 +185,14 @@ def affine_sup_norm(D, c, A: ClosedSet) -> CertifiedValue:
     a sigma_max upper end.  A ray or an infinite end gives inf unless D
     kills its direction, exactly (_kills, on the ray's axis).  A point
     set or a cloud pushes its kept coordinate array (ClosedSet.coords).
+    Every norm is geom's guarded one (_norms), so no square of a pushed
+    point, of c or of a centre under- or overflows.
     """
     D = _np(D)
     c = _np(c if isinstance(c, (tuple, list, np.ndarray)) else (c,))
     rep = A.rep
     if isinstance(rep, (FinitePoints, SampledCloud)):
-        best = max(_norms(D, c, A.coords))
+        best = float(_norms(_pushed(D, c, A.coords)).max())
         if isinstance(rep, SampledCloud):
             return CertifiedValue.interval(best, best + _sigma_max(D) * rep.resolution,
                                            "finite-max+cloud")
@@ -196,28 +200,29 @@ def affine_sup_norm(D, c, A: ClosedSet) -> CertifiedValue:
 
     if A.space.is_one_dimensional:
         nf = A.normal_form
-        lo = max([0.0, *_norms(D, c, nf.finite_ends)])  # no finite end on the whole line
+        lo = max([0.0, *_norms(_pushed(D, c, nf.finite_ends)).tolist()])  # none on the whole line
         if math.isinf(nf.lo[0]) or math.isinf(nf.hi[-1]):
-            if float(np.linalg.norm(D)) != 0.0:
+            if D.any():
                 return CertifiedValue.infinite("ray-closed-form")
-            lo = max(lo, float(np.linalg.norm(c)))
+            lo = max(lo, float(_norms(c[None])[0]))
         return CertifiedValue.point(lo, "finite-max")
 
     if isinstance(rep, Ray) and not _kills(D, rep.axis):
         return CertifiedValue.infinite("ray-closed-form")
     # per piece, the largest norm at its vertices
     X, owner = _vertices(A.components())
-    far = _max_per_piece(lambda sl: np.array(_norms(D, c, X[sl])), owner, 8 * len(c)).tolist()
+    far = _max_per_piece(lambda sl: _norms(_pushed(D, c, X[sl])), owner, 8 * len(c)).tolist()
     if isinstance(rep, BallUnion):
         mu = _scaled_orthogonal(D)
         if mu is None:
             # both ends moved out by the rounding of |D x + t| (x a centre x0 or a sample just
             # off the sphere) and of sigma_max: 16 gamma_{2n+4} of |D| (|x0| + 2 r) + |t|
-            size, t, sigma = float(np.linalg.norm(D)), float(np.linalg.norm(c)), _sigma_max(D)
-            err = [32.0 * (len(c) + 2) * 2.0 ** -53
-                   * (size * (float(np.linalg.norm(x0)) + 2.0 * r) + t) for x0, r in rep.balls]
-            lo = max(0.0, *(max(_norms(D, c, _np(x0) + r * _unit_directions(len(x0)))) - e
-                            for (x0, r), e in zip(rep.balls, err)))
+            size, t = float(_norms(D.reshape(1, -1))[0]), float(_norms(c[None])[0])
+            sigma, centres = _sigma_max(D), _np([x0 for x0, _ in rep.balls])
+            err = [32.0 * (len(c) + 2) * 2.0 ** -53 * (size * (x + 2.0 * r) + t)
+                   for x, (_, r) in zip(_norms(centres).tolist(), rep.balls)]
+            lo = max(0.0, *(float(_norms(_pushed(D, c, x0 + r * _unit_directions(len(c)))).max())
+                            - e for x0, (_, r), e in zip(centres, rep.balls, err)))
             hi = max(0.0, *(v + sigma * r + e for v, (_, r), e in zip(far, rep.balls, err)))
             return CertifiedValue.interval(lo, hi, "sphere-sample")
         far = [v + mu * r for v, (_, r) in zip(far, rep.balls)]

@@ -1,11 +1,10 @@
 """Low-level Euclidean geometry used by the set representations.
 
-Vector helpers on plain float tuples; the guarded norm (_guarded) that
-every n-D distance of the library ends in; and gap, the least distance
-between two sets of box, segment and ray pieces, measured over every
-pair of their pieces at once from the sets' array forms.  The distance
-from a point to a piece, and so from a ball, is the array kernel of the
-sets module.
+The guarded norm (_guarded) that every n-D distance of the library ends
+in, and gap, the least distance between two sets of box, segment and ray
+pieces, measured over every pair of their pieces at once from the sets'
+array forms.  The distance from a point to a piece, and so from a ball,
+is the array kernel of the sets module.
 """
 
 from __future__ import annotations
@@ -15,29 +14,6 @@ import math
 import numpy as np
 
 _CHUNK_BYTES = 1 << 22   # array temporaries stay near this size
-
-
-def sub(p, q):
-    return tuple(a - b for a, b in zip(p, q))
-
-
-def add(p, q):
-    return tuple(a + b for a, b in zip(p, q))
-
-
-def scale(p, s):
-    return tuple(s * a for a in p)
-
-
-def dot(p, q):
-    return sum(a * b for a, b in zip(p, q))
-
-
-def unit(p):
-    n = math.hypot(*p)
-    if n == 0.0:
-        raise ValueError("zero vector has no direction")
-    return tuple(a / n for a in p)
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ def hits(A: ClosedSet, U: OpenSetRep) -> bool:
     U.space.require_same(A.space)
     if U.complement_of is not None:
         # A is nonempty, so it sticks out of K exactly when not inside K
-        return not is_subset(A, U.complement_of, tol=0.0)
+        return not is_subset(A, U.complement_of)
     d = _dists([c for c, _ in U.balls], A)
     radii = np.array([r for _, r in U.balls])
     if (d < radii - A.slack).any():

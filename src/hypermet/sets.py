@@ -19,10 +19,10 @@ their distances, gap midpoints and finite ends.
 In R^n each question about a convex piece has one rule: distances come
 from the one kernel (_kernel), farthest distances from the kernel's norm
 over the vertex table (_vertices, _far_dists), each piece's largest by
-one reduction (_max_per_piece), and truncate keeps, drops or refuses a
-solid piece by those two and clips segments and rays in one loop.
-Several sets asked the same question stack their pieces in one step
-(_Stack).  Every norm is geom's guarded one (_guarded).
+one reduction (_max_per_piece), and truncate keeps each piece whole,
+drops it or cuts it by those two tables.  Several sets asked the same
+question stack their pieces in one step (_Stack).  Every distance is
+geom's guarded norm (_guarded).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from itertools import chain
 
 import numpy as np
 
-from . import geom
 from .errors import UnsupportedPair
 from .geom import _CHUNK_BYTES, _guarded
 from .spaces import (
@@ -471,7 +470,10 @@ def _piece_dists(x, A: "ClosedSet") -> list[float]:
 
 
 def _piece_fars(x, A: "ClosedSet") -> list[float]:
-    """The farthest distance from the point x to each piece of A (_far_dists)."""
+    """The farthest distance from the point x to each piece of A
+    (_far_dists); on a 1-D ambient, to each point of a point set, |p - x|."""
+    if A.space.is_one_dimensional:
+        return np.abs(A.coords.reshape(-1) - _coord(x)).tolist()
     return _far_dists(_point_array(A.space, [x]), [A])[:, 0].tolist()
 
 
@@ -595,7 +597,10 @@ class ClosedSet:
         axis = tuple(math.ldexp(x, k) for x in q)
         if any(math.ldexp(x, -k) != y for x, y in zip(axis, q)):
             axis = q
-        return ClosedSet(space, Ray(anchor, geom.unit(q), axis))
+        n = math.hypot(*axis)  # q / |q| from the axis, where |q| cannot overflow
+        if n == 0.0:
+            raise ValueError("zero vector has no direction")
+        return ClosedSet(space, Ray(anchor, tuple(x / n for x in axis), axis))
 
     @staticmethod
     def cloud(space: AmbientSpace, pts, resolution: float) -> "ClosedSet":
@@ -819,83 +824,78 @@ def _sup_dist(x, A: ClosedSet) -> float:
 
 def truncate(A: ClosedSet, L: float):
     """A intersected with the closed ball of radius L around the base
-    point, in the same representation family.
+    point, in the same representation family, or None when empty.
 
-    Returns None when the intersection is empty.  On a 1-D ambient
-    every set that is not a point set is cut as its normal form and
-    comes back as an interval union.  Partial overlaps that the family
-    cannot express exactly (a ball or solid box cut by the window
-    sphere in R^n, n >= 2) raise UnsupportedPair.
+    One rule for every piece, read from the tables of bounding_radius and
+    dist_to_set: keep it whole when its farthest distance from the base
+    point (_piece_fars) is at most L, drop it when its nearest
+    (_piece_dists) exceeds L, and cut it otherwise.  A point's two
+    distances are one number (on the line |p - x0|, on a finite space the
+    matrix entry), so points are never cut and a cloud keeps its
+    resolution.  A segment or a ray is cut to its chord (_chord); a ball
+    or box cut by the window sphere raises UnsupportedPair.  A set that
+    loses no piece comes back as itself (a ray at L = inf too).  On a 1-D
+    ambient any other set is cut as its normal form, an interval union.
     """
-    space = A.space
     L = float(L)
     if not L >= 0.0:  # refuses nan too
         raise ValueError(f"radius {L!r} is not a nonnegative number")
-    rep = A.rep
-
-    if isinstance(rep, (FinitePoints, SampledCloud)):
-        kept = tuple(p for p in rep.points if space.distance(space.base_point, p) <= L)
-        if not kept:
-            return None
-        new = FinitePoints(kept) if isinstance(rep, FinitePoints) else SampledCloud(kept, rep.resolution)
-        return ClosedSet(space, new)
-
+    space, rep = A.space, A.rep
     x0 = space.canon_point(space.base_point)
-
-    if space.is_one_dimensional:
+    points = isinstance(rep, (FinitePoints, SampledCloud))
+    if space.is_one_dimensional and not points:
         lo_w, hi_w = _coord(x0) - L, _coord(x0) + L
         clipped = [(max(a, lo_w), min(b, hi_w)) for a, b in A.normal_form.intervals]
         clipped = [(a, b) for a, b in clipped if a <= b]
-        if not clipped:
-            return None
-        return ClosedSet(space, IntervalUnion(tuple(clipped)))
+        return ClosedSet(space, IntervalUnion(tuple(clipped))) if clipped else None
 
-    if isinstance(rep, (BallUnion, BoxUnion)):
-        # a solid piece is kept whole, dropped, or cannot be cut exactly
-        kept = []
-        for (kind, data), far, near in zip(A.components(), _piece_fars(x0, A), _piece_dists(x0, A)):
-            if far <= L:
-                kept.append(data)
-            elif near <= L:
-                raise UnsupportedPair(f"{kind} partially overlaps the window; "
-                                      f"the intersection is not a {kind} union")
-        return ClosedSet(space, type(rep)(tuple(kept))) if kept else None
-
-    if isinstance(rep, (SegmentUnion, Ray)):
-        if isinstance(rep, Ray) and L == math.inf:
-            return A  # the window is the whole space; no segment holds the ray
-        lines = ([(p, geom.sub(q, p), 1.0) for p, q in rep.segments]
-                 if isinstance(rep, SegmentUnion) else [(rep.anchor, rep.direction, math.inf)])
-        kept = []
-        for p, d, tmax in lines:
-            piece = _clip_param_to_ball(p, d, tmax, x0, L)
-            if piece is not None:
-                kept.append(tuple(geom.add(p, geom.scale(d, t)) for t in piece))
-        return ClosedSet(space, SegmentUnion(tuple(kept))) if kept else None
-
-    raise UnsupportedPair(f"cannot truncate {type(rep).__name__}")
+    far = _piece_fars(x0, A)
+    if max(far) <= L:
+        return A
+    near = far if points else _piece_dists(x0, A)
+    if isinstance(rep, (BallUnion, BoxUnion)) and any(n <= L < f for n, f in zip(near, far)):
+        kind = "ball" if isinstance(rep, BallUnion) else "box"
+        raise UnsupportedPair(f"{kind} partially overlaps the window; "
+                              f"the intersection is not a {kind} union")
+    pieces = rep.points if points else [data for _, data in A.components()]
+    kept = [p if f <= L else _chord(*p, x0, L, isinstance(rep, Ray)) if n <= L else None
+            for p, f, n in zip(pieces, far, near)]
+    kept = tuple(p for p in kept if p is not None)
+    if not kept:
+        return None
+    if isinstance(rep, SampledCloud):
+        return ClosedSet(space, SampledCloud(kept, rep.resolution))
+    return ClosedSet(space, SegmentUnion(kept) if isinstance(rep, Ray) else type(rep)(kept))
 
 
-def _clip_param_to_ball(p, d, tmax, center, L):
-    """Parameter range of {p + t d : 0 <= t <= tmax} inside the closed
-    ball B(center, L), or None.  Solves the quadratic exactly."""
-    w = geom.sub(p, center)
-    a = geom.dot(d, d)
-    b = 2.0 * geom.dot(w, d)
-    c = geom.dot(w, w) - L * L
-    if a == 0.0:
-        return (0.0, min(tmax, 0.0)) if c <= 0.0 else None
-    disc = b * b - 4.0 * a * c
+def _chord(p, q, x0, L, ray=False):
+    """The chord inside the closed ball B(x0, L) of the segment from p to
+    q, or of the ray from p along q: a pair of points, or None where the
+    quadratic has no root in range.
+
+    On p + t d (d = q - p and 0 <= t <= 1, or d = q and t >= 0), the
+    distance to x0 is L at t = (-b -+ sqrt(b^2 - 4ac)) / 2a, a = d.d,
+    b = 2 w.d, c = w.w - L^2, w = p - x0.  With w and L scaled by one power
+    of two and d by another no square under- or overflows, and
+    t = ldexp(t', k_d - k_w) is exact: the plain quadratic's float wherever
+    none of its steps under- or overflows.  An end at t = 0, or at t = 1
+    on a segment, is the piece's own end."""
+    d = q if ray else tuple(b - a for a, b in zip(p, q))
+    w = [a - b for a, b in zip(p, x0)]
+    kw, kd = (-math.frexp(max(map(abs, v)))[1] for v in ([L, *w], d))
+    w, ds, l = [math.ldexp(v, kw) for v in w], [math.ldexp(v, kd) for v in d], math.ldexp(L, kw)
+    a, b = sum(v * v for v in ds), 2.0 * sum(x * y for x, y in zip(w, ds))
+    disc = b * b - 4.0 * a * (sum(v * v for v in w) - l * l)
     if disc < 0.0:
         return None
     s = math.sqrt(disc)
-    t1 = (-b - s) / (2.0 * a)
-    t2 = (-b + s) / (2.0 * a)
-    t1 = max(t1, 0.0)
-    t2 = min(t2, tmax)
+    t1 = max(math.ldexp((-b - s) / (2.0 * a), kd - kw), 0.0)
+    t2 = math.ldexp((-b + s) / (2.0 * a), kd - kw)
+    t2 = t2 if ray else min(t2, 1.0)
     if t1 > t2:
         return None
-    return (t1, t2)
+    return tuple(p if t == 0.0 else q if t == 1.0 and not ray else
+                 tuple(x + t * v for x, v in zip(p, d)) for t in (t1, t2))
 
 
 def union_sets(A: ClosedSet, B: ClosedSet) -> ClosedSet:
@@ -941,39 +941,37 @@ def _same_direction(u, v) -> bool:
         and sum(a * b for a, b in zip(u, v)) > 0
 
 
-def is_subset(A: ClosedSet, B: ClosedSet, tol: float = 1e-9) -> bool:
+def is_subset(A: ClosedSet, B: ClosedSet) -> bool:
     """Exact containment test A <= B for the supported pairs.
 
-    The tolerance only softens boundary comparisons (a point that
-    lands within tol of B counts as inside); set tol=0 for bit-exact
-    checks; it never softens a ray's direction (_same_direction), so a
-    ray either fits a ray or does not.  Raises UnsupportedPair when
-    neither True nor False can be certified for the representations at
-    hand.
+    Boundary comparisons are exact on the computed distances (a point of
+    A at distance 0 from B is inside, one at 5e-10 is not), and a ray fits
+    only a ray of exactly its direction (_same_direction).  Raises
+    UnsupportedPair when neither True nor False can be certified for the
+    representations at hand.
     """
     A.space.require_same(B.space)
     if isinstance(A.rep, SampledCloud):
         raise UnsupportedPair("containment of a sampled cloud cannot be certified")
 
     if isinstance(A.rep, FinitePoints):
-        return bool((_dists(A.coords, B) <= tol).all())
+        return bool((_dists(A.coords, B) <= 0.0).all())
 
     if A.space.is_one_dimensional:
         nb = B.normal_form
         for a_lo, a_hi in A.normal_form.intervals:
             # disjoint closed targets: a connected piece must fit in one of
             # them, and the last one starting by a_lo reaches furthest
-            i = bisect_right(nb.lo, a_lo, key=lambda lo: lo - tol) - 1
-            if i < 0 or not a_hi <= nb.hi[i] + tol:
+            i = bisect_right(nb.lo, a_lo) - 1
+            if i < 0 or not a_hi <= nb.hi[i]:
                 return False
         return True
 
     if isinstance(A.rep, Ray):
         # the one unbounded set in R^n is a single ray, so a ray fits only
-        # a ray of exactly its direction whose distance to its anchor is
-        # within tol
+        # a ray of exactly its direction that holds its anchor
         return (isinstance(B.rep, Ray) and _same_direction(A.rep.axis, B.rep.axis)
-                and bool(_dists([A.rep.anchor], B)[0] <= tol))
+                and bool(_dists([A.rep.anchor], B)[0] <= 0.0))
 
     b_comps = B.components()
     # bounded convex pieces: each must fit a single target piece, read at
@@ -985,8 +983,8 @@ def is_subset(A: ClosedSet, B: ClosedSet, tol: float = 1e-9) -> bool:
     if not (balls and all(kind in ("ball", "box") for kind, _ in b_comps)):
         E = _excess_at_vertices(comps, *_vertices(comps), B.array_form, A.space.dim)
     for i, (_, data) in enumerate(comps):
-        if not any(_ball_inside(data, target, tol) if balls and target[0] in ("ball", "box")
-                   else E[i, k] <= tol for k, target in enumerate(b_comps)):
+        if not any(_ball_inside(data, target) if balls and target[0] in ("ball", "box")
+                   else E[i, k] <= 0.0 for k, target in enumerate(b_comps)):
             if len(b_comps) == 1:
                 return False
             raise UnsupportedPair(
@@ -996,15 +994,15 @@ def is_subset(A: ClosedSet, B: ClosedSet, tol: float = 1e-9) -> bool:
     return True
 
 
-def _ball_inside(ball, target, tol) -> bool:
-    """The closed ball within tol of a ball or box target."""
+def _ball_inside(ball, target) -> bool:
+    """The closed ball inside a ball or box target."""
     c2, r2 = ball
     tkind, tdata = target
     if tkind == "ball":
         c, r = tdata
-        return math.dist(c, c2) + r2 <= r + tol
+        return float(_guarded(lambda norm_of: norm_of(np.subtract(c, c2)[:, None]))[0]) + r2 <= r
     lo, hi = tdata
-    return all(l - tol <= ci - r2 and ci + r2 <= h + tol for ci, l, h in zip(c2, lo, hi))
+    return all(l <= ci - r2 and ci + r2 <= h for ci, l, h in zip(c2, lo, hi))
 
 
 def _box_corners(lo, hi):
@@ -1016,14 +1014,19 @@ def _box_corners(lo, hi):
 
 def representative_points(A: ClosedSet, m: int):
     """Deterministic sample of points of A (used by the canonical
-    hit-neighborhood construction).  Points come out sorted; at most m."""
+    hit-neighborhood construction): a 1-D interval's finite ends and
+    midpoint, a ball's centre and its points r along each axis, a box's
+    corners and centre, a segment's ends and midpoint, and the points of a
+    ray at 0, 1, ..., m - 1 along its unit direction.  A midpoint halves
+    each end before the sum, so it cannot overflow.  Points come out
+    sorted; at most m."""
     if m < 1:
         raise ValueError("need at least one sample point")
     space = A.space
     out = set()
     if space.is_one_dimensional:
         for lo, hi in A.normal_form.intervals:
-            out.update([v for v in (lo, hi, 0.5 * (lo + hi)) if math.isfinite(v)] or [0.0])
+            out.update([v for v in (lo, hi, 0.5 * lo + 0.5 * hi) if math.isfinite(v)] or [0.0])
         return sorted(out)[:m]
     for kind, data in A.components():
         if kind == "point":
@@ -1037,11 +1040,11 @@ def representative_points(A: ClosedSet, m: int):
         elif kind == "box":
             lo, hi = data
             out.update(_box_corners(lo, hi))
-            out.add(tuple(0.5 * (l + h) for l, h in zip(lo, hi)))
+            out.add(tuple(0.5 * l + 0.5 * h for l, h in zip(lo, hi)))
         elif kind == "segment":
             p, q = data
-            out.update([p, q, tuple(0.5 * (a + b) for a, b in zip(p, q))])
+            out.update([p, q, tuple(0.5 * a + 0.5 * b for a, b in zip(p, q))])
         else:  # ray
             a, u = data
-            out.update(geom.add(a, geom.scale(u, float(k))) for k in range(m))
+            out.update(tuple(x + k * v for x, v in zip(a, u)) for k in map(float, range(m)))
     return sorted(out)[:m]

@@ -1,7 +1,7 @@
 """One rule per convex-piece question, against the per-kind code it replaced.
 
-affine_sup_norm reads the pushed vertex table, truncate keeps one rule
-for solid pieces and one clip loop for segments and rays, the n-D
+affine_sup_norm reads the pushed vertex table, truncate keeps, drops or
+cuts each piece by the shared distance tables, the n-D
 distances read the kernel's least row, farthest distances read the
 kernel's norm over the vertex table, a 1-D cover reads the components of
 the open union, the maps' apply reads the push-forward's stacked
@@ -22,7 +22,6 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import hypermet.geom as geom
 from hypermet.actions import GroupElement, affine_sup_norm
 from hypermet.errors import UnsupportedPair
 from hypermet.geom import _sumsq
@@ -31,7 +30,8 @@ from hypermet.hypermetrics import CertifiedValue
 from hypermet.induced import LinearMatrix, _scaled_orthogonal, _sigma_max
 from hypermet.sets import (BallUnion, BoxUnion, ClosedSet, FinitePoints, IntervalUnion,
                            SampledCloud, SegmentUnion, _box_corners, _chunks, _coord,
-                           _merge_intervals, _offsets, _piece_dists, dists_to_set, truncate)
+                           _merge_intervals, _offsets, _piece_dists, _piece_fars, dists_to_set,
+                           truncate)
 from hypermet.spaces import AmbientSpace
 
 LINE = AmbientSpace.line()
@@ -43,9 +43,16 @@ OPEN = AmbientSpace.open_interval(-2.0e4, 2.0e4, 0.0)
 # references: the per-kind code as it stood before the shared rules
 
 
+def _ref_norm(v):
+    """The documented guarded norm of one vector: the square root of the
+    left-to-right sum of squares, or, where a step of it under- or
+    overflows, the same over v scaled by a power of two, scaled back."""
+    return float(_ref_guarded(lambda norm_of: norm_of(np.array(v, dtype=float).reshape(-1, 1)))[0])
+
+
 def _ref_norm_at(D, c, x):
     vec = x if isinstance(x, tuple) else (x,)
-    return float(np.linalg.norm(D @ np.array(vec, dtype=float) + c))
+    return _ref_norm(D @ np.array(vec, dtype=float) + c)
 
 
 def _ref_directions(n):
@@ -158,9 +165,9 @@ def ref_affine_sup_norm(D, c, A):
         elif kind == "interval":
             a, b = data
             if math.isinf(a) or math.isinf(b):
-                if float(np.linalg.norm(D)) != 0.0:
+                if D.any():
                     return CertifiedValue.infinite("ray-closed-form")
-                v = float(np.linalg.norm(c))
+                v = _ref_norm(c)
             else:
                 v = max(_ref_norm_at(D, c, a), _ref_norm_at(D, c, b))
         elif kind == "segment":
@@ -175,8 +182,7 @@ def ref_affine_sup_norm(D, c, A):
                 exact = False
                 # both ends moved out by the rounding of the norms and of sigma_max
                 slack = 32.0 * (len(center) + 2) * 2.0 ** -53 * (
-                    float(np.linalg.norm(D)) * (float(np.linalg.norm(center)) + 2.0 * r)
-                    + float(np.linalg.norm(c)))
+                    _ref_norm(D) * (_ref_norm(center) + 2.0 * r) + _ref_norm(c))
                 lo = max(lo, max(
                     _ref_norm_at(D, c, tuple(ci + r * ui for ci, ui in zip(center, u)))
                     for u in _ref_directions(len(center))) - slack)
@@ -249,11 +255,19 @@ def ref_subset_of(A, U):
     return True
 
 
+def _sub(p, q):
+    return tuple(a - b for a, b in zip(p, q))
+
+
+def _dot(p, q):
+    return sum(a * b for a, b in zip(p, q))
+
+
 def _ref_clip(p, d, tmax, center, L):
-    w = geom.sub(p, center)
-    a = geom.dot(d, d)
-    b = 2.0 * geom.dot(w, d)
-    c = geom.dot(w, w) - L * L
+    w = _sub(p, center)
+    a = _dot(d, d)
+    b = 2.0 * _dot(w, d)
+    c = _dot(w, w) - L * L
     if a == 0.0:
         return (0.0, min(tmax, 0.0)) if c <= 0.0 else None
     disc = b * b - 4.0 * a * c
@@ -266,7 +280,12 @@ def _ref_clip(p, d, tmax, center, L):
 
 
 def ref_truncate(A, L):
-    """truncate as it was on n-D sets (the point and 1-D paths are shared)."""
+    """truncate as it was on n-D sets, deciding each segment or ray by the
+    shared tables: kept as given when its farthest distance (_piece_fars)
+    is within L, dropped when its nearest (_piece_dists) is not, and
+    otherwise clipped by the scalar quadratic, an end at t = 0, or at
+    t = 1 on a segment, being the piece's own end.  The point and 1-D
+    paths are shared."""
     space, rep, L = A.space, A.rep, float(L)
     x0 = space.canon_point(space.base_point)
     if isinstance(rep, (FinitePoints, SampledCloud)) or space.is_one_dimensional:
@@ -294,22 +313,21 @@ def ref_truncate(A, L):
                 raise UnsupportedPair(
                     "box partially overlaps the window; the intersection is not a box union")
         return ClosedSet(space, BoxUnion(tuple(kept))) if kept else None
-    if isinstance(rep, SegmentUnion):
-        kept = []
-        for p, q in rep.segments:
-            piece = _ref_clip(p, geom.sub(q, p), 1.0, x0, L)
-            if piece is None:
-                continue
-            t1, t2 = piece
-            kept.append((geom.add(p, geom.scale(geom.sub(q, p), t1)),
-                         geom.add(p, geom.scale(geom.sub(q, p), t2))))
-        return ClosedSet(space, SegmentUnion(tuple(kept))) if kept else None
-    piece = _ref_clip(rep.anchor, rep.direction, math.inf, x0, L)
-    if piece is None:
-        return None
-    t1, t2 = piece
-    return ClosedSet(space, SegmentUnion(((geom.add(rep.anchor, geom.scale(rep.direction, t1)),
-                                           geom.add(rep.anchor, geom.scale(rep.direction, t2))),)))
+    lines = ([(p, _sub(q, p), 1.0, q) for p, q in rep.segments] if isinstance(rep, SegmentUnion)
+             else [(rep.anchor, rep.direction, math.inf, None)])
+    kept, whole = [], True
+    for (p, d, tmax, q), near, far in zip(lines, _piece_dists(x0, A), _piece_fars(x0, A)):
+        if far <= L:
+            kept.append((p, q))
+            continue
+        whole = False
+        piece = None if near > L else _ref_clip(p, d, tmax, x0, L)
+        if piece is not None:
+            kept.append(tuple(p if t == 0.0 else q if t == tmax else
+                              tuple(a + t * b for a, b in zip(p, d)) for t in piece))
+    if whole:
+        return A
+    return ClosedSet(space, SegmentUnion(tuple(kept))) if kept else None
 
 
 def _ref_plain_norm(W, nearest=False):

@@ -1185,7 +1185,7 @@ def grid_parts(draw, B):
 
 
 def ref_is_subset(A, B):
-    """is_subset(A, B, tol=0) in exact arithmetic: a piece fits a target
+    """is_subset(A, B) in exact arithmetic: a piece fits a target
     piece when its vertices lie in it, a ball by closed form in a ball or
     a box; "unsupported" where no single target piece takes a piece of A
     and there are several."""
@@ -1233,9 +1233,9 @@ def test_is_subset_agrees_with_an_exact_vertex_reference(data):
     expected = ref_is_subset(A, B)
     if expected == "unsupported":
         with pytest.raises(UnsupportedPair):
-            is_subset(A, B, tol=0.0)
+            is_subset(A, B)
     else:
-        assert is_subset(A, B, tol=0.0) is expected
+        assert is_subset(A, B) is expected
 
 
 def test_rays_run_parallel_only_in_exactly_one_direction():
@@ -1249,15 +1249,27 @@ def test_rays_run_parallel_only_in_exactly_one_direction():
     # the tilted ray's point (1e9, 100) lies 100 from the flat ray
     for A, B in ((tilted, flat), (flat, tilted), (back, flat), (steep, flat)):
         assert excess(A, B).is_infinite
-        assert not is_subset(A, B) and not is_subset(A, B, tol=0.0)
+        assert not is_subset(A, B)
     # two literals of one direction store one unit vector
     diag, twice = (ClosedSet.ray(E2, (0.0, 0.0), (s, s)) for s in (1.0, 2.0))
     assert sum(u * u for u in diag.rep.direction) < 1.0
-    assert is_subset(diag, twice, tol=0.0) and excess(diag, twice).lo == 0.0
-    # tol softens only the anchor's distance
+    assert is_subset(diag, twice) and excess(diag, twice).lo == 0.0
+    # an anchor 1e-10 off the flat ray is off it, as the excess certifies
     lifted = ClosedSet.ray(E2, (0.0, 1e-10), (1.0, 0.0))
-    assert is_subset(lifted, flat) and not is_subset(lifted, flat, tol=0.0)
+    assert not is_subset(lifted, flat)
     assert excess(lifted, flat).lo == 1e-10
+
+
+def test_containment_has_no_tolerance():
+    # the excess certifies 5e-10, so the interval does not fit; a ball of
+    # radius 1e-10 is not inside its centre
+    long, unit = ClosedSet.intervals(LINE, [(0.0, 1.0 + 5e-10)]), ClosedSet.intervals(LINE, [(0.0, 1.0)])
+    assert excess(long, unit).lo > 0.0 and not is_subset(long, unit)
+    assert not is_subset(ClosedSet.balls(E2, [((0.0, 0.0), 1e-10)]), ClosedSet.points(E2, [(0.0, 0.0)]))
+    assert not is_subset(ClosedSet.points(E2, [(1e-10, 0.0)]), ClosedSet.points(E2, [(0.0, 0.0)]))
+    inner = ClosedSet.balls(E2, [((0.5, 0.0), 0.5)])
+    assert is_subset(inner, ClosedSet.balls(E2, [((0.0, 0.0), 1.0)]))
+    assert not is_subset(inner, ClosedSet.balls(E2, [((0.0, 0.0), 1.0 - 2.0 ** -52)]))
 
 
 def test_literal_multiples_of_one_direction_are_one_ray():
@@ -1269,13 +1281,13 @@ def test_literal_multiples_of_one_direction_are_one_ray():
     assert any(A.rep.direction != B.rep.direction for A, B in rays)
     for A, B in rays:
         assert excess(A, B).hi.as_float() == 0.0 == excess(B, A).hi.as_float()
-        assert is_subset(A, B, tol=0.0) and is_subset(B, A, tol=0.0)
+        assert is_subset(A, B) and is_subset(B, A)
 
 def test_flat_pieces_fit_the_lines_they_lie_on():
     ray = ClosedSet.ray(E2, (0.0, 0.0), (1.0, 0.0))
     seg = ClosedSet.segments(E2, [((0.0, 0.0), (4.0, 0.0))])
     flat = ClosedSet.boxes(E2, [((1.0, 0.0), (3.0, 0.0))])
-    assert is_subset(ClosedSet.segments(E2, [((1.0, 0.0), (3.0, 0.0))]), ray, tol=0.0)
-    assert is_subset(flat, seg, tol=0.0)
-    assert is_subset(flat, ray, tol=0.0)
-    assert not is_subset(ClosedSet.boxes(E2, [((1.0, 0.0), (3.0, 0.5))]), seg, tol=0.0)
+    assert is_subset(ClosedSet.segments(E2, [((1.0, 0.0), (3.0, 0.0))]), ray)
+    assert is_subset(flat, seg)
+    assert is_subset(flat, ray)
+    assert not is_subset(ClosedSet.boxes(E2, [((1.0, 0.0), (3.0, 0.5))]), seg)
