@@ -272,7 +272,7 @@ def ucb_nbhd_contains(h: GroupElement, A: ClosedSet, f: GroupElement,
     D = h._m - f._m
     c = _np(h.offset) - _np(f.offset)
     sup = affine_sup_norm(D, c, A)
-    if not sup.hi.is_inf and sup.hi.as_float() < eps:
+    if sup.hi < eps:
         return UniformComparison(True, sup)
     if sup.lo >= eps:
         return UniformComparison(False, sup)
@@ -327,13 +327,8 @@ def probe_action_continuity(g: GroupElement, A: ClosedSet, metric: str,
         d_out = dist(gA, act(h, B), **metric_kwargs)
         rows.append(ActionProbeRow(f"perturbation-{i + 1}", d_group, d_set, d_out))
 
-    def prox(row):
-        if row.d_group.hi.is_inf or row.d_set.hi.is_inf:
-            return math.inf
-        return max(row.d_group.hi.as_float(), row.d_set.hi.as_float())
-
     violation = all(
-        any(prox(r) < delta and r.d_out.lo > eps for r in rows)
+        any(max(r.d_group.hi, r.d_set.hi) < delta and r.d_out.lo > eps for r in rows)
         for delta in delta_schedule
     )
     return ActionProbeReport(metric, float(eps), tuple(delta_schedule),

@@ -1,7 +1,7 @@
 """Certified distances between closed sets.
 
-Every quantity here is an ExtReal certificate: an interval [lo, hi]
-(possibly degenerate, possibly with hi = infinity) that provably
+Every quantity here is a certificate: an interval [lo, hi] of floats
+(possibly degenerate, possibly with hi = math.inf) that provably
 contains the true value, plus the method that produced it and a
 witness point where the bound is attained or approached.
 
@@ -28,8 +28,8 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, total_ordering
-from typing import Any, Optional
+from functools import lru_cache
+from typing import Any
 
 import numpy as np
 
@@ -63,49 +63,25 @@ NODE_CAP = 1_500_000
 
 
 # ---------------------------------------------------------------------------
-# extended reals and certificates
+# certificates
 
 
-@total_ordering
-class ExtReal:
-    """A nonnegative real or +infinity.  Keeps float('inf') from
-    leaking into arithmetic by accident."""
+class ExtReal(float):
+    """A certificate's upper end: a float, math.inf allowed, whose
+    arithmetic, order and repr are the float's.  It adds only is_inf and
+    as_float(), which readers outside the library still call."""
 
-    __slots__ = ("_v",)
-
-    def __init__(self, v: Optional[float]):
-        object.__setattr__(self, "_v", None if v is None else float(v))
+    __slots__ = ()
 
     @property
     def is_inf(self) -> bool:
-        return self._v is None
+        return self == math.inf
 
     def as_float(self) -> float:
-        return math.inf if self._v is None else self._v
-
-    def __eq__(self, other):
-        return self.as_float() == _as_float(other)
-
-    def __lt__(self, other):
-        return self.as_float() < _as_float(other)
-
-    def __hash__(self):
-        return hash(self.as_float())
-
-    def __add__(self, other):
-        if self.is_inf:
-            return INF
-        return ExtReal(self._v + _as_float(other))
-
-    def __repr__(self):
-        return "inf" if self.is_inf else repr(self._v)
+        return float(self)
 
 
-def _as_float(x) -> float:
-    return x.as_float() if isinstance(x, ExtReal) else float(x)
-
-
-INF = ExtReal(None)
+INF = ExtReal(math.inf)
 
 
 def ext(x) -> ExtReal:
@@ -129,20 +105,22 @@ class CertifiedValue:
     witness: Any = None
 
     def __post_init__(self):
+        hi = ext(self.hi)
+        object.__setattr__(self, "hi", hi)
         if self.lo < 0:
             raise ValueError("certificates are nonnegative")
-        if math.isinf(self.lo) and not self.hi.is_inf:
+        if math.isinf(self.lo) and hi < math.inf:
             raise ValueError("lo may be infinite only for a proven-infinite value")
-        if self.hi < self.lo:
-            raise ValueError(f"empty certificate [{self.lo}, {self.hi}]")
+        if not self.lo <= hi:
+            raise ValueError(f"empty certificate [{self.lo}, {hi}]")
 
     @staticmethod
     def point(v: float, method: str, witness=None) -> "CertifiedValue":
-        return CertifiedValue(v, ext(v), method, witness)
+        return CertifiedValue(v, v, method, witness)
 
     @staticmethod
     def interval(lo: float, hi, method: str, witness=None) -> "CertifiedValue":
-        return CertifiedValue(lo, ext(hi), method, witness)
+        return CertifiedValue(lo, hi, method, witness)
 
     @staticmethod
     def infinite(method: str, witness=None) -> "CertifiedValue":
@@ -160,11 +138,11 @@ class CertifiedValue:
     def width(self) -> float:
         if self.is_infinite:
             return 0.0
-        return self.hi.as_float() - self.lo
+        return self.hi - self.lo
 
     def to_plain(self) -> dict:
         """{lo, hi, method} for JSON output; an infinite hi is "inf"."""
-        return {"lo": self.lo, "hi": "inf" if self.hi.is_inf else self.hi.as_float(),
+        return {"lo": self.lo, "hi": "inf" if self.hi == math.inf else float(self.hi),
                 "method": self.method}
 
     def __repr__(self):
@@ -182,8 +160,6 @@ def _widen(cv: CertifiedValue, slack: float) -> CertifiedValue:
     slack of the sample-level answer."""
     if slack <= 0.0:
         return cv
-    if cv.is_infinite:
-        return CertifiedValue.infinite(cv.method + "+cloud", cv.witness)
     return CertifiedValue(max(0.0, cv.lo - slack), cv.hi + slack,
                           cv.method + "+cloud", cv.witness)
 
@@ -322,7 +298,7 @@ def _excess_convex(A, B) -> CertifiedValue:
 def _combine_max(e1: CertifiedValue, e2: CertifiedValue, tag1, tag2) -> CertifiedValue:
     lo = max(e1.lo, e2.lo)
     hi = e1.hi if e2.hi < e1.hi else e2.hi
-    src = e1 if (e1.lo, e1.hi.as_float()) >= (e2.lo, e2.hi.as_float()) else e2
+    src = e1 if (e1.lo, e1.hi) >= (e2.lo, e2.hi) else e2
     tag = tag1 if src is e1 else tag2
     method = src.method if e1.method == e2.method else f"{e1.method}|{e2.method}"
     return CertifiedValue(lo, hi, method, (tag, src.witness))
@@ -878,19 +854,19 @@ def aw_distance(A: ClosedSet, B: ClosedSet, *,
     _check_budget(tol, node_cap)
     space = A.space
     try:
-        dh = hausdorff(A, B).hi
+        dh = float(hausdorff(A, B).hi)
     except UnsupportedPair:
-        dh = INF
+        dh = math.inf
     if space.kind == FINITE or space.is_one_dimensional:
         cv = _aw_exact(space, A, B)
     else:
-        cv = _aw_certified(space, A, B, dh.as_float(), tol, node_cap)
+        cv = _aw_certified(space, A, B, dh, tol, node_cap)
     cv = _widen(cv, A.slack + B.slack)
     # the windowed distance is at most 1 and at most a finite hausdorff hi (which
     # kills the odd last-ulp overshoot from sup evaluation at interior candidates)
-    top = min(1.0, dh.as_float())
+    top = min(1.0, dh)
     if top < cv.hi:
-        cv = CertifiedValue(min(cv.lo, top), ext(top), cv.method, cv.witness)
+        cv = CertifiedValue(min(cv.lo, top), top, cv.method, cv.witness)
     return cv
 
 
@@ -996,7 +972,7 @@ def _aw_certified(space, A, B, hb: float, tol, node_cap) -> CertifiedValue:
             lo, wit = min(1.0 / j, G.lo), G.witness
         if G.lo >= 1.0 / j:  # the later terms are at most 1/(j+1) < lo
             return CertifiedValue.interval(lo, max(lo, cap), "bnb", wit)
-        top = min(1.0, hb, G.hi.as_float())
+        top = min(1.0, hb, G.hi)
         cap = min(max(cap, min(1.0 / j, top)), top)
         if tail <= lo or max(cap, tail) - lo <= tol or j >= j_cap:
             return CertifiedValue.interval(lo, max(cap, tail), "bnb", wit)

@@ -594,6 +594,8 @@ class PiecewiseMonotone1D(_CatalogMap):
         if lo <= hi:
             vals.extend((self.apply(lo), self.apply(hi)))
             vals.extend(v for k, v in zip(self.knots, self.values) if lo < k < hi)
+        else:  # one tail holds the interval: its finite end is past the cut knot
+            vals.append(self.apply(hi if hi < self.knots[0] else lo))
         return (min(vals), max(vals))
 
     def image(self, A: ClosedSet) -> ClosedSet:
@@ -794,8 +796,8 @@ def uniform_continuity_witness(f, pairs, m: int) -> WitnessRecord:
         pair_distance=d_pair,
         set_distance=d_sets,
         image_distance=d_images,
-        bound_ok=not d_sets.hi.is_inf and d_sets.hi.as_float() <= d_pair,
-        separated=d_images.lo > (0.0 if d_sets.hi.is_inf else d_sets.hi.as_float()),
+        bound_ok=d_sets.hi <= d_pair,
+        separated=d_images.lo > (0.0 if d_sets.hi == math.inf else d_sets.hi),
     )
 
 
@@ -889,8 +891,7 @@ def probe_induced_continuity(f, A: ClosedSet, metric: str, perturbations,
         d_out = dist(fA, induced_image(f, B), **metric_kwargs)
         rows.append(ProbeRow(f"perturbation-{i + 1}", d_in, d_out))
     violation = all(
-        any(not r.d_in.hi.is_inf and r.d_in.hi.as_float() < delta
-            and r.d_out.lo > eps for r in rows)
+        any(r.d_in.hi < delta and r.d_out.lo > eps for r in rows)
         for delta in delta_schedule
     )
     return ProbeReport(f.describe(), metric, float(eps), tuple(delta_schedule),

@@ -176,9 +176,8 @@ def run_tilted_ray(cfg: TiltedRayConfig, seed: int) -> ScenarioReport:
             rows.append({"theta": theta, "R": R, "d_trunc": d.to_plain(),
                          "predicted": predicted})
             _check(asserts, f"truncated distance R*sin(theta) (theta={theta}, R={R})",
-                   (not d.hi.is_inf)
-                   and abs(d.lo - predicted) <= 1e-6 * R
-                   and abs(d.hi.as_float() - predicted) <= 1e-6 * R,
+                   abs(d.lo - predicted) <= 1e-6 * R
+                   and abs(d.hi - predicted) <= 1e-6 * R,
                    f"{d.lo} vs {predicted}")
     return ScenarioReport(
         "tilted-ray", seed, asdict(cfg), tuple(rows), tuple(asserts),
@@ -220,8 +219,7 @@ def run_windowed_action(cfg: WindowedActionConfig, seed: int) -> ScenarioReport:
         _check(asserts, f"group shift measured exactly (delta={d})",
                row.d_group.is_exact and row.d_group.lo == d, f"{row.d_group.lo}")
         _check(asserts, f"output stays within input reach (delta={d})",
-               (not row.d_out.hi.is_inf)
-               and row.d_out.hi.as_float() <= 2 * d + cfg.tol + 1e-9,
+               row.d_out.hi <= 2 * d + cfg.tol + 1e-9,
                f"{row.d_out.hi} vs {2 * d}")
     _check(asserts, "no joint-continuity violation", not report.violation)
     return ScenarioReport(
@@ -270,8 +268,8 @@ def run_rigid_corpus(cfg: RigidCorpusConfig, seed: int) -> ScenarioReport:
         d_group = group_distance(g, h)
         d_set = hausdorff(A, B)
         d_out = hausdorff(act(g, A), act(h, B))
-        bound = d_group.hi.as_float() + d_set.hi.as_float()
-        slack = d_out.hi.as_float() - bound
+        bound = d_group.hi + d_set.hi
+        slack = d_out.hi - bound
         worst_slack = max(worst_slack, slack)
         if slack > 1e-9:
             violations += 1
@@ -326,9 +324,8 @@ def run_moving_witness(cfg: MovingWitnessConfig, seed: int) -> ScenarioReport:
                rec.bound_ok,
                f"{rec.set_distance!r} vs {rec.pair_distance}")
         _check(asserts, f"image distance pinned at 1 (m={m})",
-               (not rec.image_distance.hi.is_inf)
-               and abs(rec.image_distance.lo - 1.0) <= 1e-9
-               and abs(rec.image_distance.hi.as_float() - 1.0) <= 1e-9,
+               abs(rec.image_distance.lo - 1.0) <= 1e-9
+               and abs(rec.image_distance.hi - 1.0) <= 1e-9,
                f"{rec.image_distance!r}")
         _check(asserts, f"witness separates (m={m})", rec.separated)
         _check(asserts, f"pair distances decrease (m={m})",

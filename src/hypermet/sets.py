@@ -215,7 +215,11 @@ def _stack(kind, datas):
     if kind == "segment":
         # the projection reads v scaled by a power of two per segment, so
         # that its squared length neither under- nor overflows
-        v = second - first
+        with np.errstate(over="ignore"):
+            v = second - first
+        bad = np.flatnonzero(~np.isfinite(v).all(axis=0))
+        if len(bad):
+            raise UnsupportedPair(f"segment {datas[bad[0]]} is longer than the float range")
         e = np.frexp(np.abs(v).max(axis=0))[1]
         vs = np.ldexp(v, -e)
         return first, v, vs, (vs * vs).sum(axis=0), -e
@@ -806,9 +810,9 @@ def is_bounded(A: ClosedSet) -> bool:
 def bounding_radius(A: ClosedSet) -> float:
     """sup of d(base point, a) over the set; inf for rays.
 
-    Internal helper for window saturation; the public metric API wraps
-    infinities in ExtReal instead of leaking floats.  Computed on first
-    use and kept with the set (a scan's obstacle is checked every term).
+    Internal helper for window saturation; certificates carry the same
+    float inf as their upper end.  Computed on first use and kept with
+    the set (a scan's obstacle is checked every term).
     """
     return A._radius
 
@@ -879,7 +883,8 @@ def _chord(p, q, x0, L, ray=False):
     of two and d by another no square under- or overflows, and
     t = ldexp(t', k_d - k_w) is exact: the plain quadratic's float wherever
     none of its steps under- or overflows.  An end at t = 0, or at t = 1
-    on a segment, is the piece's own end."""
+    on a segment, is the piece's own end; a t past the float range is
+    refused."""
     d = q if ray else tuple(b - a for a, b in zip(p, q))
     w = [a - b for a, b in zip(p, x0)]
     kw, kd = (-math.frexp(max(map(abs, v)))[1] for v in ([L, *w], d))
@@ -889,8 +894,12 @@ def _chord(p, q, x0, L, ray=False):
     if disc < 0.0:
         return None
     s = math.sqrt(disc)
-    t1 = max(math.ldexp((-b - s) / (2.0 * a), kd - kw), 0.0)
-    t2 = math.ldexp((-b + s) / (2.0 * a), kd - kw)
+    try:
+        t1 = max(math.ldexp((-b - s) / (2.0 * a), kd - kw), 0.0)
+        t2 = math.ldexp((-b + s) / (2.0 * a), kd - kw)
+    except OverflowError:
+        raise UnsupportedPair(f"the chord of the {'ray' if ray else 'segment'} from {p} "
+                              "has a parameter past the float range") from None
     t2 = t2 if ray else min(t2, 1.0)
     if t1 > t2:
         return None
@@ -1015,11 +1024,11 @@ def _box_corners(lo, hi):
 def representative_points(A: ClosedSet, m: int):
     """Deterministic sample of points of A (used by the canonical
     hit-neighborhood construction): a 1-D interval's finite ends and
-    midpoint, a ball's centre and its points r along each axis, a box's
-    corners and centre, a segment's ends and midpoint, and the points of a
-    ray at 0, 1, ..., m - 1 along its unit direction.  A midpoint halves
-    each end before the sum, so it cannot overflow.  Points come out
-    sorted; at most m."""
+    midpoint, a ball's centre and its points r along each axis that stay
+    in the float range, a box's corners and centre, a segment's ends and
+    midpoint, and the points of a ray at 0, 1, ..., m - 1 along its unit
+    direction.  A midpoint halves each end before the sum, so it cannot
+    overflow.  Points come out sorted; at most m."""
     if m < 1:
         raise ValueError("need at least one sample point")
     space = A.space
@@ -1036,7 +1045,8 @@ def representative_points(A: ClosedSet, m: int):
             out.add(c)
             for i in range(len(c)):
                 for s in (-r, r):
-                    out.add(tuple(x + s if j == i else x for j, x in enumerate(c)))
+                    if math.isfinite(c[i] + s):
+                        out.add(tuple(x + s if j == i else x for j, x in enumerate(c)))
         elif kind == "box":
             lo, hi = data
             out.update(_box_corners(lo, hi))

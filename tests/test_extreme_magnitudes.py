@@ -10,10 +10,12 @@ underflow cases that came out inf, NaN or 0 are pinned one by one.
 
 import json
 import math
+import warnings
 from dataclasses import astuple
 from itertools import chain
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,9 @@ from hypermet.actions import GroupElement, affine_sup_norm, group_distance, ucb_
 from hypermet.cli import main
 from hypermet.errors import UnsupportedPair
 from hypermet.hitmiss import canonical_neighborhoods
-from hypermet.sets import ClosedSet, bounding_radius, representative_points, truncate
+from hypermet.hypermetrics import hausdorff
+from hypermet.sets import (ClosedSet, bounding_radius, dist_to_set, representative_points,
+                           truncate)
 from hypermet.spaces import AmbientSpace
 from test_piece_rules import matrices, nd_sets
 
@@ -176,3 +180,53 @@ def test_the_action_probe_measures_a_far_translation():
                  "--perturb", "identity:n=2 ; {(0,0)}", "{(0,0)}"])
     d = vals["perturbation-1"]["d_group"]
     assert d["lo"] == d["hi"] == 1e200
+
+
+# ---------------------------------------------------------------------------
+# pieces whose own arithmetic passes the float range are refused or skipped
+
+
+def test_a_segment_longer_than_the_float_range_is_refused():
+    S = ClosedSet.segments(E2, [((-1e308, 0.0), (1e308, 0.0))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: dist_to_set((0.0, 1.0), S), lambda: truncate(S, 1.0)):
+            with pytest.raises(UnsupportedPair, match="longer than the float range"):
+                call()
+
+
+def test_the_cli_refuses_a_segment_longer_than_the_float_range():
+    result = CliRunner().invoke(main, ["dist", "--metric", "H", "--space", "euclidean:n=2",
+                                       "segment((-1e308,0),(1e308,0))", "{(0,1)}"])
+    assert result.exit_code == 2 and "NaN" not in result.output
+    assert "segment ((-1e+308, 0.0), (1e+308, 0.0)) is longer than the float range" \
+        in result.output
+
+
+def test_a_segment_of_e1_past_the_float_range_keeps_its_normal_form():
+    E1 = AmbientSpace.euclidean(1)
+    S = ClosedSet.segments(E1, [((-1e308,), (1e308,))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hausdorff(S, ClosedSet.points(E1, [(0.0,)])).lo == 1e308
+
+
+def test_a_ray_chord_whose_parameter_passes_the_float_range_is_refused():
+    R = ClosedSet.ray(E2, (-1.7e308, 0.0), (1.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedPair, match="float range"):
+            truncate(R, 1.7e308)
+
+
+def test_a_ball_sample_past_the_float_range_is_dropped():
+    c, r = (1.7e308, 0.0), 1e308
+    B = ClosedSet.balls(E2, [(c, r)])
+    pts = representative_points(B, 10)
+    assert len(pts) == 4 and all(map(math.isfinite, chain(*pts)))
+    assert c in pts and (1.7e308 - 1e308, 0.0) in pts
+    hits = canonical_neighborhoods(B, "lowerV", 1.0)
+    centres = [h.open_set.balls[0][0] for h in hits]
+    assert centres == pts
+    # every centre lies in the ball: its offset from c is 0 or r on one axis
+    assert all(math.hypot((x - c[0]) / r, (y - c[1]) / r) <= 1.0 for x, y in centres)

@@ -415,11 +415,13 @@ def test_ext_real_arithmetic():
     assert ext(3.0) < INF
     assert not (INF < ext(3.0))
     assert INF == INF and ext(2.0) == ext(2.0)
-    assert ext(3.0) + ext(4.0) == ext(7.0)
-    assert (INF + ext(1.0)).is_inf
-    assert ext(math.inf) is INF
-    assert ext(5.0).as_float() == 5.0
+    assert ext(3.0) + ext(4.0) == 7.0
+    assert INF + 1.0 == math.inf and INF - 1.0 == math.inf
+    assert ext(math.inf) is INF and ext(-math.inf) is INF and ext(INF) is INF
+    assert INF.is_inf and not ext(5.0).is_inf
+    assert ext(5.0).as_float() == 5.0 and type(ext(5.0).as_float()) is float
     assert INF.as_float() == math.inf
+    assert repr(INF) == "inf" and repr(ext(0.1)) == repr(0.1) == str(ext(0.1))
 
 
 def test_certified_value_invariants():
@@ -437,6 +439,22 @@ def test_certified_value_invariants():
         CertifiedValue.interval(-1.0, 1.0, "grid")
     with pytest.raises(ValueError):
         CertifiedValue(math.inf, ext(3.0), "bad")
+
+
+@pytest.mark.parametrize("lo, hi", [(math.nan, math.nan), (1.0, math.nan), (math.nan, 2.0),
+                                    (math.nan, math.inf)])
+def test_a_certificate_with_a_nan_end_is_refused(lo, hi):
+    with pytest.raises(ValueError, match="empty certificate"):
+        CertifiedValue.interval(lo, hi, "grid")
+
+
+def test_every_upper_end_is_stored_as_an_ext_real():
+    assert CertifiedValue.interval(1.0, math.inf, "h-bound").hi is INF
+    for cv in (CertifiedValue.point(np.float64(2.5), "finite-max"),
+               CertifiedValue(0.5, 0.75, "grid")):
+        assert type(cv.hi) is ExtReal and cv.hi == float(cv.hi)
+    assert CertifiedValue.interval(1.0, math.inf, "h-bound").to_plain()["hi"] == "inf"
+    assert type(CertifiedValue.point(2.5, "m").to_plain()["hi"]) is float
 
 
 # ---------------------------------------------------------------------------

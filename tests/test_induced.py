@@ -24,6 +24,7 @@ from hypermet.spaces import AmbientSpace
 LINE = AmbientSpace.line()
 E2 = AmbientSpace.euclidean(2)
 HALF_PI = math.pi / 2.0
+INF = math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +137,22 @@ def test_piecewise_images():
     R = ClosedSet.ray(LINE, 1.0, 1.0)  # right tail slope -1: image (-inf, 2]
     (lo, hi), = induced_image(f, R).rep.intervals
     assert math.isinf(lo) and lo < 0 and hi == 2.0
+
+
+@pytest.mark.parametrize("slope, images", [
+    # f is 0 at knot 0 and 2 at knot 1, with tails of the given slope on
+    # both sides; the sets are (-inf, -5], (-inf, 0.5], [0.5, inf), [3, inf)
+    # and the whole line
+    (0.0, [(0.0, 0.0), (0.0, 1.0), (1.0, 2.0), (2.0, 2.0), (0.0, 2.0)]),
+    (1.0, [(-INF, -5.0), (-INF, 1.0), (1.0, INF), (4.0, INF), (-INF, INF)]),
+    (-1.0, [(5.0, INF), (0.0, INF), (-INF, 2.0), (-INF, 0.0), (-INF, INF)]),
+], ids=["flat", "rising", "falling"])
+def test_piecewise_images_of_unbounded_intervals(slope, images):
+    f = PiecewiseMonotone1D((0.0, 1.0), (0.0, 2.0), left_slope=slope, right_slope=slope)
+    sets = [ClosedSet.ray(LINE, -5.0, -1.0), ClosedSet.ray(LINE, 0.5, -1.0),
+            ClosedSet.ray(LINE, 0.5, 1.0), ClosedSet.ray(LINE, 3.0, 1.0),
+            ClosedSet.intervals(LINE, [(-INF, INF)])]
+    assert [induced_image(f, A).rep.intervals for A in sets] == [(iv,) for iv in images]
 
 
 def test_composed_map():

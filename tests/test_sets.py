@@ -312,6 +312,19 @@ def test_union_same_family():
     assert len(U.rep.balls) == 2
 
 
+def test_union_of_the_other_families_in_the_plane():
+    P = union_sets(ClosedSet.points(E2, [(0.0, 0.0), (1.0, 2.0)]),
+                   ClosedSet.points(E2, [(1.0, 2.0), (-3.0, 0.5)]))
+    assert P == ClosedSet.points(E2, [(0.0, 0.0), (1.0, 2.0), (-3.0, 0.5)])
+    box1, box2 = ((0.0, 0.0), (1.0, 1.0)), ((2.0, -1.0), (3.0, 0.0))
+    B = union_sets(ClosedSet.boxes(E2, [box1]), ClosedSet.boxes(E2, [box2]))
+    assert B.rep.boxes == (box1, box2)
+    seg1, seg2 = ((0.0, 0.0), (1.0, 1.0)), ((5.0, 0.0), (5.0, 2.0))
+    S = union_sets(ClosedSet.segments(E2, [seg1]), ClosedSet.segments(E2, [seg2]))
+    assert S.rep.segments == (seg1, seg2)
+    assert dist_to_set((5.0, 3.0), S) == 1.0 and dist_to_set((2.0, 1.0), S) == 1.0
+
+
 def test_subset_relations():
     inner = ClosedSet.intervals(LINE, [(0.2, 0.8)])
     outer = ClosedSet.intervals(LINE, [(0.0, 1.0)])
@@ -346,6 +359,15 @@ def test_representative_points_belong_to_set():
     # deterministic
     A = sets[2]
     assert representative_points(A, 8) == representative_points(A, 8)
+
+
+def test_representative_points_of_a_ray_step_along_its_unit_direction():
+    R = ClosedSet.ray(E2, (1.0, -2.0), (3.0, 4.0))
+    assert representative_points(R, 3) == [(1.0, -2.0), (1.6, -1.2), (2.2, -0.3999999999999999)]
+    assert representative_points(R, 1) == [(1.0, -2.0)]
+    up = ClosedSet.ray(E2, (1.0, -2.0), (0.0, 2.0))
+    assert representative_points(up, 8) == [(1.0, k - 2.0) for k in range(8)]
+    assert all(dist_to_set(p, up) == 0.0 for p in representative_points(up, 8))
 
 
 # ---------------------------------------------------------------------------
