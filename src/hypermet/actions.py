@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .induced import (_check_thresholds, _matrix, _np, _pushed, _real_space,
                       _scaled_orthogonal, _sigma_max, affine_image, metric_by_name)
 from .sets import (BallUnion, ClosedSet, FinitePoints, Ray, SampledCloud, _max_per_piece,
                    _vertices, is_bounded, is_subset)
-from .spaces import AmbientSpace
 
 DEFAULT_REF_RADIUS = 10.0
 _ISOMETRY_TOL = 1e-12   # |M^T M - I| entrywise, for GroupElement.is_isometry
@@ -45,7 +43,7 @@ class GroupElement:
 
     def __post_init__(self):
         rows, m = _matrix(self.matrix, square=True)
-        off = tuple(float(v) for v in self.offset)
+        off = tuple(map(float, self.offset))
         if len(off) != len(rows):
             raise ValueError("offset dimension mismatch")
         if not all(map(math.isfinite, off)):
@@ -54,7 +52,9 @@ class GroupElement:
             raise ValueError("group elements must be invertible")
         object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "offset", off)
-        object.__setattr__(self, "_m", m)  # the rows as an array, not a field
+        object.__setattr__(self, "_m", m)  # not fields: the rows and offset as arrays, the space
+        object.__setattr__(self, "_t", _np(off))
+        object.__setattr__(self, "space", _real_space(len(rows)))
 
     # -- constructors -------------------------------------------------
 
@@ -93,12 +93,8 @@ class GroupElement:
     def dim(self) -> int:
         return len(self.matrix)
 
-    @cached_property
-    def space(self) -> AmbientSpace:
-        return _real_space(self.dim)
-
     def apply(self, x):
-        y = _pushed(self._m, _np(self.offset), [self.space.canon_point(x)])[0].tolist()
+        y = _pushed(self._m, self._t, [self.space.canon_point(x)])[0].tolist()
         return y[0] if self.dim == 1 else tuple(y)
 
     def is_isometry(self) -> bool:
@@ -113,11 +109,8 @@ def compose(g: GroupElement, h: GroupElement) -> GroupElement:
     """g after h: x -> g(h(x))."""
     if g.dim != h.dim:
         raise ValueError("dimension mismatch")
-    m = g._m @ h._m
-    t = g._m @ _np(h.offset) + _np(g.offset)
     kind = g.kind if g.kind == h.kind and g.kind in ("translation", "rotation") else "composition"
-    return GroupElement(tuple(tuple(float(v) for v in row) for row in m),
-                        tuple(float(v) for v in t), kind)
+    return GroupElement(g._m @ h._m, (g._m @ h._t + g._t).tolist(), kind)
 
 
 def inverse(g: GroupElement) -> GroupElement:
@@ -126,9 +119,7 @@ def inverse(g: GroupElement) -> GroupElement:
         minv = m.T  # orthogonal bitwise: the transpose is exact
     else:
         minv = np.linalg.inv(m)
-    t = -(minv @ _np(g.offset))
-    return GroupElement(tuple(tuple(float(v) for v in row) for row in minv),
-                        tuple(float(v) for v in t), g.kind)
+    return GroupElement(minv, (-(minv @ g._t)).tolist(), g.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +129,7 @@ def inverse(g: GroupElement) -> GroupElement:
 def act(g: GroupElement, A: ClosedSet) -> ClosedSet:
     """The image g(A), exact per representation."""
     g.space.require_same(A.space, "action")
-    return affine_image(g._m, _np(g.offset), A, g.space)
+    return affine_image(g._m, g._t, A, g.space)
 
 
 def maps_into(g: GroupElement, A: ClosedSet, B: ClosedSet) -> bool:
@@ -218,7 +209,7 @@ def affine_sup_norm(D, c, A: ClosedSet) -> CertifiedValue:
             # both ends moved out by the rounding of |D x + t| (x a centre x0 or a sample just
             # off the sphere) and of sigma_max: 16 gamma_{2n+4} of |D| (|x0| + 2 r) + |t|
             size, t = float(_norms(D.reshape(1, -1))[0]), float(_norms(c[None])[0])
-            sigma, centres = _sigma_max(D), _np([x0 for x0, _ in rep.balls])
+            sigma, centres = _sigma_max(D), A.coords
             err = [32.0 * (len(c) + 2) * 2.0 ** -53 * (size * (x + 2.0 * r) + t)
                    for x, (_, r) in zip(_norms(centres).tolist(), rep.balls)]
             lo = max(0.0, *(float(_norms(_pushed(D, c, x0 + r * _unit_directions(len(c)))).max())
@@ -234,9 +225,7 @@ def group_distance(g: GroupElement, h: GroupElement,
     """sup |g(x) - h(x)| over the closed reference ball at the base point."""
     if g.dim != h.dim:
         raise ValueError("dimension mismatch")
-    D = g._m - h._m
-    c = _np(g.offset) - _np(h.offset)
-    space = g.space
+    D, c, space = g._m - h._m, g._t - h._t, g.space
     if g.dim == 1:
         ref = ClosedSet.intervals(space, [(space.base_point - ref_radius,
                                            space.base_point + ref_radius)])
@@ -269,9 +258,7 @@ def ucb_nbhd_contains(h: GroupElement, A: ClosedSet, f: GroupElement,
     h.space.require_same(A.space, "comparison")
     if h.dim != f.dim:
         raise ValueError("dimension mismatch")
-    D = h._m - f._m
-    c = _np(h.offset) - _np(f.offset)
-    sup = affine_sup_norm(D, c, A)
+    sup = affine_sup_norm(h._m - f._m, h._t - f._t, A)
     if sup.hi < eps:
         return UniformComparison(True, sup)
     if sup.lo >= eps:

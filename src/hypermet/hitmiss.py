@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import AmbientMismatch, GeneratorFault, UnsupportedPair
 from .hypermetrics import _gaps_each, set_gap
-from .sets import (ClosedSet, FinitePoints, Ray, _coord, _dists, _dists_each, _far_dists,
-                   _point_array, _rows_per_chunk, _Stack, is_bounded, is_subset,
+from .sets import (BallUnion, ClosedSet, FinitePoints, Ray, _coord, _dists, _dists_each,
+                   _far_dists, _point_array, _rows_per_chunk, _Stack, is_bounded, is_subset,
                    representative_points)
 from .spaces import AmbientSpace
 
@@ -331,13 +331,18 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
     one_d = space is not None and space.is_one_dimensional
 
     def pieces(A):  # A's rows in a block: intervals on a 1-D ambient
-        return len(A.normal_form.lo) if one_d else \
-            len(A.rep.points) if isinstance(A.rep, FinitePoints) else len(A.components())
+        rep = A.rep
+        return len(A.normal_form.lo if one_d else rep.points if isinstance(rep, FinitePoints)
+                   else rep.balls if isinstance(rep, BallUnion) else A.components())
 
-    # the gathered constraints that a block decides on every exact term;
-    # the others (contain, several balls, not 1-D) only on one of points or a ray
+    # read per term: head, then rest; on an exact term only the rest that its
+    # block leaves (blocked: decided on any exact term, owned: on points or a ray)
     blocked = {i for i, sl in owned.items()
                if nbhds[i].tag != "contain" or one_d or sl.stop - sl.start == 1}
+    head = range(min(owned, default=len(nbhds)))
+    rest = range(len(head), len(nbhds))
+    rest_thin = [i for i in rest if i not in owned]
+    rest_exact = [i for i in rest if i not in blocked]
     any_hit = any(nbhds[i].tag == "hit" for i in owned)
     contains = [i for i in owned if nbhds[i].tag == "contain"]
     covers = {i: _open_cover(nbhds[i].open_set) for i in contains} if one_d else {}
@@ -386,23 +391,20 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
             raise
         except Exception as exc:  # noqa: BLE001 - reported with its index
             raise GeneratorFault(k, exc) from exc
-        checked = deferred = False
-        for i, constraint in enumerate(nbhds):
-            sl = owned.get(i)
-            if sl is not None:
-                if not checked:  # the check of hits, subset_of and set_gap, at the first
-                    space.require_same(term.space)
-                    checked = True
-                    if term.slack == 0.0:
-                        thin = isinstance(term.rep, (FinitePoints, Ray))
-                        block.append((k, term))
-                        queued += pieces(term)
-                        deferred = True
-                if deferred and (thin or i in blocked):
-                    continue
-            if not constraint.satisfied_by(term):
+        for i in head:
+            if not nbhds[i].satisfied_by(term):
                 failed(i, k, k)
-        if deferred and queued >= budget:
+        todo = rest
+        if owned:  # the check of hits, subset_of and set_gap
+            space.require_same(term.space)
+            if term.slack == 0.0:
+                block.append((k, term))
+                queued += pieces(term)
+                todo = rest_thin if isinstance(term.rep, (FinitePoints, Ray)) else rest_exact
+        for i in todo:
+            if not nbhds[i].satisfied_by(term):
+                failed(i, k, k)
+        if block and queued >= budget:
             flush()
             queued = 0
     if block:

@@ -22,7 +22,8 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -167,10 +168,11 @@ def _matrix(mat, square=False):
             raise ValueError("group elements need a square matrix")
     elif m.ndim != 2 or m.size == 0:
         raise ValueError("need a 2-D matrix")
-    if not np.isfinite(m).all():
+    rows = m.tolist()
+    if not all(map(math.isfinite, chain.from_iterable(rows))):
         raise ValueError("matrix entries must be finite")
-    m.flags.writeable = False
-    return tuple(map(tuple, m.tolist())), m
+    m.setflags(write=False)
+    return tuple(map(tuple, rows)), m
 
 
 @cache
@@ -194,10 +196,11 @@ def _scaled_orthogonal(m) -> Optional[float]:
         e = math.frexp(float(np.abs(m).max()))[1]
         mu = _scaled_orthogonal(np.ldexp(m, -e))
         return None if mu is None else math.ldexp(mu, e)
-    # np.allclose of g and mu2 I with rtol=0, at a fraction of its cost;
-    # NaN compares False
-    g.flat[::n + 1] -= mu2
-    if float(np.abs(g).max()) <= 1e-12 * max(1.0, mu2):
+    # np.allclose of g and mu2 I with rtol=0, read in Python (a small g
+    # costs less as a list than through numpy's calls); NaN compares False
+    tol = 1e-12 * max(1.0, mu2)
+    if all(abs(v - mu2 if i == j else v) <= tol
+           for i, row in enumerate(g.tolist()) for j, v in enumerate(row)):
         return math.sqrt(mu2)
     return None
 
@@ -217,28 +220,28 @@ def _pushed(m, t, pts) -> np.ndarray:
 def affine_image(m, t, A: ClosedSet, codomain: AmbientSpace) -> ClosedSet:
     """The closed image of A under x -> m x (+ t), exact per representation.
 
-    All points of a set go through _pushed at once.  A point set or a
-    cloud pushes its kept coordinate array (ClosedSet.coords), and its
-    image is ClosedSet.points (or .cloud) of the pushed array, which
-    checks it in one vectorised step (a non-finite image raises
-    canon_point's ValueError).
+    All points of a set go through _pushed at once.  A point set, a cloud
+    or a ball union pushes its kept array of points or centres
+    (ClosedSet.coords); the image of points is ClosedSet.points (or .cloud)
+    of the pushed array, which checks it in one vectorised step (a
+    non-finite image raises canon_point's ValueError).
     Balls need a scaled-orthogonal m, boxes a signed-permutation-diagonal
     one; on a line codomain (p = 1) segments and boxes become the interval
     between their pushed ends.
     """
     rep = A.rep
-    on_line = codomain.is_one_dimensional
-
-    def push(pts):
-        y = _pushed(m, t, pts).tolist()
-        return [v for v, in y] if on_line else [tuple(v) for v in y]
-
     if isinstance(rep, FinitePoints):
         return ClosedSet.points(codomain, _pushed(m, t, A.coords))
     if isinstance(rep, SampledCloud):
         mu = _scaled_orthogonal(m)
         return ClosedSet.cloud(codomain, _pushed(m, t, A.coords),
                                (_sigma_max(m) if mu is None else mu) * rep.resolution)
+    on_line = codomain.is_one_dimensional
+
+    def push(pts):
+        y = _pushed(m, t, pts).tolist()
+        return [v for v, in y] if on_line else [tuple(v) for v in y]
+
     if isinstance(rep, Ray):
         (a,) = push([rep.anchor])
         # the axis, so that the identity keeps the direction exactly
@@ -250,7 +253,7 @@ def affine_image(m, t, A: ClosedSet, codomain: AmbientSpace) -> ClosedSet:
         mu = _scaled_orthogonal(m)
         if mu is None:
             raise UnsupportedPair("balls stay balls only under scaled-orthogonal maps")
-        centres = push([c for c, _ in rep.balls])
+        centres = _pushed(m, t, A.coords).tolist()  # rows, as balls reads them
         return ClosedSet.balls(codomain, [(c, mu * r) for c, (_, r) in zip(centres, rep.balls)])
 
     # the rest push the two ends of each piece
@@ -291,14 +294,8 @@ class LinearMatrix(_CatalogMap):
         rows, m = _matrix(self.matrix)
         object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "_m", m)  # the rows as an array, not a field
-
-    @cached_property
-    def domain(self):
-        return _real_space(len(self.matrix[0]))
-
-    @cached_property
-    def codomain(self):
-        return _real_space(len(self.matrix))
+        object.__setattr__(self, "domain", _real_space(len(rows[0])))  # nor these
+        object.__setattr__(self, "codomain", _real_space(len(rows)))
 
     def apply(self, x):
         y = _pushed(self._m, None, [self.domain.canon_point(x)])[0].tolist()

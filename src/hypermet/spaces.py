@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -30,6 +30,16 @@ FINITE = "finite"
 
 Vector = tuple[float, ...]
 Point = Union[float, Vector, int]
+
+
+class _cached(cached_property):
+    """functools.cached_property without the lock it takes on each first read before 3.12."""
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        obj.__dict__[self.attrname] = value = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -111,8 +121,8 @@ class AmbientSpace:
     def euclidean(n: int, x0: Sequence[float] | None = None) -> "AmbientSpace":
         if n < 1:
             raise ValueError("dimension must be >= 1")
-        if x0 is None:
-            return AmbientSpace(EUCLIDEAN, n, (0.0,) * n)
+        if x0 is None:  # one instance per n: require_same of two is one identity test
+            return _at_origin(n)
         base = tuple(map(float, x0))
         if len(base) != n:
             raise ValueError("base point has wrong dimension")
@@ -162,14 +172,14 @@ class AmbientSpace:
             raise AmbientMismatch("size is only defined for finite spaces")
         return len(self.matrix)
 
-    @cached_property
+    @_cached
     def dist_matrix(self) -> np.ndarray:
         """A finite space's matrix as one read-only float64 array, made on
         first use; not a field, so ==, hash and repr read the tuple."""
         if self.kind != FINITE:
             raise AmbientMismatch("only finite spaces have a distance matrix")
         M = np.array(self.matrix)
-        M.flags.writeable = False
+        M.setflags(write=False)
         return M
 
     def canon_point(self, p) -> Point:
@@ -221,6 +231,10 @@ class AmbientSpace:
         return math.dist(p, q)
 
     def require_same(self, other: "AmbientSpace", what: str = "operands") -> None:
-        if self != other:
+        if self is not other and self != other:
             raise AmbientMismatch(f"{what} live in different ambient spaces")
 
+
+@cache
+def _at_origin(n: int) -> AmbientSpace:
+    return AmbientSpace(EUCLIDEAN, n, (0.0,) * n)

@@ -56,6 +56,18 @@ def test_dist_infinite_value_serializes(runner):
     assert vals["H-(A, B)"]["hi"] == "inf"
 
 
+def _strict(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+def test_an_infinite_lower_end_serializes_as_strict_json(runner):
+    # H(ray(0, 1), {0}) is proven infinite: both ends read "inf", as the
+    # upper end always has, and no bare Infinity reaches the output
+    res = invoke(runner, ["dist", "--metric", "H", "ray(0, 1)", "{0}"])
+    val = json.loads(res.output, parse_constant=_strict)["results"][0]["value"]
+    assert val == {"lo": "inf", "hi": "inf", "method": val["method"]}
+
+
 def test_dist_tilted_rays_are_infinitely_far_apart(runner):
     rays = ["--space", "euclidean:n=2", "ray((0,0),(1,1e-7))", "ray((0,0),(1,0))"]
     _, vals = by_name(invoke(runner, ["dist", "--metric", "H-", *rays]).output)

@@ -656,3 +656,23 @@ def test_a_cloud_straddling_an_obstacle_gap_raises_in_constraint_order(obstacle,
     message = ("cloud resolution straddles an obstacle gap" if miss_first
                else "cloud resolution straddles a hit-ball boundary")
     assert got == (UnsupportedPair, message, 3)
+
+
+@pytest.mark.parametrize("term_kind", ["points", "balls"])
+@pytest.mark.parametrize("miss_first", [True, False])
+def test_a_per_term_constraint_before_the_gathered_ones_raises_at_its_term(term_kind, miss_first):
+    # a miss of a cloud obstacle is read per term, in index order, also on
+    # the exact terms whose gathered hits wait for a block; the third term
+    # sits 0.125 from the cloud, within its resolution 0.25, so it raises
+    # there, before or after the hit, whether the term is thin or not
+    hit = Constraint.hit(OpenSetRep.ball_union(E2, [((0.0, 0.0), 2.0)]))
+    miss = Constraint.miss(ClosedSet.cloud(E2, [(0.625, 0.0)], 0.25))
+    nbhds = (miss, hit) if miss_first else (hit, miss)
+    if term_kind == "points":
+        far, near = ClosedSet.points(E2, [(0.0, 0.0)]), ClosedSet.points(E2, [(0.5, 0.0)])
+    else:
+        far, near = (ClosedSet.balls(E2, [((x, 0.0), 0.25)]) for x in (-0.25, 0.25))
+    terms = [far, far, near, far]
+    got = outcome(converges, terms, nbhds)
+    assert got == outcome(ref_converges, terms, nbhds)
+    assert got == (UnsupportedPair, "cloud resolution straddles an obstacle gap", 3)

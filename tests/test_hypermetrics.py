@@ -455,6 +455,7 @@ def test_every_upper_end_is_stored_as_an_ext_real():
         assert type(cv.hi) is ExtReal and cv.hi == float(cv.hi)
     assert CertifiedValue.interval(1.0, math.inf, "h-bound").to_plain()["hi"] == "inf"
     assert type(CertifiedValue.point(2.5, "m").to_plain()["hi"]) is float
+    assert CertifiedValue.infinite("m").to_plain() == {"lo": "inf", "hi": "inf", "method": "m"}
 
 
 # ---------------------------------------------------------------------------

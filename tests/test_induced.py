@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -950,6 +951,100 @@ def maps_near_scaled_orthogonal(draw):
 def test_scaled_orthogonal_keeps_the_floats_of_the_mean_formula(m):
     with np.errstate(under="ignore"):
         assert _scaled_orthogonal(m) == scaled_orthogonal_by_the_mean(m)
+
+
+def scaled_orthogonal_with_numpy(m):
+    """_scaled_orthogonal as it was written with its deviation test in
+    numpy: the diagonal lowered in place, then np.abs(g).max()."""
+    with np.errstate(over="ignore"):
+        g = m.T @ m
+    n = g.shape[0]
+    mu2 = float(g.trace()) / n
+    if not 2.2250738585072014e-308 <= mu2 < math.inf and m.any():
+        e = math.frexp(float(np.abs(m).max()))[1]
+        mu = scaled_orthogonal_with_numpy(np.ldexp(m, -e))
+        return None if mu is None else math.ldexp(mu, e)
+    g.flat[::n + 1] -= mu2
+    if float(np.abs(g).max()) <= 1e-12 * max(1.0, mu2):
+        return math.sqrt(mu2)
+    return None
+
+
+@st.composite
+def maps_at_the_orthogonality_tolerance(draw):
+    """Scaled rotations and reflections in 2-4 D, their columns stretched
+    so that M^T M deviates from mu^2 I by about 1e-12 (just within or just
+    past the tolerance) or not at all, at scales whose squares stay in
+    range or under- or overflow (the rescale branch)."""
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    if draw(st.booleans()):
+        q[:, 0] = -q[:, 0]  # a reflection instead of a rotation, or vice versa
+    dev = draw(st.sampled_from((0.0, 0.999e-12, 1.001e-12, 0.5e-12, 2e-12)))
+    stretch = np.sqrt(1.0 + dev * np.resize([1.0, -1.0], n))
+    return q * stretch * draw(st.sampled_from((1.0, 3.0, 0.7, 1e-200, 1e200)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(maps_at_the_orthogonality_tolerance())
+def test_scaled_orthogonal_keeps_the_floats_of_the_numpy_test(m):
+    assert _scaled_orthogonal(m) == scaled_orthogonal_with_numpy(m)
+
+
+def test_the_orthogonality_corpus_reaches_both_verdicts_and_the_rescale():
+    # the strategy above is only worth its cases if they fall on both sides
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    verdicts = set()
+    for dev in (0.999e-12, 1.001e-12):
+        for scale in (1.0, 1e-200, 1e200):
+            m = q * np.sqrt(1.0 + dev * np.array([1.0, -1.0, 1.0, -1.0])) * scale
+            mu = _scaled_orthogonal(m)
+            assert mu == scaled_orthogonal_with_numpy(m)
+            if scale == 1.0:
+                verdicts.add((dev, mu is None))
+            if mu is not None:  # past the range, mu comes from the rescaled matrix
+                assert math.isclose(mu, scale, rel_tol=1e-9)
+    assert verdicts == {(0.999e-12, False), (1.001e-12, True)}
+
+
+_NON_FINITE = st.sampled_from((math.nan, math.inf, -math.inf, 1e999, -1e999, "1e999", "nan"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 15), _NON_FINITE, st.booleans())
+def test_a_non_finite_matrix_entry_raises_a_value_error_and_no_warning(p, n, at, bad, group):
+    p = n if group else p  # group elements are square
+    rows = [[1.0 if i == j else 0.5 for j in range(n)] for i in range(p)]
+    rows[at % p][at // p % n] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            GroupElement(rows, (0.0,) * n) if group else LinearMatrix(rows)
+
+
+@st.composite
+def ball_unions(draw):
+    n = draw(st.integers(2, 3))
+    coords = st.floats(-5.0, 5.0, allow_nan=False)
+    balls = draw(st.lists(st.tuples(st.tuples(*[coords] * n), st.floats(0.0, 2.0)),
+                          min_size=1, max_size=5))
+    return ClosedSet.balls(AmbientSpace.euclidean(n), balls)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ball_unions(), st.integers(0, 2**32 - 1), st.sampled_from((1.0, 0.3, 4.0, 1e-3)),
+       st.booleans())
+def test_a_ball_image_is_the_balls_of_the_pointwise_images(B, seed, scale, group):
+    n = B.space.dim
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0] * scale
+    f = GroupElement(q, tuple(rng.normal(size=n))) if group else LinearMatrix(q)
+    mu = _scaled_orthogonal(f._m)
+    assert mu is not None
+    image = act(f, B) if group else induced_image(f, B)
+    assert image == ClosedSet.balls(B.space, [(f.apply(c), mu * r) for c, r in B.rep.balls])
 
 
 @pytest.mark.parametrize("A", [
