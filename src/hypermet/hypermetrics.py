@@ -49,6 +49,7 @@ from .sets import (
     _excess_at_vertices,
     _kernel,
     _Pieces,
+    _point_array,
     _same_direction,
     _Stack,
     _vertices,
@@ -320,28 +321,10 @@ def hausdorff_upper(A: ClosedSet, B: ClosedSet) -> CertifiedValue:
 
 def set_gap(A: ClosedSet, B: ClosedSet) -> float:
     """inf over a in A, b in B of d(a, b).  Exact for every supported
-    representation pair (for clouds, exact at sample level): the float of
-    _gaps_each(_Stack([A]), B)[0], by its rules read with the one-set
-    queries (IntervalUnion.dists, _dists) and no stack."""
+    representation pair (for clouds, exact at sample level): the one-set
+    case of _gaps_each."""
     A.space.require_same(B.space)
-    if A.space.is_one_dimensional:
-        na, nb = A.normal_form, B.normal_form
-        if not len(k_ends := nb.finite_ends):  # B is the whole line
-            return 0.0
-        return float(min(nb.dists(na.finite_ends).min(initial=math.inf), na.dists(k_ends).min()))
-    for S, T in ((B, A), (A, B)):
-        if isinstance(S.rep, _CENTRED):
-            X, r = _centres(S)
-            return float(np.maximum(_dists(X, T) - r, 0.0).min())
-    return float(geom.gap(A.array_form, B.array_form))
-
-
-_CENTRED = (FinitePoints, SampledCloud, BallUnion)
-
-
-def _centres(S: ClosedSet):
-    """The centres (ClosedSet.coords) and radii of a set of points (radius 0.0) or balls."""
-    return S.coords, [r for _, r in S.rep.balls] if isinstance(S.rep, BallUnion) else 0.0
+    return float(_gaps_each(_Stack([A]), B)[0])
 
 
 def _gaps_each(stack: _Stack, K: ClosedSet) -> np.ndarray:
@@ -364,15 +347,16 @@ def _gaps_each(stack: _Stack, K: ClosedSet) -> np.ndarray:
         k_ends = K.normal_form.finite_ends
         if not len(k_ends):
             return np.zeros(len(stack.starts))
-        ends = np.stack([stack.lo, stack.hi])
+        ends = np.array([stack.lo, stack.hi])
         finite = np.isfinite(ends)  # an infinite end would read inf - inf
         d = np.full(ends.shape, np.inf)
         d[finite] = K.normal_form.dists(ends[finite])
         return np.minimum(np.minimum.reduceat(d.min(axis=0), stack.starts),
                           _dists_each(k_ends, stack).min(axis=1))
-    if isinstance(K.rep, _CENTRED):
-        X, r = _centres(K)
-        return np.maximum(_dists_each(X, stack) - r, 0.0).min(axis=1)
+    centred = (FinitePoints, SampledCloud, BallUnion)
+    if isinstance(K.rep, centred):
+        c, r = zip(*K.rep.balls) if isinstance(K.rep, BallUnion) else (K.coords, 0.0)
+        return np.maximum(_dists_each(_point_array(K.space, c), stack) - r, 0.0).min(axis=1)
     d = np.full(stack.pieces.m, np.inf)
     for kind, rows, arrs in stack.pieces.blocks:
         if kind in ("point", "ball"):
@@ -380,7 +364,7 @@ def _gaps_each(stack: _Stack, K: ClosedSet) -> np.ndarray:
             d[rows] = np.maximum(_dists(arrs[0][:, :, 0].T, K) - r, 0.0)
     gaps = np.minimum.reduceat(d, stack.starts)
     for j, A in enumerate(stack.sets):
-        if not isinstance(A.rep, _CENTRED):
+        if not isinstance(A.rep, centred):
             gaps[j] = geom.gap(A.array_form, K.array_form)
     return gaps
 

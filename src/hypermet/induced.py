@@ -22,7 +22,6 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain
 from typing import Optional
 
@@ -34,7 +33,7 @@ from .hypermetrics import (CertifiedValue, aw_distance, hausdorff,
 from .sets import (BallUnion, BoxUnion, ClosedSet, FinitePoints, IntervalUnion,
                    Ray, SampledCloud, SegmentUnion, _coord, _piece_dists, _piece_fars,
                    _sup_dist, dist_to_set, is_bounded, representative_points)
-from .spaces import FINITE, LINE, OPEN_INTERVAL, AmbientSpace
+from .spaces import FINITE, LINE, OPEN_INTERVAL, AmbientSpace, _at_origin
 
 _HALF_PI = math.pi / 2.0
 _LINE = AmbientSpace.line()
@@ -171,14 +170,13 @@ def _matrix(mat, square=False):
     rows = m.tolist()
     if not all(map(math.isfinite, chain.from_iterable(rows))):
         raise ValueError("matrix entries must be finite")
-    m.setflags(write=False)
+    m.flags.writeable = False
     return tuple(map(tuple, rows)), m
 
 
-@cache
 def _real_space(n: int) -> AmbientSpace:
-    """R^n, or the line when n = 1; one shared space per n."""
-    return _LINE if n == 1 else AmbientSpace.euclidean(n)
+    """R^n, or the line when n = 1; one shared space per n, AmbientSpace.euclidean(n)'s."""
+    return _LINE if n == 1 else _at_origin(n)
 
 
 def _sigma_max(m) -> float:

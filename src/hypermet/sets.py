@@ -30,8 +30,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from .spaces import (
     OPEN_INTERVAL,
     AmbientSpace,
     Point,
-    _cached,
 )
 
 
@@ -68,7 +68,7 @@ class IntervalUnion:
 
     intervals: tuple[tuple[float, float], ...]  # disjoint, sorted
 
-    @_cached
+    @cached_property
     def _ends(self) -> tuple[list[float], list[float]]:
         """The lower and the upper ends, as two lists made in one step."""
         return [a for a, _ in self.intervals], [b for _, b in self.intervals]
@@ -81,13 +81,13 @@ class IntervalUnion:
     def hi(self) -> list[float]:
         return self._ends[1]
 
-    @_cached
+    @cached_property
     def midpoints(self) -> np.ndarray:
         """Midpoints of the gaps between intervals, each end halved first so no sum overflows."""
         lo, hi = self._arrays
         return 0.5 * hi[:-1] + 0.5 * lo[1:]
 
-    @_cached
+    @cached_property
     def candidates(self) -> np.ndarray:
         """The finite ends, interleaved lo0, hi0, lo1, hi1, ..., then the gap
         midpoints: every kink and peak of the distance to the set, in the
@@ -101,7 +101,7 @@ class IntervalUnion:
         ends = np.concatenate(self._arrays)
         return ends[np.isfinite(ends)]
 
-    @_cached
+    @cached_property
     def _arrays(self):
         lo, hi = self._ends
         return np.array(lo), np.array(hi)
@@ -302,7 +302,7 @@ class _Pieces:
         return _Pieces.of_blocks([(kind, rows, arrays(kind, arrs))
                                   for kind, rows, arrs in self.blocks], self.m)
 
-    @_cached
+    @cached_property
     def scale(self) -> float:
         """The largest absolute coordinate of a piece (a ball's reaches
         out by its radius, a segment's to both ends)."""
@@ -335,10 +335,10 @@ class _Stack:
     the index of each set's first piece.
 
     In R^n, pieces: the points of point sets and clouds go straight into
-    one point block, and any other pieces are stacked per kind from the
-    sets' components.  On a 1-D ambient, lo and hi: the ends of the sets'
-    normal-form intervals as two arrays.  On a finite space, idx: the
-    sets' coords concatenated."""
+    one point block, any other pieces are stacked per kind from the sets'
+    components, and one set's pieces are its array_form.  On a 1-D
+    ambient, lo and hi: the ends of the sets' normal-form intervals as two
+    arrays.  On a finite space, idx: the sets' coords concatenated."""
 
     def __init__(self, sets_):
         self.sets, self.pieces, self.lo, self.hi, self.idx = sets_, None, None, None, None
@@ -350,6 +350,9 @@ class _Stack:
             self.lo = np.fromiter(chain.from_iterable(nf.lo for nf in nfs), float)
             self.hi = np.fromiter(chain.from_iterable(nf.hi for nf in nfs), float)
             counts = [len(nf.lo) for nf in nfs]
+        elif len(sets_) == 1:
+            self.pieces = sets_[0].array_form
+            counts = [self.pieces.m]
         elif (P := _points_of(sets_)) is not None:
             self.pieces = _Pieces.of_points(P)
             counts = [len(A.rep.points) for A in sets_]
@@ -357,7 +360,7 @@ class _Stack:
             comps = [A.components() for A in sets_]
             self.pieces = _Pieces([c for cs in comps for c in cs])
             counts = [len(c) for c in comps]
-        self.starts = np.cumsum([0] + counts[:-1])
+        self.starts = np.fromiter(accumulate(counts[:-1], initial=0), np.intp)  # np.cumsum of a list costs more
 
 
 def _kernel(X: np.ndarray, pieces: _Pieces, grads=True):
@@ -504,7 +507,7 @@ def _canon_points(space: AmbientSpace, pts) -> tuple:
         except (TypeError, ValueError, OverflowError):
             X = None
         if X is not None and (X.ndim == 1 and line or X.ndim == 2 and X.shape[1] == space.dim) \
-                and np.count_nonzero(np.isfinite(X)) == X.size:  # half the cost of .all()
+                and np.isfinite(X).all():
             rows = X.tolist()
             if X.ndim == 2:
                 rows = [v for v, in rows] if line else map(tuple, rows)
@@ -637,7 +640,7 @@ class ClosedSet:
             return [("ray", (rep.anchor, rep.direction))]
         raise UnsupportedPair(f"{type(rep).__name__} has no convex pieces; read its normal_form")
 
-    @_cached
+    @cached_property
     def normal_form(self) -> IntervalUnion:
         """The set's sorted disjoint intervals (1-D ambients only), built
         on first use and kept with the set: an interval union is its own,
@@ -663,12 +666,12 @@ class ClosedSet:
             ivs = [(min(p[0], q[0]), max(p[0], q[0])) for p, q in rep.segments]
         return IntervalUnion(_merge_intervals(ivs))
 
-    @_cached
+    @cached_property
     def _radius(self) -> float:
         """bounding_radius."""
         return _sup_dist(self.space.canon_point(self.space.base_point), self)
 
-    @_cached
+    @cached_property
     def array_form(self) -> "_Pieces":
         """The set's pieces stacked into numpy arrays per kind (n-D
         ambients only), built on first use and kept with the set.  A point
@@ -680,14 +683,14 @@ class ClosedSet:
             return _Pieces.of_points(self.coords)
         return _Pieces(self.components())
 
-    @_cached
+    @cached_property
     def coords(self) -> np.ndarray:
         """The points of a point set or a cloud, or the centres of a ball
         union, as one read-only float array, np.array(points, dtype=float),
         built on first use from one stream of coordinates and kept with
         the set.  Every array read of the points or centres (array_form,
-        affine_image, the point excess, affine_sup_norm, is_subset, set
-        gaps) reads this one; on a finite space, the indices as np.intp."""
+        affine_image, the point excess, affine_sup_norm, is_subset) reads
+        this one; on a finite space, the indices as np.intp."""
         rep = self.rep
         if not isinstance(rep, (FinitePoints, SampledCloud, BallUnion)):
             raise UnsupportedPair(f"{type(rep).__name__} has no point coordinates")
@@ -696,7 +699,7 @@ class ClosedSet:
             X = np.fromiter(chain.from_iterable(pts), float).reshape(len(pts), self.space.dim)
         else:
             X = np.fromiter(pts, np.intp if self.space.kind == FINITE else float, len(pts))
-        X.setflags(write=False)
+        X.flags.writeable = False
         return X
 
 

@@ -15,6 +15,7 @@ windowed (ball-restricted) comparisons.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Sequence, Union
@@ -30,16 +31,6 @@ FINITE = "finite"
 
 Vector = tuple[float, ...]
 Point = Union[float, Vector, int]
-
-
-class _cached(cached_property):
-    """functools.cached_property without the lock it takes on each first read before 3.12."""
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        obj.__dict__[self.attrname] = value = self.func(obj)
-        return value
 
 
 @dataclass(frozen=True)
@@ -119,6 +110,7 @@ class AmbientSpace:
 
     @staticmethod
     def euclidean(n: int, x0: Sequence[float] | None = None) -> "AmbientSpace":
+        n = operator.index(n)  # a float or bool n is refused or made an int on every call
         if n < 1:
             raise ValueError("dimension must be >= 1")
         if x0 is None:  # one instance per n: require_same of two is one identity test
@@ -172,14 +164,14 @@ class AmbientSpace:
             raise AmbientMismatch("size is only defined for finite spaces")
         return len(self.matrix)
 
-    @_cached
+    @cached_property
     def dist_matrix(self) -> np.ndarray:
         """A finite space's matrix as one read-only float64 array, made on
         first use; not a field, so ==, hash and repr read the tuple."""
         if self.kind != FINITE:
             raise AmbientMismatch("only finite spaces have a distance matrix")
         M = np.array(self.matrix)
-        M.setflags(write=False)
+        M.flags.writeable = False
         return M
 
     def canon_point(self, p) -> Point:
@@ -237,4 +229,5 @@ class AmbientSpace:
 
 @cache
 def _at_origin(n: int) -> AmbientSpace:
+    """R^n at the origin for an int n >= 1, one instance per n."""
     return AmbientSpace(EUCLIDEAN, n, (0.0,) * n)

@@ -637,35 +637,6 @@ def test_a_block_of_gaps_gives_each_sets_gap(data):
     assert [g.hex() for g in got] == [set_gap(A, K).hex() for A in sets_]
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_the_one_pair_gap_is_the_gap_of_a_one_set_block(data):
-    # set_gap reads no stack, but it must give the float of the one-set block
-    where = data.draw(st.sampled_from(("line", "finite", "plane")))
-    if where == "line":
-        space, A = data.draw(one_d_sets())
-        whole = ClosedSet.intervals(space, [(-math.inf, math.inf)]) \
-            if space.kind != "open-interval" else A
-        B = data.draw(st.one_of(
-            st.just(whole), one_d_sets().filter(lambda p: p[0] == space).map(lambda p: p[1])))
-    elif where == "finite":
-        grid = st.integers(-20, 20)
-        pts = data.draw(st.lists(st.tuples(grid, grid), min_size=2, max_size=7, unique=True))
-        F = AmbientSpace.finite([[math.dist(p, q) for q in pts] for p in pts])
-        idx = st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=len(pts))
-        member = st.one_of(st.builds(lambda i: ClosedSet.points(F, i), idx),
-                           st.builds(lambda i, h: ClosedSet.cloud(F, i, h), idx,
-                                     st.sampled_from((0.0, 0.5, 3.0))))
-        A, B = data.draw(member), data.draw(member)
-    else:
-        c, n = data.draw(st.sampled_from((coord, spread_coord, wide_coord))), data.draw(
-            st.sampled_from((2, 3)))
-        member = st.one_of(nd_sets(c, dims=(n,)), clouds(c, n))
-        A, B = data.draw(member), data.draw(member)
-    for S, T in ((A, B), (B, A)):
-        assert set_gap(S, T).hex() == float(_gaps_each(_Stack([S]), T)[0]).hex()
-
-
 def test_the_projection_onto_a_long_segment_does_not_overflow():
     S = ClosedSet.segments(E2, [((0.0, 0.0), (0.0, -1e155))])
     assert dist_to_set((1.0, -5e154), S) == 1.0

@@ -4,7 +4,7 @@ import pytest
 
 from hypermet import ClosedSet, aw_distance, dist_to_set, excess, hausdorff, set_gap
 from hypermet.errors import AmbientMismatch
-from hypermet.spaces import AmbientSpace, validate_finite_metric
+from hypermet.spaces import EUCLIDEAN, AmbientSpace, validate_finite_metric
 
 
 def test_line_basics():
@@ -31,6 +31,19 @@ def test_euclidean_basics():
         E.canon_point((1.0, 2.0))
     with pytest.raises(ValueError):
         AmbientSpace.euclidean(0)
+
+
+def test_a_dimension_is_checked_on_every_call_whatever_came_before():
+    # R^n at the origin is one shared instance per n; a float n must not
+    # reach it after an int n of the same value has, nor a bool n store
+    # a space of dim True for every later n = 1
+    assert AmbientSpace.euclidean(2) is AmbientSpace.euclidean(2)
+    for x0 in (None, (0.0, 0.0)):
+        with pytest.raises(TypeError):
+            AmbientSpace.euclidean(2.0, x0)
+    E1 = AmbientSpace.euclidean(True)
+    assert type(E1.dim) is int and E1 is AmbientSpace.euclidean(1)
+    assert repr(AmbientSpace.euclidean(1)) == repr(AmbientSpace(EUCLIDEAN, 1, (0.0,)))
 
 
 def test_euclidean_scalar_only_in_dim_one():
