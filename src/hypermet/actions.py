@@ -48,7 +48,9 @@ class GroupElement:
             raise ValueError("offset dimension mismatch")
         if not all(map(math.isfinite, off)):
             raise ValueError("offset entries must be finite")
-        if float(abs(np.linalg.det(m))) == 0.0:
+        # det underflows to 0.0 for some invertible m, diag(1e-200, 1e-200)
+        # among them; the sign from slogdet is 0 only for a singular one
+        if np.linalg.det(m) == 0.0 and np.linalg.slogdet(m)[0] == 0.0:
             raise ValueError("group elements must be invertible")
         object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "offset", off)

@@ -166,7 +166,9 @@ def _widen(cv: CertifiedValue, slack: float) -> CertifiedValue:
 
 def _first_max(cands, d, method, default_wit) -> CertifiedValue:
     """The first candidate of largest positive value, as a Python float
-    (an int for an index); (0, default_wit) when none is positive."""
+    (an int for an index); (0, default_wit) when none is positive.  This
+    is the one tie rule of the exact scans: of tied maximisers, the first
+    in the candidate array is the witness."""
     if len(cands):
         i = int(np.argmax(d))
         if d[i] > 0.0:
@@ -233,19 +235,12 @@ def _excess_1d(A, B) -> CertifiedValue:
         return CertifiedValue.infinite("exact-1d", ("escape", +1.0))
     if na.lo[0] == -math.inf and nb.lo[0] != -math.inf:
         return CertifiedValue.infinite("exact-1d", ("escape", -1.0))
-    # A's finite ends and B's gap midpoints inside A, in the order that
-    # breaks a tie: interval by interval, lo, hi, then its midpoints
+    # A's finite ends, then B's gap midpoints inside A
     lo, hi = na._arrays
     mids = nb.midpoints
     # the last interval of A to start at or before each midpoint
     k = np.searchsorted(lo, mids, side="right") - 1
-    inside = (k >= 0) & (mids <= hi[k])
-    k, mids = k[inside], mids[inside]
-    at = 2 * np.arange(len(lo)) + np.searchsorted(k, np.arange(len(lo)))
-    cands = np.empty(2 * len(lo) + len(k))
-    cands[at], cands[at + 1] = lo, hi
-    cands[2 * k + 2 + np.arange(len(k))] = mids
-    cands = cands[np.isfinite(cands)]
+    cands = np.concatenate((na.finite_ends, mids[(k >= 0) & (mids <= hi[k])]))
     return _first_max(cands, nb.dists(cands), "exact-1d", None)
 
 
@@ -443,29 +438,10 @@ def _sup_gap_1d(space, A, B, radius) -> CertifiedValue:
     na, nb = A.normal_form, B.normal_form
     x0 = _coord(space.canon_point(space.base_point))
     lo_w, hi_w = _window_1d(space, x0, radius)
-    cands = np.concatenate(([lo_w, hi_w], na.candidates, nb.candidates))
+    # the window edges go last, so that a set's own point wins a tie
+    cands = np.concatenate((na.candidates, nb.candidates, [lo_w, hi_w]))
     cands = cands[(lo_w <= cands) & (cands <= hi_w)]
-    d = _gaps_1d(na, nb, cands)
-    m = d.max()
-    top = cands[d == m]
-    if m > 0.0 and (top != top[0]).any():
-        # the maximum is tied between candidates: the set order decides
-        cands = _breakpoints(lo_w, hi_w, na, nb)
-        d = _gaps_1d(na, nb, cands)
-    return _first_max(cands, d, "exact-1d", lo_w)
-
-
-def _breakpoints(lo_w, hi_w, *forms) -> list:
-    """The window scan's candidates in the window, in the iteration order
-    of a set that holds the window edges and then each form's candidates,
-    inserted in turn.  The first of tied candidates in this order is the
-    scan's witness.  -0.0 and 0.0 share one entry, the first inserted,
-    which is also the first zero of the candidate array, so a maximum
-    held by one value needs no set."""
-    order = {lo_w, hi_w}
-    for nf in forms:
-        order.update(nf.candidates.tolist())
-    return [c for c in order if lo_w <= c <= hi_w]
+    return _first_max(cands, _gaps_1d(na, nb, cands), "exact-1d", lo_w)
 
 
 # The n-D window supremum is certified by branch-and-bound over cubes

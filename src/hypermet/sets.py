@@ -90,8 +90,9 @@ class IntervalUnion:
     @cached_property
     def candidates(self) -> np.ndarray:
         """The finite ends, interleaved lo0, hi0, lo1, hi1, ..., then the gap
-        midpoints: every kink and peak of the distance to the set, in the
-        order that breaks a tie in the window scan (hypermetrics._sup_gap_1d)."""
+        midpoints: every kink and peak of the distance to the set.  The
+        window scan (hypermetrics._sup_gap_1d) reads A's, then B's, then
+        the window edges; the first maximiser in that order is its witness."""
         ends = np.column_stack(self._arrays).ravel()
         return np.concatenate((ends[np.isfinite(ends)], self.midpoints))
 

@@ -129,7 +129,7 @@ class AmbientSpace:
             raise ValueError("need a < b")
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError("interval subspaces need finite ends")
-        base = 0.5 * (a + b) if x0 is None else float(x0)
+        base = 0.5 * a + 0.5 * b if x0 is None else float(x0)  # halved first: no sum overflows
         if not a < base < b:
             raise ValueError("base point must lie strictly inside the interval")
         return AmbientSpace(OPEN_INTERVAL, 1, base, bounds=(a, b))
@@ -143,10 +143,12 @@ class AmbientSpace:
             raise ValueError(f"not a metric: {bad.axiom} at {bad.indices}: {bad.detail}")
         frozen = tuple(tuple(0.0 if i == j else float(v) for j, v in enumerate(row))
                        for i, row in enumerate(matrix))
-        x0 = int(x0)
-        if not 0 <= x0 < len(frozen):
+        i = int(x0)
+        if i != x0:  # the rule of canon_point
+            raise ValueError(f"base index {x0!r} is not an integer")
+        if not 0 <= i < len(frozen):
             raise ValueError("base index out of range")
-        return AmbientSpace(FINITE, 1, x0, matrix=frozen)
+        return AmbientSpace(FINITE, 1, i, matrix=frozen)
 
     # -- points ------------------------------------------------------
 

@@ -53,6 +53,14 @@ def test_constructor_validation():
         GroupElement(((1.0, 0.0), (1.0, 0.0)), (0.0, 0.0), "singular")
 
 
+def test_an_invertible_matrix_whose_determinant_underflows_is_a_group_element():
+    # numpy's det of diag(1e-200, 1e-200) underflows to 0.0
+    g = GroupElement.scaling(1e-200, 2)
+    assert act(g, ClosedSet.points(g.space, [(1.0, 1.0)])).rep.points == ((1e-200, 1e-200),)
+    with pytest.raises(ValueError, match="invertible"):
+        GroupElement(((1.0, 2.0), (2.0, 4.0)), (0.0, 0.0))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_entries_are_refused_where_they_enter(bad):
     with pytest.raises(ValueError, match="finite"):

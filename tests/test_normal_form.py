@@ -90,11 +90,10 @@ def ref_excess(A, B):
         return math.inf, math.inf, "exact-1d", ("escape", +1.0)
     if ia[0][0] == -math.inf and ib[0][0] != -math.inf:
         return math.inf, math.inf, "exact-1d", ("escape", -1.0)
-    mids = ref_mids(ib)
-    cands = []
-    for lo, hi in ia:
-        cands.extend(v for v in (lo, hi) if math.isfinite(v))
-        cands.extend(m for m in mids if lo <= m <= hi)
+    # A's finite ends, every lower end before every upper end, then B's
+    # gap midpoints inside A
+    cands = [v for ends in zip(*ia) for v in ends if math.isfinite(v)]
+    cands += [m for m in ref_mids(ib) if any(lo <= m <= hi for lo, hi in ia)]
     best, wit = 0.0, None
     for c in cands:
         d = ref_dist(c, ib)
@@ -110,22 +109,16 @@ def _ref_window(space, x0, radius):
     return lo, hi
 
 
-def _ref_breakpoints(cands, ia, ib):
-    for ivs in (ia, ib):
-        for lo, hi in ivs:
-            if math.isfinite(lo):
-                cands.add(lo)
-            if math.isfinite(hi):
-                cands.add(hi)
-        cands.update(ref_mids(ivs))
-    return cands
+def ref_candidates(ivs):
+    """A set's finite ends, interval by interval, then its gap midpoints."""
+    return [v for iv in ivs for v in iv if math.isfinite(v)] + ref_mids(ivs)
 
 
 def ref_sup_gap(space, A, B, radius):
     ia, ib = ref_merged(A), ref_merged(B)
     lo_w, hi_w = _ref_window(space, _x(space.base_point), radius)
     best, wit = 0.0, lo_w
-    for c in _ref_breakpoints({lo_w, hi_w}, ia, ib):
+    for c in ref_candidates(ia) + ref_candidates(ib) + [lo_w, hi_w]:
         if lo_w <= c <= hi_w:
             d = abs(ref_dist(c, ia) - ref_dist(c, ib))
             if d > best:
@@ -144,7 +137,7 @@ def ref_aw_walk(space, A, B):
     def delta(x):
         return abs(ref_dist(x, ia) - ref_dist(x, ib))
 
-    pairs = sorted((abs(c - x0), delta(c)) for c in _ref_breakpoints(set(), ia, ib))
+    pairs = sorted((abs(c - x0), delta(c)) for c in ref_candidates(ia) + ref_candidates(ib))
     radii = [r for r, _ in pairs]
     prefix = list(itertools.accumulate((v for _, v in pairs), max)) or [0.0]
     if space.bounds is not None:
@@ -283,6 +276,28 @@ def test_excess_matches_candidate_scan(pair):
 def test_sup_gap_matches_candidate_scan(pair, radius):
     space, A, B = pair
     same(sup_gap_on_ball(A, B, radius), ref_sup_gap(space, A, B, radius))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs(), st.sampled_from([0.25, 1.0, 3.0, 7.5, 40.0, 1.0e3, 3.0e4]))
+def test_a_positive_sup_gap_is_witnessed_where_the_gap_attains_it(pair, radius):
+    # the witness is a point of the window with the certificate's gap; it
+    # is a window edge only when no candidate of either set attains it
+    space, A, B = pair
+    cv = sup_gap_on_ball(A, B, radius)
+    if cv.lo == 0.0:
+        return
+    ia, ib = ref_merged(A), ref_merged(B)
+    lo_w, hi_w = _ref_window(space, _x(space.base_point), radius)
+
+    def gap(x):
+        return abs(ref_dist(x, ia) - ref_dist(x, ib))
+
+    w = cv.witness
+    assert lo_w <= w <= hi_w and gap(w) == cv.lo
+    own = [c for c in ref_candidates(ia) + ref_candidates(ib) if lo_w <= c <= hi_w]
+    if w not in own:
+        assert w in (lo_w, hi_w) and all(gap(c) < cv.lo for c in own)
 
 
 @settings(max_examples=150, deadline=None)
@@ -456,41 +471,37 @@ def test_tied_candidates_keep_the_scan_witness():
 
 
 def test_ties_between_distinct_candidates_keep_the_scan_witness():
-    # outside both sets the gap is flat: the window edge -3 ties with A's
-    # outer end 0, B's point 1 and A's gap midpoint 2.5
+    # one maximising value: B's point 0.5, which is also A's gap midpoint
+    A, B = ClosedSet.points(LINE, [-2.0, 3.0]), ClosedSet.points(LINE, [0.5])
+    same(sup_gap_on_ball(A, B, 1.0), (2.5, 2.5, "exact-1d", 0.5))
+    # outside both sets the gap is flat: A's outer end 0 ties with A's gap
+    # midpoint 2.5, B's point 1 and the window edge -3; A's ends come first
     A, B = ClosedSet.points(LINE, [0.0, 5.0]), ClosedSet.points(LINE, [1.0])
     same(sup_gap_on_ball(A, B, 3.0), (1.0, 1.0, "exact-1d", 0.0))
     same(sup_gap_on_ball(A, B, 3.0), ref_sup_gap(LINE, A, B, 3.0))
-    # A's upper end 12 and B's gap midpoint 4 tie; the scan meets an
-    # interval's ends before the midpoints inside it
+    # A's upper end 12 and B's gap midpoint 4 tie; the scan reads A's ends
+    # before B's midpoints
     A, B = ClosedSet.intervals(LINE, [(0.0, 12.0)]), ClosedSet.points(LINE, [0.0, 8.0])
     same(excess(A, B), (4.0, 4.0, "exact-1d", 12.0))
+    same(excess(A, B), ref_excess(A, B))
+    # A's ends 1 and 3 tie (and B's midpoints 1 and 3); every lower end
+    # comes before every upper end
+    A = ClosedSet.intervals(LINE, [(0.0, 1.0), (3.0, 4.0)])
+    B = ClosedSet.points(LINE, [0.0, 2.0, 4.0])
+    same(excess(A, B), (1.0, 1.0, "exact-1d", 3.0))
     same(excess(A, B), ref_excess(A, B))
 
 
 @pytest.mark.parametrize("swap", [False, True])
 def test_a_zero_witness_keeps_the_sign_of_the_first_zero(swap):
     # the gap peaks at 0 alone, where A has the point -0.0 and B the gap
-    # midpoint 0.0; the scan meets the first set's zero first
+    # midpoint 0.0; the scan reads the first set's candidates first
     A, B = ClosedSet.points(LINE, [-0.0]), ClosedSet.points(LINE, [-1.0, 1.0])
     if swap:
         A, B = B, A
     cv = sup_gap_on_ball(A, B, 0.5)
     same(cv, ref_sup_gap(LINE, A, B, 0.5))
     assert repr(cv.witness) == ("0.0" if swap else "-0.0")
-
-
-def test_the_candidate_set_is_built_only_on_a_tie(monkeypatch):
-    calls = []
-    breakpoints = hm._breakpoints
-    monkeypatch.setattr(hm, "_breakpoints", lambda *args: (calls.append(args), breakpoints(*args))[1])
-    # one maximising value: B's point 0.5, which is also A's gap midpoint
-    A, B = ClosedSet.points(LINE, [-2.0, 3.0]), ClosedSet.points(LINE, [0.5])
-    same(sup_gap_on_ball(A, B, 1.0), (2.5, 2.5, "exact-1d", 0.5))
-    assert calls == []
-    A, B = ClosedSet.points(LINE, [0.0, 5.0]), ClosedSet.points(LINE, [1.0])
-    same(sup_gap_on_ball(A, B, 3.0), ref_sup_gap(LINE, A, B, 3.0))
-    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("radius", [1.7e308, 1.6e308])

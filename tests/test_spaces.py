@@ -85,6 +85,24 @@ def test_finite_space_validation():
     assert validate_finite_metric(diag_bad) is not None
 
 
+def test_an_interval_whose_ends_sum_past_the_float_range_has_a_base_point():
+    # 0.5 * (a + b) overflowed to inf and the interval was refused
+    X = AmbientSpace.open_interval(1e308, 1.7e308)
+    assert X.base_point == 1.35e308
+    assert X.distance(1.2e308, 1.3e308) == 1.3e308 - 1.2e308
+
+
+def test_a_finite_base_index_is_checked_like_a_point():
+    M = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    with pytest.raises(ValueError, match="not a valid index"):
+        AmbientSpace.finite(M).canon_point(1.5)
+    with pytest.raises(ValueError, match="not an integer"):
+        AmbientSpace.finite(M, x0=1.5)  # read as index 1
+    assert AmbientSpace.finite(M, x0=2.0).base_point == 2
+    with pytest.raises(ValueError, match="out of range"):
+        AmbientSpace.finite(M, x0=3)
+
+
 def test_require_same_rejects_mixed_spaces():
     with pytest.raises(AmbientMismatch):
         AmbientSpace.line().require_same(AmbientSpace.euclidean(2))
