@@ -452,6 +452,7 @@ def _sup_gap_1d(space, A, B, radius) -> CertifiedValue:
 
 _U = 2.0 ** -53          # unit roundoff of binary64
 _NEAREST = 6             # pieces per set, nearest the point, in a pair bound
+_SLAB_BYTES = 1 << 16    # a slab of _support's input, and each temporary of it
 
 
 def _allowance(n: int, scale: float) -> float:
@@ -667,6 +668,7 @@ class _GapBound:
         np.subtract(G[:, None, kA:], gq[:, :kA, None], out=pair_v[:, 1])
         np.negative(gq, out=v[:, pairs:])
         sup = _support(v, win)
+        del v, pair_v  # freed before the pair table U is built on top of them
         lin = sup[:pairs].reshape(p.shape + r.shape) + pen_p[p] + pen_q[q]
         U = np.minimum((D + curv)[p] - D[q] + lin, up[p] - (D - sup[pairs:] - pen_q)[q])
         if self.H is not None:
@@ -689,19 +691,28 @@ def _pair_rows(kA, kB):
 
 def _support(v, win):
     """An upper bound on max v . (x - c) over x in the cube within the
-    window, for vectors v shaped (n, ..., point): the smaller of the
+    window, for vectors v shaped (n, rows, ..., point): the smaller of the
     cube's s |v|_1 + v . e (e its centre less c) and the ball's
-    v . t + R |v| (t its centre less c)."""
+    v . t + R |v| (t its centre less c).  It is computed over slabs of
+    rows into one output, so that no temporary has the size of v; each
+    float is the one the whole array would give."""
     e, t, s, radius = win
     shape = e.shape[:1] + (1,) * (v.ndim - 2) + e.shape[1:]
     e, t = e.reshape(shape), t.reshape(shape)
-    return np.minimum(s * np.abs(v).sum(axis=0) + (v * e).sum(axis=0),
-                      (v * t).sum(axis=0) + radius * np.sqrt((v * v).sum(axis=0)))
+    out = np.empty(v.shape[1:])
+    step = max(1, _SLAB_BYTES // (8 * v[:, :1].size))  # rows of out per slab of v
+    for i in range(0, len(out), step):
+        u = v[:, i:i + step]
+        np.minimum(s * np.abs(u).sum(axis=0) + (u * e).sum(axis=0),
+                   (u * t).sum(axis=0) + radius * np.sqrt((u * u).sum(axis=0)), out=out[i:i + step])
+    return out
 
 
 def _pair_bound(A, B, reach, node_cap) -> _GapBound:
-    """The pair's _GapBound, its H within node_cap less room for two
-    levels of cubes; Indeterminate when node_cap is below 3^n."""
+    """The pair's _GapBound, its H within node_cap less 1 + 2^n rows,
+    which leaves room for the search's first level of 2^n cubes and keeps
+    H for the same caps as a search that evaluated the root cube before
+    them; Indeterminate when node_cap is below 3^n."""
     n = A.space.dim
     if 3 ** n > node_cap:
         raise Indeterminate(
@@ -714,16 +725,19 @@ def _sup_gap_bnb(space, A, B, radius, tol, node_cap, gap=None, seed=None,
     """Branch-and-bound over cubes for sup |d_A - d_B| on the window.
 
     Cubes are evaluated level by level (see _GapBound.probe), starting
-    from the cube of half-side radius around the base point.  A cube that
-    misses the window is dropped; one whose bound is <= best + tol, or
-    whose bound plus 3 alpha lies below cut, is closed; every other splits
-    into 2^n children.  The search stops once best - 3 alpha >= stop.  At
-    most node_cap kernel rows are evaluated; a level that does not fit
-    splits only the cubes of largest bound.  hi is the largest bound of a
-    closed, remaining or abandoned cube, so a caller that asks only which
-    side of cut or stop the gap lies on gets an honest certificate that
-    settles it with less work.  A gap and a bound are each within 3 alpha
-    of their exact values, by which both ends are widened.
+    from the 2^n cubes of half-side radius / 2 that split the cube of
+    half-side radius around the base point: that root cube on its own
+    would cost a whole level, and split into them unless it closed.  A
+    cube that misses the window is dropped; one whose bound is <= best +
+    tol, or whose bound plus 3 alpha lies below cut, is closed; every
+    other splits into 2^n children.  The search stops once best - 3 alpha
+    >= stop.  At most node_cap kernel rows are evaluated; a level that
+    does not fit splits only the cubes of largest bound.  hi is the
+    largest bound of a closed, remaining or abandoned cube, so a caller
+    that asks only which side of cut or stop the gap lies on gets an
+    honest certificate that settles it with less work.  A gap and a bound
+    are each within 3 alpha of their exact values, by which both ends are
+    widened.
 
     The search runs on coordinates multiplied by 2^k, which puts the
     pieces and the window below 1 in absolute value: no square under- or
@@ -780,9 +794,9 @@ def _sup_gap_bnb(space, A, B, radius, tol, node_cap, gap=None, seed=None,
             return np.empty((0, n)), np.empty(0)
         return np.concatenate(open_c), np.concatenate(open_b)
 
-    evals = gap.rows + 1
-    cubes, bounds = evaluate([x0[None, :]], radius, 0.0)
-    s, level = radius, 0
+    evals = gap.rows + (1 << n)
+    s, level = radius / 2.0, 1
+    cubes, bounds = evaluate([x0 + s * signs], s, 2.0 * _U * reach)
     while len(cubes):
         if best - allowance >= stop:  # settled: the open cubes count in hi
             closed = max(closed, float(bounds.max()))

@@ -91,6 +91,15 @@ def validate_finite_metric(matrix: Sequence[Sequence[float]]):
     return None
 
 
+def _whole(p) -> int | None:
+    """p as an int when it is a whole number, else None (an infinity too)."""
+    try:
+        q = int(p)
+    except OverflowError:
+        return None
+    return q if q == p else None
+
+
 @dataclass(frozen=True)
 class AmbientSpace:
     kind: str
@@ -143,8 +152,8 @@ class AmbientSpace:
             raise ValueError(f"not a metric: {bad.axiom} at {bad.indices}: {bad.detail}")
         frozen = tuple(tuple(0.0 if i == j else float(v) for j, v in enumerate(row))
                        for i, row in enumerate(matrix))
-        i = int(x0)
-        if i != x0:  # the rule of canon_point
+        i = _whole(x0)
+        if i is None:  # the rule of canon_point
             raise ValueError(f"base index {x0!r} is not an integer")
         if not 0 <= i < len(frozen):
             raise ValueError("base index out of range")
@@ -179,8 +188,8 @@ class AmbientSpace:
     def canon_point(self, p) -> Point:
         """Normalize a user-supplied point to this space's canonical form."""
         if self.kind == FINITE:
-            q = int(p)
-            if q != p or not 0 <= q < self.size:
+            q = _whole(p)
+            if q is None or not 0 <= q < self.size:
                 raise ValueError(f"{p!r} is not a valid index into this finite space")
             return q
         if self.kind in (LINE, OPEN_INTERVAL):

@@ -203,6 +203,13 @@ def test_the_cli_refuses_a_segment_longer_than_the_float_range():
         in result.output
 
 
+def test_the_cli_refuses_an_infinite_index_into_a_finite_space():
+    # malformed input exits 2, where int(inf)'s OverflowError exited 1
+    result = CliRunner().invoke(main, ["dist", "--space", "finite:[[0,1],[1,0]]", "{1e999}", "{0}"])
+    assert result.exit_code == 2 and "Traceback" not in result.output
+    assert "inf is not a valid index into this finite space" in result.output
+
+
 def test_a_segment_of_e1_past_the_float_range_keeps_its_normal_form():
     E1 = AmbientSpace.euclidean(1)
     S = ClosedSet.segments(E1, [((-1e308,), (1e308,))])

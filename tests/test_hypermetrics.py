@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hypermet.hypermetrics as hm
+import hypermet.sets as sets_module
 from hypermet.errors import Indeterminate
 from hypermet.geom import _CHUNK_BYTES
 from hypermet.hypermetrics import (INF, CertifiedValue, ExtReal, aw_distance,
@@ -965,6 +966,144 @@ def test_the_decision_search_evaluates_no_more_rows_than_the_tol_search(n, cap, 
             assert 0 < sum(rows) <= min(full, cap)
             fewer += sum(rows) < full
     assert fewer > 0
+
+
+# ---------------------------------------------------------------------------
+# the first level of the n-D search: the root's 2^n half-cubes
+
+
+def search_batches(monkeypatch):
+    """Per n-D search, the row counts of its kernel batches, in order."""
+    searches = []
+    bnb, kernel = hm._sup_gap_bnb, hm._kernel
+
+    def search(*args, **kwargs):
+        searches.append([])
+        return bnb(*args, **kwargs)
+
+    def batch(P, pieces):
+        searches[-1].append(len(P))
+        return kernel(P, pieces)
+
+    monkeypatch.setattr(hm, "_sup_gap_bnb", search)
+    monkeypatch.setattr(hm, "_kernel", batch)
+    return searches
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_search_starts_from_the_half_cubes_of_the_root(n, monkeypatch):
+    # the root cube is never evaluated on its own: a one-row batch paid a
+    # whole level's fixed cost, and a root that did not close split anyway
+    X = AmbientSpace.euclidean(n)
+    rng = np.random.default_rng(n)
+    pts = [tuple(p) for p in rng.uniform(-2.0, 2.0, (3, n))]
+    pairs = [(ClosedSet.points(X, pts), ClosedSet.points(X, pts)),  # closes at once
+             (ClosedSet.points(X, pts), ClosedSet.points(X, pts[:2])),
+             (ClosedSet.points(X, pts), ClosedSet.balls(X, [(p, 0.3) for p in pts[1:]]))]
+    searches = search_batches(monkeypatch)
+    for A, B in pairs:
+        sup_gap_on_ball(A, B, 1.5, tol=0.02, node_cap=20_000)
+        aw_distance(A, B, tol=0.02, node_cap=20_000)
+        aw_less_than(A, B, 0.2, tol=0.02, node_cap=20_000)
+    assert len(searches) >= 2 * len(pairs)
+    assert all(batches[0] == 2 ** n for batches in searches)
+    assert 1 not in itertools.chain.from_iterable(searches)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_cap_of_3_to_the_n_still_answers_within_its_rows(n, monkeypatch):
+    # the floor of 3^n holds the pair table's vertices and the first level
+    X = AmbientSpace.euclidean(n)
+    A = ClosedSet.points(X, [(0.0,) * n, (0.5,) + (0.0,) * (n - 1)])
+    B = ClosedSet.points(X, [(0.0,) * (n - 1) + (0.25,)])
+    rows = {hm: [], sets_module: []}  # cube batches, and the vertices of H
+    for module, seen in rows.items():
+        kernel = module._kernel
+        monkeypatch.setattr(module, "_kernel", lambda P, pieces, grads=True, k=kernel, seen=seen:
+                            (seen.append(len(P)), k(P, pieces, grads))[1])
+    cv = sup_gap_on_ball(A, B, 1.0, tol=1e-3, node_cap=3 ** n)
+    assert rows[sets_module] and rows[hm][0] == 2 ** n
+    assert sum(rows[hm]) + sum(rows[sets_module]) <= 3 ** n
+    assert 0.0 <= cv.lo <= cv.hi < math.inf
+
+
+# plane corpus pair (seed 1, case 2) whose window 1 closed on the root cube
+CLOSED_AT_ROOT = (
+    [(-0.09561839039306222, -0.09384962010962768), (1.9788550629718993, 1.5277868436894202),
+     (1.5181990956937068, 1.986220407164021)],
+    [(-0.09561839039306222, -0.09384962010962768), (2.043059372248704, 1.4511199885935677),
+     (1.588228425815215, 2.0576059303653875)])
+
+
+@pytest.mark.parametrize("A, B, expected", [
+    *((ClosedSet.points(X, pts), ClosedSet.points(X, pts), hi) for X, pts, hi in (
+        (E2, [(0.3, 0.3), (-0.5, 0.25)], 9.043732562018545e-14),
+        (AmbientSpace.euclidean(3), [(0.3, 0.3, 0.3), (-0.5, 0.25, 0.25)],
+         1.292230925249755e-13))),
+    (ClosedSet.points(E2, CLOSED_AT_ROOT[0]), ClosedSet.points(E2, CLOSED_AT_ROOT[1]),
+     1.860843775224792e-13),
+], ids=["identical R^2", "identical R^3", "plane corpus window 1"])
+def test_a_search_that_closed_at_the_root_keeps_its_certificate(A, B, expected):
+    # lo and hi as the search that evaluated the root cube first gave them;
+    # the witness, once the base point, is now the first half-cube's centre
+    n = A.space.dim
+    cv = sup_gap_on_ball(A, B, 1.0, tol=0.02, node_cap=200_000)
+    assert (cv.lo, cv.hi, cv.method) == (0.0, expected, "bnb")
+    assert cv.witness == (-0.5,) * n
+
+
+def support_of_the_whole_array(v, win):
+    """_support's formula on the whole array at once: a temporary the size of v per term."""
+    e, t, s, radius = win
+    shape = e.shape[:1] + (1,) * (v.ndim - 2) + e.shape[1:]
+    e, t = e.reshape(shape), t.reshape(shape)
+    return np.minimum(s * np.abs(v).sum(axis=0) + (v * e).sum(axis=0),
+                      (v * t).sum(axis=0) + radius * np.sqrt((v * v).sum(axis=0)))
+
+
+def test_the_slabs_of_support_give_the_floats_of_the_whole_array():
+    # one slab, several, and a last slab of one row; n up to 12 and
+    # magnitudes far apart, so any change in the order of a sum shows
+    rng = np.random.default_rng(7)
+    shapes = [(2, 84, 10), (3, 84, 400), (3, 7, 1), (12, 40, 30), (1, 5, 3)]
+    shapes += [tuple(int(k) for k in rng.integers((1, 1, 1), (13, 200, 120))) for _ in range(40)]
+    for n, rows, N in shapes:
+        v = rng.normal(size=(n, rows, N)) * 10.0 ** rng.integers(-8, 8, size=(n, rows, N))
+        e, t = rng.normal(size=(2, n, N))
+        win = (e, t, float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 6.0)))
+        got, want = hm._support(v, win), support_of_the_whole_array(v, win)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    v = rng.normal(size=(3, 84, 200))  # shaped (n, p, q, point), as a two-pass bound asks
+    e, t = rng.normal(size=(2, 3, 200))
+    got = hm._support(v.reshape(3, 12, 7, 200), (e, t, 0.5, 2.0))
+    assert np.array_equal(got.reshape(84, 200), support_of_the_whole_array(v, (e, t, 0.5, 2.0)))
+
+
+def test_one_cube_bound_peaks_lower_without_whole_array_temporaries(monkeypatch):
+    # 40 points against 40 balls in R^3 and 200 cubes: the _support input
+    # is 0.4 MB, and the bound used to hold a second copy of it
+    X = AmbientSpace.euclidean(3)
+    rng = np.random.default_rng(3)
+    A = ClosedSet.points(X, [tuple(p) for p in rng.uniform(-2.0, 2.0, (40, 3))])
+    B = ClosedSet.balls(X, [(tuple(p), 0.2) for p in rng.uniform(-2.0, 2.0, (40, 3))])
+    x0, R = np.zeros(3), 3.0
+    gap = hm._GapBound(A, B, R)
+    C = rng.uniform(-1.5, 1.5, (200, 3))
+    P, D, G, f, _ = gap.probe(C, x0, R)
+
+    def peak():
+        tracemalloc.start()
+        try:
+            b = gap.bound(C, P, D, G, f, 0.01, x0, R)
+            return tracemalloc.get_traced_memory()[1], b
+        finally:
+            tracemalloc.stop()
+
+    slabs, b = peak()
+    monkeypatch.setattr(hm, "_support", support_of_the_whole_array)
+    whole, b_whole = peak()
+    assert np.array_equal(b, b_whole)
+    assert slabs < 0.85 * whole
 
 
 AW_TOL, AW_CAP = 0.02, 100_000

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import pytest
 
@@ -101,6 +102,18 @@ def test_a_finite_base_index_is_checked_like_a_point():
     assert AmbientSpace.finite(M, x0=2.0).base_point == 2
     with pytest.raises(ValueError, match="out of range"):
         AmbientSpace.finite(M, x0=3)
+
+
+@pytest.mark.parametrize("index", [math.inf, -math.inf, Decimal("Infinity")],
+                         ids=["inf", "-inf", "Decimal inf"])
+def test_an_infinite_index_is_refused_like_any_invalid_one(index):
+    M = [[0, 1], [1, 0]]
+    X = AmbientSpace.finite(M)
+    assert not X.contains(index)
+    with pytest.raises(ValueError, match="not a valid index"):
+        X.canon_point(index)
+    with pytest.raises(ValueError, match="not an integer"):
+        AmbientSpace.finite(M, x0=index)
 
 
 def test_require_same_rejects_mixed_spaces():
