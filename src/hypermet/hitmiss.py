@@ -315,9 +315,10 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
         latter only on a term of points or a ray, where a piece that no
         ball takes means False rather than a refusal.
 
-    The ambient check, every other constraint and every constraint on a
-    term with slack are read per term, in order, through
-    Constraint.satisfied_by (hits, subset_of or misses).
+    Every other constraint, and every constraint on a term with slack or
+    in another ambient, is read per term, in order, through
+    Constraint.satisfied_by (hits, subset_of or misses); on a term in
+    another ambient the first gathered constraint raises AmbientMismatch.
     seq is called once per index, in order, and never ahead of the term
     being checked, so a scan that raises has read exactly the terms it
     would read without the deferral, and raises what the per-constraint
@@ -335,14 +336,13 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
         return len(A.normal_form.lo if one_d else rep.points if isinstance(rep, FinitePoints)
                    else rep.balls if isinstance(rep, BallUnion) else A.components())
 
-    # read per term: head, then rest; on an exact term only the rest that its
+    # read per term: every constraint, or on a deferred term those that its
     # block leaves (blocked: decided on any exact term, owned: on points or a ray)
     blocked = {i for i, sl in owned.items()
                if nbhds[i].tag != "contain" or one_d or sl.stop - sl.start == 1}
-    head = range(min(owned, default=len(nbhds)))
-    rest = range(len(head), len(nbhds))
-    rest_thin = [i for i in rest if i not in owned]
-    rest_exact = [i for i in rest if i not in blocked]
+    every = range(len(nbhds))
+    thin = [i for i in every if i not in owned]
+    exact = [i for i in every if i not in blocked]
     any_hit = any(nbhds[i].tag == "hit" for i in owned)
     contains = [i for i in owned if nbhds[i].tag == "contain"]
     covers = {i: _open_cover(nbhds[i].open_set) for i in contains} if one_d else {}
@@ -391,16 +391,11 @@ def converges(seq: Callable[[int], ClosedSet], nbhds: NeighborhoodSpec,
             raise
         except Exception as exc:  # noqa: BLE001 - reported with its index
             raise GeneratorFault(k, exc) from exc
-        for i in head:
-            if not nbhds[i].satisfied_by(term):
-                failed(i, k, k)
-        todo = rest
-        if owned:  # the check of hits, subset_of and set_gap
-            space.require_same(term.space)
-            if term.slack == 0.0:
-                block.append((k, term))
-                queued += pieces(term)
-                todo = rest_thin if isinstance(term.rep, (FinitePoints, Ray)) else rest_exact
+        todo = every
+        if owned and term.slack == 0.0 and term.space == space:
+            block.append((k, term))
+            queued += pieces(term)
+            todo = thin if isinstance(term.rep, (FinitePoints, Ray)) else exact
         for i in todo:
             if not nbhds[i].satisfied_by(term):
                 failed(i, k, k)

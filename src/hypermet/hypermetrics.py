@@ -176,20 +176,24 @@ def _first_max(cands, d, method, default_wit) -> CertifiedValue:
     return CertifiedValue.point(0.0, method, default_wit)
 
 
+def _outer_gaps(na, nb) -> tuple[float, float]:
+    """(left, right): the distance between the outer ends of the normal forms
+    na and nb on each side, 0 where both run on to infinity and inf where
+    only one does; the value of a gap that reads NaN (inf - inf) there."""
+    return tuple(0.0 if a == b else abs(a - b)
+                 for a, b in ((na.lo[0], nb.lo[0]), (na.hi[-1], nb.hi[-1])))
+
+
 def _gaps_1d(na, nb, xs) -> np.ndarray:
     """|d(x, A) - d(x, B)| over a batch of coordinates, from the normal
-    forms na and nb.  inf - inf reads NaN where both distances overflow:
-    at a point past both sets on one side, more than the float range
-    away, or at a window edge that overflowed to +-inf.  Past both sets
-    the gap is the distance between their outer ends on that side, 0
-    where both run on to infinity."""
+    forms na and nb; where it reads NaN, past both sets more than the
+    float range away or at a window edge that overflowed to +-inf, the
+    outer gap of that side (_outer_gaps)."""
     with np.errstate(over="ignore", invalid="ignore"):
         d = np.abs(na.dists(xs) - nb.dists(xs))
     nan = np.isnan(d)
     if nan.any():
-        left, right = (0.0 if a == b else abs(a - b)
-                       for a, b in ((na.lo[0], nb.lo[0]), (na.hi[-1], nb.hi[-1])))
-        d[nan] = np.where(np.asarray(xs)[nan] < na.hi[-1], left, right)
+        d[nan] = np.where(np.asarray(xs)[nan] < na.hi[-1], *_outer_gaps(na, nb))
     return d
 
 
@@ -405,7 +409,8 @@ def _sup_gap(A, B, radius, tol, node_cap, eps=None) -> CertifiedValue:
     slack = A.slack + B.slack
     space = A.space
     if space.kind == FINITE:  # the first largest gap in the open window
-        d = np.where(space.dist_matrix[space.base_point] < radius, _finite_gaps(space, A, B), 0.0)
+        dA, dB = _finite_dists(space, A, B)
+        d = np.where(space.dist_matrix[space.base_point] < radius, np.abs(dA - dB), 0.0)
         cv = _first_max(np.arange(space.size), d, "finite-max", space.base_point)
     elif space.is_one_dimensional:
         cv = _sup_gap_1d(space, A, B, radius)
@@ -415,11 +420,11 @@ def _sup_gap(A, B, radius, tol, node_cap, eps=None) -> CertifiedValue:
     return _widen(cv, slack)
 
 
-def _finite_gaps(space, A, B) -> np.ndarray:
-    """|d(x, A) - d(x, B)| at every point x of a finite space, in index
-    order: the one gap vector of its window suprema."""
+def _finite_dists(space, A, B):
+    """d(x, A) and d(x, B) at every point x of a finite space, in index
+    order: the one table of its window suprema."""
     every = np.arange(space.size)
-    return np.abs(_dists(every, A) - _dists(every, B))
+    return _dists(every, A), _dists(every, B)
 
 
 def _window_1d(space, x0: float, radius: float):
@@ -837,20 +842,18 @@ def aw_distance(A: ClosedSet, B: ClosedSet, *,
                 tol: float = DEFAULT_TOL, node_cap: int = NODE_CAP) -> CertifiedValue:
     """The windowed distance sup_j min(1/j, window-j gap), in [0, 1].
 
-    Exact on 1-D and finite ambients; an interval of target width tol
-    elsewhere.
+    Exact on 1-D and finite ambients (_aw_exact, one pass over the
+    candidates); an interval of target width tol elsewhere.  Either is
+    widened by the clouds' slack and capped at 1 and at the upper end of
+    H(A, B), which the exact pass reads from its own candidates.
     """
     A.space.require_same(B.space)
     _check_budget(tol, node_cap)
     space = A.space
-    try:
-        dh = float(hausdorff(A, B).hi)
-    except UnsupportedPair:
-        dh = math.inf
     if space.kind == FINITE or space.is_one_dimensional:
-        cv = _aw_exact(space, A, B)
+        cv, dh = _aw_exact(space, A, B)
     else:
-        cv = _aw_certified(space, A, B, dh, tol, node_cap)
+        cv, dh = _aw_certified(space, A, B, tol, node_cap)
     cv = _widen(cv, A.slack + B.slack)
     # the windowed distance is at most 1 and at most a finite hausdorff hi (which
     # kills the odd last-ulp overshoot from sup evaluation at interior candidates)
@@ -860,20 +863,22 @@ def aw_distance(A: ClosedSet, B: ClosedSet, *,
     return cv
 
 
-def _aw_exact(space, A, B) -> CertifiedValue:
-    """sup_j min(1/j, g(j)) over the exact window-gap family g.  g is
-    nondecreasing and 1/j decreasing, so the terms equal g(j) up to the
-    first window J with g(J) >= 1/J and are below 1/J after it: the
+def _aw_exact(space, A, B):
+    """sup_j min(1/j, g(j)) over the exact window-gap family g, and the
+    float of hausdorff(A, B).hi: the family's h plus the clouds' slack.
+    g is nondecreasing and 1/j decreasing, so the terms equal g(j) up to
+    the first window J with g(J) >= 1/J and are below 1/J after it: the
     supremum is max(g(J-1), 1/J).  J <= j_sat: window j_sat lies at least
-    1 past every candidate, so a side that escapes gives g(j_sat) >= 1 in
-    exact arithmetic.  Where g is flat, rounding at the window edges can
-    make the float g(j) dip by a few ulps of the radius, so g(J-1) can sit
-    that far below an earlier g(j)."""
-    g, j_sat, g_inf = _window_gap_family(space, A, B)
+    1 past every candidate, so a side that escapes (g_inf = inf) gives
+    g(j_sat) >= 1 in exact arithmetic.  Where g is flat, rounding at the
+    window edges can make the float g(j) dip by a few ulps of the radius,
+    so g(J-1) can sit that far below an earlier g(j)."""
+    g, j_sat, g_inf, h = _window_gap_family(space, A, B)
+    dh = h + (A.slack + B.slack)
     g_sat = g(j_sat)
-    if g_sat < 1.0 / j_sat and g_inf is not None:
+    if g_sat < 1.0 / j_sat and g_inf < math.inf:
         # no crossing before saturation: the last window and the limit decide
-        return CertifiedValue.point(max(g_sat, min(1.0 / (j_sat + 1), g_inf)), "exact-1d")
+        return CertifiedValue.point(max(g_sat, min(1.0 / (j_sat + 1), g_inf)), "exact-1d"), dh
     lo_j, hi_j = 1, j_sat
     while lo_j < hi_j:
         mid = (lo_j + hi_j) // 2
@@ -882,62 +887,57 @@ def _aw_exact(space, A, B) -> CertifiedValue:
         else:
             lo_j = mid + 1
     v = 1.0 if lo_j == 1 else max(g(lo_j - 1), 1.0 / lo_j)
-    return CertifiedValue.point(v, "exact-1d")
+    return CertifiedValue.point(v, "exact-1d"), dh
 
 
 def _window_gap_family(space, A, B):
-    """Returns (g, j_sat, g_inf): the exact window-gap function over
-    integer radii, the radius past which nothing new enters the window,
-    and the limiting gap (None when it grows without bound)."""
+    """Returns (g, j_sat, g_inf, h): the exact window-gap function over
+    integer radii, the radius past which nothing new enters the window
+    (from the largest float where a radius overflows), the limiting gap,
+    read at the whole space's edges (inf where one side escapes), and the
+    float of hausdorff(A, B).hi for exact sets.  Both distances are read
+    once at the candidates (on a finite space, at every point); h is the
+    largest gap where one of them is 0, or an outer gap (_outer_gaps).  A
+    gap that reads NaN takes the outer gap of its side, as in _gaps_1d."""
     finite = space.kind == FINITE
-    if finite:  # the gaps at every point, by distance from the base point
-        r, d = space.dist_matrix[space.base_point], _finite_gaps(space, A, B)
+    if finite:
+        r, (dA, dB) = space.dist_matrix[space.base_point], _finite_dists(space, A, B)
+        outer = (0.0, 0.0)  # nothing lies past a finite space's sets
     else:
         na, nb = A.normal_form, B.normal_form
         x0 = _coord(space.canon_point(space.base_point))
         cands = np.concatenate((na.candidates, nb.candidates))  # duplicates are harmless
-        r = np.abs(cands - x0)
-        d = np.abs(na.dists(cands) - nb.dists(cands))
+        with np.errstate(over="ignore"):
+            r, dA, dB = np.abs(cands - x0), na.dists(cands), nb.dists(cands)
+        outer = _outer_gaps(na, nb)
+    d = np.abs(dA - dB)
+    h = max(float(d[(dA == 0.0) | (dB == 0.0)].max(initial=0.0)), *outer)
     order = np.argsort(r, kind="stable")  # within a tie in r only the group's max is read
     radii = r[order].tolist()
     prefix = np.maximum.accumulate(d[order]).tolist() or [0.0]
     if finite:  # the open window j holds the base point and all before bisect_left
         return (lambda j: prefix[bisect_left(radii, float(j)) - 1],
-                int(math.floor(radii[-1])) + 1, prefix[-1])
+                int(math.floor(radii[-1])) + 1, prefix[-1], h)
 
     def delta(x):
-        return abs(na.dist(x) - nb.dist(x))
-
-    interior_max = prefix[-1]
-
-    if space.kind == OPEN_INTERVAL:
-        a_amb, b_amb = space.bounds
-        max_rad = max(x0 - a_amb, b_amb - x0)
-        g_inf = max(interior_max, delta(a_amb), delta(b_amb))
-    else:
-        max_rad = radii[-1] if radii else 0.0
-        up_a, up_b = na.hi[-1] == math.inf, nb.hi[-1] == math.inf
-        dn_a, dn_b = na.lo[0] == -math.inf, nb.lo[0] == -math.inf
-        if up_a != up_b or dn_a != dn_b:
-            g_inf = None  # one side escapes: the gap grows like the window
-        else:
-            right = 0.0 if up_a else abs(na.hi[-1] - nb.hi[-1])
-            left = 0.0 if dn_a else abs(na.lo[0] - nb.lo[0])
-            g_inf = max(interior_max, left, right)
+        gap = abs(na.dist(x) - nb.dist(x))
+        return gap if gap == gap else outer[x >= na.hi[-1]]
 
     def g(j):
         lo_w, hi_w = _window_1d(space, x0, float(j))
         i = bisect_right(radii, float(j))
-        out = prefix[i - 1] if i else 0.0
-        return max(out, delta(lo_w), delta(hi_w))
+        return max(prefix[i - 1] if i else 0.0, delta(lo_w), delta(hi_w))
 
-    j_sat = int(math.ceil(max_rad)) + 1
-    return g, j_sat, g_inf
+    g_inf = max(prefix[-1], *map(delta, space.bounds or (-math.inf, math.inf)))
+    j_sat = int(math.ceil(min(radii[-1] if radii else 0.0, math.nextafter(math.inf, 0.0)))) + 1
+    return g, j_sat, g_inf, h
 
 
-def _aw_certified(space, A, B, hb: float, tol, node_cap) -> CertifiedValue:
+def _aw_certified(space, A, B, tol, node_cap):
     """Windows j = 1, 2, ... until the terms min(1/j, g(j)) of the window
-    gaps g are pinned to tol; hb bounds H(A, B), as does the pair table.
+    gaps g are pinned to tol; returns the certificate and dh, the upper end
+    of hausdorff(A, B) (inf where it has no closed form).  hb, the smaller
+    of dh and the pair table's bound, bounds H(A, B).
 
     Window j contains the earlier ones, and g(j) <= H(A, B) (Beer 1993,
     ch. 3): the terms up to j are at most cap, the smaller of their running
@@ -947,11 +947,15 @@ def _aw_certified(space, A, B, hb: float, tol, node_cap) -> CertifiedValue:
     It starts from window j - 1's best gap and witness, and stops once its
     gap is certified at or above 1/j, where its term is exactly 1/j and no
     later window can exceed it."""
+    try:
+        hb = dh = float(hausdorff(A, B).hi)
+    except UnsupportedPair:
+        hb = dh = math.inf
     if hb > tol:
         gap = _pair_bound(A, B, 0.0, node_cap)  # alpha is set per window
         hb = min(hb, gap.hausdorff())
     if hb <= tol:
-        return CertifiedValue.interval(0.0, min(1.0, hb), "h-bound")
+        return CertifiedValue.interval(0.0, min(1.0, hb), "h-bound"), dh
     lo, cap, wit, seed = 0.0, 0.0, None, None
     j_cap = min(math.ceil(1.0 / tol) + 1, 512)  # windows; then the width achieved
     for j in itertools.count(1):
@@ -961,11 +965,11 @@ def _aw_certified(space, A, B, hb: float, tol, node_cap) -> CertifiedValue:
         if min(1.0 / j, G.lo) > lo:
             lo, wit = min(1.0 / j, G.lo), G.witness
         if G.lo >= 1.0 / j:  # the later terms are at most 1/(j+1) < lo
-            return CertifiedValue.interval(lo, max(lo, cap), "bnb", wit)
+            return CertifiedValue.interval(lo, max(lo, cap), "bnb", wit), dh
         top = min(1.0, hb, G.hi)
         cap = min(max(cap, min(1.0 / j, top)), top)
         if tail <= lo or max(cap, tail) - lo <= tol or j >= j_cap:
-            return CertifiedValue.interval(lo, max(cap, tail), "bnb", wit)
+            return CertifiedValue.interval(lo, max(cap, tail), "bnb", wit), dh
 
 
 def aw_less_than(A: ClosedSet, B: ClosedSet, eps: float, *,

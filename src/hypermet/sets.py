@@ -668,11 +668,6 @@ class ClosedSet:
         return IntervalUnion(_merge_intervals(ivs))
 
     @cached_property
-    def _radius(self) -> float:
-        """bounding_radius."""
-        return _sup_dist(self.space.canon_point(self.space.base_point), self)
-
-    @cached_property
     def array_form(self) -> "_Pieces":
         """The set's pieces stacked into numpy arrays per kind (n-D
         ambients only), built on first use and kept with the set.  A point
@@ -807,17 +802,20 @@ def in_r_neighborhood(x, A: ClosedSet, r: float) -> bool:
 
 
 def is_bounded(A: ClosedSet) -> bool:
-    return math.isfinite(bounding_radius(A))
+    """Read from the representation: a ray, or an interval union with an
+    infinite end, is unbounded, and every other set is bounded, however
+    far it lies from the base point (bounding_radius may overflow to inf
+    for a bounded set)."""
+    rep = A.rep
+    if isinstance(rep, IntervalUnion):
+        return -math.inf < rep.lo[0] and rep.hi[-1] < math.inf
+    return not isinstance(rep, Ray)
 
 
 def bounding_radius(A: ClosedSet) -> float:
-    """sup of d(base point, a) over the set; inf for rays.
-
-    Internal helper for window saturation; certificates carry the same
-    float inf as their upper end.  Computed on first use and kept with
-    the set (a scan's obstacle is checked every term).
-    """
-    return A._radius
+    """sup of d(base point, a) over the set: inf for an unbounded set, and
+    for a bounded one more than the float range from the base point."""
+    return _sup_dist(A.space.canon_point(A.space.base_point), A)
 
 
 def _sup_dist(x, A: ClosedSet) -> float:

@@ -23,10 +23,11 @@ from hypothesis import strategies as st
 from hypermet.actions import GroupElement, affine_sup_norm, group_distance, ucb_nbhd_contains
 from hypermet.cli import main
 from hypermet.errors import UnsupportedPair
-from hypermet.hitmiss import canonical_neighborhoods
-from hypermet.hypermetrics import hausdorff
-from hypermet.sets import (ClosedSet, bounding_radius, dist_to_set, representative_points,
-                           truncate)
+from hypermet.hitmiss import Constraint, OpenSetRep, canonical_neighborhoods, misses
+from hypermet.hypermetrics import excess, hausdorff
+from hypermet.induced import Identity, check_preimage_boundedness
+from hypermet.sets import (ClosedSet, bounding_radius, dist_to_set, is_bounded,
+                           representative_points, truncate)
 from hypermet.spaces import AmbientSpace
 from test_piece_rules import matrices, nd_sets
 
@@ -237,3 +238,44 @@ def test_a_ball_sample_past_the_float_range_is_dropped():
     assert centres == pts
     # every centre lies in the ball: its offset from c is 0 or r on one axis
     assert all(math.hypot((x - c[0]) / r, (y - c[1]) / r) <= 1.0 for x, y in centres)
+
+
+# ---------------------------------------------------------------------------
+# a bounded set more than the float range from the base point
+
+
+FAR_LINE = AmbientSpace.line(-1.7e308)
+FAR_POINT = ClosedSet.points(FAR_LINE, [1.7e308])  # bounding_radius overflows to inf
+
+
+@pytest.mark.parametrize("accepts", [
+    lambda: Constraint.miss(FAR_POINT).obstacle is FAR_POINT,
+    lambda: OpenSetRep.complement(FAR_POINT).complement_of is FAR_POINT,
+    lambda: misses(ClosedSet.points(FAR_LINE, [0.0]), FAR_POINT),
+    lambda: check_preimage_boundedness(Identity(FAR_LINE), FAR_POINT).verdict == "bounded-within",
+    # 1.7e308 on both axes lies sqrt(2) 1.7e308 from the origin of R^2
+    lambda: ucb_nbhd_contains(GroupElement.identity(2), ClosedSet.points(E2, [(1.7e308, 1.7e308)]),
+                              GroupElement.identity(2), 0.1).contains,
+], ids=["miss", "complement", "misses", "preimage", "ucb"])
+def test_a_far_bounded_set_is_accepted_where_a_bounded_set_is_required(accepts):
+    assert accepts()
+
+
+def test_boundedness_is_read_from_the_representation():
+    assert is_bounded(FAR_POINT) and bounding_radius(FAR_POINT) == math.inf
+    assert not is_bounded(ClosedSet.intervals(FAR_LINE, [(0.0, math.inf)]))
+    assert not is_bounded(ClosedSet.ray(E2, (0.0, 0.0), (0.0, 1.0)))
+
+
+def test_a_ray_exceeds_a_far_point_by_inf():
+    E = AmbientSpace.euclidean(2, (-1e308, -1e308))
+    R = ClosedSet.ray(E, (0.0, 0.0), (1.0, 0.0))
+    assert excess(R, ClosedSet.points(E, [(1e308, 1e308)])).is_infinite
+
+
+def test_the_cli_scans_against_a_far_obstacle():
+    vals = _cli(["converge", "--family", "reciprocal", "--space", "line:x0=-1.7e308",
+                 "--hit", "ball(0, 0.5)", "--miss", "{1.7e308}", "--horizon", "10"])
+    assert vals["overall"] is True
+    assert vals["miss(FinitePoints(points=(1.7e+308,)))"] == {
+        "passed": True, "settles_at": 1, "witness": None}

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypermet import hitmiss, sets
-from hypermet.errors import GeneratorFault, UnsupportedPair
+from hypermet.errors import AmbientMismatch, GeneratorFault, UnsupportedPair
 from hypermet.hitmiss import (Constraint, ConstraintEntry, ConvergenceReport,
                               OpenSetRep, _ball_batch, canonical_neighborhoods, converges,
                               hits, misses, neighborhood, subset_of)
@@ -293,6 +293,7 @@ def test_open_balls_need_a_finite_positive_radius(bad):
 
 def ref_hits(A, U):
     """hits, one ball at a time, with the strict rule written out."""
+    U.space.require_same(A.space)
     if U.complement_of is not None:
         return hits(A, U)
     undecided = False
@@ -336,7 +337,7 @@ def outcome(scan, terms, nbhds):
 
     try:
         return scan(seq, nbhds, len(terms))
-    except UnsupportedPair as exc:
+    except (AmbientMismatch, UnsupportedPair) as exc:
         return type(exc), str(exc), seen[-1]
 
 
@@ -439,6 +440,22 @@ def scan_with_budget(nbhds, terms, pieces):
 def test_batched_scan_matches_the_per_constraint_scan(case):
     got, ref = scan_with_budget(*case)
     assert got == ref
+
+
+@pytest.mark.parametrize("other", [ClosedSet.points(LINE, [0.5]),
+                                   ClosedSet.cloud(LINE, [0.5], 0.125)], ids=["exact", "cloud"])
+def test_a_term_in_another_ambient_raises_where_the_per_constraint_scan_does(other):
+    # the miss of a cloud obstacle on the line is read per term and comes
+    # first; the gathered constraints live in R^2, so the term of the line
+    # passes the first and the first gathered one raises at it
+    first = Constraint.miss(ClosedSet.cloud(LINE, [3.0], 0.125))
+    gathered = [Constraint.hit(OpenSetRep.ball_union(E2, [((0.0, 0.0), 1.0)])),
+                Constraint.miss(ClosedSet.balls(E2, [((4.0, 4.0), 1.0)]))]
+    for nbhds in ((first, *gathered), (first, gathered[1], gathered[0])):
+        terms = [ClosedSet.points(LINE, [1.0]), other]
+        got = outcome(converges, terms, nbhds)
+        assert got == outcome(ref_converges, terms, nbhds)
+        assert got == (AmbientMismatch, "operands live in different ambient spaces", 1)
 
 
 E3 = AmbientSpace.euclidean(3)

@@ -21,9 +21,11 @@ import hypermet.hypermetrics as hm
 from hypermet import AmbientSpace, ClosedSet
 from hypermet.errors import Indeterminate
 from hypermet.hitmiss import OpenSetRep, canonical_neighborhoods, subset_of
-from hypermet.hypermetrics import aw_distance, excess, hausdorff, set_gap, sup_gap_on_ball
+from hypermet.hypermetrics import (aw_distance, aw_less_than, excess, hausdorff, set_gap,
+                                  sup_gap_on_ball)
 from hypermet.induced import ArctanOfDistance, dist_range
 from hypermet.sets import IntervalUnion, bounding_radius, dist_to_set, truncate
+from test_finite_spaces import finite_cases
 from test_piece_rules import ref_components
 
 LINE = AmbientSpace.line()
@@ -552,12 +554,12 @@ def test_far_pair_window_count_is_logarithmic(monkeypatch, D):
     family = hm._window_gap_family
 
     def counted(space, A, B):
-        g, j_sat, g_inf = family(space, A, B)
+        g, j_sat, g_inf, h = family(space, A, B)
 
         def g_counted(j):
             calls.append(j)
             return g(j)
-        return g_counted, j_sat, g_inf
+        return g_counted, j_sat, g_inf, h
 
     monkeypatch.setattr(hm, "_window_gap_family", counted)
     A = ClosedSet.points(LINE, [0.0, D])
@@ -565,6 +567,82 @@ def test_far_pair_window_count_is_logarithmic(monkeypatch, D):
     v = aw_distance(A, B)
     assert v.is_exact and 0.0 < v.lo < 1.0
     assert len(calls) <= 2 * math.log2(D) + 8
+
+
+# ---------------------------------------------------------------------------
+# the exact windowed distance reads H(A, B) from its own candidates
+
+
+@st.composite
+def family_pairs(draw):
+    """Two sets on the line, an interval subspace, E^1 or a finite space:
+    points, intervals, rays or E^1 solids, the whole line against any of
+    them, or a cloud against a set or another cloud."""
+    kind = draw(st.sampled_from(["1-D", "whole line", "cloud", "finite"]))
+    if kind == "1-D":
+        return draw(pairs_with_solids())[1:]
+    if kind == "whole line":
+        return ClosedSet.intervals(LINE, [(-math.inf, math.inf)]), draw(one_d_sets(LINE))
+    if kind == "finite":
+        sets = draw(finite_cases())[1]
+        return draw(st.permutations(sets))[:2]
+    space = draw(st.sampled_from([LINE, E1, OPEN]))
+    wrap = (lambda x: (x,)) if space.kind == "euclidean" else (lambda x: x)
+
+    def cloud():
+        xs = draw(st.lists(coord, min_size=1, max_size=8))
+        # resolutions whose sums round: h + (r1 + r2) is the float hausdorff reads
+        h = draw(st.sampled_from([0.1, 0.3, 3.0]))
+        return ClosedSet.cloud(space, [wrap(x) for x in xs], h)
+    return cloud(), cloud() if draw(st.booleans()) else draw(one_d_sets(space))
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_pairs(), st.booleans())
+def test_the_window_family_reads_the_hausdorff_distance(pair, swap):
+    # bit for bit, inf where one side escapes; hausdorff widens by the
+    # slack, and so does the cap that _aw_exact hands to aw_distance
+    A, B = pair[::-1] if swap else pair
+    H = repr(float(hausdorff(A, B).hi))
+    h = hm._window_gap_family(A.space, A, B)[3]
+    assert repr(h + (A.slack + B.slack)) == H == repr(hm._aw_exact(A.space, A, B)[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_pairs())
+def test_the_exact_windowed_distance_makes_no_second_pass(pair):
+    A, B = pair
+
+    def refuse(*args):
+        raise AssertionError("a second pass over the sets")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hm, "hausdorff", refuse)
+        mp.setattr(hm, "excess", refuse)
+        cv = aw_distance(A, B)
+    assert cv.method.startswith("exact-1d") and 0.0 <= cv.lo <= cv.hi <= 1.0
+
+
+FAR_LINE = AmbientSpace.line(-1.7e308)
+FAR_E1 = AmbientSpace.euclidean(1, (-1.7e308,))
+FAR_OPEN = AmbientSpace.open_interval(-1.7e308, 1.7e308, 1e308)
+
+
+@pytest.mark.parametrize("A, B, ref", [
+    (ClosedSet.points(FAR_LINE, [1.7e308]), ClosedSet.points(FAR_LINE, [1.6e308]), "1.0"),
+    (ClosedSet.points(FAR_LINE, [1.7e308]), ClosedSet.points(FAR_LINE, [1.7e308]), "0.0"),
+    (ClosedSet.ray(FAR_LINE, 1.6e308, 1.0), ClosedSet.points(FAR_LINE, [1.7e308]), "1.0"),
+    (ClosedSet.cloud(FAR_LINE, [1.7e308], 0.1), ClosedSet.points(FAR_LINE, [1.6e308]),
+     "[0.9, 1.0]"),
+    (ClosedSet.points(FAR_E1, [(1.7e308,)]), ClosedSet.points(FAR_E1, [(1.6e308,)]), "1.0"),
+    (ClosedSet.points(FAR_OPEN, [-1.6e308]), ClosedSet.points(FAR_OPEN, [-1.5e308]), "1.0"),
+], ids=["points", "identical", "ray", "cloud", "E^1", "open"])
+def test_a_pair_past_the_float_range_from_the_base_point(A, B, ref):
+    # every candidate's radius overflows to inf; the window edges near the
+    # base point lie past both sets, where the gap is their outer ends' distance
+    cv = aw_distance(A, B)
+    assert repr(cv) == f"<{ref} by exact-1d{'+cloud' if A.slack else ''}>"
+    if ref == "1.0":
+        assert aw_less_than(A, B, 0.5) is False
 
 
 # ---------------------------------------------------------------------------
