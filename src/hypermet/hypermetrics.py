@@ -35,7 +35,6 @@ import numpy as np
 
 from . import geom
 from .errors import Indeterminate, UnsupportedPair
-from .geom import _guarded
 from .sets import (
     BallUnion,
     ClosedSet,
@@ -59,6 +58,7 @@ from .sets import (
 from .spaces import FINITE, OPEN_INTERVAL
 
 DEFAULT_TOL = 1e-3
+_FLOAT_MAX = math.nextafter(math.inf, 0.0)
 NODE_CAP = 1_500_000
 
 
@@ -267,31 +267,26 @@ def _excess_ray(A, B) -> CertifiedValue:
 
 
 def _excess_convex(A, B) -> CertifiedValue:
-    """The farthest vertex of A from the single piece of B (see _vertices),
-    in one batched query; a ball adds its radius, by closed form against a
-    ball target.  argmax keeps the first farthest vertex as witness."""
+    """The farthest vertex of A from the single piece of B: the piece-excess
+    table (sets._excess_at_vertices) with one row per vertex, so argmax
+    keeps the first farthest vertex as witness.  A ball's centre distance
+    plus its radius is exact only off the target: a ball whose centre lies
+    on a target other than a ball and which sticks out (0 < E <= r) is refused."""
     bc = B.components()
     if len(bc) > 1:
         raise UnsupportedPair(
             "excess onto a multi-component set has no closed form for these representations"
         )
+    comps = A.components()
+    X, owner = _vertices(comps)
+    E = _excess_at_vertices([comps[i] for i in owner], X, np.arange(len(X)), B.array_form,
+                            A.space.dim)[:, 0]
     balls = isinstance(A.rep, BallUnion)
-    if balls and bc[0][0] == "ball":
-        c2, r2 = bc[0][1]
-        X = [c for c, _ in A.rep.balls]
-        d = [max(math.dist(c, c2) + r - r2, 0.0) for c, r in A.rep.balls]
-    else:
-        X = _vertices(A.components())[0].tolist()
-        d = _dists(X, B)
-        if balls:
-            if (d <= 0.0).any():
-                raise UnsupportedPair(
-                    "no closed form for the excess of a ball overlapping its target"
-                )
-            d = d + np.array([r for _, r in A.rep.balls])
-    i = int(np.argmax(d))
-    return CertifiedValue.point(float(d[i]), "ball-closed-form" if balls else "finite-max",
-                                tuple(X[i]))
+    if balls and bc[0][0] != "ball" and ((0.0 < E) & (E <= [r for _, r in A.rep.balls])).any():
+        raise UnsupportedPair("no closed form for the excess of a ball overlapping its target")
+    i = int(np.argmax(E))
+    return CertifiedValue.point(float(E[i]), "ball-closed-form" if balls else "finite-max",
+                                tuple(X[i].tolist()))
 
 
 def _combine_max(e1: CertifiedValue, e2: CertifiedValue, tag1, tag2) -> CertifiedValue:
@@ -590,11 +585,11 @@ class _GapBound:
 
     def _pair_hausdorff(self, comps_a, comps_b, pieces_a, pieces_b, max_rows):
         """H[i, k] >= the Hausdorff distance of piece i of A and piece k
-        of B: each excess read at the vertices of its piece against the
-        other set's pieces only (a ball's is at most d(centre) + radius),
-        |c - c'| + |r - r'| for two balls, inf with a ray.  H is None when
-        its entries or the vertices exceed max_rows.  Also returns the
-        number of kernel rows used."""
+        of B: the larger of the two piece-excess tables
+        (sets._excess_at_vertices), each read against the other set's
+        pieces only; for two balls |c - c'| + |r - r'|, inf with a ray.  H
+        is None when its entries or the vertices exceed max_rows.  Also
+        returns the number of kernel rows used."""
         mA, mB = len(comps_a), len(comps_b)
         verts = [_vertices(comps) for comps in (comps_a, comps_b)]
         rows = sum(len(X) for X, _ in verts)
@@ -603,18 +598,7 @@ class _GapBound:
         E_a, E_b = (_excess_at_vertices(comps, X, owner, other, self.n)
                     for comps, (X, owner), other in ((comps_a, verts[0], pieces_b),
                                                      (comps_b, verts[1], pieces_a)))
-        H = np.maximum(E_a, E_b.T, out=E_a)
-        ia = [i for i, (kind, _) in enumerate(comps_a) if kind == "ball"]
-        ib = [k for k, (kind, _) in enumerate(comps_b) if kind == "ball"]
-        if ia and ib:
-            ca, cb = (np.array([comps[i][1][0] for i in idx])
-                      for comps, idx in ((comps_a, ia), (comps_b, ib)))
-            ra, rb = (np.array([comps[i][1][1] for i in idx])
-                      for comps, idx in ((comps_a, ia), (comps_b, ib)))
-            offsets = ca.T[:, :, None] - cb.T[:, None, :]
-            H[np.ix_(ia, ib)] = (_guarded(lambda norm_of: norm_of(offsets))
-                                 + np.abs(ra[:, None] - rb[None, :]))
-        return H, rows
+        return np.maximum(E_a, E_b.T, out=E_a), rows
 
     def probe(self, C, x0, radius):
         """The evaluation points of the cubes centred at the rows of C,
@@ -872,10 +856,15 @@ def _aw_exact(space, A, B):
     1 past every candidate, so a side that escapes (g_inf = inf) gives
     g(j_sat) >= 1 in exact arithmetic.  Where g is flat, rounding at the
     window edges can make the float g(j) dip by a few ulps of the radius,
-    so g(J-1) can sit that far below an earlier g(j)."""
-    g, j_sat, g_inf, h = _window_gap_family(space, A, B)
+    so g(J-1) can sit that far below an earlier g(j).  A capped j_sat lies
+    short of a candidate that no float radius reaches; if g(j_sat) < 1/j_sat
+    there, the terms are g(j) <= g(j_sat) up to j_sat and below 1/j_sat
+    after it: the answer is that interval."""
+    g, j_sat, g_inf, h, capped = _window_gap_family(space, A, B)
     dh = h + (A.slack + B.slack)
     g_sat = g(j_sat)
+    if g_sat < 1.0 / j_sat and capped:
+        return CertifiedValue.interval(g_sat, 1.0 / j_sat, "exact-1d"), dh
     if g_sat < 1.0 / j_sat and g_inf < math.inf:
         # no crossing before saturation: the last window and the limit decide
         return CertifiedValue.point(max(g_sat, min(1.0 / (j_sat + 1), g_inf)), "exact-1d"), dh
@@ -891,14 +880,15 @@ def _aw_exact(space, A, B):
 
 
 def _window_gap_family(space, A, B):
-    """Returns (g, j_sat, g_inf, h): the exact window-gap function over
-    integer radii, the radius past which nothing new enters the window
-    (from the largest float where a radius overflows), the limiting gap,
-    read at the whole space's edges (inf where one side escapes), and the
-    float of hausdorff(A, B).hi for exact sets.  Both distances are read
-    once at the candidates (on a finite space, at every point); h is the
-    largest gap where one of them is 0, or an outer gap (_outer_gaps).  A
-    gap that reads NaN takes the outer gap of its side, as in _gaps_1d."""
+    """Returns (g, j_sat, g_inf, h, capped): the exact window-gap function
+    over integer radii, the radius past which nothing new enters the
+    window (capped, from the largest float, where a radius overflows), the
+    limiting gap, read at the whole space's edges (inf where one side
+    escapes), and the float of hausdorff(A, B).hi for exact sets.  Both
+    distances are read once at the candidates (on a finite space, at every
+    point); h is the largest gap where one of them is 0, or an outer gap
+    (_outer_gaps).  A gap that reads NaN takes the outer gap of its side,
+    as in _gaps_1d."""
     finite = space.kind == FINITE
     if finite:
         r, (dA, dB) = space.dist_matrix[space.base_point], _finite_dists(space, A, B)
@@ -917,7 +907,7 @@ def _window_gap_family(space, A, B):
     prefix = np.maximum.accumulate(d[order]).tolist() or [0.0]
     if finite:  # the open window j holds the base point and all before bisect_left
         return (lambda j: prefix[bisect_left(radii, float(j)) - 1],
-                int(math.floor(radii[-1])) + 1, prefix[-1], h)
+                int(math.floor(radii[-1])) + 1, prefix[-1], h, False)
 
     def delta(x):
         gap = abs(na.dist(x) - nb.dist(x))
@@ -929,8 +919,8 @@ def _window_gap_family(space, A, B):
         return max(prefix[i - 1] if i else 0.0, delta(lo_w), delta(hi_w))
 
     g_inf = max(prefix[-1], *map(delta, space.bounds or (-math.inf, math.inf)))
-    j_sat = int(math.ceil(min(radii[-1] if radii else 0.0, math.nextafter(math.inf, 0.0)))) + 1
-    return g, j_sat, g_inf, h
+    r_max = radii[-1] if radii else 0.0
+    return g, int(math.ceil(min(r_max, _FLOAT_MAX))) + 1, g_inf, h, r_max > _FLOAT_MAX
 
 
 def _aw_certified(space, A, B, tol, node_cap):

@@ -731,20 +731,24 @@ def estimate_uniform_modulus(f, A: ClosedSet, eps: float) -> ModulusReport:
 
 
 def _finite_modulus(f, pts, eps: float) -> ModulusReport:
-    # on a finite set a modulus always exists; take half the closest
-    # eps-separated pair
-    worst = math.inf
-    diam = 0.0
+    """On a finite set a modulus always exists: half the closest pair of
+    pts whose images lie eps or more apart.  f is applied once per point;
+    the pair distances are one array, |p - q| on the line and an open
+    interval, the matrix on a finite space, elsewhere space.distance."""
     space = f.domain
-    for i, p in enumerate(pts):
-        for q in pts[:i]:
-            d = space.distance(p, q)
-            diam = max(diam, d)
-            gap = abs(f.apply(p) - f.apply(q))
-            if gap >= eps:
-                worst = min(worst, d)
+    y = np.array([f.apply(p) for p in pts], dtype=float)
+    i, j = np.tril_indices(len(pts), -1)
+    if space.kind == FINITE:
+        k = np.asarray(pts, dtype=np.intp)
+        d = space.dist_matrix[k[i], k[j]]
+    elif space.kind in (LINE, OPEN_INTERVAL):
+        x = np.asarray(pts, dtype=float)
+        d = np.abs(x[i] - x[j])
+    else:
+        d = np.array([space.distance(pts[a], pts[b]) for a, b in zip(i.tolist(), j.tolist())])
+    worst = float(d[np.abs(y[i] - y[j]) >= eps].min(initial=math.inf))
     if math.isinf(worst):
-        return ModulusReport("certified", delta=max(diam, 1.0),
+        return ModulusReport("certified", delta=max(float(d.max(initial=0.0)), 1.0),
                              note="no pair separates by eps")
     return ModulusReport("certified", delta=worst / 2.0,
                          note="half the closest eps-separated pair distance")

@@ -17,12 +17,14 @@ On a 1-D ambient every question reads one form, the set's IntervalUnion
 their distances, gap midpoints and finite ends.
 
 In R^n each question about a convex piece has one rule: distances come
-from the one kernel (_kernel), farthest distances from the kernel's norm
-over the vertex table (_vertices, _far_dists), each piece's largest by
-one reduction (_max_per_piece), and truncate keeps each piece whole,
-drops it or cuts it by those two tables.  Several sets asked the same
-question stack their pieces in one step (_Stack).  Every distance is
-geom's guarded norm (_guarded).
+from the one kernel (_kernel), and how far a piece reaches from points
+or other pieces from one piece-excess table over the vertex table
+(_vertices, _excess_at_vertices), each piece's largest by one reduction
+(_max_per_piece); excess, is_subset, the pair bound and the farthest
+distances (_far_dists) read it, and truncate keeps each piece whole,
+drops it or cuts it by the kernel and that table.  Several sets asked
+the same question stack their pieces in one step (_Stack).  Every
+distance is geom's guarded norm (_guarded).
 """
 
 from __future__ import annotations
@@ -425,48 +427,55 @@ def _max_per_piece(table, owner, row_bytes):
 
 
 def _excess_at_vertices(comps, X, owner, other: _Pieces, n):
-    """E[i, k] >= the excess of piece i of comps over piece k of other:
-    the largest distance from a vertex of piece i (rows of X by owner),
-    plus a ball's radius; inf for a ray."""
+    """E[i, k] >= the excess of piece i of comps over piece k of other,
+    the one table of every n-D question "how far does a piece reach from
+    X": the largest kernel distance from a vertex of piece i (rows of X
+    by owner) to piece k, plus a ball's radius; inf for a ray.  Two closed
+    forms are exact where that rule only bounds: a ball over a ball is
+    max(|c - c'| + (r - r'), 0), c - c' by the guarded norm, and a ball
+    inside a box is 0.  comps is empty when each row of X is a point piece
+    of its own (the points of point sets), which nothing widens."""
     E = _max_per_piece(lambda sl: _kernel(X[sl], other, grads=False)[0].T, owner,
                        8 * other.m * (n + 2))
-    return _over_pieces(E, comps)
-
-
-def _over_pieces(E, comps):
-    """E with row i, the largest of a distance over the vertices of piece
-    i of comps, widened to the whole piece: plus a ball's radius, inf for
-    a ray."""
+    balls = []
     for i, (kind, data) in enumerate(comps):
         if kind == "ball":
             E[i] += data[1]
+            balls.append(i)
         elif kind == "ray":
             E[i] = np.inf
+    for kind, rows, arrs in other.blocks:
+        if balls and kind in ("ball", "box"):
+            c, r = (np.array(v, dtype=float) for v in zip(*(comps[i][1] for i in balls)))
+            c, r, at = c.T[:, :, None], r[:, None], (np.array(balls)[:, None], rows)
+            if kind == "ball":
+                g = _guarded(lambda norm_of: norm_of(c - arrs[0].transpose(0, 2, 1)))
+                E[at] = np.maximum(g + (r - arrs[1].T), 0.0)
+            else:
+                lo, hi = (a.transpose(0, 2, 1) for a in arrs)
+                E[at] = np.where(((lo <= c - r) & (c + r <= hi)).all(axis=0), 0.0, E[at])
     return E
 
 
 def _far_dists(X, sets_) -> np.ndarray:
     """F (m, N): the farthest distance from each of the N rows of X to
     each of the m pieces of several n-D or finite-space sets, in order.
-    In R^n it is read at their vertex table (_vertices; the points of
-    point sets, stacked in one step): the largest kernel norm (_guarded)
-    of x - v over a piece's vertices, widened to the piece (_over_pieces);
-    on a finite space, at the matrix (X indices).  Every farthest-distance
+    In R^n it is the piece-excess table (_excess_at_vertices) of the
+    pieces over the rows of X as point pieces, read at the vertex table
+    (_vertices; the points of point sets, stacked in one step); on a
+    finite space, the matrix at X (indices).  Every farthest-distance
     question reads this one table, so a question asked of one set or of
     a block of sets gets the same floats."""
     space = sets_[0].space
     if space.kind == FINITE:
         return space.dist_matrix[X][:, np.concatenate([A.coords for A in sets_])].T
-    V, comps = _points_of(sets_), None
+    V, comps = _points_of(sets_), ()
     if V is None:
         comps = [c for A in sets_ for c in A.components()]
         V, owner = _vertices(comps)
     else:  # a point is its own vertex
         owner = np.arange(len(V))
-    Xt = np.ascontiguousarray(X.T)[:, None, :]
-    F = _max_per_piece(lambda sl: _guarded(lambda norm_of: norm_of(Xt - V[sl].T[:, :, None])),
-                       owner, 8 * len(X) * (X.shape[1] + 2))
-    return F if comps is None else _over_pieces(F, comps)
+    return _excess_at_vertices(comps, V, owner, _Pieces.of_points(X), X.shape[1])
 
 
 def _piece_dists(x, A: "ClosedSet") -> list[float]:
@@ -956,7 +965,10 @@ def is_subset(A: ClosedSet, B: ClosedSet) -> bool:
 
     Boundary comparisons are exact on the computed distances (a point of
     A at distance 0 from B is inside, one at 5e-10 is not), and a ray fits
-    only a ray of exactly its direction (_same_direction).  Raises
+    only a ray of exactly its direction (_same_direction).  A bounded
+    convex piece fits a target piece where its piece-excess entry
+    (_excess_at_vertices) is 0, the entry hypermetrics.excess reads, so
+    A <= B exactly where that excess is 0.  Raises
     UnsupportedPair when neither True nor False can be certified for the
     representations at hand.
     """
@@ -983,36 +995,17 @@ def is_subset(A: ClosedSet, B: ClosedSet) -> bool:
         return (isinstance(B.rep, Ray) and _same_direction(A.rep.axis, B.rep.axis)
                 and bool(_dists([A.rep.anchor], B)[0] <= 0.0))
 
-    b_comps = B.components()
-    # bounded convex pieces: each must fit a single target piece, read at
-    # its vertices (the vertex table), or by closed form for a ball in a
-    # ball or a box; otherwise undecidable here
+    # bounded convex pieces: each must fit a single target piece, read from
+    # the piece-excess table; otherwise undecidable here
     comps = A.components()
-    balls = isinstance(A.rep, BallUnion)
-    E = None
-    if not (balls and all(kind in ("ball", "box") for kind, _ in b_comps)):
-        E = _excess_at_vertices(comps, *_vertices(comps), B.array_form, A.space.dim)
-    for i, (_, data) in enumerate(comps):
-        if not any(_ball_inside(data, target) if balls and target[0] in ("ball", "box")
-                   else E[i, k] <= 0.0 for k, target in enumerate(b_comps)):
-            if len(b_comps) == 1:
-                return False
-            raise UnsupportedPair(
-                "containment against a multi-component target is only decidable "
-                "when each piece fits a single component"
-            )
-    return True
-
-
-def _ball_inside(ball, target) -> bool:
-    """The closed ball inside a ball or box target."""
-    c2, r2 = ball
-    tkind, tdata = target
-    if tkind == "ball":
-        c, r = tdata
-        return float(_guarded(lambda norm_of: norm_of(np.subtract(c, c2)[:, None]))[0]) + r2 <= r
-    lo, hi = tdata
-    return all(l <= ci - r2 and ci + r2 <= h for ci, l, h in zip(c2, lo, hi))
+    fits = bool((_excess_at_vertices(comps, *_vertices(comps), B.array_form, A.space.dim)
+                 <= 0.0).any(axis=1).all())
+    if fits or B.array_form.m == 1:
+        return fits
+    raise UnsupportedPair(
+        "containment against a multi-component target is only decidable "
+        "when each piece fits a single component"
+    )
 
 
 def _box_corners(lo, hi):

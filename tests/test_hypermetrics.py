@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hypermet.hypermetrics as hm
@@ -25,7 +25,7 @@ from hypermet.hypermetrics import (INF, CertifiedValue, ExtReal, aw_distance,
                                    aw_less_than, excess, ext, hausdorff,
                                    hausdorff_lower, hausdorff_upper, set_gap,
                                    sup_gap_on_ball)
-from hypermet.sets import ClosedSet, _rows_per_chunk
+from hypermet.sets import ClosedSet, _rows_per_chunk, is_subset
 from hypermet.spaces import AmbientSpace
 
 LINE = AmbientSpace.line()
@@ -236,6 +236,106 @@ def test_excess_ball_to_ball_closed_form():
         e = excess(A, B)
         assert e.lo == pytest.approx(want, abs=1e-9)
         assert e.is_exact
+
+
+# ---------------------------------------------------------------------------
+# one piece-excess table: excess and is_subset read the same entries
+
+E3 = AmbientSpace.euclidean(3)
+eighths = st.integers(-64, 64).map(lambda i: i / 8.0)
+radii8 = st.integers(1, 48).map(lambda i: i / 8.0)
+
+
+@st.composite
+def containment_pairs(draw):
+    """(A, B) in R^2 or R^3 with dyadic coordinates: internally tangent
+    balls (the inner centre moved by the radius difference along a
+    random direction, rounded), balls touching a box face from inside or
+    outside, and any two sets of points, balls, boxes and segments."""
+    n = draw(st.sampled_from([2, 3]))
+    space = AmbientSpace.euclidean(n)
+    pt = st.tuples(*[eighths] * n)
+    case = draw(st.sampled_from(["tangent", "face", "any"]))
+    if case == "tangent":
+        c, r, r2 = draw(pt), draw(radii8), draw(radii8)
+        assume(r2 < r)
+        u = np.array(draw(st.tuples(*[st.integers(-8, 8)] * n)), dtype=float)
+        assume(u.any())
+        c2 = np.array(c) + (r - r2) * u / np.linalg.norm(u)
+        return ClosedSet.balls(space, [(tuple(c2.tolist()), r2)]), ClosedSet.balls(space, [(c, r)])
+    if case == "face":
+        lo, r = draw(pt), draw(radii8)
+        hi = tuple(v + draw(st.integers(1, 64)) / 8.0 for v in lo)
+        k, side = draw(st.integers(0, n - 1)), draw(st.sampled_from([-1.0, 1.0]))
+        c = [min(max(v, l + r), h - r) if l + r <= h - r else 0.5 * (l + h)
+             for v, l, h in zip(draw(pt), lo, hi)]
+        c[k] = (lo[k] + side * r) if draw(st.booleans()) else (hi[k] - side * r)
+        return ClosedSet.balls(space, [(tuple(c), r)]), ClosedSet.boxes(space, [(lo, hi)])
+
+    def any_set():
+        kind = draw(st.sampled_from(["points", "balls", "boxes", "segments"]))
+        pairs = draw(st.lists(st.tuples(pt, pt), min_size=1, max_size=2))
+        if kind == "points":
+            return ClosedSet.points(space, [p for p, _ in pairs])
+        if kind == "balls":
+            return ClosedSet.balls(space, [(p, abs(q[0]) + 0.125) for p, q in pairs])
+        if kind == "boxes":
+            return ClosedSet.boxes(space, [(tuple(map(min, p, q)), tuple(map(max, p, q)))
+                                           for p, q in pairs])
+        return ClosedSet.segments(space, pairs)
+    return any_set(), any_set()
+
+
+@settings(max_examples=300, deadline=None)
+@given(containment_pairs())
+# internally tangent in R^3: separate ball rules for the two read 0 against True
+@example((ClosedSet.balls(E3, [((12.431365975754321, -3.9706906539042723, 7.17463427603443),
+                                0.625)]),
+          ClosedSet.balls(E3, [((6.625, -5.5, 4.375), 7.25)])))
+@example((ClosedSet.balls(E2, [((1.0, 1.0), 1.0)]), ClosedSet.boxes(E2, [((0.0, 0.0), (2.0, 3.0))])))
+def test_is_subset_is_a_zero_excess(pair):
+    # for closed B, A <= B iff e(A, B) = 0: both read the piece-excess table
+    A, B = pair
+    try:
+        e = excess(A, B)
+    except hm.UnsupportedPair:
+        return
+    assert is_subset(A, B) == (e.lo == 0.0)
+
+
+def test_a_ball_inside_a_box_has_excess_zero():
+    ball = ClosedSet.balls(E2, [((0.0, 0.0), 1.0)])
+    for lo, hi in (((-2.0, -2.0), (2.0, 2.0)), ((-1.0, -1.0), (1.0, 1.0))):  # the second touches
+        box = ClosedSet.boxes(E2, [(lo, hi)])
+        assert repr(excess(ball, box)) == repr(CertifiedValue.point(0.0, "ball-closed-form"))
+        assert is_subset(ball, box)
+        # the other side: the box's corner hi lies |hi| - 1 from the ball
+        assert hausdorff(ball, box).lo == pytest.approx(math.hypot(*hi) - 1.0)
+
+
+@pytest.mark.parametrize("target", [
+    ClosedSet.boxes(E2, [((-0.5, -0.5), (0.5, 0.5))]),
+    ClosedSet.segments(E2, [((-2.0, 0.0), (2.0, 0.0))]),
+    ClosedSet.points(E2, [(0.0, 0.0)]),
+], ids=["box", "segment", "point"])
+def test_a_ball_whose_centre_lies_on_its_target_and_sticks_out_is_refused(target):
+    # the centre's distance plus the radius only bounds the excess there,
+    # so excess has no closed form for it
+    ball = ClosedSet.balls(E2, [((0.0, 0.0), 1.0)])
+    with pytest.raises(hm.UnsupportedPair, match="overlapping its target"):
+        excess(ball, target)
+    assert not is_subset(ball, target)
+
+
+def test_the_windowed_distance_of_two_offset_balls_brackets_root_half():
+    # both unit balls, centres (0, 0) and (0.5, 0.5): window 1 already
+    # sees the whole gap, |c - c'| = sqrt(1/2), and hi is capped at the
+    # pair's Hausdorff distance g + |r - r'|, g the guarded norm, whose
+    # float here lies above sqrt(1/2)
+    A = ClosedSet.balls(E2, [((0.0, 0.0), 1.0)])
+    B = ClosedSet.balls(E2, [((0.5, 0.5), 1.0)])
+    cv = aw_distance(A, B, tol=0.02, node_cap=200_000)
+    assert Fraction(cv.lo) ** 2 <= Fraction(1, 2) <= Fraction(cv.hi.as_float()) ** 2
 
 
 def test_hausdorff_point_clouds_in_plane():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hypermet.induced as induced_module
 from hypermet.actions import GroupElement, act
 from hypermet.errors import AmbientMismatch, UnsupportedPair
 from hypermet.hypermetrics import aw_distance, hausdorff
@@ -436,6 +437,48 @@ def test_modulus_finite_set():
     assert rep.verdict == "certified" and rep.delta == pytest.approx(0.5)
     far = estimate_uniform_modulus(Affine(1.0, 0.0), A, eps=100.0)
     assert far.verdict == "certified"  # nothing separates by 100
+
+
+class _Counted:
+    """A map given by a function on a domain, counting its applications."""
+
+    def __init__(self, domain, fn):
+        self.domain, self.fn, self.calls = domain, fn, 0
+
+    def apply(self, x):
+        self.calls += 1
+        return self.fn(x)
+
+
+def _brute_modulus(dist, fn, pts, eps):
+    pairs = [(dist(p, q), abs(fn(p) - fn(q))) for i, p in enumerate(pts) for q in pts[:i]]
+    worst = min((d for d, gap in pairs if gap >= eps), default=math.inf)
+    if math.isinf(worst):
+        return max(max((d for d, _ in pairs), default=0.0), 1.0)
+    return worst / 2.0
+
+
+@pytest.mark.parametrize("domain", ["open", "finite", "plane"])
+@pytest.mark.parametrize("eps", [0.05, 0.9, 5.0])
+def test_a_finite_modulus_applies_the_map_once_per_point(domain, eps):
+    rng = np.random.default_rng(4)
+    if domain == "open":
+        space, pts = SinReciprocal().domain, tuple(rng.uniform(0.01, 0.99, 40).tolist())
+        fn, dist = (lambda x: math.sin(1.0 / x)), (lambda p, q: abs(p - q))
+    elif domain == "finite":
+        M = rng.uniform(1.0, 2.0, (12, 12))
+        M = (M + M.T) / 2.0
+        np.fill_diagonal(M, 0.0)
+        space, pts = AmbientSpace.finite(M.tolist()), tuple(range(12))
+        fn, dist = (lambda k: math.sin(k)), (lambda p, q: space.matrix[p][q])
+    else:
+        space = AmbientSpace.euclidean(2)
+        pts = tuple(map(tuple, rng.normal(size=(15, 2)).tolist()))
+        fn, dist = (lambda p: p[0] * p[1]), math.dist
+    f = _Counted(space, fn)
+    rep = induced_module._finite_modulus(f, pts, eps)
+    assert f.calls == len(pts)
+    assert rep.verdict == "certified" and rep.delta == _brute_modulus(dist, fn, pts, eps)
 
 
 def test_witness_family_for_sin():

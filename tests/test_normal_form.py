@@ -387,6 +387,18 @@ def test_a_ray_against_its_far_stretch_has_distance_one_over_f_plus_one(F, side)
     assert abs(Fraction(cv.lo) * (Fraction(F) + 1) - 1) <= 4 * Fraction(2) ** -52
 
 
+def test_a_ray_past_the_float_range_from_the_base_point_gets_an_interval():
+    # on line(x0 = -F), F = 1.7e308, ray(F, +1) and {F} agree on every
+    # window up to radius 2F, past the largest float; the window-j gap is
+    # j - 2F after it, so the distance is 1/(2F + 1), which no float
+    # radius reaches: the answer is an interval that holds it
+    F = Fraction(1.7e308)
+    space = AmbientSpace.line(-1.7e308)
+    cv = aw_distance(ClosedSet.ray(space, 1.7e308, 1.0), ClosedSet.points(space, [1.7e308]))
+    assert Fraction(cv.lo) <= 1 / (2 * F + 1) <= Fraction(cv.hi.as_float())
+    assert cv.hi.as_float() <= 1.0 / sys.float_info.max
+
+
 def test_gap_midpoints_past_half_the_float_range_stay_finite():
     # d_A peaks at the midpoint of A's gap, half its width from both ends,
     # where d_B is 0; the value is read at the rounded midpoint, a few ulps
@@ -554,12 +566,12 @@ def test_far_pair_window_count_is_logarithmic(monkeypatch, D):
     family = hm._window_gap_family
 
     def counted(space, A, B):
-        g, j_sat, g_inf, h = family(space, A, B)
+        g, *rest = family(space, A, B)
 
         def g_counted(j):
             calls.append(j)
             return g(j)
-        return g_counted, j_sat, g_inf, h
+        return g_counted, *rest
 
     monkeypatch.setattr(hm, "_window_gap_family", counted)
     A = ClosedSet.points(LINE, [0.0, D])

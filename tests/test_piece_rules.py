@@ -2,14 +2,16 @@
 
 affine_sup_norm reads the pushed vertex table, truncate keeps, drops or
 cuts each piece by the shared distance tables, the n-D
-distances read the kernel's least row, farthest distances read the
-kernel's norm over the vertex table, a 1-D cover reads the components of
+distances read the kernel's least row, farthest distances and the pair
+bound read the piece-excess table, a 1-D cover reads the components of
 the open union, the maps' apply reads the push-forward's stacked
 product, and a 1-D set's normal form is the IntervalUnion that
 ClosedSet.normal_form builds.  The references below are the per-kind
 walks, the scalar farthest point, the greedy cover sweep, the
-hand-specialised distance pass and the separate normal-form class read
-from 1-D components (RefNormalForm1D, ref_components) those replaced.
+hand-specialised distance pass, the separate normal-form class read
+from 1-D components (RefNormalForm1D, ref_components), the farthest
+distances' own norm pass and the pair bound's ball override those
+replaced (the last two now read the piece-excess table).
 Every answer must match them bit for bit (compared by repr, so the sign
 of a zero counts), refusals and ties included.
 """
@@ -26,12 +28,12 @@ from hypermet.actions import GroupElement, affine_sup_norm
 from hypermet.errors import UnsupportedPair
 from hypermet.geom import _sumsq
 from hypermet.hitmiss import OpenSetRep, subset_of
-from hypermet.hypermetrics import CertifiedValue
+from hypermet.hypermetrics import CertifiedValue, _GapBound
 from hypermet.induced import LinearMatrix, _scaled_orthogonal, _sigma_max
 from hypermet.sets import (BallUnion, BoxUnion, ClosedSet, FinitePoints, IntervalUnion,
                            SampledCloud, SegmentUnion, _box_corners, _chunks, _coord,
-                           _merge_intervals, _offsets, _piece_dists, _piece_fars, dists_to_set,
-                           truncate)
+                           _far_dists, _merge_intervals, _offsets, _piece_dists, _piece_fars,
+                           _vertices, dists_to_set, truncate)
 from hypermet.spaces import AmbientSpace
 
 LINE = AmbientSpace.line()
@@ -661,3 +663,64 @@ def cover_cases(draw):
 def test_subset_of_matches_the_scalar_farthest_point_and_the_sweep(case):
     A, U = case
     assert outcome(subset_of, A, U) == outcome(ref_subset_of, A, U)
+
+
+# ---------------------------------------------------------------------------
+# the piece-excess table: _far_dists and the pair bound's ball entries read
+# it, against the norm pass and the ball override it replaced
+
+
+def ref_far_dists(X, sets_):
+    """The farthest-distance table as its own pass: the guarded norm of
+    x - v over the vertex table, the largest over each piece's vertices,
+    plus a ball's radius, inf for a ray."""
+    comps = [c for A in sets_ for c in A.components()]
+    V, owner = _vertices(comps)
+    Xt = X.T[:, None, :]
+    norms = _ref_guarded(lambda norm_of: norm_of(Xt - V.T[:, :, None]))
+    F = np.maximum.reduceat(norms, np.searchsorted(owner, np.arange(len(comps))), axis=0)
+    for i, (kind, data) in enumerate(comps):
+        if kind == "ball":
+            F[i] += data[1]
+        elif kind == "ray":
+            F[i] = np.inf
+    return F
+
+
+def ref_ball_pair_hausdorff(A, B):
+    """The pair bound's ball-ball entries as the override wrote them:
+    the guarded |c - c'| plus |r - r'|."""
+    (ca, ra), (cb, rb) = (tuple(np.array(v, dtype=float) for v in zip(*S.rep.balls))
+                          for S in (A, B))
+    offsets = ca.T[:, :, None] - cb.T[:, None, :]
+    return _ref_guarded(lambda norm_of: norm_of(offsets)) + np.abs(ra[:, None] - rb[None, :])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(
+           lambda n: st.tuples(st.lists(nd_sets(n, kinds=("points", "segments", "boxes", "balls",
+                                                          "ray")), min_size=1, max_size=3),
+                               st.lists(points(n, coord), min_size=1, max_size=12))),
+       scales)
+def test_far_dists_match_the_norm_pass(case, scale):
+    sets_, X = case
+    X = np.array(X) * scale
+    assume(np.isfinite(X).all())
+    if scale != 1.0:
+        sets_ = [_scaled_set(A, scale) for A in sets_]
+        assume(all(A is not None for A in sets_))
+    sets_ = [ClosedSet(sets_[0].space, A.rep) for A in sets_]  # one ambient
+    assert _far_dists(X, sets_).tobytes() == ref_far_dists(X, sets_).tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(
+           lambda n: st.tuples(*[nd_sets(n, kinds=("balls",))] * 2)),
+       scales)
+@example((ClosedSet.balls(E2, [((0.0, 0.0), 1.0)]), ClosedSet.balls(E2, [((0.5, 0.5), 1.0)])), 1.0)
+def test_the_pair_bound_reads_ball_pairs_as_the_override_did(pair, scale):
+    A, B = (_scaled_set(S, scale) for S in pair)
+    assume(A is not None and B is not None)
+    B = ClosedSet(A.space, B.rep)
+    H = _GapBound(A, B, 1.0).H
+    assert H.tobytes() == ref_ball_pair_hausdorff(A, B).tobytes()
